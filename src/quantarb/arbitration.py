@@ -11,6 +11,7 @@ without access to actuals.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,7 +29,7 @@ from .core import (
 )
 from .errors import AlignmentMismatch, DimensionMismatch, EmptyWindow
 from .metrics import crps_timestep
-from .quantiles import RandomStreams, empirical_quantiles, fit_inverse_cdf, sample
+from .quantiles import InverseCdf, RandomStreams, empirical_quantiles
 
 # Weight-rule labels recorded in traces.
 RULE_UNIFORM = "uniform"
@@ -74,22 +75,43 @@ class ArbitratorConfig:
         return min(horizon, DEFAULT_WINDOW_CAP)
 
 
+class WindowScores:
+    """Per-record CRPS rows of a rolling performance window.
+
+    Each record's N model scores are computed once, when the record enters;
+    the oldest row drops out when the window is full. Averages use exact
+    summation, so they match re-scoring the whole window bit for bit and do
+    not depend on record order.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, capacity: int, records: Sequence[PerformanceRecord] = ()) -> None:
+        self._rows: deque[tuple[float, ...]] = deque(maxlen=capacity)
+        for rec in records:
+            self.push(rec.forecasts, rec.observation)
+
+    def push(self, forecasts: Sequence[QuantileForecast], observation: float) -> None:
+        self._rows.append(tuple(crps_timestep(f, observation) for f in forecasts))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def averages(self) -> tuple[float, ...]:
+        """Each model's mean CRPS over the records in the window."""
+        if not self._rows:
+            raise EmptyWindow("cannot score models against an empty window")
+        n = len(self._rows)
+        return tuple(math.fsum(column) / n for column in zip(*self._rows))
+
+
 def average_crps_scores(window: PerformanceWindow) -> tuple[float, ...]:
     """Each model's CRPS against the window's observations, averaged.
 
     Window order does not matter; every model is scored against the same
     observations.
     """
-    if window.is_empty:
-        raise EmptyWindow("cannot score models against an empty window")
-    n_models = len(window.records[0].forecasts)
-    scores = []
-    for i in range(n_models):
-        per_record = [
-            crps_timestep(rec.forecasts[i], rec.observation) for rec in window.records
-        ]
-        scores.append(math.fsum(per_record) / len(per_record))
-    return tuple(scores)
+    return WindowScores(window.capacity, window.records).averages()
 
 
 def weights_with_rule(
@@ -146,22 +168,43 @@ def arbitrate_timestep(
 
     Each model draws from its own substream, keyed by name when names are
     given (index otherwise); that keying is what makes the result invariant
-    under model reordering.
+    under model reordering. All forecasts must share one quantile grid.
     """
     if len(forecasts) != len(weights):
         raise DimensionMismatch(
             f"{len(forecasts)} forecasts for {len(weights)} weights"
         )
+    levels = forecasts[0].levels
+    if any(fc.levels.levels != levels.levels for fc in forecasts):
+        raise DimensionMismatch("forecasts of one timestep use different quantile grids")
+    keys = model_names if model_names is not None else range(len(forecasts))
+    icdf = InverseCdf(np.asarray(levels.levels), [fc.values for fc in forecasts])
+    return _pool_draws(
+        icdf, np.arange(len(forecasts)), weights, config, streams, keys,
+        config.levels if config.levels is not None else levels,
+    )
+
+
+def _pool_draws(
+    icdf: InverseCdf,
+    rows: np.ndarray,
+    weights: WeightVector,
+    config: ArbitratorConfig,
+    streams: RandomStreams,
+    keys: Sequence[str | int],
+    levels: QuantileLevels,
+) -> tuple[QuantileForecast, tuple[int, ...]]:
+    """Allocate the budget, draw every model's uniforms from its own keyed
+    substream, and evaluate the pooled draws against batch ``rows`` of
+    ``icdf`` in one pass."""
     counts = allocate_samples(weights, config.n_total)
-    pools = []
-    for i, (forecast, count) in enumerate(zip(forecasts, counts)):
-        if count == 0:
-            continue
-        key = model_names[i] if model_names is not None else i
-        rng = streams.child(key).generator()
-        pools.append(sample(fit_inverse_cdf(forecast), count, rng))
-    levels = config.levels if config.levels is not None else forecasts[0].levels
-    return empirical_quantiles(np.concatenate(pools), levels), counts
+    uniforms = [
+        streams.child(key).generator().random(count)
+        for key, count in zip(keys, counts)
+        if count
+    ]
+    pooled = icdf(np.concatenate(uniforms), np.repeat(rows, counts))
+    return empirical_quantiles(pooled, levels), counts
 
 
 def run_arbitration(
@@ -175,6 +218,8 @@ def run_arbitration(
 
     The feedback loop is sequential: each step's arbitrated median is pushed
     into the window as a stand-in observation before the next step is scored.
+    Inverse CDFs of all N x T forecasts are fitted once, before the loop, and
+    each window record is scored once, when it enters.
     Pass ``streams`` shared across panels to keep per-model draws identical
     regardless of which other series are processed; plain ``seed`` builds a
     fresh stream tree.
@@ -186,33 +231,43 @@ def run_arbitration(
             f"n_total {config.n_total} cannot cover {n} models with one sample each"
         )
     if initial_window is None:
-        window = PerformanceWindow(config.resolve_capacity(panel.horizon))
-    else:
-        window = initial_window
-        if not window.is_empty and len(window.records[0].forecasts) != n:
-            raise DimensionMismatch(
-                f"initial window records cover {len(window.records[0].forecasts)} "
-                f"models, panel has {n}"
-            )
+        initial_window = PerformanceWindow(config.resolve_capacity(panel.horizon))
+    elif not initial_window.is_empty and len(initial_window.records[0].forecasts) != n:
+        raise DimensionMismatch(
+            f"initial window records cover {len(initial_window.records[0].forecasts)} "
+            f"models, panel has {n}"
+        )
+    dynamic = config.mode == "dynamic"
+    window = WindowScores(initial_window.capacity, initial_window.records if dynamic else ())
     if streams is None:
         streams = RandomStreams(seed)
     series_streams = streams.child("series", panel.series_id)
     names = panel.model_names
+    horizon = panel.horizon
+    levels = panel.levels
+    out_levels = config.levels if config.levels is not None else levels
+    # Batch row of model i at step t is i * horizon + t.
+    icdf = InverseCdf(
+        np.asarray(levels.levels), [[fc.values for fc in fs] for _, fs in panel.models]
+    )
+    model_rows = np.arange(n) * horizon
     steps = []
-    for t in range(panel.horizon):
-        forecasts = panel.forecasts_at(t)
-        if config.mode == "static-uniform":
+    for t in range(horizon):
+        if not dynamic:
             scores, weights, rule = None, WeightVector.uniform(n), RULE_STATIC
-        elif window.is_empty:
+        elif not len(window):
             scores, weights, rule = None, WeightVector.uniform(n), RULE_UNIFORM
         else:
-            scores = average_crps_scores(window)
+            scores = window.averages()
             weights, rule = weights_with_rule(scores, config)
-        arbitrated, counts = arbitrate_timestep(
-            forecasts, weights, config, series_streams.child("t", t), model_names=names
+        arbitrated, counts = _pool_draws(
+            icdf, model_rows + t, weights, config, series_streams.child("t", t), names,
+            out_levels,
         )
         simulated = arbitrated.median
-        window = window.push(PerformanceRecord(simulated, forecasts))
+        # The last step's record would never be read.
+        if dynamic and t + 1 < horizon:
+            window.push(panel.forecasts_at(t), simulated)
         steps.append(
             ArbitrationStep(
                 forecast=arbitrated,

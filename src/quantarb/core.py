@@ -178,6 +178,13 @@ def _validate_panel_fields(panel: ForecastPanel) -> None:
         raise DimensionMismatch(f"seasonality must be positive, got {panel.seasonality}")
     if not panel.models:
         raise DimensionMismatch(f"panel {panel.series_id!r} has no models")
+    names = panel.model_names
+    if len(set(names)) != len(names):
+        # Random substreams are keyed by model name; repeats would share one.
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise DimensionMismatch(
+            f"panel {panel.series_id!r} repeats model names {repeated}"
+        )
     _require_finite(panel.context, "context")
     if len(panel.context) < panel.seasonality + 1:
         raise DimensionMismatch(

@@ -78,6 +78,11 @@ def _record_to_panel(record: dict, where: str, line: int, strict: bool) -> Tagge
         unknown = sorted(set(record) - _KNOWN_FIELDS)
         if unknown:
             raise ParseError(f"unknown fields {unknown}", path=where, line=line)
+    seasonality = record["seasonality"]
+    if not isinstance(seasonality, int) or isinstance(seasonality, bool):
+        raise ParseError(
+            f"'seasonality' must be a JSON integer, got {seasonality!r}", path=where, line=line
+        )
     models = record["models"]
     if not isinstance(models, dict) or not models:
         raise ParseError("'models' must be a non-empty object", path=where, line=line)
@@ -87,7 +92,7 @@ def _record_to_panel(record: dict, where: str, line: int, strict: bool) -> Tagge
             series_id=str(record["series_id"]),
             context=record["context"],
             actuals=record.get("actuals"),
-            seasonality=int(record["seasonality"]),
+            seasonality=seasonality,
             levels=levels,
             models=[(name, matrix) for name, matrix in models.items()],
         )
@@ -119,26 +124,56 @@ def _iter_panel_files(path: Path) -> Sequence[Path]:
     return [path]
 
 
+class _RepeatedKey(ValueError):
+    pass
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` that refuses repeated keys, which plain
+    ``json.loads`` resolves silently to the last value."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        keys = [k for k, _ in pairs]
+        raise _RepeatedKey(sorted({k for k in keys if keys.count(k) > 1}))
+    return out
+
+
 def load_panels(path: str | Path, strict: bool = True) -> list[TaggedPanel]:
     """Load panels from a record file, or every ``*.jsonl`` in a directory.
 
-    Malformed JSON or records surface as :class:`ParseError` carrying the file
-    and line; panel-content violations propagate from panel validation.
+    Malformed JSON or records, repeated object keys and repeated series ids
+    surface as :class:`ParseError` carrying the file and line; panel-content
+    violations propagate from panel validation.
     """
     path = Path(path)
     if not path.exists():
         raise ParseError("panel path does not exist", path=str(path))
     out: list[TaggedPanel] = []
+    seen: dict[str, str] = {}
     for file in _iter_panel_files(path):
         with file.open("r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 if not raw.strip():
                     continue
                 try:
-                    record = json.loads(raw)
+                    record = json.loads(raw, object_pairs_hook=_unique_keys)
                 except json.JSONDecodeError as exc:
                     raise ParseError(
                         f"invalid JSON: {exc.msg}", path=str(file), line=lineno
                     ) from None
-                out.append(_record_to_panel(record, str(file), lineno, strict))
+                except _RepeatedKey as exc:
+                    raise ParseError(
+                        f"repeated object keys {exc.args[0]}", path=str(file), line=lineno
+                    ) from None
+                tagged = _record_to_panel(record, str(file), lineno, strict)
+                sid = tagged.panel.series_id
+                if sid in seen:
+                    # Series ids key random streams and report scopes.
+                    raise ParseError(
+                        f"duplicate series_id {sid!r} (first at {seen[sid]})",
+                        path=str(file),
+                        line=lineno,
+                    )
+                seen[sid] = f"{file}:{lineno}"
+                out.append(tagged)
     return out

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from quantarb.arbitration import (
     ArbitratorConfig,
+    WindowScores,
     allocate_samples,
     arbitrate_timestep,
     average_crps_scores,
@@ -19,10 +20,11 @@ from quantarb.core import (
     PerformanceRecord,
     PerformanceWindow,
     QuantileForecast,
+    QuantileLevels,
     WeightVector,
     build_panel,
 )
-from quantarb.errors import AlignmentMismatch, EmptyWindow
+from quantarb.errors import AlignmentMismatch, DimensionMismatch, EmptyWindow
 from quantarb.metrics import crps_timestep
 from quantarb.quantiles import RandomStreams
 
@@ -169,6 +171,14 @@ def test_arbitrate_identical_models_matches_single_model_distribution():
     )
     for want, got in zip(fc.values, both.values):
         assert abs(got - want) <= 0.05
+
+
+def test_arbitrate_rejects_forecasts_on_different_grids():
+    other = QuantileForecast(QuantileLevels((0.25, 0.5, 0.75)), (1.0, 2.0, 3.0))
+    with pytest.raises(DimensionMismatch, match="quantile grids"):
+        arbitrate_timestep(
+            (_gauss(2.0), other), WeightVector((0.5, 0.5)), CFG, RandomStreams(0)
+        )
 
 
 def _drifting_panel(names=("a", "b"), t_steps=6, offsets=(0.0, 1.5)):
@@ -328,3 +338,61 @@ def test_initial_window_biases_first_step_weights():
     trace = run_arbitration(panel, initial_window=window, seed=0)
     assert trace.steps[0].weight_rule == "inverse_error"
     assert trace.steps[0].weights.weights[0] > 0.9
+
+
+def _rescored(window):
+    """Reference: re-score every record of the window, per model."""
+    n_models = len(window.records[0].forecasts)
+    return tuple(
+        math.fsum(crps_timestep(r.forecasts[i], r.observation) for r in window.records)
+        / len(window.records)
+        for i in range(n_models)
+    )
+
+
+def _three_model_panel(t_steps=10):
+    rows = {
+        name: [[20.0 + off + 0.3 * t + spread * k for k in range(9)] for t in range(t_steps)]
+        for name, off, spread in (("a", -0.4, 0.2), ("b", 0.9, 0.5), ("c", 0.1, 1.1))
+    }
+    return build_panel(
+        "ring", [19.0 + 0.1 * j for j in range(8)], None, 1, DEFAULT_LEVELS,
+        [(n, rows[n]) for n in "abc"],
+    )
+
+
+@pytest.mark.parametrize("seeded", [0, 2, 4])
+def test_cached_window_scores_match_rescoring_bit_for_bit(seeded):
+    # Capacity 4 over a 10-step horizon: the window fills and then evicts.
+    # seeded=4 starts full from backtests, 2 half full, 0 empty.
+    panel = _three_model_panel()
+    cfg = ArbitratorConfig(window_capacity=4)
+    backtests = {
+        name: [[18.5 + j + 0.5 * i + 0.3 * k for k in range(9)] for j in range(seeded)]
+        for i, name in enumerate(panel.model_names)
+    }
+    window = seed_window_from_context(panel, backtests, cfg)
+    assert len(window) == seeded
+    trace = run_arbitration(panel, initial_window=window, config=cfg, seed=4)
+    for t, step in enumerate(trace.steps):
+        if window.is_empty:
+            assert step.weight_rule == "uniform" and step.scores is None
+        else:
+            assert step.scores == _rescored(window) == average_crps_scores(window)
+            weights, rule = weights_with_rule(_rescored(window), cfg)
+            assert (step.weights, step.weight_rule) == (weights, rule)
+        window = window.push(PerformanceRecord(step.simulated_truth, panel.forecasts_at(t)))
+    assert len(window) == 4
+
+
+def test_window_scores_evict_the_oldest_row_at_capacity():
+    ring = WindowScores(2)
+    window = PerformanceWindow(2)
+    for obs in (3.0, 3.5, 2.8, 4.1):
+        rec = PerformanceRecord(obs, (_gauss(3.0, 0.5), _gauss(4.0, 2.0)))
+        ring.push(rec.forecasts, rec.observation)
+        window = window.push(rec)
+        assert len(ring) == len(window)
+        assert ring.averages() == _rescored(window)
+    with pytest.raises(EmptyWindow):
+        WindowScores(3).averages()

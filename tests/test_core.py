@@ -128,6 +128,22 @@ def test_panel_rejects_mixed_quantile_grids():
         ForecastPanel("s", (1, 2), None, 2, 1, (("a", fa), ("b", fb)))
 
 
+def test_build_panel_rejects_repeated_model_names():
+    # Random substreams are keyed by name, so two models named "a" would draw
+    # from one stream.
+    with pytest.raises(DimensionMismatch, match="repeats model names"):
+        build_panel(
+            "s1", [1, 2], None, 1, DEFAULT_LEVELS,
+            [("a", _steps([1.0])), ("b", _steps([2.0])), ("a", _steps([3.0]))],
+        )
+
+
+def test_panel_rejects_repeated_model_names():
+    fa = (QuantileForecast(DEFAULT_LEVELS, range(1, 10)),)
+    with pytest.raises(DimensionMismatch, match="'a'"):
+        ForecastPanel("s", (1, 2), None, 1, 1, (("a", fa), ("a", fa)))
+
+
 def test_panel_context_must_cover_seasonality():
     with pytest.raises(DimensionMismatch):
         build_panel("s", [1.0, 2.0], None, 2, DEFAULT_LEVELS, [("a", _steps([1.0]))])

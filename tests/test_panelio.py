@@ -156,6 +156,54 @@ class TestFailureModes:
         with pytest.raises(NonMonotoneQuantiles):
             load_panels(path)
 
+    def test_repeated_model_key_rejected(self, tmp_path):
+        # json.loads alone keeps the last "m" and drops the first silently.
+        line = (
+            '{"schema_version": 1, "series_id": "unit", "seasonality": 1, '
+            '"levels": [0.25, 0.5, 0.75], "context": [1.0, 2.0, 3.0], '
+            '"models": {"m": [[1.0, 2.0, 3.0]], "m": [[4.0, 5.0, 6.0]]}}'
+        )
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(_valid_record()), line])
+        with pytest.raises(ParseError, match="repeated object keys") as excinfo:
+            load_panels(path)
+        assert "'m'" in str(excinfo.value)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 2)
+
+    def test_repeated_top_level_key_rejected(self, tmp_path):
+        line = json.dumps(_valid_record())[:-1] + ', "series_id": "other"}'
+        path = _write_lines(tmp_path / "p.jsonl", [line])
+        with pytest.raises(ParseError, match="series_id"):
+            load_panels(path)
+
+    def test_duplicate_series_id_in_one_file_rejected(self, tmp_path):
+        path = _write_lines(
+            tmp_path / "p.jsonl",
+            [json.dumps(_valid_record(series_id=s)) for s in ("a", "b", "a")],
+        )
+        with pytest.raises(ParseError, match="duplicate series_id 'a'") as excinfo:
+            load_panels(path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 3)
+        assert f"{path}:1" in str(excinfo.value)
+
+    def test_duplicate_series_id_across_directory_files_rejected(self, tmp_path):
+        _write_lines(tmp_path / "a.jsonl", [json.dumps(_valid_record(series_id="x"))])
+        second = _write_lines(
+            tmp_path / "b.jsonl", [json.dumps(_valid_record(series_id="x"))]
+        )
+        with pytest.raises(ParseError, match="duplicate series_id") as excinfo:
+            load_panels(tmp_path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(second), 1)
+
+    @pytest.mark.parametrize("bad", [2.7, True, "12", 2.0, None])
+    def test_seasonality_must_be_a_json_integer(self, tmp_path, bad):
+        # int() would turn 2.7 into 2, true into 1 and "12" into 12.
+        path = _write_lines(
+            tmp_path / "p.jsonl", [json.dumps(_valid_record(seasonality=bad))]
+        )
+        with pytest.raises(ParseError, match="seasonality") as excinfo:
+            load_panels(path)
+        assert excinfo.value.line == 1
+
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(ParseError, match="does not exist"):
             load_panels(tmp_path / "nope.jsonl")

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from quantarb.core import DEFAULT_LEVELS, QuantileForecast, QuantileLevels
-from quantarb.errors import EmptySampleSet
+from quantarb.errors import DimensionMismatch, EmptySampleSet
 from quantarb.quantiles import (
+    InverseCdf,
     RandomStreams,
     empirical_quantiles,
     fit_inverse_cdf,
@@ -175,3 +177,80 @@ def test_streams_negative_int_components_are_stable():
     a = RandomStreams(1).child(-7).generator().random(3)
     b = RandomStreams(1).child(-7).generator().random(3)
     assert np.array_equal(a, b)
+
+
+def _scipy_inverse_cdf(levels, values, p):
+    """Reference: one forecast fitted with SciPy's ``PchipInterpolator``
+    between the outer levels, linear tails with the outer segment slopes."""
+    levels = np.asarray(levels, dtype=float)
+    values = np.maximum.accumulate(np.asarray(values, dtype=float))
+    out = np.empty_like(p)
+    lo, hi = p <= levels[0], p >= levels[-1]
+    mid = ~(lo | hi)
+    lo_slope = hi_slope = 0.0
+    if len(levels) >= 2:
+        lo_slope = max(0.0, (values[1] - values[0]) / (levels[1] - levels[0]))
+        hi_slope = max(0.0, (values[-1] - values[-2]) / (levels[-1] - levels[-2]))
+        if mid.any():
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                out[mid] = PchipInterpolator(levels, values, extrapolate=False)(p[mid])
+    out[lo] = values[0] + (p[lo] - levels[0]) * lo_slope
+    out[hi] = values[-1] + (p[hi] - levels[-1]) * hi_slope
+    return out
+
+
+@st.composite
+def _forecast_batches(draw):
+    """A level grid (K = 1..10, K = 1 and 2 weighted up) and 1..4 forecasts
+    on it; a zero increment makes tied knots, an all-zero row a flat one."""
+    k = draw(st.one_of(st.sampled_from((1, 2)), st.integers(1, 10)))
+    ticks = draw(st.lists(st.integers(1, 999), min_size=k, max_size=k, unique=True))
+    levels = np.array(sorted(ticks)) / 1000.0
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = draw(st.floats(-1e3, 1e3))
+        steps = draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.0, 50.0)), min_size=k - 1, max_size=k - 1
+            )
+        )
+        rows.append(np.concatenate(([base], base + np.cumsum(steps))))
+    probes = draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+    # Knot levels exactly, both tails, and the open interval's ends.
+    p = np.concatenate((probes, levels, [0.0, levels[0] / 2, (1 + levels[-1]) / 2, 1.0]))
+    return levels, np.array(rows), p
+
+
+@given(_forecast_batches())
+@settings(max_examples=400, deadline=None)
+def test_batched_kernel_matches_scipy_pchip(case):
+    # Required to 1e-12; every case tried so far agreed bit for bit, since the
+    # kernel repeats SciPy's derivative, coefficient and evaluation arithmetic.
+    levels, rows, p = case
+    icdf = InverseCdf(levels, rows)
+    for r, values in enumerate(rows):
+        want = _scipy_inverse_cdf(levels, values, p)
+        got = icdf(p, np.full(len(p), r))
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), (r, got, want)
+        one = InverseCdf(levels, values)(p)
+        assert np.array_equal(one, got)
+
+
+def test_batched_kernel_mixes_rows_in_one_call():
+    levels = np.asarray(DEFAULT_LEVELS.levels)
+    rows = np.array([np.arange(9.0), 10.0 + 2.0 * np.arange(9.0), np.full(9, 3.0)])
+    icdf = InverseCdf(levels, rows.reshape(3, 1, 9))
+    p = np.array([0.05, 0.35, 0.5, 0.95, 0.35, 0.5])
+    which = np.array([0, 1, 2, 0, 0, 1])
+    got = icdf(p, which)
+    for j in range(len(p)):
+        assert got[j] == _scipy_inverse_cdf(levels, rows[which[j]], p[j : j + 1])[0]
+    low, high = icdf.support
+    assert low.shape == high.shape == (3, 1)
+    assert (low[2, 0], high[2, 0]) == (3.0, 3.0)
+
+
+def test_kernel_rejects_values_off_the_grid():
+    with pytest.raises(DimensionMismatch):
+        InverseCdf(np.asarray(DEFAULT_LEVELS.levels), np.zeros((2, 8)))
