@@ -5,191 +5,9 @@ distribution: score models on a rolling window, weight them, pool
 inverse-transform samples, and read off empirical quantiles. Includes the
 hindsight oracle selector, static ensemble baselines, CRPS/MASE scoring, a
 regime-switching synthetic benchmark, and a CLI harness.
+
+Import from the submodules: ``quantarb.arbitration``, ``quantarb.core``,
+``quantarb.reporting``, ``quantarb.synthetic`` and so on.
 """
 
-from .arbitration import (
-    ArbitratorConfig,
-    allocate_samples,
-    arbitrate_timestep,
-    average_crps_scores,
-    compute_weights,
-    run_arbitration,
-    seed_window_from_context,
-    weights_with_rule,
-)
-from .baselines import point_mean, quantile_mean_ensemble, quantile_median_ensemble
-from .core import (
-    DEFAULT_LEVELS,
-    ArbitrationStep,
-    ArbitrationTrace,
-    ForecastPanel,
-    PerformanceRecord,
-    PerformanceWindow,
-    QuantileForecast,
-    QuantileLevels,
-    WeightVector,
-    build_panel,
-    validate_panel,
-)
-from .errors import (
-    AlignmentMismatch,
-    ArbitrationError,
-    DegenerateVariance,
-    DimensionMismatch,
-    EmptyGroup,
-    EmptySampleSet,
-    EmptyWindow,
-    InsufficientModels,
-    LengthMismatch,
-    Misalignment,
-    MissingActuals,
-    NonFinite,
-    NonMonotoneQuantiles,
-    ParseError,
-    SchemaVersionMismatch,
-    SeriesTooShort,
-    ZeroDenominator,
-)
-from .metrics import (
-    ScoreSummary,
-    crps_series,
-    crps_timestep,
-    lumpiness,
-    mase,
-    pearson_correlation,
-    pinball_loss,
-    weighted_quantile_loss,
-)
-from .oracle import (
-    OracleTrace,
-    median_ensemble_implicit_ranking,
-    median_ensemble_rankings,
-    oracle_crps,
-    oracle_select,
-    selection_frequency_table,
-    suite_topk_accuracy,
-    switching_stats,
-    topk_selection_accuracy,
-    weight_rankings,
-)
-from .panelio import PanelMetadata, TaggedPanel, load_panels, save_panels
-from .quantiles import (
-    InverseCdf,
-    RandomStreams,
-    empirical_quantiles,
-    fit_inverse_cdf,
-    sample,
-)
-from .reporting import (
-    METHODS,
-    PanelScore,
-    PoolScalingRow,
-    ReportRow,
-    emit_report,
-    emit_scaling,
-    feature_mase_correlation,
-    load_report,
-    run_evaluation,
-    run_pool_scaling,
-    run_win_loss,
-    score_panel,
-    selection_accuracy_table,
-)
-from .synthetic import (
-    RegimeSpec,
-    Segment,
-    SyntheticExpert,
-    build_benchmark_suite,
-    expert_forecast,
-    generate_series,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArbitratorConfig",
-    "allocate_samples",
-    "arbitrate_timestep",
-    "average_crps_scores",
-    "compute_weights",
-    "run_arbitration",
-    "seed_window_from_context",
-    "weights_with_rule",
-    "point_mean",
-    "quantile_mean_ensemble",
-    "quantile_median_ensemble",
-    "DEFAULT_LEVELS",
-    "ArbitrationStep",
-    "ArbitrationTrace",
-    "ForecastPanel",
-    "PerformanceRecord",
-    "PerformanceWindow",
-    "QuantileForecast",
-    "QuantileLevels",
-    "WeightVector",
-    "build_panel",
-    "validate_panel",
-    "AlignmentMismatch",
-    "ArbitrationError",
-    "DegenerateVariance",
-    "DimensionMismatch",
-    "EmptyGroup",
-    "EmptySampleSet",
-    "EmptyWindow",
-    "InsufficientModels",
-    "LengthMismatch",
-    "Misalignment",
-    "MissingActuals",
-    "NonFinite",
-    "NonMonotoneQuantiles",
-    "ParseError",
-    "SchemaVersionMismatch",
-    "SeriesTooShort",
-    "ZeroDenominator",
-    "ScoreSummary",
-    "crps_series",
-    "crps_timestep",
-    "lumpiness",
-    "mase",
-    "pearson_correlation",
-    "pinball_loss",
-    "weighted_quantile_loss",
-    "OracleTrace",
-    "median_ensemble_implicit_ranking",
-    "median_ensemble_rankings",
-    "oracle_crps",
-    "oracle_select",
-    "selection_frequency_table",
-    "suite_topk_accuracy",
-    "switching_stats",
-    "topk_selection_accuracy",
-    "weight_rankings",
-    "PanelMetadata",
-    "TaggedPanel",
-    "load_panels",
-    "save_panels",
-    "InverseCdf",
-    "RandomStreams",
-    "empirical_quantiles",
-    "fit_inverse_cdf",
-    "sample",
-    "METHODS",
-    "PanelScore",
-    "PoolScalingRow",
-    "ReportRow",
-    "emit_report",
-    "emit_scaling",
-    "feature_mase_correlation",
-    "load_report",
-    "run_evaluation",
-    "run_pool_scaling",
-    "run_win_loss",
-    "score_panel",
-    "selection_accuracy_table",
-    "RegimeSpec",
-    "Segment",
-    "SyntheticExpert",
-    "build_benchmark_suite",
-    "expert_forecast",
-    "generate_series",
-]

@@ -3,9 +3,9 @@
 Per timestep: score each model's recent accuracy over a rolling performance
 window, convert scores to weights, apportion a fixed sample budget across
 models, draw from each model's inverse CDF, and report empirical quantiles of
-the pooled draws. The arbitrated median then stands in for the unknown
-observation when the window is updated, so weights adapt inside the horizon
-without access to actuals.
+the pooled draws. The median of the pooled draws then stands in for the
+unknown observation when the window is updated, so weights adapt inside the
+horizon without access to actuals.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    LEVEL_TOL,
     ArbitrationStep,
     ArbitrationTrace,
     ForecastPanel,
@@ -28,7 +29,7 @@ from .core import (
     WeightVector,
 )
 from .errors import AlignmentMismatch, DimensionMismatch, EmptyWindow
-from .metrics import crps_timestep
+from .metrics import crps_batch
 from .quantiles import InverseCdf, RandomStreams, empirical_quantiles
 
 # Weight-rule labels recorded in traces.
@@ -89,10 +90,16 @@ class WindowScores:
     def __init__(self, capacity: int, records: Sequence[PerformanceRecord] = ()) -> None:
         self._rows: deque[tuple[float, ...]] = deque(maxlen=capacity)
         for rec in records:
-            self.push(rec.forecasts, rec.observation)
+            self.push(
+                rec.forecasts[0].levels.levels,
+                [fc.values for fc in rec.forecasts],
+                rec.observation,
+            )
 
-    def push(self, forecasts: Sequence[QuantileForecast], observation: float) -> None:
-        self._rows.append(tuple(crps_timestep(f, observation) for f in forecasts))
+    def push(self, levels: Sequence[float], values, observation: float) -> None:
+        """Score one record: the N models' forecasts, ``values`` of shape
+        (N, K) on ``levels``, against ``observation``."""
+        self._rows.append(tuple(crps_batch(levels, values, observation).tolist()))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -130,12 +137,6 @@ def weights_with_rule(
     shift = max(logits)
     exps = [math.exp(z - shift) for z in logits]
     return WeightVector.normalized(exps), RULE_SOFTMAX
-
-
-def compute_weights(scores: Sequence[float], config: ArbitratorConfig) -> WeightVector:
-    """Arbitration weights from average-CRPS scores."""
-    weights, _ = weights_with_rule(scores, config)
-    return weights
 
 
 def allocate_samples(weights: WeightVector, n_total: int) -> tuple[int, ...]:
@@ -179,10 +180,11 @@ def arbitrate_timestep(
         raise DimensionMismatch("forecasts of one timestep use different quantile grids")
     keys = model_names if model_names is not None else range(len(forecasts))
     icdf = InverseCdf(np.asarray(levels.levels), [fc.values for fc in forecasts])
-    return _pool_draws(
-        icdf, np.arange(len(forecasts)), weights, config, streams, keys,
-        config.levels if config.levels is not None else levels,
+    pooled, counts = _pool_draws(
+        icdf, np.arange(len(forecasts)), weights, config, streams, keys
     )
+    out_levels = config.levels if config.levels is not None else levels
+    return empirical_quantiles(pooled, out_levels), counts
 
 
 def _pool_draws(
@@ -192,8 +194,7 @@ def _pool_draws(
     config: ArbitratorConfig,
     streams: RandomStreams,
     keys: Sequence[str | int],
-    levels: QuantileLevels,
-) -> tuple[QuantileForecast, tuple[int, ...]]:
+) -> tuple[np.ndarray, tuple[int, ...]]:
     """Allocate the budget, draw every model's uniforms from its own keyed
     substream, and evaluate the pooled draws against batch ``rows`` of
     ``icdf`` in one pass."""
@@ -203,8 +204,22 @@ def _pool_draws(
         for key, count in zip(keys, counts)
         if count
     ]
-    pooled = icdf(np.concatenate(uniforms), np.repeat(rows, counts))
-    return empirical_quantiles(pooled, levels), counts
+    return icdf(np.concatenate(uniforms), np.repeat(rows, counts)), counts
+
+
+def _requantize(pooled: np.ndarray, levels: QuantileLevels) -> tuple[QuantileForecast, float]:
+    """Quantiles of the pooled draws on ``levels``, plus the pooled median.
+
+    Both come from one ``np.quantile`` call; 0.5 joins the levels only when
+    the grid lacks it, so the median never falls back to an outer level.
+    """
+    if any(abs(a - 0.5) <= LEVEL_TOL for a in levels):
+        forecast = empirical_quantiles(pooled, levels)
+        return forecast, forecast.median
+    probe = QuantileLevels(sorted(levels.levels + (0.5,)))
+    values = empirical_quantiles(pooled, probe).values
+    k = probe.levels.index(0.5)
+    return QuantileForecast(levels, values[:k] + values[k + 1:]), values[k]
 
 
 def run_arbitration(
@@ -216,7 +231,7 @@ def run_arbitration(
 ) -> ArbitrationTrace:
     """Arbitrate one panel over its full horizon.
 
-    The feedback loop is sequential: each step's arbitrated median is pushed
+    The feedback loop is sequential: each step's pooled median is pushed
     into the window as a stand-in observation before the next step is scored.
     Inverse CDFs of all N x T forecasts are fitted once, before the loop, and
     each window record is scored once, when it enters.
@@ -247,9 +262,7 @@ def run_arbitration(
     levels = panel.levels
     out_levels = config.levels if config.levels is not None else levels
     # Batch row of model i at step t is i * horizon + t.
-    icdf = InverseCdf(
-        np.asarray(levels.levels), [[fc.values for fc in fs] for _, fs in panel.models]
-    )
+    icdf = InverseCdf(np.asarray(levels.levels), panel.values)
     model_rows = np.arange(n) * horizon
     steps = []
     for t in range(horizon):
@@ -260,14 +273,13 @@ def run_arbitration(
         else:
             scores = window.averages()
             weights, rule = weights_with_rule(scores, config)
-        arbitrated, counts = _pool_draws(
-            icdf, model_rows + t, weights, config, series_streams.child("t", t), names,
-            out_levels,
+        pooled, counts = _pool_draws(
+            icdf, model_rows + t, weights, config, series_streams.child("t", t), names
         )
-        simulated = arbitrated.median
+        arbitrated, simulated = _requantize(pooled, out_levels)
         # The last step's record would never be read.
         if dynamic and t + 1 < horizon:
-            window.push(panel.forecasts_at(t), simulated)
+            window.push(levels.levels, panel.values[:, t], simulated)
         steps.append(
             ArbitrationStep(
                 forecast=arbitrated,

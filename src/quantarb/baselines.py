@@ -1,4 +1,4 @@
-"""Static ensemble baselines: per-level median, per-level mean, point mean."""
+"""Static ensemble baselines: per-level median and per-level mean."""
 
 from __future__ import annotations
 
@@ -10,30 +10,39 @@ from .core import QuantileForecast
 from .errors import DimensionMismatch
 
 
+def median_ensemble(values: np.ndarray) -> np.ndarray:
+    """Per-level median across models, the first axis of ``values``; even
+    counts average the middle pair."""
+    return np.median(values, axis=0)
+
+
+def mean_ensemble(values: np.ndarray) -> np.ndarray:
+    """Per-level mean across models of (N, T, K) ``values``.
+
+    Each step is averaged on its own: one reduction over the whole block can
+    round differently in the last bit.
+    """
+    return np.array([np.mean(values[:, t], axis=0) for t in range(values.shape[1])])
+
+
 def _stack(forecasts: Sequence[QuantileForecast]) -> np.ndarray:
+    """(N, 1, K) values of one step's forecasts, which must share a grid."""
     if not forecasts:
         raise ValueError("at least one forecast is required")
     levels = forecasts[0].levels.levels
     for i, fc in enumerate(forecasts):
         if fc.levels.levels != levels:
             raise DimensionMismatch(f"forecast {i} uses a different quantile grid")
-    return np.array([fc.values for fc in forecasts], dtype=float)
+    return np.array([[fc.values] for fc in forecasts], dtype=float)
 
 
 def quantile_median_ensemble(forecasts: Sequence[QuantileForecast]) -> QuantileForecast:
     """Per-level median across models; even counts average the middle pair."""
-    values = np.median(_stack(forecasts), axis=0)
-    return QuantileForecast(forecasts[0].levels, tuple(float(v) for v in values))
+    values = median_ensemble(_stack(forecasts))[0]
+    return QuantileForecast(forecasts[0].levels, values)
 
 
 def quantile_mean_ensemble(forecasts: Sequence[QuantileForecast]) -> QuantileForecast:
     """Per-level arithmetic mean across models."""
-    values = np.mean(_stack(forecasts), axis=0)
-    return QuantileForecast(forecasts[0].levels, tuple(float(v) for v in values))
-
-
-def point_mean(forecasts: Sequence[QuantileForecast]) -> float:
-    """Mean of the models' level-0.5 values."""
-    if not forecasts:
-        raise ValueError("at least one forecast is required")
-    return float(np.mean([fc.median for fc in forecasts]))
+    values = mean_ensemble(_stack(forecasts))[0]
+    return QuantileForecast(forecasts[0].levels, values)

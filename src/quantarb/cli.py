@@ -25,7 +25,6 @@ from .reporting import (
     run_win_loss,
     selection_accuracy_table,
 )
-from .synthetic import build_benchmark_suite
 
 ENV_PREFIX = "QUANTARB_"
 
@@ -159,6 +158,9 @@ def _cmd_winloss(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    # Imported here: the synthetic suite needs SciPy, which no other command does.
+    from .synthetic import build_benchmark_suite
+
     suite = build_benchmark_suite(args.n, seed=args.seed, n_experts=args.experts)
     count = save_panels(args.out, suite)
     print(f"wrote {count} panel(s) to {args.out}")

@@ -1,14 +1,17 @@
 """Shared domain types: quantile grids, forecasts, panels, performance windows.
 
-All types are immutable value objects validated at construction; they can be
-shared freely across threads.
+All types are immutable and validated at construction; they can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -20,6 +23,9 @@ from .errors import (
 # Relative tolerance for quantile monotonicity: decreases no larger than this
 # (relative to the neighbouring magnitudes) are accepted as float noise.
 MONOTONE_REL_TOL = 1e-12
+
+# Levels closer than this count as the same level.
+LEVEL_TOL = 1e-12
 
 # Absolute tolerance on weight-vector normalization.
 WEIGHT_SUM_TOL = 1e-9
@@ -60,15 +66,32 @@ class QuantileLevels:
 DEFAULT_LEVELS = QuantileLevels((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
 
 
-def _monotone_violations(values: Sequence[float]) -> list[int]:
-    """Indices i where values[i] -> values[i+1] decreases beyond tolerance."""
-    bad = []
-    for i in range(len(values) - 1):
-        lo, hi = values[i], values[i + 1]
-        drop = lo - hi
-        if drop > MONOTONE_REL_TOL * max(abs(lo), abs(hi)):
-            bad.append(i)
-    return bad
+def _dips(values: np.ndarray) -> np.ndarray:
+    """Where values[..., k] -> values[..., k + 1] decreases beyond tolerance."""
+    lo, hi = values[..., :-1], values[..., 1:]
+    with np.errstate(invalid="ignore"):
+        return lo - hi > MONOTONE_REL_TOL * np.maximum(np.abs(lo), np.abs(hi))
+
+
+def quantile_at(levels: Sequence[float], values, alpha: float = 0.5):
+    """Value at probability ``alpha`` of every forecast in ``values``.
+
+    ``values`` holds forecasts on ``levels`` along its last axis. The value is
+    exact on the grid (to within ``LEVEL_TOL`` in level), linear in level between the
+    neighbouring levels, and clamped to the outer level beyond them. Returns
+    an array of shape ``values.shape[:-1]``.
+    """
+    values = np.asarray(values, dtype=float)
+    for k, a in enumerate(levels):
+        if abs(a - alpha) <= LEVEL_TOL:
+            return values[..., k]
+    if alpha <= levels[0]:
+        return values[..., 0]
+    if alpha >= levels[-1]:
+        return values[..., -1]
+    k = bisect.bisect(levels, alpha)
+    frac = (alpha - levels[k - 1]) / (levels[k] - levels[k - 1])
+    return values[..., k - 1] + frac * (values[..., k] - values[..., k - 1])
 
 
 @dataclass(frozen=True)
@@ -89,7 +112,7 @@ class QuantileForecast:
                 f"forecast has {len(self.values)} values for {len(self.levels)} levels"
             )
         _require_finite(self.values, "forecast values")
-        bad = _monotone_violations(self.values)
+        bad = np.flatnonzero(_dips(np.asarray(self.values))).tolist()
         if bad:
             raise NonMonotoneQuantiles(
                 f"quantile values decrease at level indices {bad}", indices=tuple(bad)
@@ -97,73 +120,75 @@ class QuantileForecast:
 
     def value_at(self, alpha: float) -> float:
         """Value at probability ``alpha``: exact when on the grid, else linear in level."""
-        lv = self.levels.levels
-        for a, v in zip(lv, self.values):
-            if abs(a - alpha) <= 1e-12:
-                return v
-        if alpha <= lv[0]:
-            return self.values[0]
-        if alpha >= lv[-1]:
-            return self.values[-1]
-        for i in range(len(lv) - 1):
-            if lv[i] < alpha < lv[i + 1]:
-                frac = (alpha - lv[i]) / (lv[i + 1] - lv[i])
-                return self.values[i] + frac * (self.values[i + 1] - self.values[i])
-        raise AssertionError("unreachable")
+        return float(quantile_at(self.levels.levels, self.values, alpha))
 
     @property
     def median(self) -> float:
         return self.value_at(0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastPanel:
     """Everything needed to arbitrate and score one series.
 
-    ``models`` holds ``(name, forecasts)`` pairs where each forecast list spans
-    the horizon. ``actuals`` may be ``None`` for evaluation-free arbitration;
-    metric operations then raise :class:`MissingActuals`.
+    ``values[i, t]`` holds model ``model_names[i]``'s quantiles for horizon
+    step ``t`` on ``levels``: one read-only float64 array of shape
+    (N models, T steps, K levels), validated once when the panel is built.
+    ``actuals`` may be ``None`` for evaluation-free arbitration; metric
+    operations then raise :class:`MissingActuals`.
     """
 
     series_id: str
     context: tuple[float, ...]
     actuals: tuple[float, ...] | None
-    horizon: int
     seasonality: int
-    models: tuple[tuple[str, tuple[QuantileForecast, ...]], ...]
+    model_names: tuple[str, ...]
+    levels: QuantileLevels
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "context", tuple(float(v) for v in self.context))
         if self.actuals is not None:
             object.__setattr__(self, "actuals", tuple(float(v) for v in self.actuals))
-        object.__setattr__(
-            self,
-            "models",
-            tuple((str(name), tuple(fs)) for name, fs in self.models),
-        )
-        _validate_panel_fields(self)
+        object.__setattr__(self, "model_names", tuple(str(n) for n in self.model_names))
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        _validate_panel(self)
+
+    def _args(self) -> tuple:
+        return (self.series_id, self.context, self.actuals, self.seasonality,
+                self.model_names, self.levels, self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ForecastPanel):
+            return NotImplemented
+        mine, theirs = self._args(), other._args()
+        return mine[:-1] == theirs[:-1] and np.array_equal(mine[-1], theirs[-1])
+
+    def __reduce__(self):
+        # Unpickling goes through the constructor, so a copy is validated and
+        # read-only too.
+        return ForecastPanel, self._args()
 
     @property
     def n_models(self) -> int:
-        return len(self.models)
+        return self.values.shape[0]
 
     @property
-    def model_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.models)
-
-    @property
-    def levels(self) -> QuantileLevels:
-        return self.models[0][1][0].levels
+    def horizon(self) -> int:
+        return self.values.shape[1]
 
     def forecasts_at(self, t: int) -> tuple[QuantileForecast, ...]:
-        """All models' forecasts for horizon step ``t``."""
-        return tuple(fs[t] for _, fs in self.models)
+        """All models' forecasts for horizon step ``t``, as value objects."""
+        return tuple(QuantileForecast(self.levels, row) for row in self.values[:, t].tolist())
 
     def model_forecasts(self, name: str) -> tuple[QuantileForecast, ...]:
-        for n, fs in self.models:
-            if n == name:
-                return fs
-        raise KeyError(f"panel {self.series_id!r} has no model {name!r}")
+        """One model's forecasts over the horizon, as value objects."""
+        if name not in self.model_names:
+            raise KeyError(f"panel {self.series_id!r} has no model {name!r}")
+        rows = self.values[self.model_names.index(name)].tolist()
+        return tuple(QuantileForecast(self.levels, row) for row in rows)
 
     def require_actuals(self) -> tuple[float, ...]:
         if self.actuals is None:
@@ -171,14 +196,20 @@ class ForecastPanel:
         return self.actuals
 
 
-def _validate_panel_fields(panel: ForecastPanel) -> None:
+def _validate_panel(panel: ForecastPanel) -> None:
+    names = panel.model_names
+    values = panel.values
+    if not names:
+        raise DimensionMismatch(f"panel {panel.series_id!r} has no models")
+    if values.ndim != 3 or values.shape[0] != len(names) or values.shape[2] != len(panel.levels):
+        raise DimensionMismatch(
+            f"panel {panel.series_id!r} values of shape {values.shape} do not hold "
+            f"{len(names)} models x horizon x {len(panel.levels)} levels"
+        )
     if panel.horizon < 1:
         raise DimensionMismatch(f"horizon must be positive, got {panel.horizon}")
     if panel.seasonality < 1:
         raise DimensionMismatch(f"seasonality must be positive, got {panel.seasonality}")
-    if not panel.models:
-        raise DimensionMismatch(f"panel {panel.series_id!r} has no models")
-    names = panel.model_names
     if len(set(names)) != len(names):
         # Random substreams are keyed by model name; repeats would share one.
         repeated = sorted({name for name in names if names.count(name) > 1})
@@ -197,44 +228,26 @@ def _validate_panel_fields(panel: ForecastPanel) -> None:
             raise DimensionMismatch(
                 f"actuals length {len(panel.actuals)} does not match horizon {panel.horizon}"
             )
-    ref_levels = None
-    for name, forecasts in panel.models:
-        if len(forecasts) != panel.horizon:
-            raise DimensionMismatch(
-                f"model {name!r} provides {len(forecasts)} steps for horizon {panel.horizon}"
-            )
-        for t, fc in enumerate(forecasts):
-            if not isinstance(fc, QuantileForecast):
-                raise DimensionMismatch(
-                    f"model {name!r} step {t} is not a QuantileForecast"
-                )
-            if ref_levels is None:
-                ref_levels = fc.levels
-            elif fc.levels.levels != ref_levels.levels:
-                raise DimensionMismatch(
-                    f"model {name!r} step {t} uses a different quantile grid"
-                )
-
-
-def validate_panel(panel: ForecastPanel) -> ForecastPanel:
-    """Re-check every panel invariant, including per-forecast monotonicity.
-
-    Construction already validates, so this mainly guards panels assembled by
-    hand or deserialized through non-standard paths. Returns the panel.
-    """
-    _validate_panel_fields(panel)
-    for name, forecasts in panel.models:
-        for t, fc in enumerate(forecasts):
-            bad = _monotone_violations(fc.values)
-            if bad:
-                raise NonMonotoneQuantiles(
-                    f"model {name!r} at timestep {t}: quantile values decrease "
-                    f"at level indices {bad}",
-                    model=name,
-                    timestep=t,
-                    indices=tuple(bad),
-                )
-    return panel
+    finite = np.isfinite(values)
+    dips = _dips(values)
+    bad = ~finite.all(axis=-1) | dips.any(axis=-1)
+    if not bad.any():
+        return
+    i, t = (int(v) for v in np.argwhere(bad)[0])
+    where = f"model {names[i]!r} at timestep {t}"
+    if not finite[i, t].all():
+        k = int(np.argmin(finite[i, t]))
+        raise NonFinite(
+            f"{where}: forecast values contains non-finite value "
+            f"{float(values[i, t, k])!r} at index {k}"
+        )
+    indices = np.flatnonzero(dips[i, t]).tolist()
+    raise NonMonotoneQuantiles(
+        f"{where}: quantile values decrease at level indices {indices}",
+        model=names[i],
+        timestep=t,
+        indices=tuple(indices),
+    )
 
 
 def build_panel(
@@ -247,41 +260,45 @@ def build_panel(
 ) -> ForecastPanel:
     """Assemble and validate a panel from raw per-model value matrices.
 
-    ``models`` maps each name to a T x K matrix of quantile values. Errors are
-    annotated with model name and timestep, which is what file loaders want.
+    ``models`` maps each name to a T x K matrix of quantile values, stacked
+    into the panel's (N, T, K) array. Errors are annotated with model name
+    and timestep, which is what file loaders want.
     """
     if not models:
         raise DimensionMismatch(f"panel {series_id!r} has no models")
     horizon = len(models[0][1])
-    built = []
     for name, matrix in models:
         if len(matrix) != horizon:
             raise DimensionMismatch(
                 f"model {name!r} provides {len(matrix)} steps while model "
                 f"{models[0][0]!r} provides {horizon}"
             )
-        forecasts = []
         for t, row in enumerate(matrix):
-            try:
-                forecasts.append(QuantileForecast(levels, tuple(row)))
-            except NonMonotoneQuantiles as exc:
-                raise NonMonotoneQuantiles(
-                    f"model {name!r} at timestep {t}: {exc}",
-                    model=name,
-                    timestep=t,
-                    indices=exc.indices,
+            if len(row) != len(levels):
+                raise DimensionMismatch(
+                    f"model {name!r} at timestep {t}: forecast has {len(row)} values "
+                    f"for {len(levels)} levels"
+                )
+    values = np.array([matrix for _, matrix in models], dtype=float)
+    try:
+        return ForecastPanel(
+            series_id=series_id,
+            context=context,
+            actuals=actuals,
+            seasonality=seasonality,
+            model_names=tuple(name for name, _ in models),
+            levels=levels,
+            values=values.reshape(len(models), horizon, len(levels)),
+        )
+    except NonFinite:
+        # float conversion reads None (JSON null) as NaN; report it as what it is.
+        for i, t, k in np.argwhere(np.isnan(values)).tolist():
+            if models[i][1][t][k] is None:
+                raise TypeError(
+                    f"model {models[i][0]!r} at timestep {t}: value at level index {k} "
+                    f"is null, not a number"
                 ) from None
-            except (DimensionMismatch, NonFinite) as exc:
-                raise type(exc)(f"model {name!r} at timestep {t}: {exc}") from None
-        built.append((name, tuple(forecasts)))
-    return ForecastPanel(
-        series_id=series_id,
-        context=tuple(context),
-        actuals=None if actuals is None else tuple(actuals),
-        horizon=horizon,
-        seasonality=seasonality,
-        models=tuple(built),
-    )
+        raise
 
 
 @dataclass(frozen=True)
@@ -332,6 +349,9 @@ class PerformanceRecord:
             raise NonFinite(f"observation {self.observation!r} is not finite")
         if not self.forecasts:
             raise DimensionMismatch("performance record needs at least one forecast")
+        levels = self.forecasts[0].levels
+        if any(fc.levels != levels for fc in self.forecasts):
+            raise DimensionMismatch("forecasts of one performance record use different grids")
 
 
 @dataclass(frozen=True)

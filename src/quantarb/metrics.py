@@ -47,12 +47,24 @@ def weighted_quantile_loss(alpha: float, q_hat: float, y: float) -> float:
     return 2.0 * pinball_loss(alpha, q_hat, y) / max(abs(y), ABS_OBS_FLOOR)
 
 
+def crps_batch(levels: Sequence[float], values, observations) -> np.ndarray:
+    """CRPS approximation of every forecast in ``values``: mean wQL over the
+    last axis.
+
+    ``values`` holds forecasts on ``levels`` along its last axis;
+    ``observations`` broadcasts against ``values.shape[:-1]``. Returns an
+    array of that shape.
+    """
+    alphas = np.asarray(levels, dtype=float)
+    q = np.asarray(values, dtype=float)
+    y = np.asarray(observations, dtype=float)[..., None]
+    rho = np.where(y > q, alphas * (y - q), (1.0 - alphas) * (q - y))
+    return np.mean(2.0 * rho / np.maximum(np.abs(y), ABS_OBS_FLOOR), axis=-1)
+
+
 def crps_timestep(forecast: QuantileForecast, y: float) -> float:
     """CRPS approximation for one timestep: mean wQL over the forecast's levels."""
-    alphas = np.asarray(forecast.levels.levels)
-    q = np.asarray(forecast.values)
-    rho = np.where(y > q, alphas * (y - q), (1.0 - alphas) * (q - y))
-    return float(np.mean(2.0 * rho / max(abs(y), ABS_OBS_FLOOR)))
+    return float(crps_batch(forecast.levels.levels, forecast.values, y))
 
 
 @dataclass(frozen=True)

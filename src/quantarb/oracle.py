@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .baselines import quantile_median_ensemble
-from .core import ArbitrationTrace, ForecastPanel, QuantileForecast
+from .baselines import median_ensemble
+from .core import ArbitrationTrace, ForecastPanel, QuantileForecast, quantile_at
 from .errors import DimensionMismatch, EmptyGroup, Misalignment
-from .metrics import crps_timestep
+from .metrics import crps_batch
 
 
 @dataclass(frozen=True)
@@ -81,26 +81,14 @@ class OracleTrace:
 
 def oracle_select(panel: ForecastPanel) -> OracleTrace:
     """Pick the per-timestep CRPS argmin against actuals; ties go to the lowest index."""
-    actuals = panel.require_actuals()
-    rows = []
-    picks = []
-    for t in range(panel.horizon):
-        row = tuple(
-            crps_timestep(fc, actuals[t]) for fc in panel.forecasts_at(t)
-        )
-        rows.append(row)
-        picks.append(row.index(min(row)))
+    scores = crps_batch(panel.levels.levels, panel.values, panel.require_actuals())
+    rows = tuple(tuple(row) for row in scores.T.tolist())
     return OracleTrace(
         series_id=panel.series_id,
         model_names=panel.model_names,
-        selections=tuple(picks),
-        crps_matrix=tuple(rows),
+        selections=tuple(row.index(min(row)) for row in rows),
+        crps_matrix=rows,
     )
-
-
-def oracle_crps(panel: ForecastPanel) -> float:
-    """Mean over the horizon of the best per-timestep model CRPS."""
-    return oracle_select(panel).crps
 
 
 def switching_stats(
@@ -128,20 +116,20 @@ def median_ensemble_implicit_ranking(
     forecasts: Sequence[QuantileForecast], ensemble_forecast: QuantileForecast
 ) -> tuple[int, ...]:
     """Models ordered by how close their median sits to the ensemble median."""
-    target = ensemble_forecast.median
-    dist = [abs(fc.median - target) for fc in forecasts]
+    return _closest_first([fc.median for fc in forecasts], ensemble_forecast.median)
+
+
+def _closest_first(points: Sequence[float], target: float) -> tuple[int, ...]:
+    dist = [abs(p - target) for p in points]
     return tuple(sorted(range(len(dist)), key=lambda i: (dist[i], i)))
 
 
 def median_ensemble_rankings(panel: ForecastPanel) -> tuple[tuple[int, ...], ...]:
     """Per-timestep implicit rankings of the per-level median ensemble."""
-    out = []
-    for t in range(panel.horizon):
-        forecasts = panel.forecasts_at(t)
-        out.append(
-            median_ensemble_implicit_ranking(forecasts, quantile_median_ensemble(forecasts))
-        )
-    return tuple(out)
+    levels = panel.levels.levels
+    points = quantile_at(levels, panel.values).T.tolist()
+    targets = quantile_at(levels, median_ensemble(panel.values)).tolist()
+    return tuple(_closest_first(p, target) for p, target in zip(points, targets))
 
 
 def topk_selection_accuracy(

@@ -59,7 +59,7 @@ def _panel_to_record(tagged: TaggedPanel) -> dict:
         "levels": list(panel.levels.levels),
         "context": list(panel.context),
         "actuals": None if panel.actuals is None else list(panel.actuals),
-        "models": {name: [list(fc.values) for fc in fcs] for name, fcs in panel.models},
+        "models": {name: panel.values[i].tolist() for i, name in enumerate(panel.model_names)},
     }
 
 

@@ -18,13 +18,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-import jsonschema
+import numpy as np
 
 from .arbitration import ArbitratorConfig, run_arbitration
-from .baselines import quantile_mean_ensemble, quantile_median_ensemble
-from .core import ForecastPanel
+from .baselines import mean_ensemble, median_ensemble
+from .core import ArbitrationTrace, ForecastPanel, QuantileLevels, quantile_at
 from .errors import DimensionMismatch, InsufficientModels
-from .metrics import crps_series, lumpiness, mase, pearson_correlation
+from .metrics import crps_batch, lumpiness, mase, pearson_correlation
 from .oracle import (
     median_ensemble_rankings,
     oracle_select,
@@ -101,20 +101,21 @@ class PoolScalingRow:
     best_individual_mase: float
 
 
+def _model_index(panel: ForecastPanel, name: str) -> int:
+    if name not in panel.model_names:
+        raise DimensionMismatch(f"panel {panel.series_id!r} has no model {name!r}")
+    return panel.model_names.index(name)
+
+
 def _subset_panel(panel: ForecastPanel, names: Sequence[str]) -> ForecastPanel:
-    by_name = dict(panel.models)
-    missing = [n for n in names if n not in by_name]
-    if missing:
-        raise DimensionMismatch(
-            f"panel {panel.series_id!r} lacks models {missing}"
-        )
     return ForecastPanel(
         series_id=panel.series_id,
         context=panel.context,
         actuals=panel.actuals,
-        horizon=panel.horizon,
         seasonality=panel.seasonality,
-        models=tuple((n, by_name[n]) for n in names),
+        model_names=tuple(names),
+        levels=panel.levels,
+        values=panel.values[[_model_index(panel, n) for n in names]],
     )
 
 
@@ -122,10 +123,17 @@ def _mase_for(panel: ForecastPanel, points: Sequence[float]) -> float:
     return mase(points, panel.require_actuals(), panel.context, panel.seasonality)
 
 
-def _score_forecast_path(panel: ForecastPanel, forecasts) -> PanelScore:
-    summary = crps_series(forecasts, panel.require_actuals())
-    points = [fc.median for fc in forecasts]
-    return PanelScore(crps=summary.crps, mase=_mase_for(panel, points))
+def _score_path(panel: ForecastPanel, levels: QuantileLevels, values: np.ndarray) -> PanelScore:
+    """CRPS and MASE of one forecast path: ``values`` of shape (T, K) on
+    ``levels``. A step's MASE point is its value at level 0.5."""
+    per = crps_batch(levels.levels, values, panel.require_actuals())
+    points = quantile_at(levels.levels, values, 0.5)
+    return PanelScore(crps=float(np.mean(per)), mase=_mase_for(panel, points))
+
+
+def _score_trace(panel: ForecastPanel, trace: ArbitrationTrace) -> PanelScore:
+    forecasts = trace.forecasts
+    return _score_path(panel, forecasts[0].levels, np.array([fc.values for fc in forecasts]))
 
 
 def _method_scorers(
@@ -133,28 +141,25 @@ def _method_scorers(
 ) -> Mapping[str, Callable[[ForecastPanel], Mapping[str, PanelScore]]]:
     def score_arbitrated(panel: ForecastPanel, mode: str, key: str):
         trace = run_arbitration(panel, config=replace(config, mode=mode), streams=streams)
-        return {key: _score_forecast_path(panel, trace.forecasts)}
+        return {key: _score_trace(panel, trace)}
 
     def score_median(panel: ForecastPanel):
-        path = tuple(quantile_median_ensemble(panel.forecasts_at(t)) for t in range(panel.horizon))
-        return {"median": _score_forecast_path(panel, path)}
+        return {"median": _score_path(panel, panel.levels, median_ensemble(panel.values))}
 
     def score_mean(panel: ForecastPanel):
-        path = tuple(quantile_mean_ensemble(panel.forecasts_at(t)) for t in range(panel.horizon))
-        return {"mean": _score_forecast_path(panel, path)}
+        return {"mean": _score_path(panel, panel.levels, mean_ensemble(panel.values))}
 
     def score_oracle(panel: ForecastPanel):
         trace = oracle_select(panel)
-        points = [
-            panel.forecasts_at(t)[pick].median for t, pick in enumerate(trace.selections)
-        ]
+        picked = panel.values[list(trace.selections), np.arange(panel.horizon)]
+        points = quantile_at(panel.levels.levels, picked, 0.5)
         return {"oracle": PanelScore(crps=trace.crps, mase=_mase_for(panel, points))}
 
     def score_per_model(panel: ForecastPanel):
-        out = {}
-        for name, forecasts in panel.models:
-            out[f"model:{name}"] = _score_forecast_path(panel, forecasts)
-        return out
+        return {
+            f"model:{name}": _score_path(panel, panel.levels, panel.values[i])
+            for i, name in enumerate(panel.model_names)
+        }
 
     table: dict[str, Callable] = {}
     for method in methods:
@@ -352,7 +357,7 @@ def run_pool_scaling(
     for tagged in tagged_panels:
         panel = tagged.panel
         for name in model_order:
-            score = _score_forecast_path(panel, panel.model_forecasts(name))
+            score = _score_path(panel, panel.levels, panel.values[_model_index(panel, name)])
             member_crps[name].append(score.crps)
             member_mase[name].append(score.mase)
 
@@ -364,7 +369,7 @@ def run_pool_scaling(
         for tagged in tagged_panels:
             panel = _subset_panel(tagged.panel, prefix)
             trace = run_arbitration(panel, config=config, streams=streams)
-            score = _score_forecast_path(panel, trace.forecasts)
+            score = _score_trace(panel, trace)
             crps_vals.append(score.crps)
             mase_vals.append(score.mase)
         best = min(prefix, key=lambda n: (_mean(member_crps[n]), n))
@@ -389,12 +394,9 @@ def _panel_method_score(
     streams: RandomStreams,
 ) -> PanelScore:
     if method.startswith("model:"):
-        name = method.split(":", 1)[1]
-        if name not in tagged.panel.model_names:
-            raise DimensionMismatch(
-                f"panel {tagged.panel.series_id!r} has no model {name!r}"
-            )
-        return _score_forecast_path(tagged.panel, tagged.panel.model_forecasts(name))
+        panel = tagged.panel
+        i = _model_index(panel, method.split(":", 1)[1])
+        return _score_path(panel, panel.levels, panel.values[i])
     scores = score_panel(tagged, [method], config=config, streams=streams)
     return scores[method]
 
@@ -516,8 +518,22 @@ def _rows_to_csv_long(rows: Sequence[ReportRow]) -> str:
     return buf.getvalue()
 
 
+def _render_table(header: Sequence[str], cells: Sequence[Sequence[str]]) -> str:
+    """Left-aligned columns two spaces apart, under a dashed rule."""
+    widths = [
+        max(len(header[c]), *(len(r[c]) for r in cells)) if cells else len(header[c])
+        for c in range(len(header))
+    ]
+    lines = [
+        "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
+        "  ".join("-" * w for w in widths),
+    ]
+    for r in cells:
+        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
 def _rows_to_table(rows: Sequence[ReportRow]) -> str:
-    header = list(_CSV_COLUMNS)
     cells = [
         [
             row.method,
@@ -531,17 +547,7 @@ def _rows_to_table(rows: Sequence[ReportRow]) -> str:
         ]
         for row in rows
     ]
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in cells)) if cells else len(header[c])
-        for c in range(len(header))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for r in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return _render_table(_CSV_COLUMNS, cells)
 
 
 def report_json_schema() -> dict:
@@ -567,7 +573,6 @@ def _rows_to_json(rows: Sequence[ReportRow]) -> str:
             for row in rows
         ],
     }
-    jsonschema.validate(doc, report_json_schema())
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -628,18 +633,7 @@ def emit_scaling(
         writer.writerows(cells)
         text = buf.getvalue()
     elif fmt == "table":
-        header = list(_SCALING_COLUMNS)
-        widths = [
-            max(len(header[c]), *(len(r[c]) for r in cells)) if cells else len(header[c])
-            for c in range(len(header))
-        ]
-        lines = [
-            "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
-            "  ".join("-" * w for w in widths),
-        ]
-        for r in cells:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-        text = "\n".join(lines) + "\n"
+        text = _render_table(_SCALING_COLUMNS, cells)
     elif fmt == "json":
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,

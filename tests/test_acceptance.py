@@ -212,9 +212,10 @@ def test_arbitration_budget_determinism_and_relabeling(capsys):
             series_id=panel.series_id,
             context=panel.context,
             actuals=panel.actuals,
-            horizon=panel.horizon,
             seasonality=panel.seasonality,
-            models=tuple(reversed(panel.models)),
+            model_names=panel.model_names[::-1],
+            levels=panel.levels,
+            values=panel.values[::-1],
         )
         flipped = run_arbitration(flipped_panel, config=config, streams=RandomStreams(42))
         for fwd, rev in zip(first.steps, flipped.steps):
@@ -256,7 +257,7 @@ def test_oracle_dominates_every_constituent_with_topk_certainty(capsys):
             if trace.crps > member:
                 dominance_violations += 1
         if idx % 100 == 0:
-            name, fcs = panel.models[0]
+            fcs = panel.model_forecasts(panel.model_names[0])
             recomputed = crps_series(fcs, panel.require_actuals()).crps
             matrix_mean = math.fsum(row[0] for row in trace.crps_matrix) / horizon
             assert recomputed == pytest.approx(matrix_mean, rel=1e-12)

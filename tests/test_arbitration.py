@@ -10,7 +10,6 @@ from quantarb.arbitration import (
     allocate_samples,
     arbitrate_timestep,
     average_crps_scores,
-    compute_weights,
     run_arbitration,
     seed_window_from_context,
     weights_with_rule,
@@ -88,8 +87,8 @@ def test_average_scores_reject_empty_window():
 
 
 def test_inverse_error_weights_hand_values():
-    assert compute_weights((1.0, 1.0), CFG).weights == (0.5, 0.5)
-    w = compute_weights((1.0, 3.0), CFG)
+    assert weights_with_rule((1.0, 1.0), CFG)[0].weights == (0.5, 0.5)
+    w = weights_with_rule((1.0, 3.0), CFG)[0]
     assert w.weights[0] == pytest.approx(0.75, rel=1e-12)
     assert w.weights[1] == pytest.approx(0.25, rel=1e-12)
 
@@ -110,9 +109,9 @@ def test_softmax_temperature_flattens_weights():
 
 def test_weight_rules_are_order_equivariant():
     scores = (0.031, 0.72, 0.0044, 0.5)
-    w = compute_weights(scores, CFG).weights
+    w = weights_with_rule(scores, CFG)[0].weights
     perm = (2, 0, 3, 1)
-    w_perm = compute_weights(tuple(scores[i] for i in perm), CFG).weights
+    w_perm = weights_with_rule(tuple(scores[i] for i in perm), CFG)[0].weights
     assert w_perm == tuple(w[i] for i in perm)
 
 
@@ -248,7 +247,7 @@ def test_lower_window_error_earns_more_weight():
         window = window.push(PerformanceRecord(obs, (_gauss(obs, 0.5), _gauss(obs + 2.0, 3.0))))
     scores = average_crps_scores(window)
     assert scores[0] < scores[1]
-    w = compute_weights(scores, CFG)
+    w = weights_with_rule(scores, CFG)[0]
     assert w.weights[0] > w.weights[1]
 
 
@@ -288,6 +287,27 @@ def test_arbitrated_forecasts_always_validate():
     for step in trace.steps:
         vals = step.forecast.values
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def test_simulated_truth_is_the_pooled_median_on_grids_without_one_half():
+    # Reported on (0.05, 0.1, 0.2), the pooled median must still stand in for
+    # the observation, so the run matches one reported on a grid holding 0.5.
+    panel = _drifting_panel(t_steps=8)
+    runs = [
+        run_arbitration(
+            panel,
+            config=ArbitratorConfig(levels=QuantileLevels(grid)),
+            streams=RandomStreams(9),
+        )
+        for grid in ((0.05, 0.1, 0.2), (0.05, 0.1, 0.2, 0.5))
+    ]
+    lacking, holding = runs
+    for a, b in zip(lacking.steps, holding.steps):
+        assert a.simulated_truth == b.simulated_truth == b.forecast.values[-1]
+        assert a.weights == b.weights
+        assert a.weight_rule == b.weight_rule
+        assert a.forecast.values == b.forecast.values[:3]
+    assert lacking.steps[-1].weight_rule == "inverse_error"
 
 
 def test_n_total_must_cover_model_count():
@@ -390,7 +410,7 @@ def test_window_scores_evict_the_oldest_row_at_capacity():
     window = PerformanceWindow(2)
     for obs in (3.0, 3.5, 2.8, 4.1):
         rec = PerformanceRecord(obs, (_gauss(3.0, 0.5), _gauss(4.0, 2.0)))
-        ring.push(rec.forecasts, rec.observation)
+        ring.push(DEFAULT_LEVELS.levels, [f.values for f in rec.forecasts], rec.observation)
         window = window.push(rec)
         assert len(ring) == len(window)
         assert ring.averages() == _rescored(window)

@@ -1,11 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantarb.baselines import (
-    point_mean,
-    quantile_mean_ensemble,
-    quantile_median_ensemble,
-)
+from quantarb.baselines import quantile_mean_ensemble, quantile_median_ensemble
 from quantarb.core import DEFAULT_LEVELS, QuantileForecast, QuantileLevels
 from quantarb.errors import DimensionMismatch
 
@@ -47,13 +43,6 @@ def test_mean_ensemble_hand_values():
     assert quantile_mean_ensemble([fc, fc, fc]).values == fc.values
 
 
-def test_point_mean_hand_values():
-    assert point_mean([_shift(BASE, -3.0), _shift(BASE, -1.0)]) == 3.0  # medians 2 and 4
-    assert point_mean([_fc(BASE)]) == 5.0
-    shifted = point_mean([_shift(BASE, 2.5), _shift(BASE, 4.5)])
-    assert shifted == pytest.approx(point_mean([_fc(BASE), _shift(BASE, 2.0)]) + 2.5)
-
-
 def test_ensembles_reject_empty_and_mixed_grids():
     with pytest.raises(ValueError):
         quantile_median_ensemble([])
@@ -93,4 +82,3 @@ def test_ensembles_are_permutation_invariant(rows, rnd):
     assert quantile_mean_ensemble(shuffled).values == pytest.approx(
         quantile_mean_ensemble(fcs).values
     )
-    assert point_mean(shuffled) == pytest.approx(point_mean(fcs))

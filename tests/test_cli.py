@@ -299,3 +299,20 @@ def test_module_invocation_shows_usage():
     assert "usage: quantarb" in result.stdout
     for name in ("validate", "eval", "scale", "winloss", "synth", "oracle"):
         assert name in result.stdout
+
+
+def test_cli_import_loads_neither_scipy_nor_jsonschema():
+    # SciPy serves only `synth`, and jsonschema only the tests.
+    probe = (
+        "import sys, quantarb.cli; "
+        "print(sorted(m for m in ('scipy', 'jsonschema') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +16,7 @@ from quantarb.core import (
     QuantileLevels,
     WeightVector,
     build_panel,
-    validate_panel,
+    quantile_at,
 )
 from quantarb.errors import (
     DimensionMismatch,
@@ -92,7 +93,7 @@ def test_build_panel_identity_case():
         levels=DEFAULT_LEVELS,
         models=[("a", _steps([4.0, 5.0]))],
     )
-    assert validate_panel(panel) is panel
+    assert panel.values.shape == (1, 2, 9)
     assert panel.horizon == 2
     assert panel.n_models == 1
     assert panel.model_names == ("a",)
@@ -108,6 +109,60 @@ def test_build_panel_reports_model_and_timestep_on_bad_values():
     assert exc.value.timestep == 0
 
 
+def test_panel_validation_names_the_first_bad_row_model_major():
+    a, b = _steps([4.0, 5.0, 6.0]), _steps([4.0, 5.0, 6.0])
+    b[1][5] = b[1][6] + 1.0  # b, step 1: drop between levels 5 and 6
+    b[2][0] = b[2][1] + 1.0
+    a[2][7] = float("nan")  # a comes first, but at a later step
+    with pytest.raises(NonFinite, match=r"model 'a' at timestep 2: .*nan at index 7"):
+        build_panel("s", [1, 2], None, 1, DEFAULT_LEVELS, [("a", a), ("b", b)])
+    with pytest.raises(NonMonotoneQuantiles, match="model 'b' at timestep 1") as exc:
+        build_panel("s", [1, 2], None, 1, DEFAULT_LEVELS, [("b", b), ("a", _steps([1, 2, 3]))])
+    assert (exc.value.model, exc.value.timestep, exc.value.indices) == ("b", 1, (5,))
+
+
+def test_build_panel_reports_model_and_timestep_on_short_rows():
+    rows = _steps([4.0, 5.0])
+    rows[1] = rows[1][:8]
+    with pytest.raises(DimensionMismatch, match="model 'a' at timestep 1: .*8 values for 9"):
+        build_panel("s1", [1, 2], None, 1, DEFAULT_LEVELS, [("a", rows)])
+
+
+def test_build_panel_rejects_a_null_value_as_not_a_number():
+    # float conversion would read None as NaN
+    rows = _steps([4.0, 5.0])
+    rows[1][3] = None
+    with pytest.raises(TypeError, match="model 'a' at timestep 1: value at level index 3 is null"):
+        build_panel("s1", [1, 2], None, 1, DEFAULT_LEVELS, [("a", rows)])
+
+
+def test_panel_values_are_a_read_only_copy():
+    values = np.tile(np.arange(1.0, 10.0), (2, 3, 1))
+    panel = ForecastPanel("s", (1, 2), None, 1, ("a", "b"), DEFAULT_LEVELS, values)
+    values[0, 0, 0] = 100.0
+    assert panel.values[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        panel.values[0, 0, 0] = 100.0
+    assert (panel.n_models, panel.horizon) == (2, 3)
+    assert panel.forecasts_at(2)[1] == QuantileForecast(DEFAULT_LEVELS, range(1, 10))
+    with pytest.raises(KeyError):
+        panel.model_forecasts("c")
+
+
+def test_quantile_at_matches_value_at_row_by_row():
+    grid = QuantileLevels((0.05, 0.25, 0.45, 0.6, 0.9))
+    values = np.cumsum(np.arange(1.0, 31.0).reshape(2, 3, 5) ** 1.5, axis=-1)
+    for alpha in (0.01, 0.05, 0.3, 0.5, 0.6, 0.95):
+        got = quantile_at(grid.levels, values, alpha)
+        for i in range(2):
+            for t in range(3):
+                fc = QuantileForecast(grid, values[i, t])
+                assert got[i, t] == fc.value_at(alpha)
+    # off the grid: linear between neighbours, clamped at the ends
+    assert quantile_at(grid.levels, [1.0, 2.0, 4.0, 5.0, 9.0], 0.5) == 4.0 + (0.05 / 0.15) * 1.0
+    assert quantile_at(grid.levels, [1.0, 2.0, 4.0, 5.0, 9.0], 0.99) == 9.0
+
+
 def test_build_panel_rejects_horizon_mismatch_between_models():
     with pytest.raises(DimensionMismatch):
         build_panel(
@@ -121,11 +176,14 @@ def test_build_panel_rejects_horizon_mismatch_between_models():
 
 
 def test_panel_rejects_mixed_quantile_grids():
+    # A panel holds one level grid; rows of another length cannot join it.
     other = QuantileLevels((0.25, 0.5, 0.75))
-    fa = tuple(QuantileForecast(DEFAULT_LEVELS, range(1, 10)) for _ in range(2))
-    fb = tuple(QuantileForecast(other, (1, 2, 3)) for _ in range(2))
+    fa = [list(range(1, 10))] * 2
+    fb = [[1, 2, 3]] * 2
+    with pytest.raises(DimensionMismatch, match="model 'b' at timestep 0"):
+        build_panel("s", [1, 2], None, 1, DEFAULT_LEVELS, [("a", fa), ("b", fb)])
     with pytest.raises(DimensionMismatch):
-        ForecastPanel("s", (1, 2), None, 2, 1, (("a", fa), ("b", fb)))
+        ForecastPanel("s", (1, 2), None, 1, ("a",), other, np.array([fa]))
 
 
 def test_build_panel_rejects_repeated_model_names():
@@ -139,9 +197,9 @@ def test_build_panel_rejects_repeated_model_names():
 
 
 def test_panel_rejects_repeated_model_names():
-    fa = (QuantileForecast(DEFAULT_LEVELS, range(1, 10)),)
+    values = np.tile(np.arange(1.0, 10.0), (2, 1, 1))
     with pytest.raises(DimensionMismatch, match="'a'"):
-        ForecastPanel("s", (1, 2), None, 1, 1, (("a", fa), ("a", fa)))
+        ForecastPanel("s", (1, 2), None, 1, ("a", "a"), DEFAULT_LEVELS, values)
 
 
 def test_panel_context_must_cover_seasonality():
@@ -167,7 +225,8 @@ def test_panel_round_trips_through_pickle_bit_exact():
     )
     clone = pickle.loads(pickle.dumps(panel))
     assert clone == panel
-    assert clone.models[1][1][0].values == panel.models[1][1][0].values
+    assert clone.values.tobytes() == panel.values.tobytes()
+    assert not clone.values.flags.writeable
 
 
 def test_weight_vector_accepts_normalized_and_rejects_drift():
@@ -210,6 +269,13 @@ def test_window_push_evicts_oldest_at_capacity():
 def test_window_rejects_inconsistent_model_counts():
     with pytest.raises(DimensionMismatch):
         PerformanceWindow(3, (_record(1.0, n_models=2), _record(2.0, n_models=3)))
+
+
+def test_record_forecasts_must_share_one_grid():
+    # A record's scores come from one (N, K) block on one grid.
+    other = QuantileForecast(QuantileLevels((0.1, 0.5, 0.9)), (1.0, 2.0, 3.0))
+    with pytest.raises(DimensionMismatch, match="different grids"):
+        PerformanceRecord(1.0, (_record(1.0).forecasts[0], other))
 
 
 def test_window_capacity_must_be_positive():

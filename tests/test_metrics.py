@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from quantarb.core import DEFAULT_LEVELS, QuantileForecast
+from quantarb.core import DEFAULT_LEVELS, QuantileForecast, QuantileLevels
 from quantarb.errors import (
     DegenerateVariance,
     LengthMismatch,
@@ -11,6 +11,7 @@ from quantarb.errors import (
 )
 from quantarb.metrics import (
     ScoreSummary,
+    crps_batch,
     crps_series,
     crps_timestep,
     lumpiness,
@@ -77,6 +78,33 @@ def test_crps_timestep_scale_invariant_away_from_zero():
     assert crps_timestep(scaled, 3.0 * 5.0) == pytest.approx(
         crps_timestep(fc, 5.0), rel=1e-12
     )
+
+
+@st.composite
+def _blocks(draw):
+    """Sorted (N, T, K) quantile blocks with K from 1 to 19, plus observations
+    that include zero and values near the 1e-8 floor."""
+    k = draw(st.integers(1, 19))
+    levels = QuantileLevels(tuple((j + 1) / (k + 1) for j in range(k)))
+    n, t = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    flat = draw(st.lists(finite, min_size=n * t * k, max_size=n * t * k))
+    values = np.sort(np.array(flat).reshape(n, t, k), axis=-1)
+    obs = draw(st.lists(st.sampled_from([0.0, 1e-9, -3e-9, 1.0]) | finite, min_size=t, max_size=t))
+    return levels, values, obs
+
+
+@given(_blocks())
+@settings(max_examples=200)
+def test_crps_batch_matches_per_forecast_scores_bit_for_bit(block):
+    levels, values, obs = block
+    got = crps_batch(levels.levels, values, obs)
+    assert got.shape == values.shape[:2]
+    for i in range(values.shape[0]):
+        for t, y in enumerate(obs):
+            fc = QuantileForecast(levels, values[i, t].tolist())
+            assert got[i, t] == crps_timestep(fc, y)
+            # the same step scored as one (N, K) slice
+            assert crps_batch(levels.levels, values[:, t], y)[i] == got[i, t]
 
 
 def test_crps_series_is_mean_of_timesteps():

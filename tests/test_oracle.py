@@ -11,7 +11,6 @@ from quantarb.oracle import (
     OracleTrace,
     median_ensemble_implicit_ranking,
     median_ensemble_rankings,
-    oracle_crps,
     oracle_select,
     selection_frequency_table,
     suite_topk_accuracy,
@@ -20,6 +19,7 @@ from quantarb.oracle import (
     weight_rankings,
 )
 from quantarb.arbitration import run_arbitration
+from quantarb.metrics import crps_series
 from quantarb.baselines import quantile_median_ensemble
 
 
@@ -49,9 +49,9 @@ def test_single_model_is_always_selected():
     assert trace.switch_count == 0
     assert trace.switch_percentage == 0.0
     assert trace.selection_frequencies == (1.0,)
-    assert oracle_crps(panel) == pytest.approx(
-        trace.crps, rel=1e-15
-    )
+    # A lone model is the oracle's pick at every step, so their CRPS agree.
+    alone = crps_series(panel.model_forecasts("a"), panel.require_actuals()).crps
+    assert trace.crps == pytest.approx(alone, rel=1e-15)
 
 
 def test_point_mass_at_truth_wins_every_step():

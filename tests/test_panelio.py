@@ -156,6 +156,16 @@ class TestFailureModes:
         with pytest.raises(NonMonotoneQuantiles):
             load_panels(path)
 
+    def test_null_quantile_value_rejected_with_model_and_step(self, tmp_path):
+        record = _valid_record(
+            actuals=[2.0, 3.0], models={"m": [[1.0, 2.0, 3.0], [1.0, None, 3.0]]}
+        )
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(record)])
+        with pytest.raises(ParseError, match="model 'm' at timestep 1") as excinfo:
+            load_panels(path)
+        assert "null" in str(excinfo.value)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 1)
+
     def test_repeated_model_key_rejected(self, tmp_path):
         # json.loads alone keeps the last "m" and drops the first silently.
         line = (

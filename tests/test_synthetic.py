@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quantarb.core import DEFAULT_LEVELS, validate_panel
+from quantarb.core import DEFAULT_LEVELS, ForecastPanel
 from quantarb.errors import LengthMismatch
 from quantarb.oracle import oracle_select, selection_frequency_table
 from quantarb.synthetic import (
@@ -191,7 +191,12 @@ def test_suite_is_seed_deterministic():
 def test_suite_panels_all_validate():
     suite = build_benchmark_suite(24, seed=0)
     for tagged in suite:
-        validate_panel(tagged.panel)
+        # Rebuilding from the panel's own fields re-runs every check.
+        p = tagged.panel
+        rebuilt = ForecastPanel(
+            p.series_id, p.context, p.actuals, p.seasonality, p.model_names, p.levels, p.values
+        )
+        assert rebuilt == p
         assert tagged.metadata.domain in DOMAINS
         assert tagged.metadata.horizon_class in {hc for hc, _ in HORIZON_CLASSES}
 
