@@ -22,13 +22,13 @@ from .core import (
     ArbitrationStep,
     ArbitrationTrace,
     ForecastPanel,
-    PerformanceRecord,
     PerformanceWindow,
     QuantileForecast,
     QuantileLevels,
     WeightVector,
+    stack_forecasts,
 )
-from .errors import AlignmentMismatch, DimensionMismatch, EmptyWindow
+from .errors import AlignmentMismatch, EmptyWindow
 from .metrics import crps_batch
 from .quantiles import InverseCdf, RandomStreams, empirical_quantiles
 
@@ -80,26 +80,22 @@ class WindowScores:
     """Per-record CRPS rows of a rolling performance window.
 
     Each record's N model scores are computed once, when the record enters;
-    the oldest row drops out when the window is full. Averages use exact
+    the oldest rows drop out when the window is full. Averages use exact
     summation, so they match re-scoring the whole window bit for bit and do
     not depend on record order.
     """
 
     __slots__ = ("_rows",)
 
-    def __init__(self, capacity: int, records: Sequence[PerformanceRecord] = ()) -> None:
+    def __init__(self, capacity: int) -> None:
         self._rows: deque[tuple[float, ...]] = deque(maxlen=capacity)
-        for rec in records:
-            self.push(
-                rec.forecasts[0].levels.levels,
-                [fc.values for fc in rec.forecasts],
-                rec.observation,
-            )
 
-    def push(self, levels: Sequence[float], values, observation: float) -> None:
-        """Score one record: the N models' forecasts, ``values`` of shape
-        (N, K) on ``levels``, against ``observation``."""
-        self._rows.append(tuple(crps_batch(levels, values, observation).tolist()))
+    def push(self, levels: Sequence[float], values, observations) -> None:
+        """Score records, oldest first: the N models' forecasts ``values`` of
+        shape (N, L, K) on ``levels`` against ``observations`` of shape (L,),
+        or one record as (N, K) against a single observation."""
+        scores = crps_batch(levels, values, observations)
+        self._rows.extend(map(tuple, scores.reshape(len(scores), -1).T.tolist()))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -110,15 +106,6 @@ class WindowScores:
             raise EmptyWindow("cannot score models against an empty window")
         n = len(self._rows)
         return tuple(math.fsum(column) / n for column in zip(*self._rows))
-
-
-def average_crps_scores(window: PerformanceWindow) -> tuple[float, ...]:
-    """Each model's CRPS against the window's observations, averaged.
-
-    Window order does not matter; every model is scored against the same
-    observations.
-    """
-    return WindowScores(window.capacity, window.records).averages()
 
 
 def weights_with_rule(
@@ -156,35 +143,6 @@ def allocate_samples(weights: WeightVector, n_total: int) -> tuple[int, ...]:
     for i in by_fraction[:remainder]:
         counts[i] += 1
     return tuple(counts)
-
-
-def arbitrate_timestep(
-    forecasts: Sequence[QuantileForecast],
-    weights: WeightVector,
-    config: ArbitratorConfig,
-    streams: RandomStreams,
-    model_names: Sequence[str] | None = None,
-) -> tuple[QuantileForecast, tuple[int, ...]]:
-    """Pool weighted draws from every model and summarize them as quantiles.
-
-    Each model draws from its own substream, keyed by name when names are
-    given (index otherwise); that keying is what makes the result invariant
-    under model reordering. All forecasts must share one quantile grid.
-    """
-    if len(forecasts) != len(weights):
-        raise DimensionMismatch(
-            f"{len(forecasts)} forecasts for {len(weights)} weights"
-        )
-    levels = forecasts[0].levels
-    if any(fc.levels.levels != levels.levels for fc in forecasts):
-        raise DimensionMismatch("forecasts of one timestep use different quantile grids")
-    keys = model_names if model_names is not None else range(len(forecasts))
-    icdf = InverseCdf(np.asarray(levels.levels), [fc.values for fc in forecasts])
-    pooled, counts = _pool_draws(
-        icdf, np.arange(len(forecasts)), weights, config, streams, keys
-    )
-    out_levels = config.levels if config.levels is not None else levels
-    return empirical_quantiles(pooled, out_levels), counts
 
 
 def _pool_draws(
@@ -234,7 +192,9 @@ def run_arbitration(
     The feedback loop is sequential: each step's pooled median is pushed
     into the window as a stand-in observation before the next step is scored.
     Inverse CDFs of all N x T forecasts are fitted once, before the loop, and
-    each window record is scored once, when it enters.
+    each window record is scored once, when it enters. An ``initial_window``
+    must hold the panel's model names, in the panel's order, on its levels;
+    the run keeps the newest ``config`` window-capacity records of it.
     Pass ``streams`` shared across panels to keep per-model draws identical
     regardless of which other series are processed; plain ``seed`` builds a
     fresh stream tree.
@@ -245,21 +205,26 @@ def run_arbitration(
         raise ValueError(
             f"n_total {config.n_total} cannot cover {n} models with one sample each"
         )
-    if initial_window is None:
-        initial_window = PerformanceWindow(config.resolve_capacity(panel.horizon))
-    elif not initial_window.is_empty and len(initial_window.records[0].forecasts) != n:
-        raise DimensionMismatch(
-            f"initial window records cover {len(initial_window.records[0].forecasts)} "
-            f"models, panel has {n}"
+    names = panel.model_names
+    levels = panel.levels
+    if initial_window is not None and initial_window.model_names != names:
+        raise AlignmentMismatch(
+            f"initial window models {list(initial_window.model_names)} differ from "
+            f"panel {panel.series_id!r} models {list(names)}"
+        )
+    if initial_window is not None and initial_window.levels != levels:
+        raise AlignmentMismatch(
+            f"initial window levels {list(initial_window.levels)} differ from "
+            f"panel {panel.series_id!r} levels {list(levels)}"
         )
     dynamic = config.mode == "dynamic"
-    window = WindowScores(initial_window.capacity, initial_window.records if dynamic else ())
+    window = WindowScores(config.resolve_capacity(panel.horizon))
+    if dynamic and initial_window is not None:
+        window.push(levels.levels, initial_window.values, initial_window.observations)
     if streams is None:
         streams = RandomStreams(seed)
     series_streams = streams.child("series", panel.series_id)
-    names = panel.model_names
     horizon = panel.horizon
-    levels = panel.levels
     out_levels = config.levels if config.levels is not None else levels
     # Batch row of model i at step t is i * horizon + t.
     icdf = InverseCdf(np.asarray(levels.levels), panel.values)
@@ -307,16 +272,17 @@ def seed_window_from_context(
 
     ``backtest_forecasts`` maps every panel model to an L x K quantile matrix
     for the last L context steps; the true context values become the window
-    observations. Without backtest forecasts the window starts empty and the
-    first arbitration step falls back to uniform weights.
+    observations. The matrices are stacked in ``panel.model_names`` order on
+    the panel's levels. Without backtest forecasts the window is empty and
+    the first arbitration step falls back to uniform weights.
     """
     config = config if config is not None else ArbitratorConfig()
-    capacity = config.resolve_capacity(panel.horizon)
+    names = panel.model_names
     if not backtest_forecasts:
-        return PerformanceWindow(capacity)
-    if set(backtest_forecasts) != set(panel.model_names):
-        missing = sorted(set(panel.model_names) - set(backtest_forecasts))
-        extra = sorted(set(backtest_forecasts) - set(panel.model_names))
+        backtest_forecasts = dict.fromkeys(names, ())
+    if set(backtest_forecasts) != set(names):
+        missing = sorted(set(names) - set(backtest_forecasts))
+        extra = sorted(set(backtest_forecasts) - set(names))
         raise AlignmentMismatch(
             f"backtest models do not match panel models (missing {missing}, extra {extra})"
         )
@@ -324,18 +290,16 @@ def seed_window_from_context(
     if len(set(lengths.values())) != 1:
         raise AlignmentMismatch(f"backtest step counts disagree: {lengths}")
     span = next(iter(lengths.values()))
-    usable = min(capacity, len(panel.context))
+    usable = min(config.resolve_capacity(panel.horizon), len(panel.context))
     if span > usable:
         raise AlignmentMismatch(
             f"{span} backtest steps cannot align with the last {usable} context values"
         )
-    levels = panel.levels
-    observations = panel.context[-span:] if span else ()
-    window = PerformanceWindow(capacity)
-    for j in range(span):
-        forecasts = tuple(
-            QuantileForecast(levels, tuple(backtest_forecasts[name][j]))
-            for name in panel.model_names
-        )
-        window = window.push(PerformanceRecord(observations[j], forecasts))
-    return window
+    models = [(name, backtest_forecasts[name]) for name in names]
+    return PerformanceWindow(
+        model_names=names,
+        levels=panel.levels,
+        values=stack_forecasts(models, len(panel.levels), "backtest step"),
+        # Not context[-span:], which is the whole context when span is 0.
+        observations=panel.context[len(panel.context) - span:],
+    )

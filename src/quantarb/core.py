@@ -127,6 +127,85 @@ class QuantileForecast:
         return self.value_at(0.5)
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``."""
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def stack_forecasts(
+    models: Sequence[tuple[str, Sequence[Sequence[float]]]], n_levels: int, step: str
+) -> np.ndarray:
+    """Stack per-model matrices of forecast rows into one (N, S, K) array.
+
+    ``models`` pairs each name with S rows, S equal across models. A row
+    whose length is not ``n_levels`` raises :class:`DimensionMismatch`, and a
+    JSON null (which float conversion would read as NaN) raises
+    ``TypeError``; both name the model and the ``step`` ("timestep",
+    "backtest step").
+    """
+    for name, matrix in models:
+        for s, row in enumerate(matrix):
+            if len(row) != n_levels:
+                raise DimensionMismatch(
+                    f"model {name!r} at {step} {s}: forecast has {len(row)} values "
+                    f"for {n_levels} levels"
+                )
+    values = np.array([matrix for _, matrix in models], dtype=float)
+    # Matrices without rows stack to (N, 0), not (N, 0, K).
+    values = values.reshape(len(models), len(models[0][1]), n_levels)
+    for i, s, k in np.argwhere(np.isnan(values)).tolist():
+        if models[i][1][s][k] is None:
+            raise TypeError(
+                f"model {models[i][0]!r} at {step} {s}: value at level index {k} "
+                f"is null, not a number"
+            )
+    return values
+
+
+def _validate_forecasts(
+    owner: str, names: tuple[str, ...], levels: QuantileLevels, values: np.ndarray, step: str
+) -> None:
+    """Check an (N, S, K) forecast block once, vectorized.
+
+    The shape must hold ``names`` x S x ``levels``, names must be unique, and
+    every row finite and non-decreasing under ``MONOTONE_REL_TOL``. The first
+    bad row, model-major, is reported by model name and ``step``.
+    """
+    if not names:
+        raise DimensionMismatch(f"{owner} has no models")
+    if values.ndim != 3 or values.shape[0] != len(names) or values.shape[2] != len(levels):
+        raise DimensionMismatch(
+            f"{owner} values of shape {values.shape} do not hold "
+            f"{len(names)} models x {step}s x {len(levels)} levels"
+        )
+    if len(set(names)) != len(names):
+        # Random substreams are keyed by model name; repeats would share one.
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise DimensionMismatch(f"{owner} repeats model names {repeated}")
+    finite = np.isfinite(values)
+    dips = _dips(values)
+    bad = ~finite.all(axis=-1) | dips.any(axis=-1)
+    if not bad.any():
+        return
+    i, s = (int(v) for v in np.argwhere(bad)[0])
+    where = f"model {names[i]!r} at {step} {s}"
+    if not finite[i, s].all():
+        k = int(np.argmin(finite[i, s]))
+        raise NonFinite(
+            f"{where}: forecast values contains non-finite value "
+            f"{float(values[i, s, k])!r} at index {k}"
+        )
+    indices = np.flatnonzero(dips[i, s]).tolist()
+    raise NonMonotoneQuantiles(
+        f"{where}: quantile values decrease at level indices {indices}",
+        model=names[i],
+        timestep=s,
+        indices=tuple(indices),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ForecastPanel:
     """Everything needed to arbitrate and score one series.
@@ -151,9 +230,7 @@ class ForecastPanel:
         if self.actuals is not None:
             object.__setattr__(self, "actuals", tuple(float(v) for v in self.actuals))
         object.__setattr__(self, "model_names", tuple(str(n) for n in self.model_names))
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(self.values))
         _validate_panel(self)
 
     def _args(self) -> tuple:
@@ -197,25 +274,12 @@ class ForecastPanel:
 
 
 def _validate_panel(panel: ForecastPanel) -> None:
-    names = panel.model_names
-    values = panel.values
-    if not names:
-        raise DimensionMismatch(f"panel {panel.series_id!r} has no models")
-    if values.ndim != 3 or values.shape[0] != len(names) or values.shape[2] != len(panel.levels):
-        raise DimensionMismatch(
-            f"panel {panel.series_id!r} values of shape {values.shape} do not hold "
-            f"{len(names)} models x horizon x {len(panel.levels)} levels"
-        )
+    owner = f"panel {panel.series_id!r}"
+    _validate_forecasts(owner, panel.model_names, panel.levels, panel.values, "timestep")
     if panel.horizon < 1:
         raise DimensionMismatch(f"horizon must be positive, got {panel.horizon}")
     if panel.seasonality < 1:
         raise DimensionMismatch(f"seasonality must be positive, got {panel.seasonality}")
-    if len(set(names)) != len(names):
-        # Random substreams are keyed by model name; repeats would share one.
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        raise DimensionMismatch(
-            f"panel {panel.series_id!r} repeats model names {repeated}"
-        )
     _require_finite(panel.context, "context")
     if len(panel.context) < panel.seasonality + 1:
         raise DimensionMismatch(
@@ -228,26 +292,6 @@ def _validate_panel(panel: ForecastPanel) -> None:
             raise DimensionMismatch(
                 f"actuals length {len(panel.actuals)} does not match horizon {panel.horizon}"
             )
-    finite = np.isfinite(values)
-    dips = _dips(values)
-    bad = ~finite.all(axis=-1) | dips.any(axis=-1)
-    if not bad.any():
-        return
-    i, t = (int(v) for v in np.argwhere(bad)[0])
-    where = f"model {names[i]!r} at timestep {t}"
-    if not finite[i, t].all():
-        k = int(np.argmin(finite[i, t]))
-        raise NonFinite(
-            f"{where}: forecast values contains non-finite value "
-            f"{float(values[i, t, k])!r} at index {k}"
-        )
-    indices = np.flatnonzero(dips[i, t]).tolist()
-    raise NonMonotoneQuantiles(
-        f"{where}: quantile values decrease at level indices {indices}",
-        model=names[i],
-        timestep=t,
-        indices=tuple(indices),
-    )
 
 
 def build_panel(
@@ -273,32 +317,15 @@ def build_panel(
                 f"model {name!r} provides {len(matrix)} steps while model "
                 f"{models[0][0]!r} provides {horizon}"
             )
-        for t, row in enumerate(matrix):
-            if len(row) != len(levels):
-                raise DimensionMismatch(
-                    f"model {name!r} at timestep {t}: forecast has {len(row)} values "
-                    f"for {len(levels)} levels"
-                )
-    values = np.array([matrix for _, matrix in models], dtype=float)
-    try:
-        return ForecastPanel(
-            series_id=series_id,
-            context=context,
-            actuals=actuals,
-            seasonality=seasonality,
-            model_names=tuple(name for name, _ in models),
-            levels=levels,
-            values=values.reshape(len(models), horizon, len(levels)),
-        )
-    except NonFinite:
-        # float conversion reads None (JSON null) as NaN; report it as what it is.
-        for i, t, k in np.argwhere(np.isnan(values)).tolist():
-            if models[i][1][t][k] is None:
-                raise TypeError(
-                    f"model {models[i][0]!r} at timestep {t}: value at level index {k} "
-                    f"is null, not a number"
-                ) from None
-        raise
+    return ForecastPanel(
+        series_id=series_id,
+        context=context,
+        actuals=actuals,
+        seasonality=seasonality,
+        model_names=tuple(name for name, _ in models),
+        levels=levels,
+        values=stack_forecasts(models, len(levels), "timestep"),
+    )
 
 
 @dataclass(frozen=True)
@@ -335,58 +362,50 @@ class WeightVector:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class PerformanceRecord:
-    """One window entry: an observation and every model's forecast for it."""
-
-    observation: float
-    forecasts: tuple[QuantileForecast, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "observation", float(self.observation))
-        object.__setattr__(self, "forecasts", tuple(self.forecasts))
-        if not math.isfinite(self.observation):
-            raise NonFinite(f"observation {self.observation!r} is not finite")
-        if not self.forecasts:
-            raise DimensionMismatch("performance record needs at least one forecast")
-        levels = self.forecasts[0].levels
-        if any(fc.levels != levels for fc in self.forecasts):
-            raise DimensionMismatch("forecasts of one performance record use different grids")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerformanceWindow:
-    """FIFO window of performance records, bounded by ``capacity``.
+    """Backtest records that seed the rolling performance window of a run.
 
-    Immutable: :meth:`push` returns a new window, evicting the oldest record
-    when full.
+    ``values[i, j]`` holds model ``model_names[i]``'s quantiles on ``levels``
+    for record ``j``, scored against ``observations[j]``: read-only float64
+    arrays of shapes (N models, L records, K levels), the panel's layout, and
+    (L,), validated once when the window is built. How many records a run
+    keeps is the run's window capacity, not the window's.
     """
 
-    capacity: int
-    records: tuple[PerformanceRecord, ...] = ()
+    model_names: tuple[str, ...]
+    levels: QuantileLevels
+    values: np.ndarray
+    observations: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        if self.capacity < 1:
-            raise ValueError(f"window capacity must be >= 1, got {self.capacity}")
-        if len(self.records) > self.capacity:
-            raise ValueError(
-                f"{len(self.records)} records exceed capacity {self.capacity}"
+        object.__setattr__(self, "model_names", tuple(str(n) for n in self.model_names))
+        object.__setattr__(self, "values", _frozen(self.values))
+        object.__setattr__(self, "observations", _frozen(self.observations))
+        _validate_forecasts(
+            "window", self.model_names, self.levels, self.values, "backtest step"
+        )
+        obs = self.observations
+        if obs.shape != self.values.shape[1:2]:
+            raise DimensionMismatch(
+                f"window observations of shape {obs.shape} do not match {len(self)} records"
             )
-        n = {len(r.forecasts) for r in self.records}
-        if len(n) > 1:
-            raise DimensionMismatch(f"records disagree on model count: {sorted(n)}")
+        finite = np.isfinite(obs)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise NonFinite(f"window observation at backtest step {j} is {float(obs[j])!r}")
 
-    def push(self, record: PerformanceRecord) -> "PerformanceWindow":
-        kept = self.records[1:] if len(self.records) == self.capacity else self.records
-        return PerformanceWindow(self.capacity, kept + (record,))
+    def __reduce__(self):
+        # As for panels: a copy goes through the constructor, so it is
+        # validated and read-only too.
+        return PerformanceWindow, (self.model_names, self.levels, self.values, self.observations)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.values.shape[1]
 
     @property
     def is_empty(self) -> bool:
-        return not self.records
+        return len(self) == 0
 
 
 @dataclass(frozen=True)
@@ -437,7 +456,7 @@ class ArbitrationTrace:
 
     @property
     def medians(self) -> tuple[float, ...]:
-        return tuple(step.forecast.median for step in self.steps)
+        return tuple(step.simulated_truth for step in self.steps)
 
     def weights_at(self, t: int) -> tuple[float, ...]:
         return self.steps[t].weights.weights

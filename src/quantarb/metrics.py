@@ -8,12 +8,10 @@ on the context window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import QuantileForecast
 from .errors import (
     DegenerateVariance,
     LengthMismatch,
@@ -60,44 +58,6 @@ def crps_batch(levels: Sequence[float], values, observations) -> np.ndarray:
     y = np.asarray(observations, dtype=float)[..., None]
     rho = np.where(y > q, alphas * (y - q), (1.0 - alphas) * (q - y))
     return np.mean(2.0 * rho / np.maximum(np.abs(y), ABS_OBS_FLOOR), axis=-1)
-
-
-def crps_timestep(forecast: QuantileForecast, y: float) -> float:
-    """CRPS approximation for one timestep: mean wQL over the forecast's levels."""
-    return float(crps_batch(forecast.levels.levels, forecast.values, y))
-
-
-@dataclass(frozen=True)
-class ScoreSummary:
-    """Aggregate scores for one series; ``mase`` is filled when computed."""
-
-    crps: float
-    per_timestep_crps: tuple[float, ...]
-    mase: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "per_timestep_crps", tuple(float(v) for v in self.per_timestep_crps)
-        )
-        mean = float(np.mean(self.per_timestep_crps))
-        if abs(mean - self.crps) > 1e-12 * max(1.0, abs(mean)):
-            raise ValueError(
-                f"crps {self.crps} is not the mean of per-timestep values ({mean})"
-            )
-
-
-def crps_series(
-    forecasts: Sequence[QuantileForecast], actuals: Sequence[float]
-) -> ScoreSummary:
-    """Per-timestep CRPS and its arithmetic mean over a horizon."""
-    if len(forecasts) != len(actuals):
-        raise LengthMismatch(
-            f"{len(forecasts)} forecasts for {len(actuals)} actuals"
-        )
-    if not forecasts:
-        raise LengthMismatch("cannot score an empty horizon")
-    per = tuple(crps_timestep(f, y) for f, y in zip(forecasts, actuals))
-    return ScoreSummary(crps=float(np.mean(per)), per_timestep_crps=per)
 
 
 def mase(

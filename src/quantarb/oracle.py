@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .baselines import median_ensemble
-from .core import ArbitrationTrace, ForecastPanel, QuantileForecast, quantile_at
+from .core import ArbitrationTrace, ForecastPanel, quantile_at
 from .errors import DimensionMismatch, EmptyGroup, Misalignment
 from .metrics import crps_batch
 
@@ -110,13 +110,6 @@ def weight_rankings(trace: ArbitrationTrace) -> tuple[tuple[int, ...], ...]:
         w = step.weights.weights
         out.append(tuple(sorted(range(len(w)), key=lambda i: (-w[i], i))))
     return tuple(out)
-
-
-def median_ensemble_implicit_ranking(
-    forecasts: Sequence[QuantileForecast], ensemble_forecast: QuantileForecast
-) -> tuple[int, ...]:
-    """Models ordered by how close their median sits to the ensemble median."""
-    return _closest_first([fc.median for fc in forecasts], ensemble_forecast.median)
 
 
 def _closest_first(points: Sequence[float], target: float) -> tuple[int, ...]:

@@ -125,21 +125,6 @@ def _pchip_derivatives(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.concatenate((first[:, None], interior, last[:, None]), axis=1)
 
 
-def fit_inverse_cdf(forecast: QuantileForecast) -> InverseCdf:
-    """Fit the continuous inverse CDF of a validated quantile forecast."""
-    return InverseCdf(np.asarray(forecast.levels.levels), np.asarray(forecast.values))
-
-
-def sample(icdf: InverseCdf, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` inverse-transform samples from a single-forecast ``icdf``
-    using the caller's random stream."""
-    if n < 0:
-        raise ValueError(f"sample count must be >= 0, got {n}")
-    if n == 0:
-        return np.empty(0, dtype=float)
-    return icdf(rng.random(n))
-
-
 def empirical_quantiles(
     samples: Sequence[float] | np.ndarray, levels: QuantileLevels
 ) -> QuantileForecast:

@@ -18,8 +18,7 @@ from scipy.optimize import bisect
 from quantarb.arbitration import ArbitratorConfig, run_arbitration
 from quantarb.core import DEFAULT_LEVELS, ForecastPanel, QuantileForecast
 from quantarb.metrics import (
-    crps_series,
-    crps_timestep,
+    crps_batch,
     mase,
     pearson_correlation,
     pinball_loss,
@@ -30,12 +29,7 @@ from quantarb.oracle import (
     oracle_select,
     topk_selection_accuracy,
 )
-from quantarb.quantiles import (
-    RandomStreams,
-    empirical_quantiles,
-    fit_inverse_cdf,
-    sample,
-)
+from quantarb.quantiles import InverseCdf, RandomStreams, empirical_quantiles
 from quantarb.reporting import (
     run_evaluation,
     run_pool_scaling,
@@ -59,6 +53,14 @@ def _gaussian_forecast(loc: float, scale: float) -> QuantileForecast:
     return QuantileForecast(DEFAULT_LEVELS, tuple(loc + scale * z for z in _Z))
 
 
+def _fit(fc: QuantileForecast) -> InverseCdf:
+    return InverseCdf(np.asarray(fc.levels.levels), np.asarray(fc.values))
+
+
+def _crps(fc: QuantileForecast, y: float) -> float:
+    return float(crps_batch(fc.levels.levels, fc.values, y))
+
+
 @pytest.fixture(scope="module")
 def desk_suite():
     start = perf_counter()
@@ -80,8 +82,8 @@ def test_metric_hand_examples_match_exactly(capsys):
         weighted_quantile_loss(0.5, 4.0, 4.0) == 0.0,
         weighted_quantile_loss(0.5, 0.0, 2.0) == 1.0,
         close(weighted_quantile_loss(0.2, 1.0, -2.0), 2.4),
-        crps_timestep(QuantileForecast(DEFAULT_LEVELS, (5.0,) * 9), 5.0) == 0.0,
-        close(crps_timestep(staircase, 5.0), 8.0 / 45.0),
+        _crps(QuantileForecast(DEFAULT_LEVELS, (5.0,) * 9), 5.0) == 0.0,
+        close(_crps(staircase, 5.0), 8.0 / 45.0),
         close(mase([4.0], [2.0], [0.0, 1.0, 3.0], 1), 4.0 / 3.0),
         mase([2.0], [2.0], [0.0, 1.0, 3.0], 1) == 0.0,
         close(pearson_correlation([1, 2, 3], [2, 4, 7]), 15.0 / math.sqrt(228.0)),
@@ -108,7 +110,7 @@ def test_sampling_round_trip_recovers_quantiles_with_monotone_probes(capsys):
         loc = float(param_rng.uniform(-50.0, 50.0))
         scale = float(10.0 ** param_rng.uniform(-1.0, 1.2))
         fc = _gaussian_forecast(loc, scale)
-        xs = sample(fit_inverse_cdf(fc), 200_000, streams.child("rt", case).generator())
+        xs = _fit(fc)(streams.child("rt", case).generator().random(200_000))
         back = empirical_quantiles(xs, DEFAULT_LEVELS)
         tol = max(1e-2, 1e-2 * (fc.values[-1] - fc.values[0]))
         err = max(abs(a - b) for a, b in zip(back.values, fc.values))
@@ -120,7 +122,7 @@ def test_sampling_round_trip_recovers_quantiles_with_monotone_probes(capsys):
     for case in range(100):
         loc = float(probe_rng.uniform(-50.0, 50.0))
         scale = float(10.0 ** probe_rng.uniform(-1.0, 1.2))
-        icdf = fit_inverse_cdf(_gaussian_forecast(loc, scale))
+        icdf = _fit(_gaussian_forecast(loc, scale))
         pairs = probe_rng.uniform(1e-6, 1.0 - 1e-6, size=(100, 2))
         lo = pairs.min(axis=1)
         hi = pairs.max(axis=1)
@@ -153,11 +155,11 @@ def test_pooled_mixture_quantiles_match_bisection_inverted_cdf(capsys):
         loc_a = float(param_rng.uniform(-1.0, 1.0))
         separation = float(param_rng.uniform(0.0, 2.0 * max(scale_a, scale_b)))
         loc_b = loc_a + separation * (1.0 if param_rng.uniform() < 0.5 else -1.0)
-        icdf_a = fit_inverse_cdf(_gaussian_forecast(loc_a, scale_a))
-        icdf_b = fit_inverse_cdf(_gaussian_forecast(loc_b, scale_b))
+        icdf_a = _fit(_gaussian_forecast(loc_a, scale_a))
+        icdf_b = _fit(_gaussian_forecast(loc_b, scale_b))
 
-        xs_a = sample(icdf_a, 500_000, streams.child("mix", case, "a").generator())
-        xs_b = sample(icdf_b, 500_000, streams.child("mix", case, "b").generator())
+        xs_a = icdf_a(streams.child("mix", case, "a").generator().random(500_000))
+        xs_b = icdf_b(streams.child("mix", case, "b").generator().random(500_000))
         pooled = empirical_quantiles(np.concatenate([xs_a, xs_b]), DEFAULT_LEVELS)
 
         q_a = icdf_a(grid_p)
@@ -257,8 +259,8 @@ def test_oracle_dominates_every_constituent_with_topk_certainty(capsys):
             if trace.crps > member:
                 dominance_violations += 1
         if idx % 100 == 0:
-            fcs = panel.model_forecasts(panel.model_names[0])
-            recomputed = crps_series(fcs, panel.require_actuals()).crps
+            per = crps_batch(panel.levels.levels, panel.values[0], panel.require_actuals())
+            recomputed = float(np.mean(per))
             matrix_mean = math.fsum(row[0] for row in trace.crps_matrix) / horizon
             assert recomputed == pytest.approx(matrix_mean, rel=1e-12)
 

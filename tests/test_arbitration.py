@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,23 +9,26 @@ from quantarb.arbitration import (
     ArbitratorConfig,
     WindowScores,
     allocate_samples,
-    arbitrate_timestep,
-    average_crps_scores,
     run_arbitration,
     seed_window_from_context,
     weights_with_rule,
 )
 from quantarb.core import (
     DEFAULT_LEVELS,
-    PerformanceRecord,
     PerformanceWindow,
     QuantileForecast,
     QuantileLevels,
     WeightVector,
     build_panel,
 )
-from quantarb.errors import AlignmentMismatch, DimensionMismatch, EmptyWindow
-from quantarb.metrics import crps_timestep
+from quantarb.errors import (
+    AlignmentMismatch,
+    DimensionMismatch,
+    EmptyWindow,
+    NonFinite,
+    NonMonotoneQuantiles,
+)
+from quantarb.metrics import crps_batch
 from quantarb.quantiles import RandomStreams
 
 CFG = ArbitratorConfig()
@@ -56,10 +60,20 @@ def test_default_window_capacity_tracks_short_horizons():
     assert ArbitratorConfig(window_capacity=3).resolve_capacity(40) == 3
 
 
+def _scored(capacity, records):
+    """Window scores after pushing ``(observation, forecasts)`` records one by one."""
+    ring = WindowScores(capacity)
+    for obs, fcs in records:
+        ring.push(DEFAULT_LEVELS.levels, [fc.values for fc in fcs], obs)
+    return ring
+
+
+def _crps(fc, y):
+    return float(crps_batch(fc.levels.levels, fc.values, y))
+
+
 def test_average_scores_zero_for_point_mass_at_observation():
-    rec = PerformanceRecord(5.0, (_fc((5.0,) * 9), _gauss(4.0)))
-    window = PerformanceWindow(4).push(rec)
-    scores = average_crps_scores(window)
+    scores = _scored(4, [(5.0, (_fc((5.0,) * 9), _gauss(4.0)))]).averages()
     assert scores[0] == 0.0
     assert scores[1] > 0.0
 
@@ -67,23 +81,20 @@ def test_average_scores_zero_for_point_mass_at_observation():
 def test_average_scores_is_the_record_mean():
     # one model, two records with known per-record CRPS
     f1, f2 = _fc((5.0,) * 9), _fc((6.0,) * 9)
-    w = PerformanceWindow(4)
-    w = w.push(PerformanceRecord(4.0, (f1,)))  # crps 2*1/4 = 0.5
-    w = w.push(PerformanceRecord(4.0, (f2,)))  # crps 2*2/4 = 1.0
-    c1 = crps_timestep(f1, 4.0)
-    c2 = crps_timestep(f2, 4.0)
-    assert average_crps_scores(w) == (pytest.approx((c1 + c2) / 2, rel=1e-15),)
+    ring = _scored(4, [(4.0, (f1,)), (4.0, (f2,))])  # crps 2*1/4 = 0.5, then 2*2/4 = 1.0
+    c1 = _crps(f1, 4.0)
+    c2 = _crps(f2, 4.0)
+    assert ring.averages() == (pytest.approx((c1 + c2) / 2, rel=1e-15),)
 
 
 def test_average_scores_symmetric_for_identical_models():
-    rec = PerformanceRecord(3.0, (_gauss(2.0), _gauss(2.0)))
-    scores = average_crps_scores(PerformanceWindow(2).push(rec))
+    scores = _scored(2, [(3.0, (_gauss(2.0), _gauss(2.0)))]).averages()
     assert scores[0] == scores[1]
 
 
 def test_average_scores_reject_empty_window():
     with pytest.raises(EmptyWindow):
-        average_crps_scores(PerformanceWindow(2))
+        WindowScores(2).averages()
 
 
 def test_inverse_error_weights_hand_values():
@@ -136,11 +147,25 @@ def test_allocation_sums_exactly_and_stays_within_one_of_exact(raw, n_total):
         assert abs(c - wi * n_total) < 1.0
 
 
-def test_arbitrate_point_masses_splits_the_budget():
-    fcs = (_fc((0.0,) * 9), _fc((10.0,) * 9))
-    out, counts = arbitrate_timestep(
-        fcs, WeightVector((0.5, 0.5)), CFG, RandomStreams(0), model_names=("a", "b")
+def _one_step_panel(rows, context=(9.0, 9.5, 10.0)):
+    """A horizon-1 panel holding one forecast row per named model."""
+    return build_panel(
+        "step", context, None, 1, DEFAULT_LEVELS, [(name, [row]) for name, row in rows]
     )
+
+
+def _arbitrate_step(rows, config=CFG, seed=0, backtests=None):
+    """The one arbitrated step of a horizon-1 panel, its counts and weights."""
+    panel = _one_step_panel(rows)
+    window = seed_window_from_context(panel, backtests, config) if backtests else None
+    trace = run_arbitration(panel, initial_window=window, config=config, seed=seed)
+    step = trace.steps[0]
+    return step.forecast, step.sample_counts, step.weights
+
+
+def test_arbitrate_point_masses_splits_the_budget():
+    out, counts, weights = _arbitrate_step((("a", (0.0,) * 9), ("b", (10.0,) * 9)))
+    assert weights.weights == (0.5, 0.5)
     assert counts == (750, 750)
     # pooled sample is exactly 750 zeros and 750 tens; under the linear
     # interpolation estimator the 0.5 level lands between the two blocks
@@ -152,9 +177,7 @@ def test_arbitrate_point_masses_splits_the_budget():
 def test_arbitrate_single_model_round_trips_its_forecast():
     fc = _gauss(20.0, 3.0)
     cfg = ArbitratorConfig(n_total=200_000)
-    out, counts = arbitrate_timestep(
-        (fc,), WeightVector((1.0,)), cfg, RandomStreams(1), model_names=("m",)
-    )
+    out, counts, _ = _arbitrate_step((("m", fc.values),), cfg, seed=1)
     assert counts == (200_000,)
     scale = fc.values[-1] - fc.values[0]
     tol = max(1e-2, 1e-2 * scale)
@@ -165,19 +188,24 @@ def test_arbitrate_single_model_round_trips_its_forecast():
 def test_arbitrate_identical_models_matches_single_model_distribution():
     fc = _gauss(4.0)
     cfg = ArbitratorConfig(n_total=30_000)
-    both, _ = arbitrate_timestep(
-        (fc, fc), WeightVector((0.3, 0.7)), cfg, RandomStreams(2), model_names=("a", "b")
+    # Point-mass backtests 0.7 and 0.3 above the last context value 10 score
+    # 0.07 and 0.03, so the step weighs the identical models 0.3 and 0.7.
+    backtests = {"a": [[10.7] * 9], "b": [[10.3] * 9]}
+    both, _, weights = _arbitrate_step(
+        (("a", fc.values), ("b", fc.values)), cfg, seed=2, backtests=backtests
     )
+    assert weights.weights == pytest.approx((0.3, 0.7), rel=1e-12)
     for want, got in zip(fc.values, both.values):
         assert abs(got - want) <= 0.05
 
 
 def test_arbitrate_rejects_forecasts_on_different_grids():
-    other = QuantileForecast(QuantileLevels((0.25, 0.5, 0.75)), (1.0, 2.0, 3.0))
-    with pytest.raises(DimensionMismatch, match="quantile grids"):
-        arbitrate_timestep(
-            (_gauss(2.0), other), WeightVector((0.5, 0.5)), CFG, RandomStreams(0)
-        )
+    # A panel holds one grid; a window on another grid cannot seed its run.
+    panel = _drifting_panel()
+    grid = QuantileLevels((0.25, 0.5, 0.75))
+    other = PerformanceWindow(panel.model_names, grid, [[[1.0, 2.0, 3.0]]] * 2, [10.0])
+    with pytest.raises(AlignmentMismatch, match="initial window levels"):
+        run_arbitration(panel, initial_window=other, seed=0)
 
 
 def _drifting_panel(names=("a", "b"), t_steps=6, offsets=(0.0, 1.5)):
@@ -242,10 +270,8 @@ def test_self_tracking_model_triggers_softmax_branch():
 def test_lower_window_error_earns_more_weight():
     # every record scores a strictly below b, so inverse-error weighting must
     # favor a regardless of the margins involved
-    window = PerformanceWindow(4)
-    for obs in (3.0, 3.5, 2.8):
-        window = window.push(PerformanceRecord(obs, (_gauss(obs, 0.5), _gauss(obs + 2.0, 3.0))))
-    scores = average_crps_scores(window)
+    records = [(obs, (_gauss(obs, 0.5), _gauss(obs + 2.0, 3.0))) for obs in (3.0, 3.5, 2.8)]
+    scores = _scored(4, records).averages()
     assert scores[0] < scores[1]
     w = weights_with_rule(scores, CFG)[0]
     assert w.weights[0] > w.weights[1]
@@ -302,6 +328,9 @@ def test_simulated_truth_is_the_pooled_median_on_grids_without_one_half():
         for grid in ((0.05, 0.1, 0.2), (0.05, 0.1, 0.2, 0.5))
     ]
     lacking, holding = runs
+    # The point path is the pooled median too, not the clamped q0.2.
+    assert lacking.medians == tuple(s.simulated_truth for s in lacking.steps)
+    assert lacking.medians == holding.medians
     for a, b in zip(lacking.steps, holding.steps):
         assert a.simulated_truth == b.simulated_truth == b.forecast.values[-1]
         assert a.weights == b.weights
@@ -319,7 +348,8 @@ def test_seed_window_empty_without_backtests():
     panel = _drifting_panel()
     window = seed_window_from_context(panel)
     assert window.is_empty
-    assert window.capacity == CFG.resolve_capacity(panel.horizon)
+    assert (window.model_names, window.levels) == (panel.model_names, panel.levels)
+    assert window.values.shape == (2, 0, 9) and window.observations.shape == (0,)
 
 
 def test_seed_window_uses_context_tail_as_observations():
@@ -330,8 +360,9 @@ def test_seed_window_uses_context_tail_as_observations():
     }
     window = seed_window_from_context(panel, steps)
     assert len(window) == 2
-    assert [r.observation for r in window.records] == [9.5, 10.0]
-    assert window.records[0].forecasts[0].values[0] == 1.0
+    assert window.observations.tolist() == [9.5, 10.0]
+    assert window.values[0, 0, 0] == 1.0
+    assert window.values[1, 1, 0] == 2.5
 
 
 def test_seed_window_alignment_errors():
@@ -347,6 +378,56 @@ def test_seed_window_alignment_errors():
         seed_window_from_context(panel, too_long)  # only 3 context values
 
 
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ([1.0] * 8, DimensionMismatch, "8 values for 9 levels"),
+        ([1.0, None] + [2.0] * 7, TypeError, "level index 1 is null"),
+        ([1.0, float("nan")] + [2.0] * 7, NonFinite, "nan at index 1"),
+        ([2.0, 1.0] + [3.0] * 7, NonMonotoneQuantiles, r"level indices \[0\]"),
+    ],
+)
+def test_seed_window_names_model_and_backtest_step_of_a_bad_row(bad, error, message):
+    panel = _drifting_panel()
+    good = [[1.0 + 0.1 * k for k in range(9)]] * 2
+    with pytest.raises(error, match=f"model 'b' at backtest step 1: .*{message}"):
+        seed_window_from_context(panel, {"a": good, "b": [good[0], bad]})
+
+
+def test_seeded_window_keeps_the_newest_records_at_capacity():
+    # Seeded under the default capacity (10 for this horizon), run under 4:
+    # the first step scores only the 4 newest backtest records.
+    panel = _three_model_panel()
+    backtests = {
+        name: [[18.5 + j + 0.5 * i + 0.3 * k for k in range(9)] for j in range(8)]
+        for i, name in enumerate(panel.model_names)
+    }
+    window = seed_window_from_context(panel, backtests)
+    assert len(window) == 8
+    cfg = ArbitratorConfig(window_capacity=4)
+    trace = run_arbitration(panel, initial_window=window, config=cfg, seed=0)
+    newest = [(window.values[:, j], window.observations[j]) for j in range(4, 8)]
+    assert trace.steps[0].scores == _rescored(newest)
+    assert trace.steps[0].scores != _rescored(
+        [(window.values[:, j], window.observations[j]) for j in range(8)]
+    )
+
+
+def test_window_for_another_model_order_is_rejected():
+    # Scores are attributed by position, so a window seeded for (a, b, c)
+    # must not seed the (c, b, a) panel.
+    panel = _three_model_panel()
+    backtests = {name: [[19.0 + 0.3 * k for k in range(9)]] for name in panel.model_names}
+    window = seed_window_from_context(panel, backtests)
+    flipped = build_panel(
+        panel.series_id, panel.context, None, 1, DEFAULT_LEVELS,
+        [(name, panel.values[i].tolist()) for i, name in reversed(list(enumerate("abc")))],
+    )
+    with pytest.raises(AlignmentMismatch, match="initial window models"):
+        run_arbitration(flipped, initial_window=window, seed=0)
+    run_arbitration(flipped, initial_window=seed_window_from_context(flipped, backtests), seed=0)
+
+
 def test_initial_window_biases_first_step_weights():
     panel = _drifting_panel()
     # backtest records where a nailed the context and b was far off
@@ -360,12 +441,13 @@ def test_initial_window_biases_first_step_weights():
     assert trace.steps[0].weights.weights[0] > 0.9
 
 
-def _rescored(window):
-    """Reference: re-score every record of the window, per model."""
-    n_models = len(window.records[0].forecasts)
+def _rescored(records):
+    """Reference: re-score every ``(values (N, K), observation)`` record, one
+    forecast at a time, and average per model."""
+    n_models = len(records[0][0])
     return tuple(
-        math.fsum(crps_timestep(r.forecasts[i], r.observation) for r in window.records)
-        / len(window.records)
+        math.fsum(float(crps_batch(DEFAULT_LEVELS.levels, v[i], y)) for v, y in records)
+        / len(records)
         for i in range(n_models)
     )
 
@@ -394,25 +476,28 @@ def test_cached_window_scores_match_rescoring_bit_for_bit(seeded):
     window = seed_window_from_context(panel, backtests, cfg)
     assert len(window) == seeded
     trace = run_arbitration(panel, initial_window=window, config=cfg, seed=4)
+    records = deque(
+        ((window.values[:, j], window.observations[j]) for j in range(seeded)), maxlen=4
+    )
     for t, step in enumerate(trace.steps):
-        if window.is_empty:
+        if not records:
             assert step.weight_rule == "uniform" and step.scores is None
         else:
-            assert step.scores == _rescored(window) == average_crps_scores(window)
-            weights, rule = weights_with_rule(_rescored(window), cfg)
+            assert step.scores == _rescored(records)
+            weights, rule = weights_with_rule(_rescored(records), cfg)
             assert (step.weights, step.weight_rule) == (weights, rule)
-        window = window.push(PerformanceRecord(step.simulated_truth, panel.forecasts_at(t)))
-    assert len(window) == 4
+        records.append((panel.values[:, t], step.simulated_truth))
+    assert len(records) == 4
 
 
 def test_window_scores_evict_the_oldest_row_at_capacity():
     ring = WindowScores(2)
-    window = PerformanceWindow(2)
+    records = deque(maxlen=2)
     for obs in (3.0, 3.5, 2.8, 4.1):
-        rec = PerformanceRecord(obs, (_gauss(3.0, 0.5), _gauss(4.0, 2.0)))
-        ring.push(DEFAULT_LEVELS.levels, [f.values for f in rec.forecasts], rec.observation)
-        window = window.push(rec)
-        assert len(ring) == len(window)
-        assert ring.averages() == _rescored(window)
+        values = np.array([_gauss(3.0, 0.5).values, _gauss(4.0, 2.0).values])
+        ring.push(DEFAULT_LEVELS.levels, values, obs)
+        records.append((values, obs))
+        assert len(ring) == len(records)
+        assert ring.averages() == _rescored(records)
     with pytest.raises(EmptyWindow):
         WindowScores(3).averages()

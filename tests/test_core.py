@@ -10,7 +10,6 @@ from quantarb.core import (
     ArbitrationStep,
     ArbitrationTrace,
     ForecastPanel,
-    PerformanceRecord,
     PerformanceWindow,
     QuantileForecast,
     QuantileLevels,
@@ -207,6 +206,14 @@ def test_panel_context_must_cover_seasonality():
         build_panel("s", [1.0, 2.0], None, 2, DEFAULT_LEVELS, [("a", _steps([1.0]))])
 
 
+def test_panel_rejects_actuals_off_the_horizon_and_an_empty_horizon():
+    # A series score pairs one actual with each horizon step.
+    with pytest.raises(DimensionMismatch, match="actuals length 3"):
+        build_panel("s", [1, 2], [4, 5, 6], 1, DEFAULT_LEVELS, [("a", _steps([4.0, 5.0]))])
+    with pytest.raises(DimensionMismatch, match="horizon must be positive"):
+        ForecastPanel("s", (1, 2), (), 1, ("a",), DEFAULT_LEVELS, np.empty((1, 0, 9)))
+
+
 def test_panel_without_actuals_raises_only_on_demand():
     panel = build_panel("s", [1, 2], None, 1, DEFAULT_LEVELS, [("a", _steps([1.0]))])
     assert panel.actuals is None
@@ -253,34 +260,49 @@ def test_normalized_weights_always_sum_to_one(raw):
     assert abs(total - 1.0) <= 1e-9
 
 
-def _record(obs, n_models=2):
-    fc = QuantileForecast(DEFAULT_LEVELS, [obs + 0.1 * k for k in range(9)])
-    return PerformanceRecord(obs, (fc,) * n_models)
-
-
-def test_window_push_evicts_oldest_at_capacity():
-    w = PerformanceWindow(capacity=2)
-    assert w.is_empty
-    w = w.push(_record(1.0)).push(_record(2.0)).push(_record(3.0))
-    assert len(w) == 2
-    assert [r.observation for r in w.records] == [2.0, 3.0]
+def _window(n_models=2, n_records=2, levels=DEFAULT_LEVELS):
+    row = [1.0 + 0.1 * k for k in range(len(levels))]
+    values = np.tile(row, (n_models, n_records, 1))
+    names = tuple("abcdef"[:n_models])
+    return names, levels, values, np.arange(1.0, n_records + 1.0)
 
 
 def test_window_rejects_inconsistent_model_counts():
+    names, levels, values, obs = _window(n_models=2)
     with pytest.raises(DimensionMismatch):
-        PerformanceWindow(3, (_record(1.0, n_models=2), _record(2.0, n_models=3)))
+        PerformanceWindow(names + ("c",), levels, values, obs)
+    with pytest.raises(DimensionMismatch, match="repeats model names"):
+        PerformanceWindow(("a", "a"), levels, values, obs)
 
 
 def test_record_forecasts_must_share_one_grid():
-    # A record's scores come from one (N, K) block on one grid.
-    other = QuantileForecast(QuantileLevels((0.1, 0.5, 0.9)), (1.0, 2.0, 3.0))
-    with pytest.raises(DimensionMismatch, match="different grids"):
-        PerformanceRecord(1.0, (_record(1.0).forecasts[0], other))
+    # A window's scores come from one (N, L, K) block on one grid.
+    names, _, values, obs = _window()
+    with pytest.raises(DimensionMismatch):
+        PerformanceWindow(names, QuantileLevels((0.1, 0.5, 0.9)), values, obs)
 
 
-def test_window_capacity_must_be_positive():
+def test_window_is_one_validated_read_only_block():
+    names, levels, values, obs = _window(n_records=3)
+    window = PerformanceWindow(names, levels, values, obs)
+    values[0, 0, 0] = 0.0
+    assert (len(window), window.is_empty) == (3, False)
+    assert window.values[0, 0, 0] == 1.0
     with pytest.raises(ValueError):
-        PerformanceWindow(0)
+        window.values[0, 0, 0] = 100.0
+    with pytest.raises(ValueError):
+        window.observations[0] = 0.0
+    clone = pickle.loads(pickle.dumps(window))
+    assert clone.values.tobytes() == window.values.tobytes()
+    assert not clone.values.flags.writeable and not clone.observations.flags.writeable
+    with pytest.raises(DimensionMismatch, match="observations"):
+        PerformanceWindow(names, levels, values, obs[:2])
+    with pytest.raises(NonFinite, match="backtest step 1"):
+        PerformanceWindow(names, levels, values, [1.0, float("inf"), 3.0])
+    values[1, 2, 4] = 0.0
+    with pytest.raises(NonMonotoneQuantiles, match="model 'b' at backtest step 2"):
+        PerformanceWindow(names, levels, values, obs)
+    assert PerformanceWindow(names, levels, np.empty((2, 0, 9)), []).is_empty
 
 
 def _step(counts, n_total=10):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantarb.core import DEFAULT_LEVELS, QuantileForecast, QuantileLevels
+from quantarb.core import DEFAULT_LEVELS, QuantileLevels
 from quantarb.errors import (
     DegenerateVariance,
     LengthMismatch,
@@ -10,10 +10,7 @@ from quantarb.errors import (
     ZeroDenominator,
 )
 from quantarb.metrics import (
-    ScoreSummary,
     crps_batch,
-    crps_series,
-    crps_timestep,
     lumpiness,
     mase,
     pearson_correlation,
@@ -57,27 +54,26 @@ def test_weighted_quantile_loss_is_finite_at_zero_observation():
     assert v == pytest.approx(2.0 * 0.5 * 1.0 / 1e-8)
 
 
-def _fc(values):
-    return QuantileForecast(DEFAULT_LEVELS, values)
+def _crps(values, y):
+    """CRPS of one forecast on the default grid, as a float."""
+    return float(crps_batch(DEFAULT_LEVELS.levels, values, y))
 
 
 def test_crps_timestep_zero_for_point_mass_at_truth():
-    assert crps_timestep(_fc((5.0,) * 9), 5.0) == 0.0
+    assert _crps((5.0,) * 9, 5.0) == 0.0
 
 
 def test_crps_timestep_staircase_oracle():
     # levels .1..9 with values 1..9 against y=5: the nine pinball terms are
     # (.4,.6,.6,.4,0,.4,.6,.6,.4), summing to 4; CRPS = (1/9)(2/5)(4) = 8/45.
-    got = crps_timestep(_fc(tuple(range(1, 10))), 5.0)
+    got = _crps(tuple(range(1, 10)), 5.0)
     assert got == pytest.approx(8.0 / 45.0, rel=1e-12)
 
 
 def test_crps_timestep_scale_invariant_away_from_zero():
-    fc = _fc((1, 2, 3, 4, 5, 6, 7, 8, 9))
-    scaled = _fc(tuple(3.0 * v for v in fc.values))
-    assert crps_timestep(scaled, 3.0 * 5.0) == pytest.approx(
-        crps_timestep(fc, 5.0), rel=1e-12
-    )
+    values = (1, 2, 3, 4, 5, 6, 7, 8, 9)
+    scaled = tuple(3.0 * v for v in values)
+    assert _crps(scaled, 3.0 * 5.0) == pytest.approx(_crps(values, 5.0), rel=1e-12)
 
 
 @st.composite
@@ -99,34 +95,25 @@ def test_crps_batch_matches_per_forecast_scores_bit_for_bit(block):
     levels, values, obs = block
     got = crps_batch(levels.levels, values, obs)
     assert got.shape == values.shape[:2]
-    for i in range(values.shape[0]):
-        for t, y in enumerate(obs):
-            fc = QuantileForecast(levels, values[i, t].tolist())
-            assert got[i, t] == crps_timestep(fc, y)
-            # the same step scored as one (N, K) slice
-            assert crps_batch(levels.levels, values[:, t], y)[i] == got[i, t]
+    for t, y in enumerate(obs):
+        # The block is also an (N, L, K) window against (L,) observations:
+        # each record scored alone as an (N, K) slice, as a record enters the
+        # window, must equal its column bit for bit, which one-call window
+        # seeding relies on.
+        record = crps_batch(levels.levels, values[:, t], y)
+        assert record.tobytes() == got[:, t].tobytes()
+        for i in range(values.shape[0]):
+            assert got[i, t] == float(crps_batch(levels.levels, values[i, t].tolist(), y))
 
 
 def test_crps_series_is_mean_of_timesteps():
-    fcs = [_fc(tuple(range(1, 10))), _fc((5.0,) * 9)]
-    summary = crps_series(fcs, [5.0, 5.0])
-    a = crps_timestep(fcs[0], 5.0)
-    assert summary.per_timestep_crps == (a, 0.0)
-    assert summary.crps == pytest.approx(a / 2.0, rel=1e-12)
-    single = crps_series(fcs[:1], [5.0])
-    assert single.crps == a
-
-
-def test_crps_series_rejects_length_mismatch_and_empty():
-    with pytest.raises(LengthMismatch):
-        crps_series([_fc(range(1, 10))], [1.0, 2.0])
-    with pytest.raises(LengthMismatch):
-        crps_series([], [])
-
-
-def test_score_summary_enforces_mean_consistency():
-    with pytest.raises(ValueError):
-        ScoreSummary(crps=1.0, per_timestep_crps=(0.0, 0.0))
+    # A series' CRPS is the mean of its per-timestep scores over the horizon.
+    horizon = np.array([range(1, 10), (5.0,) * 9], dtype=float)
+    per = crps_batch(DEFAULT_LEVELS.levels, horizon, [5.0, 5.0])
+    a = _crps(tuple(range(1, 10)), 5.0)
+    assert per.tolist() == [a, 0.0]
+    assert float(np.mean(per)) == pytest.approx(a / 2.0, rel=1e-12)
+    assert float(np.mean(crps_batch(DEFAULT_LEVELS.levels, horizon[:1], [5.0]))) == a
 
 
 def test_mase_hand_oracle():

@@ -9,7 +9,6 @@ from quantarb.errors import (
 )
 from quantarb.oracle import (
     OracleTrace,
-    median_ensemble_implicit_ranking,
     median_ensemble_rankings,
     oracle_select,
     selection_frequency_table,
@@ -19,7 +18,7 @@ from quantarb.oracle import (
     weight_rankings,
 )
 from quantarb.arbitration import run_arbitration
-from quantarb.metrics import crps_series
+from quantarb.metrics import crps_batch
 from quantarb.baselines import quantile_median_ensemble
 
 
@@ -50,7 +49,8 @@ def test_single_model_is_always_selected():
     assert trace.switch_percentage == 0.0
     assert trace.selection_frequencies == (1.0,)
     # A lone model is the oracle's pick at every step, so their CRPS agree.
-    alone = crps_series(panel.model_forecasts("a"), panel.require_actuals()).crps
+    per = crps_batch(panel.levels.levels, panel.values[0], panel.require_actuals())
+    alone = float(per.mean())
     assert trace.crps == pytest.approx(alone, rel=1e-15)
 
 
@@ -145,18 +145,22 @@ def test_weight_rankings_sort_by_descending_weight():
         assert w[ranking[0]] == max(w)
 
 
+def _one_step_rankings(centers):
+    """Median-ensemble rankings of a one-step panel of spread forecasts."""
+    rows = [(f"m{i}", [_spread(c)]) for i, c in enumerate(centers)]
+    return median_ensemble_rankings(_panel("ir", rows, [0.0]))
+
+
 def test_median_implicit_ranking_hand_cases():
     fcs = [_fc(_spread(1.0)), _fc(_spread(5.0)), _fc(_spread(9.0))]
     ens = quantile_median_ensemble(fcs)
     assert ens.median == 5.0
-    assert median_ensemble_implicit_ranking(fcs, ens) == (1, 0, 2)
+    assert _one_step_rankings((1.0, 5.0, 9.0)) == ((1, 0, 2),)
 
-    two = [_fc(_spread(2.0)), _fc(_spread(3.0))]
-    ens2 = _fc(_spread(2.4))
-    assert median_ensemble_implicit_ranking(two, ens2) == (0, 1)
+    # two medians 0.5 either side of the ensemble's 2.5: ties go to the lower index
+    assert _one_step_rankings((2.0, 3.0)) == ((0, 1),)
 
-    same = [_fc(_spread(4.0))] * 3
-    assert median_ensemble_implicit_ranking(same, same[0]) == (0, 1, 2)
+    assert _one_step_rankings((4.0, 4.0, 4.0)) == ((0, 1, 2),)
 
 
 def test_median_ensemble_rankings_cover_the_horizon():

@@ -3,19 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from quantarb.core import DEFAULT_LEVELS, QuantileForecast, QuantileLevels
+from quantarb.core import DEFAULT_LEVELS, QuantileLevels
 from quantarb.errors import DimensionMismatch, EmptySampleSet
 from quantarb.quantiles import (
     InverseCdf,
     RandomStreams,
     empirical_quantiles,
-    fit_inverse_cdf,
-    sample,
 )
 
 
 def _fit(values, levels=DEFAULT_LEVELS):
-    return fit_inverse_cdf(QuantileForecast(levels, values))
+    return InverseCdf(np.asarray(levels.levels), np.asarray(values, dtype=float))
 
 
 def test_identity_quantiles_reproduce_the_line():
@@ -72,24 +70,22 @@ def test_inverse_cdf_monotone_for_random_probe_pairs(values, p1, p2):
 
 def test_sample_zero_draws_and_point_mass():
     rng = np.random.default_rng(0)
-    assert sample(_fit((7.0,) * 9), 0, rng).shape == (0,)
-    draws = sample(_fit((7.0,) * 9), 100, rng)
+    assert _fit((7.0,) * 9)(rng.random(0)).shape == (0,)
+    draws = _fit((7.0,) * 9)(rng.random(100))
     assert np.all(draws == 7.0)
-    with pytest.raises(ValueError):
-        sample(_fit((7.0,) * 9), -1, rng)
 
 
 def test_sample_median_of_identity_icdf_near_half():
     rng = np.random.default_rng(42)
-    draws = sample(_fit(tuple(DEFAULT_LEVELS.levels)), 100_000, rng)
+    draws = _fit(tuple(DEFAULT_LEVELS.levels))(rng.random(100_000))
     assert np.median(draws) == pytest.approx(0.5, abs=0.01)
 
 
 def test_sampling_is_deterministic_per_stream():
     icdf = _fit(tuple(range(9)))
-    a = sample(icdf, 50, RandomStreams(9).child("x").generator())
-    b = sample(icdf, 50, RandomStreams(9).child("x").generator())
-    c = sample(icdf, 50, RandomStreams(9).child("y").generator())
+    a = icdf(RandomStreams(9).child("x").generator().random(50))
+    b = icdf(RandomStreams(9).child("x").generator().random(50))
+    c = icdf(RandomStreams(9).child("y").generator().random(50))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -133,7 +129,7 @@ def test_round_trip_smooth_forecast():
     z = np.array([-1.2816, -0.8416, -0.5244, -0.2533, 0.0, 0.2533, 0.5244, 0.8416, 1.2816])
     values = tuple(mu + sigma * zi for zi in z)
     icdf = _fit(values)
-    draws = sample(icdf, 200_000, RandomStreams(3).generator())
+    draws = icdf(RandomStreams(3).generator().random(200_000))
     back = empirical_quantiles(draws, DEFAULT_LEVELS)
     scale = values[-1] - values[0]
     tol = max(1e-2, 1e-2 * scale)
@@ -143,7 +139,7 @@ def test_round_trip_smooth_forecast():
 
 def test_single_level_grid_fits_a_constant():
     one = QuantileLevels((0.5,))
-    icdf = fit_inverse_cdf(QuantileForecast(one, (4.2,)))
+    icdf = _fit((4.2,), one)
     assert icdf(0.1) == 4.2
     assert icdf(0.9) == 4.2
 
