@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import AlignmentMismatch, EmptyWindow
 from .metrics import crps_batch
-from .quantiles import InverseCdf, RandomStreams, empirical_quantiles
+from .quantiles import InverseCdf, RandomStreams, empirical_quantiles, philox_uniforms
 
 # Weight-rule labels recorded in traces.
 RULE_UNIFORM = "uniform"
@@ -150,15 +150,16 @@ def _pool_draws(
     rows: np.ndarray,
     weights: WeightVector,
     config: ArbitratorConfig,
-    streams: RandomStreams,
-    keys: Sequence[str | int],
+    generator: np.random.Generator,
+    keys: Sequence[Sequence[int]],
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Allocate the budget, draw every model's uniforms from its own keyed
-    substream, and evaluate the pooled draws against batch ``rows`` of
+    """Allocate the budget, draw every model's uniforms from its own Philox
+    stream (``keys`` holds one key per model), through one reused
+    ``generator``, and evaluate the pooled draws against batch ``rows`` of
     ``icdf`` in one pass."""
     counts = allocate_samples(weights, config.n_total)
     uniforms = [
-        streams.child(key).generator().random(count)
+        philox_uniforms(generator, key, count)
         for key, count in zip(keys, counts)
         if count
     ]
@@ -223,8 +224,12 @@ def run_arbitration(
         window.push(levels.levels, initial_window.values, initial_window.observations)
     if streams is None:
         streams = RandomStreams(seed)
-    series_streams = streams.child("series", panel.series_id)
     horizon = panel.horizon
+    # Model i's stream at step t is child("series", id, "t", t).child(name):
+    # all N x T keys in one pass, drawn through one generator.
+    series_streams = streams.child("series", panel.series_id, "t")
+    keys = series_streams.grid_keys(range(horizon), names).tolist()
+    generator = np.random.Generator(np.random.Philox(0))
     out_levels = config.levels if config.levels is not None else levels
     # Batch row of model i at step t is i * horizon + t.
     icdf = InverseCdf(np.asarray(levels.levels), panel.values)
@@ -238,9 +243,7 @@ def run_arbitration(
         else:
             scores = window.averages()
             weights, rule = weights_with_rule(scores, config)
-        pooled, counts = _pool_draws(
-            icdf, model_rows + t, weights, config, series_streams.child("t", t), names
-        )
+        pooled, counts = _pool_draws(icdf, model_rows + t, weights, config, generator, keys[t])
         arbitrated, simulated = _requantize(pooled, out_levels)
         # The last step's record would never be read.
         if dynamic and t + 1 < horizon:
@@ -272,11 +275,12 @@ def seed_window_from_context(
 
     ``backtest_forecasts`` maps every panel model to an L x K quantile matrix
     for the last L context steps; the true context values become the window
-    observations. The matrices are stacked in ``panel.model_names`` order on
-    the panel's levels. Without backtest forecasts the window is empty and
-    the first arbitration step falls back to uniform weights.
+    observations, so L may be at most the context length. The matrices are
+    stacked in ``panel.model_names`` order on the panel's levels. Without
+    backtest forecasts the window is empty and the first arbitration step
+    falls back to uniform weights. ``config`` is unused: a run keeps the
+    newest records that fit its own window capacity.
     """
-    config = config if config is not None else ArbitratorConfig()
     names = panel.model_names
     if not backtest_forecasts:
         backtest_forecasts = dict.fromkeys(names, ())
@@ -290,10 +294,9 @@ def seed_window_from_context(
     if len(set(lengths.values())) != 1:
         raise AlignmentMismatch(f"backtest step counts disagree: {lengths}")
     span = next(iter(lengths.values()))
-    usable = min(config.resolve_capacity(panel.horizon), len(panel.context))
-    if span > usable:
+    if span > len(panel.context):
         raise AlignmentMismatch(
-            f"{span} backtest steps cannot align with the last {usable} context values"
+            f"{span} backtest steps cannot align with {len(panel.context)} context values"
         )
     models = [(name, backtest_forecasts[name]) for name in names]
     return PerformanceWindow(

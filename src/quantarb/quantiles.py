@@ -10,6 +10,7 @@ empirical quantiles used by arbitration.
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -141,13 +142,126 @@ def empirical_quantiles(
 
 
 def _component_key(component: str | int) -> int:
-    """Stable 64-bit key for one stream-path component."""
-    if isinstance(component, bool):  # bool is an int subclass; keep it out
+    """Stable 64-bit key for one stream-path component.
+
+    Integers, numpy's included, key by value; anything else by a hash of its
+    string form.
+    """
+    if isinstance(component, (bool, np.bool_)):  # bool is an int subclass; keep it out
         raise TypeError("stream path components must be str or int")
-    if isinstance(component, int):
-        return component & 0xFFFFFFFFFFFFFFFF
+    if not isinstance(component, str):
+        try:
+            return operator.index(component) & _MASK64
+        except TypeError:
+            pass
     digest = hashlib.blake2b(str(component).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+# numpy's SeedSequence entropy hash (pool of 4 uint32 words), written out so
+# the keys of many streams that share a path prefix hash side by side. Pool
+# words are Python ints or uint64 arrays holding 32-bit values, so products
+# of two words are exact and no fixed-width scalar can overflow.
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, const: int):
+    """One ``hashmix`` of ``value``; returns it with the advanced constant."""
+    value = value ^ const
+    const = const * _MULT_A & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _mix_pool(pool: list, const: int) -> int:
+    """Mix every pool word into every other one, in place."""
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    return const
+
+
+def _schedule(const: int, mult: int) -> list[int]:
+    """``const`` and its next ``_POOL_SIZE`` multiples by ``mult``, mod 2**32."""
+    consts = [const]
+    for _ in range(_POOL_SIZE):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _absorb(state: tuple, words) -> tuple:
+    """Feed entropy words into a ``(pool, constant, words seen)`` hash state.
+
+    The constant's schedule depends only on how many words came before, so a
+    word may be an array of alternatives, hashed side by side.
+    """
+    pool, const, seen = state
+    pool = list(pool)
+    for word in words:
+        if seen < _POOL_SIZE:
+            pool[seen], const = _hashmix(word, const)
+            if seen + 1 == _POOL_SIZE:
+                const = _mix_pool(pool, const)
+        elif isinstance(word, np.ndarray):
+            # Each pool word mixes in its own hash of the new word, at the
+            # next four constants: one array operation across the pool.
+            consts = _schedule(const, _MULT_A)
+            const = consts[-1]
+            c = np.array(consts, dtype=np.uint64).reshape((-1,) + (1,) * word.ndim)
+            hashed = (word ^ c[:-1]) * c[1:] & _MASK32
+            pool = list(_mix(np.stack(np.broadcast_arrays(*pool)), hashed ^ hashed >> 16))
+        else:
+            for dst in range(_POOL_SIZE):
+                hashed, const = _hashmix(word, const)
+                pool[dst] = _mix(pool[dst], hashed)
+        seen += 1
+    return pool, const, seen
+
+
+def _philox_key(state: tuple) -> tuple:
+    """``generate_state(2, np.uint64)`` of a hash state: the Philox key as two
+    uint64 arrays."""
+    pool, const, seen = state
+    if seen < _POOL_SIZE:  # entropy shorter than the pool is padded with zeros
+        pool, const, seen = _absorb(state, [0] * (_POOL_SIZE - seen))
+    words = np.stack(np.broadcast_arrays(*pool))
+    c = np.array(_schedule(_INIT_B, _MULT_B), dtype=np.uint64).reshape(
+        (-1,) + (1,) * (words.ndim - 1)
+    )
+    words = (words ^ c[:-1]) * c[1:] & _MASK32
+    words ^= words >> 16
+    return words[0] | words[1] << 32, words[2] | words[3] << 32
+
+
+def _words(key: int) -> tuple[int, ...]:
+    """uint32 words of a 64-bit key, as SeedSequence splits an integer."""
+    return (key,) if key <= _MASK32 else (key & _MASK32, key >> 32)
+
+
+def _word_groups(components) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Indices of ``components`` grouped by word count, with each group's
+    words as a (count, group size) uint64 array."""
+    groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for i, component in enumerate(components):
+        words = _words(_component_key(component))
+        groups.setdefault(len(words), []).append((i, words))
+    return [
+        (np.array([i for i, _ in group], dtype=np.intp),
+         np.array([w for _, w in group], dtype=np.uint64).T)
+        for group in groups.values()
+    ]
 
 
 class RandomStreams:
@@ -155,8 +269,10 @@ class RandomStreams:
 
     Each node is identified by a master seed plus a path of string/int keys;
     ``child`` extends the path and ``generator`` materializes an independent
-    Philox stream. Keying substreams by names (not positions) is what makes
-    arbitration permutation-equivariant bit-for-bit.
+    Philox stream; ``grid_keys`` derives the Philox keys of a whole grid of
+    grandchildren at once, for ``philox_uniforms``. Keying substreams by
+    names (not positions) is what makes arbitration permutation-equivariant
+    bit-for-bit.
     """
 
     __slots__ = ("seed", "path")
@@ -171,5 +287,47 @@ class RandomStreams:
         )
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence((self.seed & 0xFFFFFFFFFFFFFFFF,) + self.path)
+        seq = np.random.SeedSequence((self.seed & _MASK64,) + self.path)
         return np.random.Generator(np.random.Philox(seq))
+
+    def grid_keys(self, rows: Sequence[str | int], leaves: Sequence[str | int]) -> np.ndarray:
+        """Philox keys of every ``child(row).child(leaf)`` stream.
+
+        Returns shape (len(rows), len(leaves), 2) uint64; entry ``[r, i]`` is
+        the key ``child(rows[r]).child(leaves[i]).generator()`` seeds Philox
+        with. Philox is counter-based, so the key fixes the whole stream
+        (Salmon et al. 2011). The shared path is hashed once, then each row
+        word across all rows, then each leaf word across rows and leaves.
+        """
+        prefix = [w for key in (self.seed & _MASK64,) + self.path for w in _words(key)]
+        pool, const, seen = _absorb(([0] * _POOL_SIZE, _INIT_A, 0), prefix)
+        # As (1, 1) arrays, the pool broadcasts over rows, then leaves.
+        shared = ([np.full((1, 1), w, dtype=np.uint64) for w in pool], const, seen)
+        leaf_groups = _word_groups(leaves)
+        out = np.empty((len(rows), len(leaves), 2), dtype=np.uint64)
+        for row_index, row_words in _word_groups(rows):
+            row_state = _absorb(shared, row_words[:, :, None])
+            for leaf_index, leaf_words in leaf_groups:
+                key = _philox_key(_absorb(row_state, leaf_words[:, None, :]))
+                out[np.ix_(row_index, leaf_index)] = np.stack(key, axis=-1)
+        return out
+
+
+def philox_uniforms(
+    generator: np.random.Generator, key: Sequence[int] | np.ndarray, count: int
+) -> np.ndarray:
+    """The first ``count`` uniforms of the Philox stream with ``key``.
+
+    ``generator`` wraps a Philox bit generator that is reset to the start of
+    the keyed stream, so one generator serves any number of streams, and the
+    draws equal those of a fresh ``RandomStreams.generator()`` bit for bit.
+    """
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator.random(count)

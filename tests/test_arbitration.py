@@ -413,6 +413,35 @@ def test_seeded_window_keeps_the_newest_records_at_capacity():
     )
 
 
+def test_seed_window_may_hold_more_records_than_the_run_capacity():
+    # 8 context values, 5 backtest records, capacity 4: the window keeps all
+    # five, and the run scores its first step on the newest four.
+    panel = _three_model_panel()
+    cfg = ArbitratorConfig(window_capacity=4)
+    backtests = {
+        name: [[18.5 + j + 0.5 * i + 0.3 * k for k in range(9)] for j in range(5)]
+        for i, name in enumerate(panel.model_names)
+    }
+    window = seed_window_from_context(panel, backtests, cfg)
+    assert len(window) == 5
+    assert window.observations.tolist() == list(panel.context[-5:])
+    trace = run_arbitration(panel, initial_window=window, config=cfg, seed=0)
+    newest = [(window.values[:, j], window.observations[j]) for j in range(1, 5)]
+    assert trace.steps[0].scores == _rescored(newest)
+
+
+def test_arbitration_draws_without_building_a_generator_per_stream(monkeypatch):
+    # Keys for every (step, model) come from one grid_keys pass; building a
+    # SeedSequence-backed generator per stream is the slow path it replaces.
+    expected = run_arbitration(_three_model_panel(), seed=3)
+
+    def refuse(self):
+        raise AssertionError("run_arbitration built a per-stream generator")
+
+    monkeypatch.setattr(RandomStreams, "generator", refuse)
+    assert run_arbitration(_three_model_panel(), seed=3) == expected
+
+
 def test_window_for_another_model_order_is_rejected():
     # Scores are attributed by position, so a window seeded for (a, b, c)
     # must not seed the (c, b, a) panel.

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from quantarb.core import DEFAULT_LEVELS, QuantileLevels
@@ -9,6 +9,7 @@ from quantarb.quantiles import (
     InverseCdf,
     RandomStreams,
     empirical_quantiles,
+    philox_uniforms,
 )
 
 
@@ -173,6 +174,82 @@ def test_streams_negative_int_components_are_stable():
     a = RandomStreams(1).child(-7).generator().random(3)
     b = RandomStreams(1).child(-7).generator().random(3)
     assert np.array_equal(a, b)
+
+
+def test_numpy_integer_components_key_like_ints():
+    root = RandomStreams(0)
+    assert root.child(np.int64(3)).path == (3,)
+    for value in (0, 7, 2**40, -7):
+        assert root.child(np.int64(value)).path == root.child(value).path
+    assert root.child(np.uint64(2**64 - 1)).path == root.child(2**64 - 1).path
+    assert root.child(np.uint8(5), np.int32(-1)).path == root.child(5, -1).path
+    for flag in (True, np.True_, np.bool_(False)):
+        with pytest.raises(TypeError):
+            root.child(flag)
+
+
+_EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, -1)
+# One-word (below 2**32, 0 included) and two-word integers, negative ones
+# (masked to 64 bits) and strings, so word-count groups mix.
+_COMPONENTS = (
+    st.sampled_from((0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1))
+    | st.integers(0, 2**32 - 1)
+    | st.integers(2**32, 2**64 - 1)
+    | st.integers(-(2**63), -1)
+    | st.text(max_size=3)
+)
+
+
+def _seed_sequence_key(node):
+    entropy = (node.seed & 0xFFFFFFFFFFFFFFFF,) + node.path
+    return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+
+
+def _with_edge_examples(test):
+    # Every edge seed, under an empty (one-word) prefix and the prefix
+    # run_arbitration uses, with row 0, two-word rows and one- and two-word
+    # leaves mixed.
+    rows, leaves = [0, 2**32, 5, 2**40 + 3], ["a", 3, 2**32 + 1, "model_b", 0]
+    for seed in _EDGE_SEEDS:
+        for prefix in ([], ["series", "s1", "t"]):
+            test = example(seed=seed, prefix=prefix, rows=rows, leaves=leaves)(test)
+    return test
+
+
+@given(
+    seed=st.sampled_from(_EDGE_SEEDS) | st.integers(-(2**70), 2**70),
+    prefix=st.lists(_COMPONENTS, max_size=4),
+    rows=st.lists(_COMPONENTS, max_size=4),
+    leaves=st.lists(_COMPONENTS, max_size=4),
+)
+@_with_edge_examples
+@settings(max_examples=150, deadline=None)
+def test_grid_keys_match_seed_sequence(seed, prefix, rows, leaves):
+    # Prefixes under four words hash row and leaf words into the first pool
+    # words too.
+    node = RandomStreams(seed).child(*prefix)
+    keys = node.grid_keys(rows, leaves)
+    assert keys.shape == (len(rows), len(leaves), 2) and keys.dtype == np.uint64
+    for r, row in enumerate(rows):
+        for i, leaf in enumerate(leaves):
+            expected = _seed_sequence_key(node.child(row).child(leaf))
+            assert keys[r, i].tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 1500])
+def test_reused_generator_draws_match_fresh_generators(count):
+    # Counts 3 to 5 straddle Philox's four-word output buffer.
+    node = RandomStreams(11).child("series", "s1", "t")
+    rows, leaves = [0, 2**33], ["a", 2**40, 2]
+    keys = node.grid_keys(rows, leaves)
+    generator = np.random.Generator(np.random.Philox(0))
+    generator.random(3)  # a reused generator is left mid-buffer
+    for r, row in enumerate(rows):
+        for i, leaf in enumerate(leaves):
+            expected = node.child(row).child(leaf).generator().random(count)
+            for key in (keys[r, i], keys[r, i].tolist()):
+                drawn = philox_uniforms(generator, key, count)
+                assert drawn.tobytes() == expected.tobytes()
 
 
 def _scipy_inverse_cdf(levels, values, p):
