@@ -19,24 +19,20 @@ import numpy as np
 
 from .core import (
     LEVEL_TOL,
-    ArbitrationStep,
+    RULE_INVERSE_ERROR,
+    RULE_SOFTMAX,
+    RULE_STATIC,
+    RULE_UNIFORM,
     ArbitrationTrace,
     ForecastPanel,
     PerformanceWindow,
-    QuantileForecast,
     QuantileLevels,
-    WeightVector,
+    normalize_weights,
     stack_forecasts,
 )
 from .errors import AlignmentMismatch, EmptyWindow
 from .metrics import crps_batch
 from .quantiles import InverseCdf, RandomStreams, empirical_quantiles, philox_uniforms
-
-# Weight-rule labels recorded in traces.
-RULE_UNIFORM = "uniform"
-RULE_INVERSE_ERROR = "inverse_error"
-RULE_SOFTMAX = "softmax"
-RULE_STATIC = "static"
 
 #: Cap applied to the horizon-derived default window capacity.
 DEFAULT_WINDOW_CAP = 16
@@ -110,7 +106,7 @@ class WindowScores:
 
 def weights_with_rule(
     scores: Sequence[float], config: ArbitratorConfig
-) -> tuple[WeightVector, str]:
+) -> tuple[tuple[float, ...], str]:
     """Weights from scores, plus which rule produced them.
 
     Inverse-error weighting when every score is safely positive; otherwise a
@@ -119,14 +115,13 @@ def weights_with_rule(
     order.
     """
     if min(scores) > config.near_zero_epsilon:
-        return WeightVector.normalized([1.0 / s for s in scores]), RULE_INVERSE_ERROR
+        return normalize_weights([1.0 / s for s in scores]), RULE_INVERSE_ERROR
     logits = [-s / config.softmax_temperature for s in scores]
     shift = max(logits)
-    exps = [math.exp(z - shift) for z in logits]
-    return WeightVector.normalized(exps), RULE_SOFTMAX
+    return normalize_weights([math.exp(z - shift) for z in logits]), RULE_SOFTMAX
 
 
-def allocate_samples(weights: WeightVector, n_total: int) -> tuple[int, ...]:
+def allocate_samples(weights: Sequence[float], n_total: int) -> tuple[int, ...]:
     """Largest-remainder apportionment of the sample budget by weights.
 
     Counts always sum to ``n_total`` exactly; zero counts are legal. Remainder
@@ -134,7 +129,7 @@ def allocate_samples(weights: WeightVector, n_total: int) -> tuple[int, ...]:
     """
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
-    scaled = [w * n_total for w in weights.weights]
+    scaled = [w * n_total for w in weights]
     counts = [math.floor(x) for x in scaled]
     remainder = n_total - sum(counts)
     by_fraction = sorted(
@@ -148,37 +143,35 @@ def allocate_samples(weights: WeightVector, n_total: int) -> tuple[int, ...]:
 def _pool_draws(
     icdf: InverseCdf,
     rows: np.ndarray,
-    weights: WeightVector,
-    config: ArbitratorConfig,
+    counts: Sequence[int],
     generator: np.random.Generator,
     keys: Sequence[Sequence[int]],
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Allocate the budget, draw every model's uniforms from its own Philox
-    stream (``keys`` holds one key per model), through one reused
-    ``generator``, and evaluate the pooled draws against batch ``rows`` of
-    ``icdf`` in one pass."""
-    counts = allocate_samples(weights, config.n_total)
+) -> np.ndarray:
+    """Draw ``counts[i]`` uniforms from model i's own Philox stream (``keys``
+    holds one key per model), through one reused ``generator``, and evaluate
+    the pooled draws against batch ``rows`` of ``icdf`` in one pass."""
     uniforms = [
         philox_uniforms(generator, key, count)
         for key, count in zip(keys, counts)
         if count
     ]
-    return icdf(np.concatenate(uniforms), np.repeat(rows, counts)), counts
+    return icdf(np.concatenate(uniforms), np.repeat(rows, counts))
 
 
-def _requantize(pooled: np.ndarray, levels: QuantileLevels) -> tuple[QuantileForecast, float]:
-    """Quantiles of the pooled draws on ``levels``, plus the pooled median.
+def _probe_levels(levels: QuantileLevels) -> tuple[tuple[float, ...], int, np.ndarray]:
+    """Levels to requantize on, where the median sits among them, and which
+    of them are the output grid's.
 
-    Both come from one ``np.quantile`` call; 0.5 joins the levels only when
-    the grid lacks it, so the median never falls back to an outer level.
+    0.5 joins the grid only when it lacks it (to within ``LEVEL_TOL``), so
+    the median never falls back to an outer level.
     """
-    if any(abs(a - 0.5) <= LEVEL_TOL for a in levels):
-        forecast = empirical_quantiles(pooled, levels)
-        return forecast, forecast.median
-    probe = QuantileLevels(sorted(levels.levels + (0.5,)))
-    values = empirical_quantiles(pooled, probe).values
-    k = probe.levels.index(0.5)
-    return QuantileForecast(levels, values[:k] + values[k + 1:]), values[k]
+    grid = levels.levels
+    for k, a in enumerate(grid):
+        if abs(a - 0.5) <= LEVEL_TOL:
+            return grid, k, np.arange(len(grid))
+    probe = tuple(sorted(grid + (0.5,)))
+    k = probe.index(0.5)
+    return probe, k, np.delete(np.arange(len(probe)), k)
 
 
 def run_arbitration(
@@ -193,12 +186,12 @@ def run_arbitration(
     The feedback loop is sequential: each step's pooled median is pushed
     into the window as a stand-in observation before the next step is scored.
     Inverse CDFs of all N x T forecasts are fitted once, before the loop, and
-    each window record is scored once, when it enters. An ``initial_window``
-    must hold the panel's model names, in the panel's order, on its levels;
-    the run keeps the newest ``config`` window-capacity records of it.
-    Pass ``streams`` shared across panels to keep per-model draws identical
-    regardless of which other series are processed; plain ``seed`` builds a
-    fresh stream tree.
+    each window record is scored once, when it enters; each step only fills
+    rows of the trace's arrays. An ``initial_window`` must hold the panel's
+    model names, in the panel's order, on its levels; the run keeps the
+    newest ``config`` window-capacity records of it. Pass ``streams`` shared
+    across panels to keep per-model draws identical regardless of which
+    other series are processed; plain ``seed`` builds a fresh stream tree.
     """
     config = config if config is not None else ArbitratorConfig()
     n = panel.n_models
@@ -231,38 +224,45 @@ def run_arbitration(
     keys = series_streams.grid_keys(range(horizon), names).tolist()
     generator = np.random.Generator(np.random.Philox(0))
     out_levels = config.levels if config.levels is not None else levels
+    probe, median_at, on_grid = _probe_levels(out_levels)
     # Batch row of model i at step t is i * horizon + t.
     icdf = InverseCdf(np.asarray(levels.levels), panel.values)
     model_rows = np.arange(n) * horizon
-    steps = []
+    uniform = (1.0 / n,) * n
+    uniform_counts = allocate_samples(uniform, config.n_total)
+    quantiles = np.empty((horizon, len(out_levels)))
+    weights = np.empty((horizon, n))
+    counts = np.empty((horizon, n), dtype=np.int64)
+    scores = np.full((horizon, n), np.nan)
+    simulated = np.empty(horizon)
+    rules = [RULE_UNIFORM if dynamic else RULE_STATIC] * horizon
     for t in range(horizon):
-        if not dynamic:
-            scores, weights, rule = None, WeightVector.uniform(n), RULE_STATIC
-        elif not len(window):
-            scores, weights, rule = None, WeightVector.uniform(n), RULE_UNIFORM
+        if not dynamic or not len(window):
+            w, c = uniform, uniform_counts
         else:
-            scores = window.averages()
-            weights, rule = weights_with_rule(scores, config)
-        pooled, counts = _pool_draws(icdf, model_rows + t, weights, config, generator, keys[t])
-        arbitrated, simulated = _requantize(pooled, out_levels)
+            s = window.averages()
+            w, rules[t] = weights_with_rule(s, config)
+            c = allocate_samples(w, config.n_total)
+            scores[t] = s
+        weights[t], counts[t] = w, c
+        pooled = _pool_draws(icdf, model_rows + t, c, generator, keys[t])
+        values = empirical_quantiles(pooled, probe, overwrite_input=True)
+        quantiles[t] = values[on_grid]
+        simulated[t] = values[median_at]
         # The last step's record would never be read.
         if dynamic and t + 1 < horizon:
-            window.push(levels.levels, panel.values[:, t], simulated)
-        steps.append(
-            ArbitrationStep(
-                forecast=arbitrated,
-                weights=weights,
-                sample_counts=counts,
-                simulated_truth=simulated,
-                scores=scores,
-                weight_rule=rule,
-            )
-        )
+            window.push(levels.levels, panel.values[:, t], simulated[t])
     return ArbitrationTrace(
         series_id=panel.series_id,
         model_names=names,
         n_total=config.n_total,
-        steps=tuple(steps),
+        levels=out_levels,
+        quantiles=quantiles,
+        weights=weights,
+        counts=counts,
+        scores=scores,
+        rules=rules,
+        simulated=simulated,
     )
 
 

@@ -45,6 +45,26 @@ def _env_default(name: str, cast: Callable[[str], T], fallback: T) -> T:
         raise ValueError(f"environment variable {ENV_PREFIX + name}={raw!r} is invalid")
 
 
+def _env_choice(name: str, choices: Sequence[str]) -> Callable[[str], str]:
+    """``type`` for a flag with fixed ``choices`` whose default comes from
+    ``QUANTARB_<name>``.
+
+    argparse checks ``choices`` only for values given on the command line, but
+    it runs a string default through ``type`` while parsing, so a bad
+    environment value is rejected here, before any work starts.
+    """
+    env = ENV_PREFIX + name
+
+    def check(value: str) -> str:
+        if value not in choices and os.environ.get(env) == value:
+            raise argparse.ArgumentTypeError(
+                f"environment variable {env}={value!r} is not one of {', '.join(choices)}"
+            )
+        return value
+
+    return check
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
@@ -70,9 +90,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         default=_env_default("TEMPERATURE", float, 1.0),
         help="softmax temperature for the near-zero-score fallback (default 1.0)",
     )
+    modes = ("dynamic", "static-uniform")
     parser.add_argument(
         "--mode",
-        choices=("dynamic", "static-uniform"),
+        type=_env_choice("MODE", modes),
+        choices=modes,
         default=_env_default("MODE", str, "dynamic"),
         help="weighting mode (default dynamic)",
     )
@@ -81,6 +103,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _add_output_flags(parser: argparse.ArgumentParser, formats: Sequence[str]) -> None:
     parser.add_argument(
         "--format",
+        type=_env_choice("FORMAT", formats),
         choices=tuple(formats),
         default=_env_default("FORMAT", str, "table"),
         help="output format (default table)",

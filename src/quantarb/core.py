@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -328,6 +328,14 @@ def build_panel(
     )
 
 
+def normalize_weights(raw: Sequence[float]) -> tuple[float, ...]:
+    """Divide by the (exact) sum; the sum must be positive."""
+    total = math.fsum(raw)
+    if not total > 0.0:
+        raise ValueError(f"cannot normalize weights with sum {total}")
+    return tuple(w / total for w in raw)
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Non-negative per-model weights summing to one."""
@@ -348,11 +356,7 @@ class WeightVector:
 
     @classmethod
     def normalized(cls, raw: Sequence[float]) -> "WeightVector":
-        """Divide by the (exact) sum; the sum must be positive."""
-        total = math.fsum(raw)
-        if not total > 0.0:
-            raise ValueError(f"cannot normalize weights with sum {total}")
-        return cls(tuple(w / total for w in raw))
+        return cls(normalize_weights(raw))
 
     @classmethod
     def uniform(cls, n: int) -> "WeightVector":
@@ -408,9 +412,20 @@ class PerformanceWindow:
         return len(self) == 0
 
 
+#: Weight-rule labels recorded in traces.
+RULE_UNIFORM = "uniform"
+RULE_INVERSE_ERROR = "inverse_error"
+RULE_SOFTMAX = "softmax"
+RULE_STATIC = "static"
+WEIGHT_RULES = (RULE_UNIFORM, RULE_INVERSE_ERROR, RULE_SOFTMAX, RULE_STATIC)
+
+#: Rules that weight by window scores; the others leave a step without any.
+SCORED_RULES = (RULE_INVERSE_ERROR, RULE_SOFTMAX)
+
+
 @dataclass(frozen=True)
 class ArbitrationStep:
-    """Per-timestep arbitration output, kept for diagnostics."""
+    """One timestep of a trace, as value objects, for diagnostics."""
 
     forecast: QuantileForecast
     weights: WeightVector
@@ -420,43 +435,122 @@ class ArbitrationStep:
     weight_rule: str  # "uniform" | "inverse_error" | "softmax" | "static"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArbitrationTrace:
-    """Full record of one arbitration run over a horizon."""
+    """Full record of one arbitration run over a horizon, as arrays.
+
+    Row ``t`` of each array is timestep ``t``: ``quantiles`` (T, K) on
+    ``levels``, ``weights`` and sample ``counts`` (T, N) in ``model_names``
+    order, window ``scores`` (T, N), NaN where the step had none, the
+    ``rules`` that set the weights (T,) and the ``simulated`` truths (T,).
+    All are read-only and validated once, vectorized, when the trace is
+    built.
+    """
 
     series_id: str
     model_names: tuple[str, ...]
     n_total: int
-    steps: tuple[ArbitrationStep, ...] = field(default=())
+    levels: QuantileLevels
+    quantiles: np.ndarray
+    weights: np.ndarray
+    counts: np.ndarray
+    scores: np.ndarray
+    rules: np.ndarray
+    simulated: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        n = len(self.model_names)
-        for t, step in enumerate(self.steps):
-            if len(step.sample_counts) != n:
-                raise DimensionMismatch(
-                    f"step {t} has {len(step.sample_counts)} sample counts for {n} models"
-                )
-            if sum(step.sample_counts) != self.n_total:
-                raise DimensionMismatch(
-                    f"step {t} sample counts sum to {sum(step.sample_counts)}, "
-                    f"expected {self.n_total}"
-                )
-            if len(step.weights) != n:
-                raise DimensionMismatch(
-                    f"step {t} has {len(step.weights)} weights for {n} models"
-                )
+        object.__setattr__(self, "model_names", tuple(str(n) for n in self.model_names))
+        for name in ("quantiles", "weights", "scores", "simulated"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        for name, dtype in (("counts", np.int64), ("rules", str)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        _validate_trace(self)
+
+    def _args(self) -> tuple:
+        return (self.series_id, self.model_names, self.n_total, self.levels, self.quantiles,
+                self.weights, self.counts, self.scores, self.rules, self.simulated)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ArbitrationTrace):
+            return NotImplemented
+        mine, theirs = self._args(), other._args()
+        return mine[:4] == theirs[:4] and all(
+            np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+            for a, b in zip(mine[4:], theirs[4:])
+        )
+
+    def __reduce__(self):
+        # As for panels: a copy goes through the constructor.
+        return ArbitrationTrace, self._args()
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.rules)
+
+    @property
+    def steps(self) -> tuple[ArbitrationStep, ...]:
+        """Every timestep as an :class:`ArbitrationStep`, built on each access."""
+        return tuple(
+            ArbitrationStep(
+                forecast=forecast,
+                weights=WeightVector(w),
+                sample_counts=tuple(c),
+                simulated_truth=m,
+                scores=tuple(s) if rule in SCORED_RULES else None,
+                weight_rule=rule,
+            )
+            for forecast, w, c, m, s, rule in zip(
+                self.forecasts, self.weights.tolist(), self.counts.tolist(),
+                self.simulated.tolist(), self.scores.tolist(), self.rules.tolist(),
+            )
+        )
 
     @property
     def forecasts(self) -> tuple[QuantileForecast, ...]:
-        return tuple(step.forecast for step in self.steps)
+        return tuple(QuantileForecast(self.levels, row) for row in self.quantiles.tolist())
 
     @property
     def medians(self) -> tuple[float, ...]:
-        return tuple(step.simulated_truth for step in self.steps)
+        return tuple(self.simulated.tolist())
 
     def weights_at(self, t: int) -> tuple[float, ...]:
-        return self.steps[t].weights.weights
+        return tuple(self.weights[t].tolist())
+
+
+def _validate_trace(trace: ArbitrationTrace) -> None:
+    """Check a trace's arrays once, vectorized; the first bad step is named."""
+    n, k = len(trace.model_names), len(trace.levels)
+    horizon = len(trace.rules)
+    for name, shape in (
+        ("quantiles", (horizon, k)),
+        ("weights", (horizon, n)),
+        ("counts", (horizon, n)),
+        ("scores", (horizon, n)),
+        ("simulated", (horizon,)),
+    ):
+        if getattr(trace, name).shape != shape:
+            raise DimensionMismatch(
+                f"trace {name} of shape {getattr(trace, name).shape}, expected {shape} "
+                f"for {horizon} steps, {n} models and {k} levels"
+            )
+    rules = trace.rules.tolist()
+    unknown = set(rules) - set(WEIGHT_RULES)
+    if unknown:
+        raise ValueError(f"trace has unknown weight rules {sorted(unknown)}")
+    counts, weights, scores = trace.counts, trace.weights, trace.scores
+    scored = np.array([rule in SCORED_RULES for rule in rules], dtype=bool)
+    checks = (
+        ((counts < 0).any(axis=1) | (counts.sum(axis=1) != trace.n_total), DimensionMismatch,
+         f"sample counts are not a split of {trace.n_total}"),
+        (~np.isfinite(trace.quantiles).all(axis=1) | ~np.isfinite(trace.simulated)
+         | ~np.isfinite(weights).all(axis=1), NonFinite, "values are not finite"),
+        (_dips(trace.quantiles).any(axis=1), NonMonotoneQuantiles, "quantiles decrease"),
+        ((weights < 0).any(axis=1) | (np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL),
+         ValueError, "weights are not a distribution"),
+        (np.where(scored, np.isnan(scores).any(axis=1), ~np.isnan(scores).all(axis=1)),
+         ValueError, "window scores do not fit the weight rule"),
+    )
+    for bad, error, what in checks:
+        if bad.any():
+            raise error(f"trace {trace.series_id!r} at step {int(np.argmax(bad))}: {what}")

@@ -12,36 +12,60 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .baselines import median_ensemble
 from .core import ArbitrationTrace, ForecastPanel, quantile_at
 from .errors import DimensionMismatch, EmptyGroup, Misalignment
 from .metrics import crps_batch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleTrace:
-    """Per-timestep oracle selections plus the full CRPS matrix behind them."""
+    """Per-timestep oracle selections plus the full CRPS matrix behind them.
+
+    ``crps_matrix[t, i]`` is model ``i``'s CRPS at timestep ``t``: one
+    read-only (T, N) float64 array, validated once, vectorized.
+    """
 
     series_id: str
     model_names: tuple[str, ...]
     selections: tuple[int, ...]
-    crps_matrix: tuple[tuple[float, ...], ...]
+    crps_matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.model_names)
-        if len(self.crps_matrix) != len(self.selections):
+        object.__setattr__(self, "selections", tuple(int(p) for p in self.selections))
+        shape = (len(self.selections), len(self.model_names))
+        try:
+            matrix = np.array(self.crps_matrix, dtype=float)
+        except ValueError:  # ragged rows
+            matrix = None
+        if matrix is None or matrix.shape != shape:
             raise DimensionMismatch(
-                f"{len(self.crps_matrix)} CRPS rows for {len(self.selections)} selections"
+                f"CRPS matrix does not hold {shape[0]} timesteps x {shape[1]} models"
             )
-        for t, (pick, row) in enumerate(zip(self.selections, self.crps_matrix)):
-            if len(row) != n:
-                raise DimensionMismatch(f"CRPS row {t} has {len(row)} entries for {n} models")
-            if not 0 <= pick < n:
-                raise DimensionMismatch(f"selection {pick} at timestep {t} out of range")
-            if row[pick] != min(row):
-                raise DimensionMismatch(
-                    f"selection {pick} at timestep {t} is not a CRPS argmin"
-                )
+        matrix.setflags(write=False)
+        object.__setattr__(self, "crps_matrix", matrix)
+        picks = np.array(self.selections, dtype=np.intp)
+        in_range = (picks >= 0) & (picks < shape[1])
+        picked = matrix[np.arange(shape[0]), np.where(in_range, picks, 0)]
+        bad = ~in_range | (picked != matrix.min(axis=1, initial=np.inf))
+        if bad.any():
+            t = int(np.argmax(bad))
+            what = "is not a CRPS argmin" if in_range[t] else "out of range"
+            raise DimensionMismatch(f"selection {picks[t]} at timestep {t} {what}")
+
+    def _args(self) -> tuple:
+        return (self.series_id, self.model_names, self.selections, self.crps_matrix)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OracleTrace):
+            return NotImplemented
+        mine, theirs = self._args(), other._args()
+        return mine[:-1] == theirs[:-1] and np.array_equal(mine[-1], theirs[-1])
+
+    def __reduce__(self):
+        return OracleTrace, self._args()
 
     @property
     def horizon(self) -> int:
@@ -71,7 +95,7 @@ class OracleTrace:
 
     @property
     def per_timestep_crps(self) -> tuple[float, ...]:
-        return tuple(row[pick] for pick, row in zip(self.selections, self.crps_matrix))
+        return tuple(self.crps_matrix[np.arange(self.horizon), self.selections].tolist())
 
     @property
     def crps(self) -> float:
@@ -81,13 +105,12 @@ class OracleTrace:
 
 def oracle_select(panel: ForecastPanel) -> OracleTrace:
     """Pick the per-timestep CRPS argmin against actuals; ties go to the lowest index."""
-    scores = crps_batch(panel.levels.levels, panel.values, panel.require_actuals())
-    rows = tuple(tuple(row) for row in scores.T.tolist())
+    scores = crps_batch(panel.levels.levels, panel.values, panel.require_actuals()).T
     return OracleTrace(
         series_id=panel.series_id,
         model_names=panel.model_names,
-        selections=tuple(row.index(min(row)) for row in rows),
-        crps_matrix=rows,
+        selections=tuple(scores.argmin(axis=1).tolist()),
+        crps_matrix=scores,
     )
 
 
@@ -105,11 +128,8 @@ def switching_stats(
 
 def weight_rankings(trace: ArbitrationTrace) -> tuple[tuple[int, ...], ...]:
     """Model indices per timestep, best first by weight; ties by index."""
-    out = []
-    for step in trace.steps:
-        w = step.weights.weights
-        out.append(tuple(sorted(range(len(w)), key=lambda i: (-w[i], i))))
-    return tuple(out)
+    order = np.argsort(-trace.weights, axis=1, kind="stable")
+    return tuple(map(tuple, order.tolist()))
 
 
 def _closest_first(points: Sequence[float], target: float) -> tuple[int, ...]:

@@ -132,8 +132,7 @@ def _score_path(panel: ForecastPanel, levels: QuantileLevels, values: np.ndarray
 
 
 def _score_trace(panel: ForecastPanel, trace: ArbitrationTrace) -> PanelScore:
-    forecasts = trace.forecasts
-    return _score_path(panel, forecasts[0].levels, np.array([fc.values for fc in forecasts]))
+    return _score_path(panel, trace.levels, trace.quantiles)
 
 
 def _method_scorers(

@@ -113,7 +113,7 @@ def test_sampling_round_trip_recovers_quantiles_with_monotone_probes(capsys):
         xs = _fit(fc)(streams.child("rt", case).generator().random(200_000))
         back = empirical_quantiles(xs, DEFAULT_LEVELS)
         tol = max(1e-2, 1e-2 * (fc.values[-1] - fc.values[0]))
-        err = max(abs(a - b) for a, b in zip(back.values, fc.values))
+        err = max(abs(a - b) for a, b in zip(back, fc.values))
         worst_ratio = max(worst_ratio, err / tol)
 
     probe_rng = np.random.default_rng(99)
@@ -172,7 +172,7 @@ def test_pooled_mixture_quantiles_match_bisection_inverted_cdf(capsys):
 
         lo = min(q_a[0], q_b[0]) - 1.0
         hi = max(q_a[-1], q_b[-1]) + 1.0
-        for alpha, got in zip(DEFAULT_LEVELS.levels, pooled.values):
+        for alpha, got in zip(DEFAULT_LEVELS.levels, pooled):
             want = bisect(lambda x: mixture_cdf(x) - alpha, lo, hi, xtol=1e-10)
             worst = max(worst, abs(got - want))
 

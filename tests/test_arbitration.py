@@ -15,6 +15,7 @@ from quantarb.arbitration import (
 )
 from quantarb.core import (
     DEFAULT_LEVELS,
+    ArbitrationStep,
     PerformanceWindow,
     QuantileForecast,
     QuantileLevels,
@@ -98,38 +99,38 @@ def test_average_scores_reject_empty_window():
 
 
 def test_inverse_error_weights_hand_values():
-    assert weights_with_rule((1.0, 1.0), CFG)[0].weights == (0.5, 0.5)
+    assert weights_with_rule((1.0, 1.0), CFG)[0] == (0.5, 0.5)
     w = weights_with_rule((1.0, 3.0), CFG)[0]
-    assert w.weights[0] == pytest.approx(0.75, rel=1e-12)
-    assert w.weights[1] == pytest.approx(0.25, rel=1e-12)
+    assert w[0] == pytest.approx(0.75, rel=1e-12)
+    assert w[1] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_zero_score_takes_the_softmax_path():
     w, rule = weights_with_rule((0.0, 1.0), CFG)
     assert rule == "softmax"
     z = 1.0 + math.exp(-1.0)
-    assert w.weights[0] == pytest.approx(1.0 / z, rel=1e-12)
-    assert w.weights[1] == pytest.approx(math.exp(-1.0) / z, rel=1e-12)
+    assert w[0] == pytest.approx(1.0 / z, rel=1e-12)
+    assert w[1] == pytest.approx(math.exp(-1.0) / z, rel=1e-12)
 
 
 def test_softmax_temperature_flattens_weights():
     sharp, _ = weights_with_rule((0.0, 1.0), ArbitratorConfig(softmax_temperature=0.25))
     flat, _ = weights_with_rule((0.0, 1.0), ArbitratorConfig(softmax_temperature=4.0))
-    assert sharp.weights[0] > flat.weights[0] > 0.5
+    assert sharp[0] > flat[0] > 0.5
 
 
 def test_weight_rules_are_order_equivariant():
     scores = (0.031, 0.72, 0.0044, 0.5)
-    w = weights_with_rule(scores, CFG)[0].weights
+    w = weights_with_rule(scores, CFG)[0]
     perm = (2, 0, 3, 1)
-    w_perm = weights_with_rule(tuple(scores[i] for i in perm), CFG)[0].weights
+    w_perm = weights_with_rule(tuple(scores[i] for i in perm), CFG)[0]
     assert w_perm == tuple(w[i] for i in perm)
 
 
 def test_allocation_hand_values():
-    assert allocate_samples(WeightVector((0.5, 0.5)), 1500) == (750, 750)
-    assert allocate_samples(WeightVector((1.0, 0.0)), 1500) == (1500, 0)
-    thirds = WeightVector((1 / 3, 1 / 3, 1 / 3))
+    assert allocate_samples((0.5, 0.5), 1500) == (750, 750)
+    assert allocate_samples((1.0, 0.0), 1500) == (1500, 0)
+    thirds = (1 / 3, 1 / 3, 1 / 3)
     assert allocate_samples(thirds, 1000) == (334, 333, 333)
 
 
@@ -140,7 +141,7 @@ def test_allocation_hand_values():
 @settings(max_examples=200)
 def test_allocation_sums_exactly_and_stays_within_one_of_exact(raw, n_total):
     w = WeightVector.normalized(raw)
-    counts = allocate_samples(w, n_total)
+    counts = allocate_samples(w.weights, n_total)
     assert sum(counts) == n_total
     assert all(c >= 0 for c in counts)
     for c, wi in zip(counts, w.weights):
@@ -233,6 +234,34 @@ def test_run_arbitration_trace_shape_and_budget():
         assert abs(math.fsum(step.weights.weights) - 1.0) <= 1e-9
 
 
+def test_trace_arrays_hold_every_step_and_its_views_agree():
+    panel = _drifting_panel()
+    trace = run_arbitration(panel, seed=0)
+    n, t = panel.n_models, panel.horizon
+    assert trace.quantiles.shape == (t, 9) and trace.levels == DEFAULT_LEVELS
+    assert trace.weights.shape == trace.counts.shape == trace.scores.shape == (t, n)
+    assert trace.rules.tolist() == ["uniform"] + ["inverse_error"] * (t - 1)
+    assert np.isnan(trace.scores[0]).all() and np.isfinite(trace.scores[1:]).all()
+    assert (trace.counts.sum(axis=1) == 1500).all()
+    assert trace.medians == tuple(trace.simulated.tolist())
+    for i, step in enumerate(trace.steps):
+        assert step.forecast.values == tuple(trace.quantiles[i].tolist())
+        assert step.weights.weights == trace.weights_at(i)
+        assert step.sample_counts == tuple(trace.counts[i].tolist())
+        assert step.weight_rule == trace.rules[i]
+        assert step.scores == (None if i == 0 else tuple(trace.scores[i].tolist()))
+
+
+def test_run_builds_no_value_objects_per_step(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built during a run")
+
+    for cls in (QuantileForecast, WeightVector, ArbitrationStep):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    trace = run_arbitration(_drifting_panel(), seed=0)
+    assert len(trace) == 6
+
+
 def test_first_step_uses_uniform_weights_when_window_empty():
     trace = run_arbitration(_drifting_panel(), seed=0)
     assert trace.steps[0].weight_rule == "uniform"
@@ -274,7 +303,7 @@ def test_lower_window_error_earns_more_weight():
     scores = _scored(4, records).averages()
     assert scores[0] < scores[1]
     w = weights_with_rule(scores, CFG)[0]
-    assert w.weights[0] > w.weights[1]
+    assert w[0] > w[1]
 
 
 def test_seeded_runs_are_bit_identical():
@@ -514,7 +543,7 @@ def test_cached_window_scores_match_rescoring_bit_for_bit(seeded):
         else:
             assert step.scores == _rescored(records)
             weights, rule = weights_with_rule(_rescored(records), cfg)
-            assert (step.weights, step.weight_rule) == (weights, rule)
+            assert (step.weights.weights, step.weight_rule) == (weights, rule)
         records.append((panel.values[:, t], step.simulated_truth))
     assert len(records) == 4
 

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import quantarb
+import quantarb.cli
 from quantarb.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from quantarb.panelio import load_panels
 from quantarb.reporting import load_report, report_json_schema
@@ -252,6 +253,65 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "top-k oracle agreement" in out
         assert "synapse" in out and "median" in out
+
+
+class TestEnvironmentChoices:
+    """Environment values of flags with fixed choices are checked at parse
+    time, as flag values are, before any panel is scored."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def record(name):
+            def never(*args, **kwargs):
+                seen.append(name)
+                raise AssertionError(f"{name} ran")
+
+            return never
+
+        for name in ("run_evaluation", "run_pool_scaling"):
+            monkeypatch.setattr(quantarb.cli, name, record(name))
+        return seen
+
+    def test_format_the_subcommand_lacks_fails_before_the_sweep(
+        self, suite_path, monkeypatch, capsys, calls
+    ):
+        monkeypatch.setenv("QUANTARB_FORMAT", "csv-long")  # an eval format only
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scale", str(suite_path), "--order", "expert_00,expert_01"])
+        assert excinfo.value.code == 2
+        assert calls == []
+        assert "QUANTARB_FORMAT='csv-long'" in capsys.readouterr().err
+
+    def test_unknown_format_fails_before_the_evaluation(
+        self, suite_path, monkeypatch, capsys, calls
+    ):
+        monkeypatch.setenv("QUANTARB_FORMAT", "yaml")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", str(suite_path), "--methods", "median"])
+        assert excinfo.value.code == 2
+        assert calls == []
+        assert "QUANTARB_FORMAT" in capsys.readouterr().err
+
+    def test_unknown_mode_is_not_ignored_without_topk(self, suite_path, monkeypatch, capsys):
+        monkeypatch.setenv("QUANTARB_MODE", "bogus")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oracle", str(suite_path), "--no-topk"])
+        assert excinfo.value.code == 2
+        assert "QUANTARB_MODE='bogus'" in capsys.readouterr().err
+
+    def test_a_flag_overrides_a_bad_environment_value(self, suite_path, monkeypatch, capsys):
+        monkeypatch.setenv("QUANTARB_FORMAT", "csv-long")
+        monkeypatch.setenv("QUANTARB_MODE", "bogus")
+        argv = ["scale", str(suite_path), "--order", "expert_00,expert_01"]
+        assert main(argv + ["--format", "csv", "--mode", "dynamic"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("pool_size,")
+
+    def test_valid_environment_values_apply(self, suite_path, monkeypatch, capsys):
+        monkeypatch.setenv("QUANTARB_FORMAT", "csv-long")
+        assert main(["eval", str(suite_path), "--methods", "median"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("method,scope,metric,value")
 
 
 def _child_env():

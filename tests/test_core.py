@@ -305,22 +305,71 @@ def test_window_is_one_validated_read_only_block():
     assert PerformanceWindow(names, levels, np.empty((2, 0, 9)), []).is_empty
 
 
-def _step(counts, n_total=10):
-    n = len(counts)
-    fc = QuantileForecast(DEFAULT_LEVELS, range(9))
-    return ArbitrationStep(
-        forecast=fc,
-        weights=WeightVector.uniform(n),
-        sample_counts=tuple(counts),
-        simulated_truth=4.0,
-        scores=None,
-        weight_rule="uniform",
+def _trace(split, names=("a", "b"), n_total=10, **arrays):
+    """A one-step trace that splits ``n_total`` samples as ``split`` under
+    uniform weights; keyword ``arrays`` replace any of its arrays."""
+    n = len(split)
+    fields = dict(
+        quantiles=[range(9)],
+        weights=[[1.0 / n] * n],
+        counts=[split],
+        scores=[[float("nan")] * n],
+        rules=["uniform"],
+        simulated=[4.0],
     )
+    fields.update(arrays)
+    return ArbitrationTrace("s", names, n_total, DEFAULT_LEVELS, **fields)
 
 
 def test_trace_requires_counts_to_sum_to_n_total():
-    ArbitrationTrace("s", ("a", "b"), 10, (_step((4, 6)),))
+    _trace((4, 6))
     with pytest.raises(DimensionMismatch):
-        ArbitrationTrace("s", ("a", "b"), 10, (_step((4, 5)),))
+        _trace((4, 5))
     with pytest.raises(DimensionMismatch):
-        ArbitrationTrace("s", ("a", "b", "c"), 10, (_step((4, 6)),))
+        _trace((4, 6), names=("a", "b", "c"))
+
+
+def test_trace_rejects_rows_that_no_run_could_write():
+    with pytest.raises(ValueError, match="unknown weight rules"):
+        _trace((4, 6), rules=["greedy"])
+    with pytest.raises(ValueError, match="step 0: weights"):
+        _trace((4, 6), weights=[[0.5, 0.6]])
+    with pytest.raises(ValueError, match="window scores"):
+        _trace((4, 6), scores=[[0.1, 0.2]])
+    with pytest.raises(ValueError, match="window scores"):
+        _trace((4, 6), rules=["softmax"], scores=[[0.1, float("nan")]])
+    with pytest.raises(NonFinite):
+        _trace((4, 6), simulated=[float("inf")])
+    with pytest.raises(NonMonotoneQuantiles):
+        _trace((4, 6), quantiles=[[0, 1, 2, 3, 4, 3, 6, 7, 8]])
+    with pytest.raises(DimensionMismatch, match="quantiles"):
+        _trace((4, 6), quantiles=[range(8)])
+
+
+def test_trace_arrays_are_read_only_and_survive_pickling():
+    trace = _trace(
+        (4, 6),
+        rules=["uniform", "inverse_error"],
+        quantiles=[range(9), range(1, 10)],
+        weights=[[0.5, 0.5], [0.25, 0.75]],
+        counts=[(5, 5), (3, 7)],
+        scores=[[float("nan")] * 2, [0.3, 0.1]],
+        simulated=[4.0, 5.0],
+    )
+    for array in (trace.quantiles, trace.weights, trace.counts, trace.scores, trace.rules,
+                  trace.simulated):
+        assert not array.flags.writeable
+    clone = pickle.loads(pickle.dumps(trace))
+    assert clone == trace  # NaN scores compare equal
+    assert not clone.scores.flags.writeable
+    assert clone != _trace((4, 6))
+    assert len(trace) == 2
+    assert trace.medians == (4.0, 5.0)
+    assert trace.weights_at(1) == (0.25, 0.75)
+    assert trace.steps == (
+        ArbitrationStep(QuantileForecast(DEFAULT_LEVELS, range(9)), WeightVector((0.5, 0.5)),
+                        (5, 5), 4.0, None, "uniform"),
+        ArbitrationStep(QuantileForecast(DEFAULT_LEVELS, range(1, 10)),
+                        WeightVector((0.25, 0.75)), (3, 7), 5.0, (0.3, 0.1), "inverse_error"),
+    )
+    assert trace.forecasts == tuple(step.forecast for step in trace.steps)

@@ -1,6 +1,9 @@
-import pytest
+import pickle
 
-from quantarb.core import DEFAULT_LEVELS, QuantileForecast, build_panel
+import pytest
+from hypothesis import given, strategies as st
+
+from quantarb.core import DEFAULT_LEVELS, ArbitrationTrace, QuantileForecast, build_panel
 from quantarb.errors import (
     DimensionMismatch,
     EmptyGroup,
@@ -105,6 +108,26 @@ def test_trace_rejects_non_argmin_selection():
         OracleTrace("bad", ("a", "b"), (1,), ((0.1, 0.4),))
 
 
+@pytest.mark.parametrize(
+    "selections, rows",
+    [((0,), ((0.1, 0.4, 0.5),)), ((0, 0), ((0.1, 0.4),)), ((0, 0), ((0.1, 0.4), (0.2,))),
+     ((2,), ((0.1, 0.4),))],
+)
+def test_trace_rejects_a_matrix_that_does_not_fit(selections, rows):
+    with pytest.raises(DimensionMismatch):
+        OracleTrace("bad", ("a", "b"), selections, rows)
+
+
+def test_trace_matrix_is_one_read_only_array_that_survives_pickling():
+    trace = OracleTrace("p", ("a", "b"), (0, 1), ((0.1, 0.4), (0.5, 0.2)))
+    assert trace.crps_matrix.shape == (2, 2)
+    assert not trace.crps_matrix.flags.writeable
+    clone = pickle.loads(pickle.dumps(trace))
+    assert clone == trace
+    assert not clone.crps_matrix.flags.writeable
+    assert clone != OracleTrace("p", ("a", "b"), (0, 1), ((0.1, 0.4), (0.5, 0.3)))
+
+
 def test_switching_stats_groups_and_means():
     t_zero = OracleTrace("z", ("a",), (0, 0), ((0.1,), (0.2,)))
     t_mixed1 = OracleTrace("m1", ("a", "b"), (0, 1, 1, 0), _rows4())
@@ -143,6 +166,19 @@ def test_weight_rankings_sort_by_descending_weight():
     for step, ranking in zip(trace.steps, rankings):
         w = step.weights.weights
         assert w[ranking[0]] == max(w)
+
+
+@given(st.lists(st.sampled_from((0.0, 0.125, 0.25, 0.5)), min_size=1, max_size=7))
+def test_weight_rankings_match_a_sort_by_weight_then_index(raw):
+    # Few distinct values, so most rows hold ties, zeros among them.
+    weights = [w / sum(raw) for w in raw] if sum(raw) else [1.0 / len(raw)] * len(raw)
+    n = len(weights)
+    trace = ArbitrationTrace(
+        "w", [f"m{i}" for i in range(n)], n, DEFAULT_LEVELS, quantiles=[range(9)],
+        weights=[weights], counts=[[1] * n], scores=[[float("nan")] * n],
+        rules=["uniform"], simulated=[4.0],
+    )
+    assert weight_rankings(trace) == (tuple(sorted(range(n), key=lambda i: (-weights[i], i))),)
 
 
 def _one_step_rankings(centers):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from quantarb.core import DEFAULT_LEVELS, QuantileLevels
-from quantarb.errors import DimensionMismatch, EmptySampleSet
+from quantarb.errors import DimensionMismatch, EmptySampleSet, NonFinite
 from quantarb.quantiles import (
     InverseCdf,
     RandomStreams,
@@ -92,22 +92,22 @@ def test_sampling_is_deterministic_per_stream():
 
 
 def test_empirical_quantiles_constant_samples():
-    fc = empirical_quantiles([3.0] * 17, DEFAULT_LEVELS)
-    assert fc.values == (3.0,) * 9
+    q = empirical_quantiles([3.0] * 17, DEFAULT_LEVELS)
+    assert q.tolist() == [3.0] * 9
 
 
 def test_empirical_quantiles_linear_interpolation_estimator():
-    fc = empirical_quantiles(np.arange(1.0, 101.0), DEFAULT_LEVELS)
-    assert fc.value_at(0.5) == pytest.approx(50.5, rel=1e-12)
+    q = empirical_quantiles(np.arange(1.0, 101.0), DEFAULT_LEVELS)
+    assert q[4] == pytest.approx(50.5, rel=1e-12)
     # position (n-1)*alpha: (99)(0.1) = 9.9 -> 10.9 after the 1-based offset
-    assert fc.values[0] == pytest.approx(10.9, rel=1e-12)
+    assert q[0] == pytest.approx(10.9, rel=1e-12)
 
 
 def test_empirical_quantiles_duplication_invariant():
     xs = np.arange(1.0, 101.0)
     once = empirical_quantiles(xs, DEFAULT_LEVELS)
     twice = empirical_quantiles(np.concatenate([xs, xs]), DEFAULT_LEVELS)
-    for a, b in zip(once.values, twice.values):
+    for a, b in zip(once, twice):
         assert b == pytest.approx(a, abs=1e-12)
 
 
@@ -116,13 +116,72 @@ def test_empirical_quantiles_reject_empty():
         empirical_quantiles([], DEFAULT_LEVELS)
 
 
+_EDGE_LEVELS = (5e-324, 1e-300, 1e-16, 1e-9, 1.0 - 1e-9, 1.0 - 1e-16, 1.0 - 2.0**-53)
+
+
+@st.composite
+def _samples(draw):
+    """Sample sets of size 1, 2, small or 1500: spread, with ties, or constant."""
+    n = draw(st.sampled_from((1, 2, 3, 5, 17, 1500)))
+    kind = draw(st.sampled_from(("spread", "ties", "constant")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    value = st.floats(-1e6, 1e6, allow_nan=False)
+    if kind == "constant":
+        return np.full(n, draw(value))
+    if kind == "ties":
+        return rng.choice(draw(st.lists(value, min_size=1, max_size=4)), size=n)
+    return rng.normal(draw(value), 10.0 ** draw(st.integers(-8, 6)), size=n)
+
+
+@st.composite
+def _levels(draw):
+    """Strictly increasing grids in (0, 1), with levels next to 0 and 1, with
+    or without 0.5."""
+    inner = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=8))
+    edges = draw(st.lists(st.sampled_from(_EDGE_LEVELS), max_size=3))
+    levels = set(inner) | set(edges)
+    if draw(st.booleans()):
+        levels.add(0.5)
+    else:
+        levels.discard(0.5)
+    return tuple(sorted(levels)) or (0.5,)
+
+
+@given(_samples(), _levels())
+@settings(max_examples=300, deadline=None)
+@example(np.array([2.0]), (5e-324, 0.5, 1.0 - 2.0**-53))
+@example(np.array([1.0, 3.0]), (0.25, 0.75))
+@example(np.full(1500, -4.25), (1e-16, 0.1, 0.9))
+def test_empirical_quantiles_equal_numpys_linear_quantile_bit_for_bit(xs, levels):
+    got = empirical_quantiles(xs, levels)
+    want = np.quantile(xs, np.array(levels))
+    # Among tied zeros, sort and numpy's partition may leave -0.0 and 0.0 in
+    # different places, so the sign of a zero is not compared; every other
+    # bit is.
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+def test_empirical_quantiles_sort_in_place_only_when_asked():
+    xs = np.array([3.0, 1.0, 2.0])
+    assert empirical_quantiles(xs, (0.5,)).tolist() == [2.0]
+    assert xs.tolist() == [3.0, 1.0, 2.0]
+    empirical_quantiles(xs, (0.5,), overwrite_input=True)
+    assert xs.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_empirical_quantiles_reject_non_finite_samples(bad):
+    with pytest.raises(NonFinite):
+        empirical_quantiles([1.0, bad, 2.0], DEFAULT_LEVELS)
+
+
 @given(
     st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=40),
 )
 @settings(max_examples=150)
 def test_empirical_quantiles_always_monotone(xs):
-    fc = empirical_quantiles(xs, DEFAULT_LEVELS)
-    assert all(b >= a for a, b in zip(fc.values, fc.values[1:]))
+    q = empirical_quantiles(xs, DEFAULT_LEVELS)
+    assert all(b >= a for a, b in zip(q, q[1:]))
 
 
 def test_round_trip_smooth_forecast():
@@ -134,7 +193,7 @@ def test_round_trip_smooth_forecast():
     back = empirical_quantiles(draws, DEFAULT_LEVELS)
     scale = values[-1] - values[0]
     tol = max(1e-2, 1e-2 * scale)
-    for want, got in zip(values, back.values):
+    for want, got in zip(values, back):
         assert abs(got - want) <= tol
 
 
