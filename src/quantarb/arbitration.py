@@ -246,7 +246,7 @@ def run_arbitration(
             scores[t] = s
         weights[t], counts[t] = w, c
         pooled = _pool_draws(icdf, model_rows + t, c, generator, keys[t])
-        values = empirical_quantiles(pooled, probe, overwrite_input=True)
+        values = empirical_quantiles(pooled, probe)
         quantiles[t] = values[on_grid]
         simulated[t] = values[median_at]
         # The last step's record would never be read.

@@ -45,24 +45,35 @@ def _env_default(name: str, cast: Callable[[str], T], fallback: T) -> T:
         raise ValueError(f"environment variable {ENV_PREFIX + name}={raw!r} is invalid")
 
 
-def _env_choice(name: str, choices: Sequence[str]) -> Callable[[str], str]:
-    """``type`` for a flag with fixed ``choices`` whose default comes from
-    ``QUANTARB_<name>``.
+class _FromEnv(str):
+    """A flag default read from a ``QUANTARB_`` environment variable."""
+
+
+def _env_choice(name: str, choices: Sequence[str], fallback: str) -> dict:
+    """``type`` and ``default`` for a flag with fixed ``choices`` whose default
+    comes from ``QUANTARB_<name>``.
 
     argparse checks ``choices`` only for values given on the command line, but
-    it runs a string default through ``type`` while parsing, so a bad
-    environment value is rejected here, before any work starts.
+    it runs a string default through ``type`` while parsing. The default is
+    marked as read from the environment, so a bad environment value is
+    rejected here, before any work starts, and a bad flag value still gets
+    argparse's own message.
     """
     env = ENV_PREFIX + name
+    raw = os.environ.get(env)
 
     def check(value: str) -> str:
-        if value not in choices and os.environ.get(env) == value:
+        if isinstance(value, _FromEnv) and value not in choices:
             raise argparse.ArgumentTypeError(
                 f"environment variable {env}={value!r} is not one of {', '.join(choices)}"
             )
-        return value
+        return str(value)
 
-    return check
+    return {
+        "type": check,
+        "choices": tuple(choices),
+        "default": fallback if raw is None else _FromEnv(raw),
+    }
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -93,9 +104,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     modes = ("dynamic", "static-uniform")
     parser.add_argument(
         "--mode",
-        type=_env_choice("MODE", modes),
-        choices=modes,
-        default=_env_default("MODE", str, "dynamic"),
+        **_env_choice("MODE", modes, "dynamic"),
         help="weighting mode (default dynamic)",
     )
 
@@ -103,9 +112,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _add_output_flags(parser: argparse.ArgumentParser, formats: Sequence[str]) -> None:
     parser.add_argument(
         "--format",
-        type=_env_choice("FORMAT", formats),
-        choices=tuple(formats),
-        default=_env_default("FORMAT", str, "table"),
+        **_env_choice("FORMAT", formats, "table"),
         help="output format (default table)",
     )
     parser.add_argument("--out", default=None, help="write output to this file")

@@ -34,8 +34,9 @@ class OracleTrace:
     crps_matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "selections", tuple(int(p) for p in self.selections))
-        shape = (len(self.selections), len(self.model_names))
+        picks = tuple(map(int, self.selections))
+        object.__setattr__(self, "selections", picks)
+        shape = (len(picks), len(self.model_names))
         try:
             matrix = np.array(self.crps_matrix, dtype=float)
         except ValueError:  # ragged rows
@@ -46,14 +47,14 @@ class OracleTrace:
             )
         matrix.setflags(write=False)
         object.__setattr__(self, "crps_matrix", matrix)
-        picks = np.array(self.selections, dtype=np.intp)
-        in_range = (picks >= 0) & (picks < shape[1])
-        picked = matrix[np.arange(shape[0]), np.where(in_range, picks, 0)]
-        bad = ~in_range | (picked != matrix.min(axis=1, initial=np.inf))
-        if bad.any():
-            t = int(np.argmax(bad))
-            what = "is not a CRPS argmin" if in_range[t] else "out of range"
-            raise DimensionMismatch(f"selection {picks[t]} at timestep {t} {what}")
+        if picks and not (0 <= min(picks) and max(picks) < shape[1]):
+            t = next(t for t, p in enumerate(picks) if not 0 <= p < shape[1])
+            raise DimensionMismatch(f"selection {picks[t]} at timestep {t} out of range")
+        at = np.array(picks, dtype=np.intp)
+        off_min = matrix[np.arange(shape[0]), at] != matrix.min(axis=1, initial=np.inf)
+        if off_min.any():
+            t = int(np.argmax(off_min))
+            raise DimensionMismatch(f"selection {picks[t]} at timestep {t} is not a CRPS argmin")
 
     def _args(self) -> tuple:
         return (self.series_id, self.model_names, self.selections, self.crps_matrix)
@@ -95,7 +96,7 @@ class OracleTrace:
 
     @property
     def per_timestep_crps(self) -> tuple[float, ...]:
-        return tuple(self.crps_matrix[np.arange(self.horizon), self.selections].tolist())
+        return tuple(row[p] for row, p in zip(self.crps_matrix.tolist(), self.selections))
 
     @property
     def crps(self) -> float:

@@ -138,9 +138,15 @@ def _type7_positions(levels: tuple[float, ...], n: int) -> tuple[np.ndarray, ...
     method (Hyndman & Fan 1996, type 7) step by step, virtual index
     ``(n - 1) * level`` included, so the result matches ``np.quantile`` bit
     for bit. The arrays are read-only; they are shared by every call with the
-    same levels and sample size.
+    same levels and sample size. Levels must be a non-empty set of finite
+    values in [0, 1]; any other would read past the ends of the sample.
     """
-    virtual = (n - 1) * np.asarray(levels, dtype=float)
+    probs = np.asarray(levels, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError("empirical quantiles need at least one level")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN fails both
+        raise ValueError(f"quantile levels must lie in [0, 1], got {levels}")
+    virtual = (n - 1) * probs
     lower = np.floor(virtual)
     upper = lower + 1
     at_top = virtual >= n - 1
@@ -155,7 +161,6 @@ def _type7_positions(levels: tuple[float, ...], n: int) -> tuple[np.ndarray, ...
 def empirical_quantiles(
     samples: Sequence[float] | np.ndarray,
     levels: Sequence[float],
-    overwrite_input: bool = False,
 ) -> np.ndarray:
     """Empirical quantiles of a pooled sample set at the given levels.
 
@@ -163,17 +168,14 @@ def empirical_quantiles(
     ``(n - 1) * alpha``, as ``np.quantile``'s default and bit for bit equal
     to it, save the sign of a zero among tied zeros: one sort, then a gather
     and a lerp at positions fixed by ``n`` and ``levels``. Values are
-    monotone in level. ``overwrite_input=True`` sorts a float64 ``samples``
-    array in place instead of copying it. Non-finite samples raise
-    :class:`NonFinite`.
+    monotone in level. ``samples`` is left as it is. Non-finite samples raise
+    :class:`NonFinite`; levels that are not all in [0, 1] raise
+    ``ValueError``.
     """
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
         raise EmptySampleSet("cannot take quantiles of an empty sample set")
-    if overwrite_input:
-        xs.sort()
-    else:
-        xs = np.sort(xs)
+    xs = np.sort(xs)
     # NaN sorts last, so the two ends cover every non-finite sample.
     if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
         raise NonFinite("samples contain non-finite values")

@@ -308,6 +308,19 @@ class TestEnvironmentChoices:
         assert main(argv + ["--format", "csv", "--mode", "dynamic"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("pool_size,")
 
+    @pytest.mark.parametrize("value", ["yaml", "x"])
+    def test_a_bad_flag_value_is_blamed_on_the_flag(
+        self, suite_path, monkeypatch, capsys, calls, value
+    ):
+        monkeypatch.setenv("QUANTARB_FORMAT", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", str(suite_path), "--methods", "median", "--format", value])
+        assert excinfo.value.code == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert f"argument --format: invalid choice: '{value}'" in err
+        assert "QUANTARB_FORMAT" not in err
+
     def test_valid_environment_values_apply(self, suite_path, monkeypatch, capsys):
         monkeypatch.setenv("QUANTARB_FORMAT", "csv-long")
         assert main(["eval", str(suite_path), "--methods", "median"]) == EXIT_OK

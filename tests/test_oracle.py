@@ -111,7 +111,7 @@ def test_trace_rejects_non_argmin_selection():
 @pytest.mark.parametrize(
     "selections, rows",
     [((0,), ((0.1, 0.4, 0.5),)), ((0, 0), ((0.1, 0.4),)), ((0, 0), ((0.1, 0.4), (0.2,))),
-     ((2,), ((0.1, 0.4),))],
+     ((2,), ((0.1, 0.4),)), ((-1,), ((0.4, 0.1),))],
 )
 def test_trace_rejects_a_matrix_that_does_not_fit(selections, rows):
     with pytest.raises(DimensionMismatch):

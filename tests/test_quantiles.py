@@ -161,12 +161,24 @@ def test_empirical_quantiles_equal_numpys_linear_quantile_bit_for_bit(xs, levels
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
-def test_empirical_quantiles_sort_in_place_only_when_asked():
+def test_empirical_quantiles_leave_the_samples_unsorted():
     xs = np.array([3.0, 1.0, 2.0])
     assert empirical_quantiles(xs, (0.5,)).tolist() == [2.0]
     assert xs.tolist() == [3.0, 1.0, 2.0]
-    empirical_quantiles(xs, (0.5,), overwrite_input=True)
-    assert xs.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [(), (-0.25,), (0.5, 1.25), (float("nan"),), (0.5, float("inf")), ((0.1, 0.9),)],
+)
+def test_empirical_quantiles_reject_levels_outside_the_unit_interval(levels):
+    with pytest.raises(ValueError):
+        empirical_quantiles([1.0, 2.0, 3.0], levels)
+
+
+def test_empirical_quantiles_accept_the_closed_interval_ends():
+    assert empirical_quantiles([3.0, 1.0, 2.0], (0.0, 1.0)).tolist() == [1.0, 3.0]
+    assert empirical_quantiles([7.0], (0.0, 1.0)).tolist() == [7.0, 7.0]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
