@@ -37,6 +37,10 @@ from .quantiles import InverseCdf, RandomStreams, empirical_quantiles, philox_un
 #: Cap applied to the horizon-derived default window capacity.
 DEFAULT_WINDOW_CAP = 16
 
+#: Window scores at or below this make a step fall back from inverse-error
+#: weighting to the softmax.
+NEAR_ZERO_EPSILON = 1e-9
+
 
 @dataclass(frozen=True)
 class ArbitratorConfig:
@@ -51,7 +55,6 @@ class ArbitratorConfig:
     window_capacity: int | None = None
     levels: QuantileLevels | None = None
     softmax_temperature: float = 1.0
-    near_zero_epsilon: float = 1e-9
     mode: str = "dynamic"
 
     def __post_init__(self) -> None:
@@ -61,8 +64,6 @@ class ArbitratorConfig:
             raise ValueError(f"window capacity must be >= 1, got {self.window_capacity}")
         if not self.softmax_temperature > 0.0:
             raise ValueError(f"softmax temperature must be > 0, got {self.softmax_temperature}")
-        if self.near_zero_epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.near_zero_epsilon}")
         if self.mode not in ("dynamic", "static-uniform"):
             raise ValueError(f"unknown weighting mode {self.mode!r}")
 
@@ -114,7 +115,7 @@ def weights_with_rule(
     Both paths use exact summation so the result is independent of model
     order.
     """
-    if min(scores) > config.near_zero_epsilon:
+    if min(scores) > NEAR_ZERO_EPSILON:
         return normalize_weights([1.0 / s for s in scores]), RULE_INVERSE_ERROR
     logits = [-s / config.softmax_temperature for s in scores]
     shift = max(logits)

@@ -1,7 +1,8 @@
 """Command-line harness: validate, eval, scale, winloss, synth, oracle.
 
 Flags mirror environment variables prefixed ``QUANTARB_`` (flag wins, then
-env, then default). Exit codes: 0 success, 2 input or validation failure,
+env, then default); a variable is read only by a subcommand that has its
+flag. Exit codes: 0 success, 2 input or validation failure,
 3 unexpected runtime error.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from .arbitration import ArbitratorConfig
 from .errors import ArbitrationError
@@ -32,17 +33,30 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-T = TypeVar("T")
+
+class _EnvDefault:
+    """A flag default read from ``QUANTARB_<name>``, resolved only when the
+    subcommand that has the flag runs, so a bad value fails that subcommand
+    alone."""
+
+    def __init__(self, name: str, cast: Callable[[str], object], fallback: object) -> None:
+        self.name, self.cast, self.fallback = ENV_PREFIX + name, cast, fallback
+
+    def resolve(self) -> object:
+        raw = os.environ.get(self.name)
+        if raw is None:
+            return self.fallback
+        try:
+            return self.cast(raw)
+        except ValueError:
+            raise ValueError(f"environment variable {self.name}={raw!r} is invalid")
 
 
-def _env_default(name: str, cast: Callable[[str], T], fallback: T) -> T:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {ENV_PREFIX + name}={raw!r} is invalid")
+def _resolve_env_defaults(args: argparse.Namespace) -> argparse.Namespace:
+    for key, value in vars(args).items():
+        if isinstance(value, _EnvDefault):
+            setattr(args, key, value.resolve())
+    return args
 
 
 class _FromEnv(str):
@@ -80,25 +94,25 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
         type=int,
-        default=_env_default("SEED", int, 0),
+        default=_EnvDefault("SEED", int, 0),
         help="master random seed (default 0)",
     )
     parser.add_argument(
         "--window",
         type=int,
-        default=_env_default("WINDOW", int, None),
+        default=_EnvDefault("WINDOW", int, None),
         help="performance window capacity; default min(horizon, 16)",
     )
     parser.add_argument(
         "--n-total",
         type=int,
-        default=_env_default("N_TOTAL", int, 1500),
+        default=_EnvDefault("N_TOTAL", int, 1500),
         help="pooled sample budget per timestep (default 1500)",
     )
     parser.add_argument(
         "--temperature",
         type=float,
-        default=_env_default("TEMPERATURE", float, 1.0),
+        default=_EnvDefault("TEMPERATURE", float, 1.0),
         help="softmax temperature for the near-zero-score fallback (default 1.0)",
     )
     modes = ("dynamic", "static-uniform")
@@ -240,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("path", help="panel file (.jsonl) or directory")
     p_eval.add_argument(
         "--methods",
-        default=_env_default("METHODS", str, "synapse,synapse-static,median,mean,per-model,oracle"),
+        default=_EnvDefault("METHODS", str, ",".join(METHODS)),
         help="comma-separated method list (default: all)",
     )
     p_eval.add_argument(
         "--workers",
         type=int,
-        default=_env_default("WORKERS", int, None),
+        default=_EnvDefault("WORKERS", int, None),
         help="panel-parallel worker threads (default serial)",
     )
     p_eval.add_argument(
@@ -267,8 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_winloss = sub.add_parser("winloss", help="pairwise per-panel comparison")
     p_winloss.add_argument("path", help="panel file (.jsonl) or directory")
-    p_winloss.add_argument("--a", required=True, help="first method (or model:<name>)")
-    p_winloss.add_argument("--b", required=True, help="second method (or model:<name>)")
+    p_winloss.add_argument(
+        "--a", required=True, help="first method: one method name or model:<name>"
+    )
+    p_winloss.add_argument(
+        "--b", required=True, help="second method: one method name or model:<name>"
+    )
     _add_config_flags(p_winloss)
     p_winloss.set_defaults(func=_cmd_winloss)
 
@@ -282,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed pool size (default: cycle 2..6)",
     )
     p_synth.add_argument(
-        "--seed", type=int, default=_env_default("SEED", int, 0), help="suite seed"
+        "--seed", type=int, default=_EnvDefault("SEED", int, 0), help="suite seed"
     )
     p_synth.set_defaults(func=_cmd_synth)
 
@@ -299,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _resolve_env_defaults(parser.parse_args(argv))
         return args.func(args)
     except (ArbitrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ MONOTONE_REL_TOL = 1e-12
 # Levels closer than this count as the same level.
 LEVEL_TOL = 1e-12
 
-# Absolute tolerance on weight-vector normalization.
+# Absolute tolerance on the sum of a step's weights.
 WEIGHT_SUM_TOL = 1e-9
 
 
@@ -336,36 +336,6 @@ def normalize_weights(raw: Sequence[float]) -> tuple[float, ...]:
     return tuple(w / total for w in raw)
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Non-negative per-model weights summing to one."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if not self.weights:
-            raise ValueError("weight vector must not be empty")
-        _require_finite(self.weights, "weights")
-        for w in self.weights:
-            if w < 0.0:
-                raise ValueError(f"negative weight {w}")
-        total = math.fsum(self.weights)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total}, expected 1 within {WEIGHT_SUM_TOL}")
-
-    @classmethod
-    def normalized(cls, raw: Sequence[float]) -> "WeightVector":
-        return cls(normalize_weights(raw))
-
-    @classmethod
-    def uniform(cls, n: int) -> "WeightVector":
-        return cls((1.0 / n,) * n)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
 @dataclass(frozen=True, eq=False)
 class PerformanceWindow:
     """Backtest records that seed the rolling performance window of a run.
@@ -428,7 +398,7 @@ class ArbitrationStep:
     """One timestep of a trace, as value objects, for diagnostics."""
 
     forecast: QuantileForecast
-    weights: WeightVector
+    weights: tuple[float, ...]
     sample_counts: tuple[int, ...]
     simulated_truth: float
     scores: tuple[float, ...] | None
@@ -494,7 +464,7 @@ class ArbitrationTrace:
         return tuple(
             ArbitrationStep(
                 forecast=forecast,
-                weights=WeightVector(w),
+                weights=tuple(w),
                 sample_counts=tuple(c),
                 simulated_truth=m,
                 scores=tuple(s) if rule in SCORED_RULES else None,

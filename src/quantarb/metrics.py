@@ -1,4 +1,4 @@
-"""Scoring rules and series features.
+"""Scoring rules and a correlation helper.
 
 CRPS is approximated as the mean weighted quantile loss over the K levels of a
 forecast; MASE scales forecast MAE by the in-sample MAE of the seasonal naive
@@ -91,31 +91,6 @@ def mase(
         )
     num = float(np.mean(np.abs(np.asarray(point_forecasts) - np.asarray(actuals))))
     return num / denom
-
-
-def lumpiness(series: Sequence[float], tile_width: int | None = None) -> float:
-    """Variance of the tile variances of the standardized series.
-
-    Tiles are non-overlapping blocks of ``tile_width`` points (default
-    ``max(10, len // 20)``); a trailing partial tile is dropped. Population
-    variances (ddof=0) are used throughout so the feature is total.
-    """
-    x = np.asarray(series, dtype=float)
-    if tile_width is None:
-        tile_width = max(10, len(x) // 20)
-    if tile_width < 1:
-        raise ValueError(f"tile width must be >= 1, got {tile_width}")
-    if len(x) < 2 * tile_width:
-        raise SeriesTooShort(
-            f"series length {len(x)} shorter than two tiles of width {tile_width}"
-        )
-    std = float(np.std(x))
-    if std == 0.0:
-        return 0.0
-    z = (x - np.mean(x)) / std
-    n_tiles = len(z) // tile_width
-    tiles = z[: n_tiles * tile_width].reshape(n_tiles, tile_width)
-    return float(np.var(np.var(tiles, axis=1)))
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -146,21 +146,27 @@ def median_ensemble_rankings(panel: ForecastPanel) -> tuple[tuple[int, ...], ...
     return tuple(_closest_first(p, target) for p, target in zip(points, targets))
 
 
-def topk_selection_accuracy(
+def _topk_hits(
     method_rankings: Sequence[Sequence[int]], oracle_trace: OracleTrace, k: int
-) -> float:
-    """Fraction of timesteps where the oracle's pick is in the method's top k."""
+) -> int:
+    """Timesteps where the oracle's pick is in the method's top k."""
     if not 1 <= k <= oracle_trace.n_models:
         raise ValueError(f"k must be in 1..{oracle_trace.n_models}, got {k}")
     if len(method_rankings) != oracle_trace.horizon:
         raise Misalignment(
             f"{len(method_rankings)} rankings for horizon {oracle_trace.horizon}"
         )
-    hits = sum(
+    return sum(
         pick in ranking[:k]
         for pick, ranking in zip(oracle_trace.selections, method_rankings)
     )
-    return hits / oracle_trace.horizon
+
+
+def topk_selection_accuracy(
+    method_rankings: Sequence[Sequence[int]], oracle_trace: OracleTrace, k: int
+) -> float:
+    """Fraction of timesteps where the oracle's pick is in the method's top k."""
+    return _topk_hits(method_rankings, oracle_trace, k) / oracle_trace.horizon
 
 
 def suite_topk_accuracy(
@@ -179,12 +185,8 @@ def suite_topk_accuracy(
     if per_panel:
         accs = [topk_selection_accuracy(r, tr, k) for r, tr in pairs]
         return math.fsum(accs) / len(accs)
-    hits = 0
-    total = 0
-    for rankings, trace in pairs:
-        hits += round(topk_selection_accuracy(rankings, trace, k) * trace.horizon)
-        total += trace.horizon
-    return hits / total
+    hits = sum(_topk_hits(rankings, trace, k) for rankings, trace in pairs)
+    return hits / sum(trace.horizon for _, trace in pairs)
 
 
 def selection_frequency_table(

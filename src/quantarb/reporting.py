@@ -16,15 +16,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .arbitration import ArbitratorConfig, run_arbitration
 from .baselines import mean_ensemble, median_ensemble
-from .core import ArbitrationTrace, ForecastPanel, QuantileLevels, quantile_at
+from .core import ForecastPanel, QuantileLevels, quantile_at
 from .errors import DimensionMismatch, InsufficientModels
-from .metrics import crps_batch, lumpiness, mase, pearson_correlation
+from .metrics import crps_batch, mase
 from .oracle import (
     median_ensemble_rankings,
     oracle_select,
@@ -34,16 +34,25 @@ from .oracle import (
 from .panelio import TaggedPanel
 from .quantiles import RandomStreams
 
-#: Method names accepted by evaluation; "per-model" expands into one
-#: "model:<name>" row per pool member.
-METHODS = ("synapse", "synapse-static", "median", "mean", "per-model", "oracle")
-
 #: Absolute tolerance under which two per-panel scores count as a tie.
 WIN_LOSS_TIE_TOL = 1e-9
 
 REPORT_SCHEMA_VERSION = 1
 
-_CSV_COLUMNS = ("method", "scope", "n_panels", "crps", "mase", "wins", "losses", "ties")
+# Prefix of the method name that scores one pool member.
+_MODEL_PREFIX = "model:"
+
+_REPORT_COLUMNS = ("method", "scope", "n_panels", "crps", "mase", "wins", "losses", "ties")
+_LONG_COLUMNS = ("method", "scope", "metric", "value")
+_SCALING_COLUMNS = (
+    "pool_size",
+    "models",
+    "crps",
+    "mase",
+    "best_individual",
+    "best_individual_crps",
+    "best_individual_mase",
+)
 _CLASS_ORDER = {"short": 0, "medium": 1, "long": 2}
 
 
@@ -73,7 +82,7 @@ class ReportRow:
     ties: int
 
     def __post_init__(self) -> None:
-        if not (self.method in METHODS or self.method.startswith("model:")):
+        if not (self.method in METHODS or self.method.startswith(_MODEL_PREFIX)):
             raise ValueError(f"unregistered method name {self.method!r}")
         for label, value in (("crps", self.crps), ("mase", self.mase)):
             if not math.isfinite(value):
@@ -131,52 +140,65 @@ def _score_path(panel: ForecastPanel, levels: QuantileLevels, values: np.ndarray
     return PanelScore(crps=float(np.mean(per)), mase=_mase_for(panel, points))
 
 
-def _score_trace(panel: ForecastPanel, trace: ArbitrationTrace) -> PanelScore:
+def _member_score(panel: ForecastPanel, name: str) -> PanelScore:
+    """The ``model:<name>`` score: pool member ``name``'s own forecasts."""
+    return _score_path(panel, panel.levels, panel.values[_model_index(panel, name)])
+
+
+def _arbitrated_score(
+    panel: ForecastPanel, config: ArbitratorConfig, streams: RandomStreams
+) -> PanelScore:
+    trace = run_arbitration(panel, config=config, streams=streams)
     return _score_path(panel, trace.levels, trace.quantiles)
 
 
-def _method_scorers(
-    methods: Sequence[str], config: ArbitratorConfig, streams: RandomStreams
-) -> Mapping[str, Callable[[ForecastPanel], Mapping[str, PanelScore]]]:
-    def score_arbitrated(panel: ForecastPanel, mode: str, key: str):
-        trace = run_arbitration(panel, config=replace(config, mode=mode), streams=streams)
-        return {key: _score_trace(panel, trace)}
+def _oracle_score(panel: ForecastPanel) -> PanelScore:
+    trace = oracle_select(panel)
+    picked = panel.values[list(trace.selections), np.arange(panel.horizon)]
+    points = quantile_at(panel.levels.levels, picked, 0.5)
+    return PanelScore(crps=trace.crps, mase=_mase_for(panel, points))
 
-    def score_median(panel: ForecastPanel):
-        return {"median": _score_path(panel, panel.levels, median_ensemble(panel.values))}
 
-    def score_mean(panel: ForecastPanel):
-        return {"mean": _score_path(panel, panel.levels, mean_ensemble(panel.values))}
+#: Scores one panel under one method, given the run's config and stream tree,
+#: keyed by report row name.
+Scorer = Callable[[ForecastPanel, ArbitratorConfig, RandomStreams], dict[str, PanelScore]]
 
-    def score_oracle(panel: ForecastPanel):
-        trace = oracle_select(panel)
-        picked = panel.values[list(trace.selections), np.arange(panel.horizon)]
-        points = quantile_at(panel.levels.levels, picked, 0.5)
-        return {"oracle": PanelScore(crps=trace.crps, mase=_mase_for(panel, points))}
+#: Every method, in registry order: the order of report rows. Each scorer
+#: yields the method's own row, except ``per-model``, which yields one
+#: ``model:<name>`` row per pool member.
+_SCORERS: dict[str, Scorer] = {
+    "synapse": lambda p, c, s: {
+        "synapse": _arbitrated_score(p, replace(c, mode="dynamic"), s)
+    },
+    "synapse-static": lambda p, c, s: {
+        "synapse-static": _arbitrated_score(p, replace(c, mode="static-uniform"), s)
+    },
+    "median": lambda p, c, s: {"median": _score_path(p, p.levels, median_ensemble(p.values))},
+    "mean": lambda p, c, s: {"mean": _score_path(p, p.levels, mean_ensemble(p.values))},
+    "per-model": lambda p, c, s: {
+        _MODEL_PREFIX + name: _member_score(p, name) for name in p.model_names
+    },
+    "oracle": lambda p, c, s: {"oracle": _oracle_score(p)},
+}
 
-    def score_per_model(panel: ForecastPanel):
-        return {
-            f"model:{name}": _score_path(panel, panel.levels, panel.values[i])
-            for i, name in enumerate(panel.model_names)
-        }
+#: Method names accepted by evaluation, in registry order.
+METHODS = tuple(_SCORERS)
 
-    table: dict[str, Callable] = {}
-    for method in methods:
-        if method == "synapse":
-            table[method] = lambda p: score_arbitrated(p, "dynamic", "synapse")
-        elif method == "synapse-static":
-            table[method] = lambda p: score_arbitrated(p, "static-uniform", "synapse-static")
-        elif method == "median":
-            table[method] = score_median
-        elif method == "mean":
-            table[method] = score_mean
-        elif method == "oracle":
-            table[method] = score_oracle
-        elif method == "per-model":
-            table[method] = score_per_model
-        else:
-            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    return table
+
+def _scorer(method: str) -> Scorer:
+    if method not in _SCORERS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    return _SCORERS[method]
+
+
+def _method_score(
+    panel: ForecastPanel, method: str, config: ArbitratorConfig, streams: RandomStreams
+) -> PanelScore:
+    """One method's score: a registry method that yields its own row, or
+    ``model:<name>``."""
+    if method.startswith(_MODEL_PREFIX):
+        return _member_score(panel, method[len(_MODEL_PREFIX):])
+    return _SCORERS[method](panel, config, streams)[method]
 
 
 def score_panel(
@@ -186,14 +208,28 @@ def score_panel(
     streams: RandomStreams | None = None,
     seed: int = 0,
 ) -> dict[str, PanelScore]:
-    """Score one panel under every requested method."""
+    """Score one panel under every requested method, in request order."""
+    scorers = [_scorer(m) for m in dict.fromkeys(methods)]
     config = config if config is not None else ArbitratorConfig()
     streams = streams if streams is not None else RandomStreams(seed)
-    scorers = _method_scorers(tuple(methods), config, streams)
     out: dict[str, PanelScore] = {}
-    for scorer in scorers.values():
-        out.update(scorer(tagged.panel))
+    for scorer in scorers:
+        out.update(scorer(tagged.panel, config, streams))
     return out
+
+
+def _tally(deltas: Sequence[float]) -> tuple[int, int, int]:
+    """(wins, losses, ties) of per-panel score differences, lower is better;
+    differences within ``WIN_LOSS_TIE_TOL`` tie."""
+    wins = losses = ties = 0
+    for delta in deltas:
+        if delta < -WIN_LOSS_TIE_TOL:
+            wins += 1
+        elif delta > WIN_LOSS_TIE_TOL:
+            losses += 1
+        else:
+            ties += 1
+    return wins, losses, ties
 
 
 def _method_sort_key(name: str) -> tuple[int, str]:
@@ -270,17 +306,13 @@ def run_evaluation(
                 continue
             crps_vals = [per_panel[i][key].crps for i in present]
             mase_vals = [per_panel[i][key].mase for i in present]
-            wins = losses = ties = 0
-            for i in present:
-                if reference not in per_panel[i]:
-                    continue
-                delta = per_panel[i][key].crps - per_panel[i][reference].crps
-                if delta < -WIN_LOSS_TIE_TOL:
-                    wins += 1
-                elif delta > WIN_LOSS_TIE_TOL:
-                    losses += 1
-                else:
-                    ties += 1
+            wins, losses, ties = _tally(
+                [
+                    per_panel[i][key].crps - per_panel[i][reference].crps
+                    for i in present
+                    if reference in per_panel[i]
+                ]
+            )
             rows.append(
                 ReportRow(
                     method=key,
@@ -356,7 +388,7 @@ def run_pool_scaling(
     for tagged in tagged_panels:
         panel = tagged.panel
         for name in model_order:
-            score = _score_path(panel, panel.levels, panel.values[_model_index(panel, name)])
+            score = _member_score(panel, name)
             member_crps[name].append(score.crps)
             member_mase[name].append(score.mase)
 
@@ -366,9 +398,7 @@ def run_pool_scaling(
         crps_vals = []
         mase_vals = []
         for tagged in tagged_panels:
-            panel = _subset_panel(tagged.panel, prefix)
-            trace = run_arbitration(panel, config=config, streams=streams)
-            score = _score_trace(panel, trace)
+            score = _arbitrated_score(_subset_panel(tagged.panel, prefix), config, streams)
             crps_vals.append(score.crps)
             mase_vals.append(score.mase)
         best = min(prefix, key=lambda n: (_mean(member_crps[n]), n))
@@ -386,20 +416,6 @@ def run_pool_scaling(
     return rows
 
 
-def _panel_method_score(
-    tagged: TaggedPanel,
-    method: str,
-    config: ArbitratorConfig,
-    streams: RandomStreams,
-) -> PanelScore:
-    if method.startswith("model:"):
-        panel = tagged.panel
-        i = _model_index(panel, method.split(":", 1)[1])
-        return _score_path(panel, panel.levels, panel.values[i])
-    scores = score_panel(tagged, [method], config=config, streams=streams)
-    return scores[method]
-
-
 def run_win_loss(
     tagged_panels: Sequence[TaggedPanel],
     method_a: str,
@@ -410,25 +426,29 @@ def run_win_loss(
     """Per-panel (wins, losses, ties) of method A against method B.
 
     Keys are the metrics: lower CRPS or MASE wins; differences within
-    ``WIN_LOSS_TIE_TOL`` tie. Methods may be registry names or ``model:<name>``.
+    ``WIN_LOSS_TIE_TOL`` tie. Each method is one registry method or
+    ``model:<name>``; ``per-model``, which names the whole pool, is rejected.
     """
+    for method in (method_a, method_b):
+        if method == "per-model":
+            raise ValueError(
+                "winloss compares one method with another; name one pool member "
+                "as model:<name> instead of per-model"
+            )
+        if not method.startswith(_MODEL_PREFIX):
+            _scorer(method)
     if not tagged_panels:
         raise ValueError("at least one panel is required")
     config = config if config is not None else ArbitratorConfig()
     streams = RandomStreams(seed)
-    tallies = {"crps": [0, 0, 0], "mase": [0, 0, 0]}
-    for tagged in tagged_panels:
-        a = _panel_method_score(tagged, method_a, config, streams)
-        b = _panel_method_score(tagged, method_b, config, streams)
-        for metric, (va, vb) in (("crps", (a.crps, b.crps)), ("mase", (a.mase, b.mase))):
-            delta = va - vb
-            if delta < -WIN_LOSS_TIE_TOL:
-                tallies[metric][0] += 1
-            elif delta > WIN_LOSS_TIE_TOL:
-                tallies[metric][1] += 1
-            else:
-                tallies[metric][2] += 1
-    return {metric: tuple(counts) for metric, counts in tallies.items()}
+    pairs = [
+        tuple(_method_score(t.panel, m, config, streams) for m in (method_a, method_b))
+        for t in tagged_panels
+    ]
+    return {
+        metric: _tally([getattr(a, metric) - getattr(b, metric) for a, b in pairs])
+        for metric in ("crps", "mase")
+    }
 
 
 def selection_accuracy_table(
@@ -464,57 +484,13 @@ def selection_accuracy_table(
     }
 
 
-def feature_mase_correlation(
-    tagged_panels: Sequence[TaggedPanel],
-    method: str = "synapse",
-    config: ArbitratorConfig | None = None,
-    seed: int = 0,
-) -> float:
-    """Correlation between series lumpiness and the method's per-panel MASE."""
-    config = config if config is not None else ArbitratorConfig()
-    streams = RandomStreams(seed)
-    xs = []
-    ys = []
-    for tagged in tagged_panels:
-        panel = tagged.panel
-        series = panel.context + panel.require_actuals()
-        xs.append(lumpiness(series))
-        ys.append(_panel_method_score(tagged, method, config, streams).mase)
-    return pearson_correlation(xs, ys)
-
-
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
-def _rows_to_csv(rows: Sequence[ReportRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.method,
-                row.scope,
-                row.n_panels,
-                _format_float(row.crps),
-                _format_float(row.mase),
-                row.wins,
-                row.losses,
-                row.ties,
-            ]
-        )
-    return buf.getvalue()
-
-
-def _rows_to_csv_long(rows: Sequence[ReportRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("method", "scope", "metric", "value"))
-    for row in rows:
-        writer.writerow((row.method, row.scope, "crps", _format_float(row.crps)))
-        writer.writerow((row.method, row.scope, "mase", _format_float(row.mase)))
-    return buf.getvalue()
+def _cell(value, float_format: Callable[[float], str]) -> str:
+    """One csv or table cell; a list (of model names) is joined by "|"."""
+    if isinstance(value, float):
+        return float_format(float(value))
+    if isinstance(value, list):
+        return "|".join(value)
+    return str(value)
 
 
 def _render_table(header: Sequence[str], cells: Sequence[Sequence[str]]) -> str:
@@ -532,21 +508,35 @@ def _render_table(header: Sequence[str], cells: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_to_table(rows: Sequence[ReportRow]) -> str:
-    cells = [
-        [
-            row.method,
-            row.scope,
-            str(row.n_panels),
-            f"{row.crps:.6f}",
-            f"{row.mase:.6f}",
-            str(row.wins),
-            str(row.losses),
-            str(row.ties),
-        ]
-        for row in rows
-    ]
-    return _render_table(_CSV_COLUMNS, cells)
+def _render(
+    records: Sequence[dict],
+    columns: Sequence[str],
+    fmt: str,
+    out_path: str | Path | None,
+    table_float: Callable[[float], str] = repr,
+) -> str:
+    """Render ``records``, dicts keyed by ``columns``, as table, csv or json;
+    also writes ``out_path`` if given. CSV floats use ``repr``, so they read
+    back bit for bit; table floats use ``table_float``."""
+    if fmt == "json":
+        doc = {"schema_version": REPORT_SCHEMA_VERSION, "rows": list(records)}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    elif fmt in ("csv", "table"):
+        float_format = repr if fmt == "csv" else table_float
+        cells = [[_cell(r[c], float_format) for c in columns] for r in records]
+        if fmt == "table":
+            text = _render_table(columns, cells)
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(cells)
+            text = buf.getvalue()
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    if out_path is not None:
+        Path(out_path).write_text(text, encoding="utf-8")
+    return text
 
 
 def report_json_schema() -> dict:
@@ -555,56 +545,23 @@ def report_json_schema() -> dict:
     return json.loads(text)
 
 
-def _rows_to_json(rows: Sequence[ReportRow]) -> str:
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "rows": [
-            {
-                "method": row.method,
-                "scope": row.scope,
-                "n_panels": row.n_panels,
-                "crps": row.crps,
-                "mase": row.mase,
-                "wins": row.wins,
-                "losses": row.losses,
-                "ties": row.ties,
-            }
-            for row in rows
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def emit_report(
     rows: Sequence[ReportRow],
     fmt: str = "table",
     out_path: str | Path | None = None,
 ) -> str:
-    """Render rows in the requested format; also writes ``out_path`` if given."""
-    if fmt == "table":
-        text = _rows_to_table(rows)
-    elif fmt == "csv":
-        text = _rows_to_csv(rows)
-    elif fmt == "csv-long":
-        text = _rows_to_csv_long(rows)
-    elif fmt == "json":
-        text = _rows_to_json(rows)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    if out_path is not None:
-        Path(out_path).write_text(text, encoding="utf-8")
-    return text
-
-
-_SCALING_COLUMNS = (
-    "pool_size",
-    "models",
-    "crps",
-    "mase",
-    "best_individual",
-    "best_individual_crps",
-    "best_individual_mase",
-)
+    """Render rows as table, csv, csv-long or json; also writes ``out_path``
+    if given. ``csv-long`` holds one (method, scope, metric, value) line per
+    metric."""
+    if fmt == "csv-long":
+        records = [
+            {"method": row.method, "scope": row.scope, "metric": m, "value": getattr(row, m)}
+            for row in rows
+            for m in ("crps", "mase")
+        ]
+        return _render(records, _LONG_COLUMNS, "csv", out_path)
+    records = [{c: getattr(row, c) for c in _REPORT_COLUMNS} for row in rows]
+    return _render(records, _REPORT_COLUMNS, fmt, out_path, table_float="{:.6f}".format)
 
 
 def emit_scaling(
@@ -613,48 +570,19 @@ def emit_scaling(
     out_path: str | Path | None = None,
 ) -> str:
     """Render pool-scaling rows as table, csv, or json."""
-    cells = [
-        [
-            str(row.pool_size),
-            "|".join(row.model_names),
-            _format_float(row.crps),
-            _format_float(row.mase),
-            row.best_individual,
-            _format_float(row.best_individual_crps),
-            _format_float(row.best_individual_mase),
-        ]
+    records = [
+        {
+            "pool_size": row.pool_size,
+            "models": list(row.model_names),
+            "crps": row.crps,
+            "mase": row.mase,
+            "best_individual": row.best_individual,
+            "best_individual_crps": row.best_individual_crps,
+            "best_individual_mase": row.best_individual_mase,
+        }
         for row in rows
     ]
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_SCALING_COLUMNS)
-        writer.writerows(cells)
-        text = buf.getvalue()
-    elif fmt == "table":
-        text = _render_table(_SCALING_COLUMNS, cells)
-    elif fmt == "json":
-        doc = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "rows": [
-                {
-                    "pool_size": row.pool_size,
-                    "models": list(row.model_names),
-                    "crps": row.crps,
-                    "mase": row.mase,
-                    "best_individual": row.best_individual,
-                    "best_individual_crps": row.best_individual_crps,
-                    "best_individual_mase": row.best_individual_mase,
-                }
-                for row in rows
-            ],
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    if out_path is not None:
-        Path(out_path).write_text(text, encoding="utf-8")
-    return text
+    return _render(records, _SCALING_COLUMNS, fmt, out_path)
 
 
 def load_report(path: str | Path) -> list[ReportRow]:
@@ -662,7 +590,7 @@ def load_report(path: str | Path) -> list[ReportRow]:
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if tuple(header) != _CSV_COLUMNS:
+        if tuple(header) != _REPORT_COLUMNS:
             raise ValueError(f"unexpected report header {header!r}")
         rows = []
         for record in reader:

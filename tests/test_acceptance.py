@@ -205,7 +205,7 @@ def test_arbitration_budget_determinism_and_relabeling(capsys):
 
         for step in first.steps:
             steps_seen += 1
-            gap = abs(math.fsum(step.weights.weights) - 1.0)
+            gap = abs(math.fsum(step.weights) - 1.0)
             worst_weight_gap = max(worst_weight_gap, gap)
             if sum(step.sample_counts) != config.n_total:
                 budget_misses += 1
@@ -223,7 +223,7 @@ def test_arbitration_budget_determinism_and_relabeling(capsys):
         for fwd, rev in zip(first.steps, flipped.steps):
             relabel_ok &= fwd.forecast.values == rev.forecast.values
             relabel_ok &= fwd.simulated_truth == rev.simulated_truth
-            relabel_ok &= tuple(reversed(fwd.weights.weights)) == rev.weights.weights
+            relabel_ok &= tuple(reversed(fwd.weights)) == rev.weights
             relabel_ok &= tuple(reversed(fwd.sample_counts)) == rev.sample_counts
 
     elapsed = perf_counter() - start

@@ -19,8 +19,8 @@ from quantarb.core import (
     PerformanceWindow,
     QuantileForecast,
     QuantileLevels,
-    WeightVector,
     build_panel,
+    normalize_weights,
 )
 from quantarb.errors import (
     AlignmentMismatch,
@@ -140,11 +140,11 @@ def test_allocation_hand_values():
 )
 @settings(max_examples=200)
 def test_allocation_sums_exactly_and_stays_within_one_of_exact(raw, n_total):
-    w = WeightVector.normalized(raw)
-    counts = allocate_samples(w.weights, n_total)
+    w = normalize_weights(raw)
+    counts = allocate_samples(w, n_total)
     assert sum(counts) == n_total
     assert all(c >= 0 for c in counts)
-    for c, wi in zip(counts, w.weights):
+    for c, wi in zip(counts, w):
         assert abs(c - wi * n_total) < 1.0
 
 
@@ -166,7 +166,7 @@ def _arbitrate_step(rows, config=CFG, seed=0, backtests=None):
 
 def test_arbitrate_point_masses_splits_the_budget():
     out, counts, weights = _arbitrate_step((("a", (0.0,) * 9), ("b", (10.0,) * 9)))
-    assert weights.weights == (0.5, 0.5)
+    assert weights == (0.5, 0.5)
     assert counts == (750, 750)
     # pooled sample is exactly 750 zeros and 750 tens; under the linear
     # interpolation estimator the 0.5 level lands between the two blocks
@@ -195,7 +195,7 @@ def test_arbitrate_identical_models_matches_single_model_distribution():
     both, _, weights = _arbitrate_step(
         (("a", fc.values), ("b", fc.values)), cfg, seed=2, backtests=backtests
     )
-    assert weights.weights == pytest.approx((0.3, 0.7), rel=1e-12)
+    assert weights == pytest.approx((0.3, 0.7), rel=1e-12)
     for want, got in zip(fc.values, both.values):
         assert abs(got - want) <= 0.05
 
@@ -231,7 +231,7 @@ def test_run_arbitration_trace_shape_and_budget():
     assert trace.model_names == ("a", "b")
     for step in trace.steps:
         assert sum(step.sample_counts) == 1500
-        assert abs(math.fsum(step.weights.weights) - 1.0) <= 1e-9
+        assert abs(math.fsum(step.weights) - 1.0) <= 1e-9
 
 
 def test_trace_arrays_hold_every_step_and_its_views_agree():
@@ -246,7 +246,7 @@ def test_trace_arrays_hold_every_step_and_its_views_agree():
     assert trace.medians == tuple(trace.simulated.tolist())
     for i, step in enumerate(trace.steps):
         assert step.forecast.values == tuple(trace.quantiles[i].tolist())
-        assert step.weights.weights == trace.weights_at(i)
+        assert step.weights == trace.weights_at(i)
         assert step.sample_counts == tuple(trace.counts[i].tolist())
         assert step.weight_rule == trace.rules[i]
         assert step.scores == (None if i == 0 else tuple(trace.scores[i].tolist()))
@@ -256,7 +256,7 @@ def test_run_builds_no_value_objects_per_step(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built during a run")
 
-    for cls in (QuantileForecast, WeightVector, ArbitrationStep):
+    for cls in (QuantileForecast, ArbitrationStep):
         monkeypatch.setattr(cls, "__init__", refuse)
     trace = run_arbitration(_drifting_panel(), seed=0)
     assert len(trace) == 6
@@ -265,7 +265,7 @@ def test_run_builds_no_value_objects_per_step(monkeypatch):
 def test_first_step_uses_uniform_weights_when_window_empty():
     trace = run_arbitration(_drifting_panel(), seed=0)
     assert trace.steps[0].weight_rule == "uniform"
-    assert trace.steps[0].weights.weights == (0.5, 0.5)
+    assert trace.steps[0].weights == (0.5, 0.5)
     assert all(s.weight_rule == "inverse_error" for s in trace.steps[1:])
 
 
@@ -274,7 +274,7 @@ def test_static_mode_keeps_uniform_weights_throughout():
         _drifting_panel(), config=ArbitratorConfig(mode="static-uniform"), seed=0
     )
     assert all(s.weight_rule == "static" for s in trace.steps)
-    assert all(s.weights.weights == (0.5, 0.5) for s in trace.steps)
+    assert all(s.weights == (0.5, 0.5) for s in trace.steps)
     assert all(s.scores is None for s in trace.steps)
 
 
@@ -293,7 +293,7 @@ def test_self_tracking_model_triggers_softmax_branch():
     for step in trace.steps[1:]:
         assert step.weight_rule == "softmax"
         assert step.scores[0] == 0.0
-        assert step.weights.weights[0] > step.weights.weights[1]
+        assert step.weights[0] > step.weights[1]
 
 
 def test_lower_window_error_earns_more_weight():
@@ -332,7 +332,7 @@ def test_permutation_equivariance_is_bit_exact():
     t_ba = run_arbitration(swapped, seed=5)
     for s1, s2 in zip(t_ab.steps, t_ba.steps):
         assert s1.forecast.values == s2.forecast.values
-        assert s1.weights.weights == (s2.weights.weights[1], s2.weights.weights[0])
+        assert s1.weights == (s2.weights[1], s2.weights[0])
         assert s1.sample_counts == (s2.sample_counts[1], s2.sample_counts[0])
         assert s1.simulated_truth == s2.simulated_truth
 
@@ -496,7 +496,7 @@ def test_initial_window_biases_first_step_weights():
     window = seed_window_from_context(panel, steps)
     trace = run_arbitration(panel, initial_window=window, seed=0)
     assert trace.steps[0].weight_rule == "inverse_error"
-    assert trace.steps[0].weights.weights[0] > 0.9
+    assert trace.steps[0].weights[0] > 0.9
 
 
 def _rescored(records):
@@ -543,7 +543,7 @@ def test_cached_window_scores_match_rescoring_bit_for_bit(seeded):
         else:
             assert step.scores == _rescored(records)
             weights, rule = weights_with_rule(_rescored(records), cfg)
-            assert (step.weights.weights, step.weight_rule) == (weights, rule)
+            assert (step.weights, step.weight_rule) == (weights, rule)
         records.append((panel.values[:, t], step.simulated_truth))
     assert len(records) == 4
 

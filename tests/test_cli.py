@@ -237,6 +237,11 @@ class TestWinLoss:
         assert code == EXIT_VALIDATION
         assert "ghost" in capsys.readouterr().err
 
+    def test_per_model_is_validation_failure(self, suite_path, capsys):
+        code = main(["winloss", str(suite_path), "--a", "per-model", "--b", "median"])
+        assert code == EXIT_VALIDATION
+        assert "model:<name>" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_switching_summary_without_topk(self, suite_path, capsys):
@@ -325,6 +330,34 @@ class TestEnvironmentChoices:
         monkeypatch.setenv("QUANTARB_FORMAT", "csv-long")
         assert main(["eval", str(suite_path), "--methods", "median"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("method,scope,metric,value")
+
+
+class TestEnvironmentScope:
+    """A numeric ``QUANTARB_`` value is read only by a subcommand that has
+    its flag, after the arguments are parsed."""
+
+    def test_a_bad_value_is_ignored_by_a_subcommand_without_the_flag(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("QUANTARB_WINDOW", "abc")
+        monkeypatch.setenv("QUANTARB_WORKERS", "x")
+        assert main(["validate", str(FIXTURE)]) == EXIT_OK
+        assert "3 panel(s) valid" in capsys.readouterr().out
+
+    def test_help_ignores_bad_environment_values(self, monkeypatch, capsys):
+        monkeypatch.setenv("QUANTARB_WORKERS", "x")
+        monkeypatch.setenv("QUANTARB_SEED", "not-a-number")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert "usage: quantarb" in capsys.readouterr().out
+
+    def test_a_flag_overrides_a_bad_numeric_environment_value(
+        self, suite_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("QUANTARB_SEED", "not-a-number")
+        argv = ["eval", str(suite_path), "--methods", "median", "--seed", "0"]
+        assert main(argv) == EXIT_OK
 
 
 def _child_env():

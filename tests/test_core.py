@@ -13,8 +13,8 @@ from quantarb.core import (
     PerformanceWindow,
     QuantileForecast,
     QuantileLevels,
-    WeightVector,
     build_panel,
+    normalize_weights,
     quantile_at,
 )
 from quantarb.errors import (
@@ -236,27 +236,16 @@ def test_panel_round_trips_through_pickle_bit_exact():
     assert not clone.values.flags.writeable
 
 
-def test_weight_vector_accepts_normalized_and_rejects_drift():
-    WeightVector((0.25, 0.75))
+def test_normalize_weights_divides_by_the_exact_sum():
+    assert normalize_weights([2.0, 6.0]) == (0.25, 0.75)
+    assert normalize_weights([1.0] * 4) == (0.25,) * 4
     with pytest.raises(ValueError):
-        WeightVector((0.25, 0.7))
-    with pytest.raises(ValueError):
-        WeightVector((-0.1, 1.1))
-    with pytest.raises(ValueError):
-        WeightVector(())
-
-
-def test_weight_vector_normalized_and_uniform():
-    w = WeightVector.normalized([2.0, 6.0])
-    assert w.weights == (0.25, 0.75)
-    assert WeightVector.uniform(4).weights == (0.25,) * 4
-    with pytest.raises(ValueError):
-        WeightVector.normalized([0.0, 0.0])
+        normalize_weights([0.0, 0.0])
 
 
 @given(st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=8))
 def test_normalized_weights_always_sum_to_one(raw):
-    total = math.fsum(WeightVector.normalized(raw).weights)
+    total = math.fsum(normalize_weights(raw))
     assert abs(total - 1.0) <= 1e-9
 
 
@@ -332,8 +321,12 @@ def test_trace_requires_counts_to_sum_to_n_total():
 def test_trace_rejects_rows_that_no_run_could_write():
     with pytest.raises(ValueError, match="unknown weight rules"):
         _trace((4, 6), rules=["greedy"])
-    with pytest.raises(ValueError, match="step 0: weights"):
-        _trace((4, 6), weights=[[0.5, 0.6]])
+    _trace((4, 6), weights=[[0.25, 0.75]])
+    for weights in ([0.5, 0.6], [0.25, 0.7], [-0.1, 1.1]):
+        with pytest.raises(ValueError, match="step 0: weights are not a distribution"):
+            _trace((4, 6), weights=[weights])
+    with pytest.raises(NonFinite, match="step 0"):
+        _trace((4, 6), weights=[[float("nan"), 1.0]])
     with pytest.raises(ValueError, match="window scores"):
         _trace((4, 6), scores=[[0.1, 0.2]])
     with pytest.raises(ValueError, match="window scores"):
@@ -367,9 +360,9 @@ def test_trace_arrays_are_read_only_and_survive_pickling():
     assert trace.medians == (4.0, 5.0)
     assert trace.weights_at(1) == (0.25, 0.75)
     assert trace.steps == (
-        ArbitrationStep(QuantileForecast(DEFAULT_LEVELS, range(9)), WeightVector((0.5, 0.5)),
+        ArbitrationStep(QuantileForecast(DEFAULT_LEVELS, range(9)), (0.5, 0.5),
                         (5, 5), 4.0, None, "uniform"),
         ArbitrationStep(QuantileForecast(DEFAULT_LEVELS, range(1, 10)),
-                        WeightVector((0.25, 0.75)), (3, 7), 5.0, (0.3, 0.1), "inverse_error"),
+                        (0.25, 0.75), (3, 7), 5.0, (0.3, 0.1), "inverse_error"),
     )
     assert trace.forecasts == tuple(step.forecast for step in trace.steps)

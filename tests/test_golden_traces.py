@@ -54,7 +54,7 @@ def _traces() -> list[dict]:
                 "series_id": trace.series_id,
                 "rules": [s.weight_rule for s in trace.steps],
                 "counts": [list(s.sample_counts) for s in trace.steps],
-                "weights": [list(s.weights.weights) for s in trace.steps],
+                "weights": [list(s.weights) for s in trace.steps],
                 "quantiles": [list(s.forecast.values) for s in trace.steps],
             }
         )

@@ -11,7 +11,6 @@ from quantarb.errors import (
 )
 from quantarb.metrics import (
     crps_batch,
-    lumpiness,
     mase,
     pearson_correlation,
     pinball_loss,
@@ -142,36 +141,6 @@ def test_mase_translation_invariant(c):
         [4.0 + c, 1.0 + c], [2.0 + c, 2.0 + c], [0.0 + c, 1.0 + c, 3.0 + c, 2.0 + c], 1
     )
     assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
-
-
-def test_lumpiness_zero_for_constant_series():
-    assert lumpiness([3.0] * 40, 10) == 0.0
-
-
-def test_lumpiness_zero_for_identical_tiles():
-    tile = [0.0, 1.0, 0.0, -1.0, 0.5]
-    assert lumpiness(tile * 8, 5) == pytest.approx(0.0, abs=1e-24)
-
-
-def test_lumpiness_matches_brute_force_on_white_noise():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=1000)
-    got = lumpiness(x, 10)
-
-    z = (x - x.mean()) / x.std()
-    tiles = [z[i : i + 10] for i in range(0, 1000, 10)]
-    tile_vars = [float(np.mean((t - t.mean()) ** 2)) for t in tiles]
-    mean_v = sum(tile_vars) / len(tile_vars)
-    want = sum((v - mean_v) ** 2 for v in tile_vars) / len(tile_vars)
-    assert got == pytest.approx(want, rel=1e-10)
-    assert got > 0.0
-
-
-def test_lumpiness_default_tile_width_and_short_series():
-    x = list(range(100))
-    assert lumpiness(x) == lumpiness(x, 10)  # max(10, 100 // 20)
-    with pytest.raises(SeriesTooShort):
-        lumpiness([1.0, 2.0, 3.0], 2)
 
 
 def test_pearson_exact_endpoints():

@@ -164,7 +164,7 @@ def test_weight_rankings_sort_by_descending_weight():
     assert len(rankings) == 3
     assert rankings[0] == (0, 1)  # uniform weights tie-break by index
     for step, ranking in zip(trace.steps, rankings):
-        w = step.weights.weights
+        w = step.weights
         assert w[ranking[0]] == max(w)
 
 

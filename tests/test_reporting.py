@@ -12,6 +12,7 @@ import math
 import jsonschema
 import pytest
 
+import quantarb.reporting
 from quantarb.core import DEFAULT_LEVELS, build_panel
 from quantarb.errors import InsufficientModels
 from quantarb.panelio import TaggedPanel
@@ -21,7 +22,6 @@ from quantarb.reporting import (
     ReportRow,
     emit_report,
     emit_scaling,
-    feature_mase_correlation,
     load_report,
     report_json_schema,
     run_evaluation,
@@ -231,6 +231,31 @@ class TestWinLoss:
         with pytest.raises(ValueError):
             run_win_loss([], "median", "mean")
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ("per-model", "median", "model:<name>"),
+            ("median", "per-model", "model:<name>"),
+            ("median", "typo", "unknown method 'typo'"),
+        ],
+    )
+    def test_a_method_that_is_not_one_row_is_rejected_before_any_scoring(
+        self, hand_fixture, monkeypatch, a, b, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a panel was scored")
+
+        monkeypatch.setattr(quantarb.reporting, "_score_path", never)
+        with pytest.raises(ValueError, match=message):
+            run_win_loss(hand_fixture, a, b)
+
+    def test_matches_the_evaluation_tally_against_the_reference(self, small_suite, eval_rows):
+        overall = _rows_for(eval_rows, "overall")
+        for method in ("median", "oracle", f"model:{small_suite[0].panel.model_names[0]}"):
+            result = run_win_loss(small_suite, method, "synapse")
+            row = overall[method]
+            assert result["crps"] == (row.wins, row.losses, row.ties)
+
 
 class TestPoolScaling:
     def test_one_row_per_prefix_of_size_two_plus(self, scaling_rows, small_suite):
@@ -282,12 +307,6 @@ class TestSelectionAccuracy:
     def test_requires_panels(self):
         with pytest.raises(ValueError):
             selection_accuracy_table([])
-
-
-def test_feature_mase_correlation_is_a_valid_coefficient(small_suite):
-    value = feature_mase_correlation(small_suite, method="median")
-    assert math.isfinite(value)
-    assert -1.0 <= value <= 1.0
 
 
 class TestEmission:
