@@ -85,14 +85,14 @@ class WindowScores:
     __slots__ = ("_rows",)
 
     def __init__(self, capacity: int) -> None:
-        self._rows: deque[tuple[float, ...]] = deque(maxlen=capacity)
+        self._rows: deque[list[float]] = deque(maxlen=capacity)
 
     def push(self, levels: Sequence[float], values, observations) -> None:
         """Score records, oldest first: the N models' forecasts ``values`` of
         shape (N, L, K) on ``levels`` against ``observations`` of shape (L,),
         or one record as (N, K) against a single observation."""
         scores = crps_batch(levels, values, observations)
-        self._rows.extend(map(tuple, scores.reshape(len(scores), -1).T.tolist()))
+        self._rows.extend(scores.reshape(len(scores), -1).T.tolist())
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -133,30 +133,11 @@ def allocate_samples(weights: Sequence[float], n_total: int) -> tuple[int, ...]:
     scaled = [w * n_total for w in weights]
     counts = [math.floor(x) for x in scaled]
     remainder = n_total - sum(counts)
-    by_fraction = sorted(
-        range(len(counts)), key=lambda i: (counts[i] - scaled[i], i)
-    )
-    for i in by_fraction[:remainder]:
-        counts[i] += 1
+    if remainder:
+        by_fraction = sorted(zip([c - x for c, x in zip(counts, scaled)], range(len(counts))))
+        for _, i in by_fraction[:remainder]:
+            counts[i] += 1
     return tuple(counts)
-
-
-def _pool_draws(
-    icdf: InverseCdf,
-    rows: np.ndarray,
-    counts: Sequence[int],
-    generator: np.random.Generator,
-    keys: Sequence[Sequence[int]],
-) -> np.ndarray:
-    """Draw ``counts[i]`` uniforms from model i's own Philox stream (``keys``
-    holds one key per model), through one reused ``generator``, and evaluate
-    the pooled draws against batch ``rows`` of ``icdf`` in one pass."""
-    uniforms = [
-        philox_uniforms(generator, key, count)
-        for key, count in zip(keys, counts)
-        if count
-    ]
-    return icdf(np.concatenate(uniforms), np.repeat(rows, counts))
 
 
 def _probe_levels(levels: QuantileLevels) -> tuple[tuple[float, ...], int, np.ndarray]:
@@ -213,9 +194,10 @@ def run_arbitration(
             f"panel {panel.series_id!r} levels {list(levels)}"
         )
     dynamic = config.mode == "dynamic"
+    alphas = np.asarray(levels.levels)
     window = WindowScores(config.resolve_capacity(panel.horizon))
     if dynamic and initial_window is not None:
-        window.push(levels.levels, initial_window.values, initial_window.observations)
+        window.push(alphas, initial_window.values, initial_window.observations)
     if streams is None:
         streams = RandomStreams(seed)
     horizon = panel.horizon
@@ -226,9 +208,9 @@ def run_arbitration(
     generator = np.random.Generator(np.random.Philox(0))
     out_levels = config.levels if config.levels is not None else levels
     probe, median_at, on_grid = _probe_levels(out_levels)
+    icdf = InverseCdf(alphas, panel.values)
     # Batch row of model i at step t is i * horizon + t.
-    icdf = InverseCdf(np.asarray(levels.levels), panel.values)
-    model_rows = np.arange(n) * horizon
+    offsets = icdf.offsets(np.arange(horizon)[:, None] + np.arange(n) * horizon)
     uniform = (1.0 / n,) * n
     uniform_counts = allocate_samples(uniform, config.n_total)
     quantiles = np.empty((horizon, len(out_levels)))
@@ -246,13 +228,16 @@ def run_arbitration(
             c = allocate_samples(w, config.n_total)
             scores[t] = s
         weights[t], counts[t] = w, c
-        pooled = _pool_draws(icdf, model_rows + t, c, generator, keys[t])
+        # Model i draws c[i] uniforms from its own Philox stream, through the
+        # one reused generator; the pooled draws are evaluated in one pass.
+        uniforms = [philox_uniforms(generator, key, k) for key, k in zip(keys[t], c) if k]
+        pooled = icdf.evaluate(np.concatenate(uniforms), offsets[t].repeat(counts[t]))
         values = empirical_quantiles(pooled, probe)
         quantiles[t] = values[on_grid]
         simulated[t] = values[median_at]
         # The last step's record would never be read.
         if dynamic and t + 1 < horizon:
-            window.push(levels.levels, panel.values[:, t], simulated[t])
+            window.push(alphas, panel.values[:, t], simulated[t])
     return ArbitrationTrace(
         series_id=panel.series_id,
         model_names=names,

@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=_EnvDefault("WORKERS", int, None),
-        help="panel-parallel worker threads (default serial)",
+        help="panel-parallel worker threads, at least 1 (default serial)",
     )
     p_eval.add_argument(
         "--per-series", action="store_true", help="also emit one row per series"

@@ -31,9 +31,21 @@ class InverseCdf:
     outer levels with the adjacent segment slopes. The whole batch is fitted
     in one vectorized pass; evaluation takes a flat row index into the batch
     for every probability.
+
+    Finding each probability's piece is a table lookup, not a binary search.
+    [0, 1] is cut into 2**e equal buckets (the smallest power of two at least
+    ``max(16, 4K)``); the table holds how many levels lie below each bucket
+    and, as rows of thresholds padded with NaN, the levels inside it. A
+    probability's piece is its bucket's count plus how many of its bucket's
+    thresholds it reaches: ``searchsorted(levels, p, "right")`` for every
+    ``p`` but NaN, in a fixed number of array operations. On fresh random
+    probabilities every branch of a binary search is a coin flip the CPU
+    mispredicts, so the branch-free lookup is about three times faster there
+    (Khuong & Morin 2017). Several levels in one bucket only add threshold
+    rows, so every grid takes the same path.
     """
 
-    __slots__ = ("levels", "values", "_base", "_coef")
+    __slots__ = ("levels", "values", "_base", "_coef", "_scale", "_below", "_thresholds")
 
     def __init__(self, levels: np.ndarray, values: np.ndarray) -> None:
         levels = np.asarray(levels, dtype=float)
@@ -56,46 +68,89 @@ class InverseCdf:
             d = _pchip_derivatives(h, m)
             # Hermite form in scipy's CubicHermiteSpline arithmetic.
             t = (d[:, :-1] + d[:, 1:] - 2 * m) / h
-            interior = np.stack((t / h, (m - d[:, :-1]) / h - t, d[:, :-1], y[:, :-1]), axis=-1)
+            interior = (y[:, :-1], d[:, :-1], (m - d[:, :-1]) / h - t, t / h)
         else:
             lo_slope = hi_slope = zero
-            interior = np.empty((len(y), 0, 4))
-        # Cubic coefficients (s^3, s^2, s, 1) of K + 1 pieces per forecast:
-        # the lower tail, the K - 1 segments, the upper tail. Piece j covers
-        # levels[j-1] <= p < levels[j] and starts at _base[j]; the tails are
-        # lines, so their cubic terms are zero.
-        lower = np.stack((zero, zero, lo_slope, y[:, 0]), axis=-1)
-        upper = np.stack((zero, zero, hi_slope, y[:, -1]), axis=-1)
-        self._coef = np.concatenate(
-            (lower[:, None], interior, upper[:, None]), axis=1
-        ).reshape(-1, 4)
+            interior = (np.empty((len(y), 0)),) * 4
+        # Coefficients (1, s, s^2, s^3) of K + 1 pieces per forecast, one
+        # contiguous array per power: the lower tail, the K - 1 segments, the
+        # upper tail. Piece j covers levels[j-1] <= p < levels[j] and starts
+        # at _base[j]; the tails are lines, so their cubic terms are zero.
+        tails = ((y[:, 0], y[:, -1]), (lo_slope, hi_slope), (zero, zero), (zero, zero))
+        self._coef = tuple(
+            np.concatenate((lo[:, None], mid, hi[:, None]), axis=1).ravel()
+            for (lo, hi), mid in zip(tails, interior)
+        )
         self._base = np.concatenate((levels[:1], levels))
+        size = 16
+        while size < 4 * len(levels):
+            size *= 2
+        self._scale = float(size)
+        # Bucket `size` holds probability 1, and every level at or above it.
+        at = self._buckets(levels)
+        below = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=size + 1))))
+        self._below = below[:-1].astype(np.intp)
+        rank = np.arange(len(levels)) - self._below[at]
+        self._thresholds = np.full((int(rank.max(initial=0)) + 1, size + 1), np.nan)
+        self._thresholds[rank, at] = levels
+
+    def _buckets(self, p: np.ndarray) -> np.ndarray:
+        """floor(clip(p, 0, 1) * 2**e): fmax and fmin send NaN to bucket 0
+        without a warning, and the power-of-two scaling is exact."""
+        x = np.fmax(p, 0.0)
+        np.fmin(x, 1.0, out=x)
+        x *= self._scale
+        return x.astype(np.intp)
+
+    def pieces(self, p: np.ndarray) -> np.ndarray:
+        """Piece of each probability in a 1-D float array: the number of
+        levels at or below it, ``searchsorted(levels, p, "right")``, for
+        every ``p`` but NaN (NaN goes to piece 0, and evaluates to NaN)."""
+        at = self._buckets(p)
+        piece = self._below.take(at)
+        for row in self._thresholds:
+            piece += row.take(at) <= p
+        return piece
+
+    def offsets(self, rows: int | np.ndarray) -> np.ndarray:
+        """Flat offsets of batch ``rows`` for :meth:`evaluate`."""
+        return np.asarray(rows, dtype=np.intp) * (len(self.levels) + 1)
 
     def __call__(
         self, p: float | Sequence[float] | np.ndarray, rows: int | np.ndarray = 0
     ) -> float | np.ndarray:
         """Evaluate at probabilities ``p``; ``rows`` picks each probability's
         forecast by flat index into the batch (0 for a single forecast)."""
-        scalar = np.ndim(p) == 0
-        pa = np.atleast_1d(np.asarray(p, dtype=float))
-        piece = np.searchsorted(self.levels, pa, side="right")
-        # take, not fancy indexing: numpy gathers whole rows far faster so.
-        c = self._coef.take(np.asarray(rows, dtype=np.intp) * (len(self.levels) + 1) + piece,
-                            axis=0)
-        s = pa - self._base[piece]
+        out = self.evaluate(np.atleast_1d(np.asarray(p, dtype=float)), self.offsets(rows))
+        return float(out[0]) if np.ndim(p) == 0 else out
+
+    def evaluate(self, p: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Evaluate a 1-D float array ``p``, probability i against the
+        forecast at flat offset ``offsets[i]`` (see :meth:`offsets`;
+        ``offsets`` broadcasts against ``p``)."""
+        piece = self.pieces(p)
+        # take, not fancy indexing: numpy gathers far faster so.
+        index = offsets + piece
+        c0, c1, c2, c3 = (c.take(index) for c in self._coef)
+        s = p - self._base.take(piece)
         s2 = s * s
-        # scipy's evaluate_poly1 order: constant term first, powers of s
-        # accumulated by repeated multiplication. On the tails the zero
-        # cubic terms add signed zeros, leaving y + slope * s unchanged.
-        out = c[:, 3] + c[:, 2] * s + c[:, 1] * s2 + c[:, 0] * (s2 * s)
-        return float(out[0]) if scalar else out
+        # scipy's evaluate_poly1 order, c0 + c1*s + c2*s2 + c3*(s2*s): powers
+        # of s accumulated by repeated multiplication. Computed in place;
+        # IEEE addition and multiplication commute exactly, so the bits are
+        # the same. On the tails the zero cubic terms add signed zeros,
+        # leaving y + slope * s unchanged.
+        out = np.multiply(c1, s, out=c1)
+        out += c0
+        out += np.multiply(c2, s2, out=c2)
+        out += np.multiply(c3, np.multiply(s2, s, out=s), out=c3)
+        return out
 
     @property
     def support(self) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
         """Range of attainable values, [F^-1(0), F^-1(1)], per forecast."""
-        pieces = self._coef.reshape(-1, len(self.levels) + 1, 4)
-        low = pieces[:, 0, 3] - self.levels[0] * pieces[:, 0, 2]
-        high = pieces[:, -1, 3] + (1.0 - self.levels[-1]) * pieces[:, -1, 2]
+        const, linear = (c.reshape(-1, len(self.levels) + 1) for c in self._coef[:2])
+        low = const[:, 0] - self.levels[0] * linear[:, 0]
+        high = const[:, -1] + (1.0 - self.levels[-1]) * linear[:, -1]
         shape = self.values.shape[:-1]
         if not shape:
             return float(low[0]), float(high[0])

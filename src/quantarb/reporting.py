@@ -267,12 +267,15 @@ def run_evaluation(
 
     The reference for win/loss counts is ``synapse`` when requested, else the
     first method in registry order. Scoring is panel-parallel when ``workers``
-    is set; aggregation order never depends on completion order.
+    is above 1, and a count below 1 raises ``ValueError``; aggregation order
+    never depends on completion order.
     """
     if not methods:
         raise ValueError("at least one method is required")
     if not tagged_panels:
         raise ValueError("at least one panel is required")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     config = config if config is not None else ArbitratorConfig()
     streams = RandomStreams(seed)
 

@@ -98,6 +98,19 @@ class TestSynth:
         assert main(["synth", "--n", "1", "--out", str(target)]) == EXIT_RUNTIME
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "-1"], "n_panels must be >= 0, got -1"),
+            (["--n", "2", "--experts", "0"], "n_experts must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_suite_size_is_validation_failure(self, tmp_path, capsys, flags, message):
+        target = tmp_path / "panels.jsonl"
+        assert main(["synth", *flags, "--out", str(target)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not target.exists()
+
 
 class TestEval:
     def test_table_output_to_stdout(self, suite_path, capsys):
@@ -169,6 +182,19 @@ class TestEval:
         with pytest.raises(SystemExit) as excinfo:
             main(["eval", str(suite_path), "--format", "yaml"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_worker_count_below_one_is_validation_failure(
+        self, suite_path, tmp_path, monkeypatch, capsys, count
+    ):
+        out = tmp_path / "report.csv"
+        argv = ["eval", str(suite_path), "--methods", "median", "--out", str(out)]
+        assert main(argv + ["--workers", count]) == EXIT_VALIDATION
+        assert f"workers must be >= 1, got {count}" in capsys.readouterr().err
+        monkeypatch.setenv("QUANTARB_WORKERS", count)
+        assert main(argv) == EXIT_VALIDATION
+        assert f"workers must be >= 1, got {count}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScale:

@@ -10,6 +10,7 @@ from quantarb.errors import (
     ZeroDenominator,
 )
 from quantarb.metrics import (
+    ABS_OBS_FLOOR,
     crps_batch,
     mase,
     pearson_correlation,
@@ -103,6 +104,46 @@ def test_crps_batch_matches_per_forecast_scores_bit_for_bit(block):
         assert record.tobytes() == got[:, t].tobytes()
         for i in range(values.shape[0]):
             assert got[i, t] == float(crps_batch(levels.levels, values[i, t].tolist(), y))
+
+
+def _crps_with_np_mean(levels, values, observations):
+    """``crps_batch`` as it was written with ``np.mean``, kept as an oracle."""
+    alphas = np.asarray(levels, dtype=float)
+    q = np.asarray(values, dtype=float)
+    y = np.asarray(observations, dtype=float)[..., None]
+    rho = np.where(y > q, alphas * (y - q), (1.0 - alphas) * (q - y))
+    return np.mean(2.0 * rho / np.maximum(np.abs(y), ABS_OBS_FLOOR), axis=-1)
+
+
+@given(_blocks(), st.sampled_from(("K", "NK", "NLK")), st.data())
+@settings(max_examples=200)
+def test_crps_batch_equals_the_np_mean_formulation_bit_for_bit(block, shape, data):
+    levels, values, obs = block
+    # Some forecasts sit on their observation at every level: exact-zero
+    # losses, whose +0.0 must stay +0.0.
+    on_truth = data.draw(st.lists(st.booleans(), min_size=len(obs), max_size=len(obs)))
+    for t, hit in enumerate(on_truth):
+        if hit:
+            values[0, t] = obs[t]
+    if shape == "K":
+        cases = [(values[i, t], obs[t]) for i in range(len(values)) for t in range(len(obs))]
+    elif shape == "NK":
+        cases = [(values[:, t], obs[t]) for t in range(len(obs))]
+    else:
+        cases = [(values, obs)]
+    for v, y in cases:
+        got = crps_batch(levels.levels, v, y)
+        want = _crps_with_np_mean(levels.levels, v, y)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_crps_batch_of_forecasts_on_their_observation_is_positive_zero():
+    for y in (5.0, -5.0, 0.0):
+        got = crps_batch(DEFAULT_LEVELS.levels, [[y] * 9, [y] * 9], y)
+        assert np.signbit(got).tolist() == [False, False]
+        assert not np.signbit(crps_batch(DEFAULT_LEVELS.levels, [y] * 9, y))
 
 
 def test_crps_series_is_mean_of_timesteps():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -398,3 +400,92 @@ def test_batched_kernel_mixes_rows_in_one_call():
 def test_kernel_rejects_values_off_the_grid():
     with pytest.raises(DimensionMismatch):
         InverseCdf(np.asarray(DEFAULT_LEVELS.levels), np.zeros((2, 8)))
+
+
+def _binary_search_inverse_cdf(icdf, p, rows):
+    """``InverseCdf.__call__`` as it was before the bucket lookup, kept as an
+    oracle: a binary search for each probability's piece, a gather of whole
+    (s^3, s^2, s, 1) coefficient rows, and the same polynomial arithmetic."""
+    levels = icdf.levels
+    coef = np.stack(icdf._coef[::-1], axis=-1)
+    base = np.concatenate((levels[:1], levels))
+    pa = np.atleast_1d(np.asarray(p, dtype=float))
+    piece = np.searchsorted(levels, pa, side="right")
+    c = coef.take(np.asarray(rows, dtype=np.intp) * (len(levels) + 1) + piece, axis=0)
+    s = pa - base[piece]
+    s2 = s * s
+    return c[:, 3] + c[:, 2] * s + c[:, 1] * s2 + c[:, 0] * (s2 * s)
+
+
+@st.composite
+def _lookup_grids(draw, edge_levels=_EDGE_LEVELS):
+    """Sorted level grids: random ones in (0, 1), including levels from
+    ``edge_levels`` next to 0 and 1, and clusters of levels 1e-9 apart that
+    share one bucket."""
+    if draw(st.booleans()):
+        inner = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=12))
+        edges = draw(st.lists(st.sampled_from(edge_levels), max_size=3))
+        return np.array(sorted(set(inner) | set(edges)))
+    start = draw(st.floats(1e-3, 0.99))
+    cluster = start + 1e-9 * np.arange(draw(st.integers(2, 9)))
+    others = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=4))
+    return np.array(sorted(set(cluster.tolist()) | set(others)))
+
+
+def _lookup_probes(levels, extra):
+    """Every level and one ulp either side, the ends of [0, 1] and -0.0,
+    subnormals, values just outside and far outside [0, 1], and ``extra``."""
+    fixed = [0.0, -0.0, 1.0, 5e-324, 2.2e-308, -5e-324, -1e-300, -0.5, -3.0,
+             1.0 + 2.0**-52, 1.5, 3.0, 1e100, -1e100]
+    return np.concatenate(
+        (levels, np.nextafter(levels, -np.inf), np.nextafter(levels, np.inf), fixed, extra)
+    )
+
+
+_HUGE_PROBES = [1e308, -1e308, np.inf, -np.inf]
+
+
+@given(_lookup_grids(), st.lists(st.floats(allow_nan=False), max_size=20))
+@settings(max_examples=300, deadline=None)
+@example(np.array([0.25, 0.25 + 1e-9, 0.25 + 2e-9]), [])
+@example(np.array(sorted(set(_EDGE_LEVELS))), [])
+def test_bucket_lookup_equals_binary_search(levels, extra):
+    icdf = InverseCdf(levels, np.zeros(len(levels)))
+    p = _lookup_probes(levels, np.array(extra + _HUGE_PROBES))
+    assert np.array_equal(icdf.pieces(p), np.searchsorted(levels, p, side="right"))
+
+
+@given(
+    # Without the levels 1e-300 apart, whose cubic coefficients overflow.
+    _lookup_grids(edge_levels=_EDGE_LEVELS[2:]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(-1e100, 1e100, allow_nan=False), max_size=20),
+)
+@settings(max_examples=300, deadline=None)
+def test_inverse_cdf_equals_the_binary_search_arithmetic_bit_for_bit(levels, n, seed, extra):
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.normal(0.0, 10.0, size=(n, len(levels))), axis=-1)
+    values[rng.random(values.shape) < 0.3] = 0.0  # flat pieces and tied knots
+    icdf = InverseCdf(levels, np.sort(values, axis=-1))
+    p = np.append(_lookup_probes(levels, np.array(extra)), np.nan)
+    rows = rng.integers(0, n, size=len(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = icdf(p, rows)
+        scalar = icdf(float(p[0]), int(rows[0]))
+    want = _binary_search_inverse_cdf(icdf, p, rows)
+    assert got.tobytes() == want.tobytes()
+    assert np.float64(scalar).tobytes() == want[:1].tobytes()
+    assert np.isnan(got[-1])
+
+
+def test_bucket_table_grows_with_the_grid():
+    # 2**e buckets, the smallest power of two at least max(16, 4K), plus one
+    # for probability 1; a grid that fits one level per bucket needs one row
+    # of thresholds, and a cluster in one bucket needs a row per level.
+    assert InverseCdf(np.array([0.5]), np.zeros(1))._thresholds.shape == (1, 17)
+    spread = InverseCdf(np.asarray(DEFAULT_LEVELS.levels), np.zeros(9))
+    assert spread._thresholds.shape == (1, 65)
+    cluster = InverseCdf(0.3 + 1e-9 * np.arange(5), np.zeros(5))
+    assert cluster._thresholds.shape == (5, 33)

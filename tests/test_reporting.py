@@ -200,6 +200,11 @@ class TestRunEvaluation:
         threaded = run_evaluation(small_suite, methods=ALL_METHODS, workers=4)
         assert threaded == eval_rows
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_is_rejected(self, hand_fixture, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_evaluation(hand_fixture, methods=("median",), workers=workers)
+
     def test_repeat_run_is_identical(self, small_suite, eval_rows):
         again = run_evaluation(small_suite, methods=ALL_METHODS)
         assert again == eval_rows

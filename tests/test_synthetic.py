@@ -180,6 +180,24 @@ def test_suite_is_empty_for_zero_panels():
     assert build_benchmark_suite(0, seed=0) == []
 
 
+@pytest.mark.parametrize(
+    "n_panels, n_experts, message",
+    [
+        (-1, None, "n_panels must be >= 0, got -1"),
+        (2, 0, "n_experts must be >= 1, got 0"),
+        (2, -3, "n_experts must be >= 1, got -3"),
+    ],
+)
+def test_suite_rejects_negative_panel_counts_and_empty_pools(n_panels, n_experts, message):
+    with pytest.raises(ValueError, match=message):
+        build_benchmark_suite(n_panels, seed=0, n_experts=n_experts)
+
+
+def test_suite_of_single_expert_panels_builds():
+    suite = build_benchmark_suite(2, seed=0, n_experts=1)
+    assert [tp.panel.n_models for tp in suite] == [1, 1]
+
+
 def test_suite_is_seed_deterministic():
     s1 = build_benchmark_suite(6, seed=3)
     s2 = build_benchmark_suite(6, seed=3)
