@@ -17,12 +17,17 @@ def median_ensemble(values: np.ndarray) -> np.ndarray:
 
 
 def mean_ensemble(values: np.ndarray) -> np.ndarray:
-    """Per-level mean across models of (N, T, K) ``values``.
+    """Per-level mean across models, the first axis of (N, T, K) ``values``.
 
-    Each step is averaged on its own: one reduction over the whole block can
-    round differently in the last bit.
+    Bit for bit the mean of each step taken on its own. With two levels or
+    more, one reduction over the whole block adds up each (step, level)
+    cell's models in the same order as a reduction over that step alone. On a
+    one-level grid a step is a 1-D reduction, which numpy sums pairwise from
+    eight models up, so each step is averaged on its own there.
     """
-    return np.array([np.mean(values[:, t], axis=0) for t in range(values.shape[1])])
+    if values.shape[-1] == 1:
+        return np.array([np.mean(values[:, t], axis=0) for t in range(values.shape[1])])
+    return np.mean(values, axis=0)
 
 
 def _stack(forecasts: Sequence[QuantileForecast]) -> np.ndarray:

@@ -24,7 +24,8 @@ from .errors import (
 # (relative to the neighbouring magnitudes) are accepted as float noise.
 MONOTONE_REL_TOL = 1e-12
 
-# Levels closer than this count as the same level.
+# Levels within this of each other count as the same level, so no grid may
+# hold two of them.
 LEVEL_TOL = 1e-12
 
 # Absolute tolerance on the sum of a step's weights.
@@ -39,7 +40,8 @@ def _require_finite(values: Iterable[float], what: str) -> None:
 
 @dataclass(frozen=True)
 class QuantileLevels:
-    """Strictly increasing probability levels in the open interval (0, 1)."""
+    """Strictly increasing probability levels in the open interval (0, 1),
+    each more than ``LEVEL_TOL`` above the one before."""
 
     levels: tuple[float, ...]
 
@@ -54,6 +56,11 @@ class QuantileLevels:
         for lo, hi in zip(self.levels, self.levels[1:]):
             if hi <= lo:
                 raise ValueError(f"quantile levels must be strictly increasing, got {lo} then {hi}")
+            if hi - lo <= LEVEL_TOL:
+                raise ValueError(
+                    f"quantile levels {lo} and {hi} are within {LEVEL_TOL} of each other "
+                    "and count as the same level"
+                )
 
     def __len__(self) -> int:
         return len(self.levels)

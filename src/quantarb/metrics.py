@@ -62,22 +62,15 @@ def crps_batch(levels: Sequence[float], values, observations) -> np.ndarray:
     return np.add.reduce(2.0 * rho / np.maximum(np.abs(y), ABS_OBS_FLOOR), axis=-1) / q.shape[-1]
 
 
-def mase(
-    point_forecasts: Sequence[float],
-    actuals: Sequence[float],
-    context: Sequence[float],
-    seasonality: int,
-) -> float:
-    """Forecast MAE over the naive seasonal in-sample MAE of the context.
+def mase_scale(context: Sequence[float], seasonality: int) -> float:
+    """In-sample MAE of the seasonal naive on ``context``: the MASE denominator.
 
-    The denominator is the mean of ``|context[j] - context[j - m]|`` over the
-    context; an exactly m-periodic context makes it zero and raises
-    :class:`ZeroDenominator`.
+    The mean of ``|context[j] - context[j - m]|`` over the context, with
+    ``m = seasonality``. It depends only on the series, so one value serves
+    every forecast of it. ``m < 1`` raises ``ValueError``, a context no longer
+    than ``m`` raises :class:`SeriesTooShort`, and an exactly m-periodic
+    context, whose scale is zero, raises :class:`ZeroDenominator`.
     """
-    if len(point_forecasts) != len(actuals):
-        raise LengthMismatch(
-            f"{len(point_forecasts)} forecasts for {len(actuals)} actuals"
-        )
     m = int(seasonality)
     if m < 1:
         raise ValueError(f"seasonality must be >= 1, got {m}")
@@ -86,13 +79,29 @@ def mase(
         raise SeriesTooShort(
             f"context length {len(ctx)} must exceed seasonality {m}"
         )
-    denom = float(np.mean(np.abs(ctx[m:] - ctx[:-m])))
-    if denom == 0.0:
+    scale = float(np.mean(np.abs(ctx[m:] - ctx[:-m])))
+    if scale == 0.0:
         raise ZeroDenominator(
             f"context is {m}-periodic; seasonal-naive MAE is zero"
         )
+    return scale
+
+
+def mase(
+    point_forecasts: Sequence[float],
+    actuals: Sequence[float],
+    context: Sequence[float],
+    seasonality: int,
+) -> float:
+    """Forecast MAE over the naive seasonal in-sample MAE of the context,
+    :func:`mase_scale`."""
+    if len(point_forecasts) != len(actuals):
+        raise LengthMismatch(
+            f"{len(point_forecasts)} forecasts for {len(actuals)} actuals"
+        )
+    scale = mase_scale(context, seasonality)
     num = float(np.mean(np.abs(np.asarray(point_forecasts) - np.asarray(actuals))))
-    return num / denom
+    return num / scale
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

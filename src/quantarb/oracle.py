@@ -106,7 +106,14 @@ class OracleTrace:
 
 def oracle_select(panel: ForecastPanel) -> OracleTrace:
     """Pick the per-timestep CRPS argmin against actuals; ties go to the lowest index."""
-    scores = crps_batch(panel.levels.levels, panel.values, panel.require_actuals()).T
+    return _oracle_trace(
+        panel, crps_batch(panel.levels.levels, panel.values, panel.require_actuals())
+    )
+
+
+def _oracle_trace(panel: ForecastPanel, pool_crps: np.ndarray) -> OracleTrace:
+    """The oracle trace of ``panel`` from its pool's (N, T) CRPS matrix."""
+    scores = pool_crps.T
     return OracleTrace(
         series_id=panel.series_id,
         model_names=panel.model_names,

@@ -14,6 +14,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
@@ -24,8 +25,9 @@ from .arbitration import ArbitratorConfig, run_arbitration
 from .baselines import mean_ensemble, median_ensemble
 from .core import ForecastPanel, QuantileLevels, quantile_at
 from .errors import DimensionMismatch, InsufficientModels
-from .metrics import crps_batch, mase
+from .metrics import crps_batch, mase_scale
 from .oracle import (
+    _oracle_trace,
     median_ensemble_rankings,
     oracle_select,
     suite_topk_accuracy,
@@ -128,57 +130,77 @@ def _subset_panel(panel: ForecastPanel, names: Sequence[str]) -> ForecastPanel:
     )
 
 
-def _mase_for(panel: ForecastPanel, points: Sequence[float]) -> float:
-    return mase(points, panel.require_actuals(), panel.context, panel.seasonality)
+class _PanelScoring:
+    """What every score of one panel shares, each computed once: its actuals
+    and its MASE scale, and, on first use, its pool's (N, T) CRPS matrix and
+    the member scores read from it."""
+
+    def __init__(self, panel: ForecastPanel) -> None:
+        self.panel = panel
+        self.actuals = np.asarray(panel.require_actuals(), dtype=float)
+        self.scale = mase_scale(panel.context, panel.seasonality)
+
+    @cached_property
+    def pool_crps(self) -> np.ndarray:
+        panel = self.panel
+        return crps_batch(panel.levels.levels, panel.values, self.actuals)
+
+    def mase(self, points: np.ndarray) -> np.ndarray:
+        """MASE of each point path along the last axis of ``points``."""
+        return np.mean(np.abs(points - self.actuals), axis=-1) / self.scale
+
+    def path(self, levels: QuantileLevels, values: np.ndarray) -> PanelScore:
+        """CRPS and MASE of one forecast path: ``values`` of shape (T, K) on
+        ``levels``. A step's MASE point is its value at level 0.5."""
+        per = crps_batch(levels.levels, values, self.actuals)
+        points = quantile_at(levels.levels, values, 0.5)
+        return PanelScore(crps=float(np.mean(per)), mase=float(self.mase(points)))
+
+    @cached_property
+    def members(self) -> dict[str, PanelScore]:
+        """Every pool member's own score, keyed by model name."""
+        panel = self.panel
+        crps = np.mean(self.pool_crps, axis=1).tolist()
+        mase = self.mase(quantile_at(panel.levels.levels, panel.values, 0.5)).tolist()
+        return {
+            name: PanelScore(crps=c, mase=m)
+            for name, c, m in zip(panel.model_names, crps, mase)
+        }
+
+    def member(self, name: str) -> PanelScore:
+        """The ``model:<name>`` score; a name the panel lacks raises
+        ``DimensionMismatch``."""
+        _model_index(self.panel, name)
+        return self.members[name]
+
+    def oracle(self) -> PanelScore:
+        panel = self.panel
+        trace = _oracle_trace(panel, self.pool_crps)
+        picked = panel.values[list(trace.selections), np.arange(panel.horizon)]
+        points = quantile_at(panel.levels.levels, picked, 0.5)
+        return PanelScore(crps=trace.crps, mase=float(self.mase(points)))
+
+    def arbitrated(self, config: ArbitratorConfig, streams: RandomStreams) -> PanelScore:
+        trace = run_arbitration(self.panel, config=config, streams=streams)
+        return self.path(trace.levels, trace.quantiles)
 
 
-def _score_path(panel: ForecastPanel, levels: QuantileLevels, values: np.ndarray) -> PanelScore:
-    """CRPS and MASE of one forecast path: ``values`` of shape (T, K) on
-    ``levels``. A step's MASE point is its value at level 0.5."""
-    per = crps_batch(levels.levels, values, panel.require_actuals())
-    points = quantile_at(levels.levels, values, 0.5)
-    return PanelScore(crps=float(np.mean(per)), mase=_mase_for(panel, points))
-
-
-def _member_score(panel: ForecastPanel, name: str) -> PanelScore:
-    """The ``model:<name>`` score: pool member ``name``'s own forecasts."""
-    return _score_path(panel, panel.levels, panel.values[_model_index(panel, name)])
-
-
-def _arbitrated_score(
-    panel: ForecastPanel, config: ArbitratorConfig, streams: RandomStreams
-) -> PanelScore:
-    trace = run_arbitration(panel, config=config, streams=streams)
-    return _score_path(panel, trace.levels, trace.quantiles)
-
-
-def _oracle_score(panel: ForecastPanel) -> PanelScore:
-    trace = oracle_select(panel)
-    picked = panel.values[list(trace.selections), np.arange(panel.horizon)]
-    points = quantile_at(panel.levels.levels, picked, 0.5)
-    return PanelScore(crps=trace.crps, mase=_mase_for(panel, points))
-
-
-#: Scores one panel under one method, given the run's config and stream tree,
-#: keyed by report row name.
-Scorer = Callable[[ForecastPanel, ArbitratorConfig, RandomStreams], dict[str, PanelScore]]
+#: Scores one panel under one method, given the panel's shared scoring
+#: inputs and the run's config and stream tree, keyed by report row name.
+Scorer = Callable[[_PanelScoring, ArbitratorConfig, RandomStreams], dict[str, PanelScore]]
 
 #: Every method, in registry order: the order of report rows. Each scorer
 #: yields the method's own row, except ``per-model``, which yields one
 #: ``model:<name>`` row per pool member.
 _SCORERS: dict[str, Scorer] = {
-    "synapse": lambda p, c, s: {
-        "synapse": _arbitrated_score(p, replace(c, mode="dynamic"), s)
-    },
+    "synapse": lambda p, c, s: {"synapse": p.arbitrated(replace(c, mode="dynamic"), s)},
     "synapse-static": lambda p, c, s: {
-        "synapse-static": _arbitrated_score(p, replace(c, mode="static-uniform"), s)
+        "synapse-static": p.arbitrated(replace(c, mode="static-uniform"), s)
     },
-    "median": lambda p, c, s: {"median": _score_path(p, p.levels, median_ensemble(p.values))},
-    "mean": lambda p, c, s: {"mean": _score_path(p, p.levels, mean_ensemble(p.values))},
-    "per-model": lambda p, c, s: {
-        _MODEL_PREFIX + name: _member_score(p, name) for name in p.model_names
-    },
-    "oracle": lambda p, c, s: {"oracle": _oracle_score(p)},
+    "median": lambda p, c, s: {"median": p.path(p.panel.levels, median_ensemble(p.panel.values))},
+    "mean": lambda p, c, s: {"mean": p.path(p.panel.levels, mean_ensemble(p.panel.values))},
+    "per-model": lambda p, c, s: {_MODEL_PREFIX + name: score for name, score in p.members.items()},
+    "oracle": lambda p, c, s: {"oracle": p.oracle()},
 }
 
 #: Method names accepted by evaluation, in registry order.
@@ -192,13 +214,13 @@ def _scorer(method: str) -> Scorer:
 
 
 def _method_score(
-    panel: ForecastPanel, method: str, config: ArbitratorConfig, streams: RandomStreams
+    scoring: _PanelScoring, method: str, config: ArbitratorConfig, streams: RandomStreams
 ) -> PanelScore:
     """One method's score: a registry method that yields its own row, or
     ``model:<name>``."""
     if method.startswith(_MODEL_PREFIX):
-        return _member_score(panel, method[len(_MODEL_PREFIX):])
-    return _SCORERS[method](panel, config, streams)[method]
+        return scoring.member(method[len(_MODEL_PREFIX):])
+    return _SCORERS[method](scoring, config, streams)[method]
 
 
 def score_panel(
@@ -212,9 +234,10 @@ def score_panel(
     scorers = [_scorer(m) for m in dict.fromkeys(methods)]
     config = config if config is not None else ArbitratorConfig()
     streams = streams if streams is not None else RandomStreams(seed)
+    scoring = _PanelScoring(tagged.panel)
     out: dict[str, PanelScore] = {}
     for scorer in scorers:
-        out.update(scorer(tagged.panel, config, streams))
+        out.update(scorer(scoring, config, streams))
     return out
 
 
@@ -370,6 +393,9 @@ def run_pool_scaling(
     identical to a plain evaluation of the same suite and seed.
     """
     model_order = tuple(model_order)
+    repeated = sorted({n for n in model_order if model_order.count(n) > 1})
+    if repeated:
+        raise ValueError(f"model order repeats {', '.join(map(repr, repeated))}")
     if len(model_order) < 2:
         raise InsufficientModels(
             f"pool scaling needs at least 2 models, got {len(model_order)}"
@@ -386,22 +412,19 @@ def run_pool_scaling(
     config = config if config is not None else ArbitratorConfig()
     streams = RandomStreams(seed)
 
-    member_crps = {name: [] for name in model_order}
-    member_mase = {name: [] for name in model_order}
-    for tagged in tagged_panels:
-        panel = tagged.panel
-        for name in model_order:
-            score = _member_score(panel, name)
-            member_crps[name].append(score.crps)
-            member_mase[name].append(score.mase)
+    scorings = [_PanelScoring(tagged.panel) for tagged in tagged_panels]
+    member_crps = {name: [s.members[name].crps for s in scorings] for name in model_order}
+    member_mase = {name: [s.members[name].mase for s in scorings] for name in model_order}
 
     rows = []
     for size in range(2, len(model_order) + 1):
         prefix = model_order[:size]
         crps_vals = []
         mase_vals = []
-        for tagged in tagged_panels:
-            score = _arbitrated_score(_subset_panel(tagged.panel, prefix), config, streams)
+        for scoring in scorings:
+            subset = _subset_panel(scoring.panel, prefix)
+            trace = run_arbitration(subset, config=config, streams=streams)
+            score = scoring.path(trace.levels, trace.quantiles)
             crps_vals.append(score.crps)
             mase_vals.append(score.mase)
         best = min(prefix, key=lambda n: (_mean(member_crps[n]), n))
@@ -444,9 +467,10 @@ def run_win_loss(
         raise ValueError("at least one panel is required")
     config = config if config is not None else ArbitratorConfig()
     streams = RandomStreams(seed)
+    scorings = [_PanelScoring(t.panel) for t in tagged_panels]
     pairs = [
-        tuple(_method_score(t.panel, m, config, streams) for m in (method_a, method_b))
-        for t in tagged_panels
+        tuple(_method_score(scoring, m, config, streams) for m in (method_a, method_b))
+        for scoring in scorings
     ]
     return {
         metric: _tally([getattr(a, metric) - getattr(b, metric) for a, b in pairs])

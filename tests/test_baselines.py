@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quantarb.baselines import quantile_mean_ensemble, quantile_median_ensemble
+from quantarb.baselines import mean_ensemble, quantile_mean_ensemble, quantile_median_ensemble
 from quantarb.core import DEFAULT_LEVELS, QuantileForecast, QuantileLevels
 from quantarb.errors import DimensionMismatch
 
@@ -41,6 +42,40 @@ def test_mean_ensemble_hand_values():
     hi = _fc((10.0,) * 9)
     assert quantile_mean_ensemble([lo, hi]).values == (5.0,) * 9
     assert quantile_mean_ensemble([fc, fc, fc]).values == fc.values
+
+
+@st.composite
+def _pool_values(draw):
+    """(N, T, K) pool values, N 1..16 and T 1..40, whose members sit at
+    magnitudes from 1e-3 to 1e6: contiguous, reversed along the pool and the
+    steps, or gathered by a list of member indices as a pool subset is."""
+    n, t, k = draw(st.integers(1, 16)), draw(st.integers(1, 40)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitudes = 10.0 ** rng.uniform(-3.0, 6.0, size=(n, 1, 1))
+    values = np.sort(rng.normal(1.0, 0.5, size=(n, t, k)), axis=-1) * magnitudes
+    layout = draw(st.sampled_from(("contiguous", "reversed", "subset")))
+    if layout == "reversed":
+        return values[::-1, ::-1]
+    if layout == "subset":
+        return values[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))]
+    return values
+
+
+# Eight models on a one-level grid: one reduction over this block rounds
+# differently from the per-step means, forwards and reversed.
+_ONE_LEVEL = np.array(
+    [2195.407, 1380.375, 43.755, 59.901, 0.689, 0.254, 5.144, 2.559, 138775.68,
+     161652.63, 0.052, 0.117, 322932.58, 846075.512, -460.308, 6674.402]
+).reshape(8, 2, 1)
+
+
+@given(_pool_values())
+@settings(max_examples=300, deadline=None)
+@example(_ONE_LEVEL)
+@example(_ONE_LEVEL[::-1, ::-1])
+def test_mean_ensemble_equals_the_per_step_mean_bit_for_bit(values):
+    per_step = np.array([np.mean(values[:, t], axis=0) for t in range(values.shape[1])])
+    assert mean_ensemble(values).tobytes() == per_step.tobytes()
 
 
 def test_ensembles_reject_empty_and_mixed_grids():

@@ -14,7 +14,7 @@ import pytest
 import quantarb
 import quantarb.cli
 from quantarb.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from quantarb.panelio import load_panels
+from quantarb.panelio import SCHEMA_VERSION, load_panels
 from quantarb.reporting import load_report, report_json_schema
 
 FIXTURE = Path(__file__).parent / "data" / "three_panels.jsonl"
@@ -113,6 +113,22 @@ class TestSynth:
 
 
 class TestEval:
+    def test_periodic_context_is_validation_failure(self, tmp_path, capsys):
+        path = tmp_path / "periodic.jsonl"
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "series_id": "periodic",
+            "seasonality": 2,
+            "levels": [0.25, 0.5, 0.75],
+            "context": [1.0, 2.0, 1.0, 2.0],
+            "actuals": [1.5],
+            "models": {"a": [[1.0, 2.0, 3.0]], "b": [[1.5, 2.5, 3.5]]},
+        }
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["eval", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: context is 2-periodic; seasonal-naive MAE is zero\n"
+
     def test_table_output_to_stdout(self, suite_path, capsys):
         code = main(["eval", str(suite_path), "--methods", "synapse,median"])
         assert code == EXIT_OK
@@ -218,6 +234,11 @@ class TestScale:
         code = main(["scale", str(suite_path), "--order", "expert_00,ghost"])
         assert code == EXIT_VALIDATION
         assert "ghost" in capsys.readouterr().err
+
+    def test_repeated_model_name_is_validation_failure(self, suite_path, capsys):
+        code = main(["scale", str(suite_path), "--order", "expert_00,expert_00"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: model order repeats 'expert_00'\n"
 
     def test_single_model_order_is_validation_failure(self, suite_path, capsys):
         code = main(["scale", str(suite_path), "--order", "expert_00"])

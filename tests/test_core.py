@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,20 @@ def test_default_levels_is_the_nine_point_grid():
 def test_levels_reject_non_increasing_or_out_of_range(bad):
     with pytest.raises(ValueError):
         QuantileLevels(bad)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(5e-324, 1e-300), (0.3, 0.3 + 5e-13), (1.0 - 2.0**-52, 1.0 - 2.0**-53)]
+)
+def test_levels_reject_neighbours_that_count_as_the_same_level(lo, hi):
+    # On (5e-324, 1e-300, 0.5) the inverse-CDF fit overflowed and evaluated
+    # p = 1e-310 to NaN without any error.
+    with pytest.raises(ValueError, match=re.escape(f"levels {lo} and {hi} are within 1e-12")):
+        QuantileLevels(tuple(sorted({lo, hi, 0.5})))
+
+
+def test_levels_accept_neighbours_just_beyond_the_tolerance():
+    assert QuantileLevels((0.3, 0.3 + 1e-9)).levels == (0.3, 0.3 + 1e-9)
 
 
 def test_forecast_accepts_monotone_values_with_ties():

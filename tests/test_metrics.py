@@ -13,6 +13,7 @@ from quantarb.metrics import (
     ABS_OBS_FLOOR,
     crps_batch,
     mase,
+    mase_scale,
     pearson_correlation,
     pinball_loss,
     weighted_quantile_loss,
@@ -173,6 +174,43 @@ def test_mase_periodic_context_is_an_error_not_infinity():
 def test_mase_context_must_exceed_seasonality():
     with pytest.raises(SeriesTooShort):
         mase([1.0], [1.0], [1.0, 2.0], 2)
+
+
+def test_mase_scale_hand_oracle():
+    # context (0, 1, 3, 2), m=2: seasonal-naive errors 3 and 1.
+    assert mase_scale([0.0, 1.0, 3.0, 2.0], 2) == 2.0
+    assert mase_scale((0.0, 1.0, 3.0), 1) == 1.5
+
+
+@pytest.mark.parametrize(
+    "context, m, error, message",
+    [
+        ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0], 2, ZeroDenominator,
+         "context is 2-periodic; seasonal-naive MAE is zero"),
+        ([1.0, 2.0], 2, SeriesTooShort, "context length 2 must exceed seasonality 2"),
+        ([1.0, 2.0, 3.0], 0, ValueError, "seasonality must be >= 1, got 0"),
+    ],
+)
+def test_mase_and_its_scale_reject_the_same_contexts_alike(context, m, error, message):
+    with pytest.raises(error, match=message):
+        mase_scale(context, m)
+    with pytest.raises(error, match=message):
+        mase([1.0], [2.0], context, m)
+
+
+@given(
+    st.lists(finite, min_size=1, max_size=12),
+    st.lists(finite, min_size=3, max_size=20),
+    st.integers(1, 2),
+)
+def test_mase_is_the_forecast_mae_over_its_scale(errors, context, m):
+    try:
+        scale = mase_scale(context, m)
+    except ZeroDenominator:
+        return
+    points = [float(e) for e in errors]
+    actuals = [0.0] * len(points)
+    assert mase(points, actuals, context, m) == float(np.mean(np.abs(points))) / scale
 
 
 @given(st.floats(min_value=-100, max_value=100))

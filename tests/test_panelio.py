@@ -150,6 +150,13 @@ class TestFailureModes:
         with pytest.raises(ParseError, match="malformed"):
             load_panels(path)
 
+    def test_levels_that_count_as_the_same_level_are_rejected(self, tmp_path):
+        record = _valid_record(levels=[5e-324, 1e-300, 0.5], models={"m": [[0.0, 1.2, 6.4]]})
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(record)])
+        with pytest.raises(ParseError, match="5e-324 and 1e-300") as excinfo:
+            load_panels(path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 1)
+
     def test_panel_validation_errors_propagate(self, tmp_path):
         record = _valid_record(models={"m": [[3.0, 2.0, 1.0]]})
         path = _write_lines(tmp_path / "p.jsonl", [json.dumps(record)])

@@ -456,7 +456,8 @@ def test_bucket_lookup_equals_binary_search(levels, extra):
 
 
 @given(
-    # Without the levels 1e-300 apart, whose cubic coefficients overflow.
+    # Without the levels 1e-300 apart, whose cubic coefficients overflow; no
+    # QuantileLevels grid holds two levels that close.
     _lookup_grids(edge_levels=_EDGE_LEVELS[2:]),
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),

@@ -10,11 +10,13 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
+import quantarb.oracle
 import quantarb.reporting
 from quantarb.core import DEFAULT_LEVELS, build_panel
-from quantarb.errors import InsufficientModels
+from quantarb.errors import InsufficientModels, ZeroDenominator
 from quantarb.panelio import TaggedPanel
 from quantarb.reporting import (
     METHODS,
@@ -84,6 +86,39 @@ def hand_fixture():
     ]
 
 
+def periodic_panel():
+    """A panel whose context repeats with its seasonality, so its MASE scale is 0."""
+    return TaggedPanel(
+        panel=build_panel(
+            series_id="periodic",
+            context=[1.0, 2.0, 1.0, 2.0, 1.0, 2.0],
+            actuals=[1.5, 2.5],
+            seasonality=2,
+            levels=DEFAULT_LEVELS,
+            models=[
+                ("a", [[float(k) for k in range(9)]] * 2),
+                ("b", [[float(k) + 0.5 for k in range(9)]] * 2),
+            ],
+        )
+    )
+
+
+@pytest.fixture
+def pool_scorings(monkeypatch):
+    """Shapes of the values every ``crps_batch`` call in reporting and oracle
+    scores; a pool's scoring is the one of shape (N, T, K)."""
+    shapes = []
+    real = quantarb.reporting.crps_batch
+
+    def counting(levels, values, observations):
+        shapes.append(np.shape(values))
+        return real(levels, values, observations)
+
+    monkeypatch.setattr(quantarb.reporting, "crps_batch", counting)
+    monkeypatch.setattr(quantarb.oracle, "crps_batch", counting)
+    return shapes
+
+
 class TestReportRow:
     def test_rejects_unregistered_method(self):
         with pytest.raises(ValueError, match="unregistered"):
@@ -113,6 +148,35 @@ class TestScorePanel:
     def test_unknown_method_rejected(self, small_suite):
         with pytest.raises(ValueError, match="unknown method"):
             score_panel(small_suite[0], ["typo"])
+
+    @pytest.mark.parametrize(
+        "methods, pool_calls",
+        [
+            (ALL_METHODS, 1),
+            (("per-model",), 1),
+            (("oracle",), 1),
+            (("oracle", "median", "per-model"), 1),
+            (("median", "mean"), 0),
+            (("synapse", "synapse-static"), 0),
+        ],
+    )
+    def test_the_pool_is_scored_once_and_only_when_a_method_needs_it(
+        self, small_suite, pool_scorings, methods, pool_calls
+    ):
+        tagged = small_suite[0]
+        score_panel(tagged, methods)
+        assert pool_scorings.count(tagged.panel.values.shape) == pool_calls
+        # Besides the pool, only each ensemble or arbitrated path is scored.
+        paths = [m for m in methods if m not in ("per-model", "oracle")]
+        assert len(pool_scorings) == pool_calls + len(paths)
+
+    def test_member_and_oracle_scores_read_the_pool_matrix(self, small_suite):
+        # The oracle's CRPS is the mean of each step's lowest member CRPS, so
+        # it is never above any member's.
+        scores = score_panel(small_suite[3], ["oracle", "per-model"])
+        members = [v for k, v in scores.items() if k.startswith("model:")]
+        assert len(members) == small_suite[3].panel.n_models
+        assert all(scores["oracle"].crps <= m.crps for m in members)
 
 
 class TestRunEvaluation:
@@ -205,6 +269,12 @@ class TestRunEvaluation:
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             run_evaluation(hand_fixture, methods=("median",), workers=workers)
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_periodic_context_raises_zero_denominator(self, method):
+        message = r"^context is 2-periodic; seasonal-naive MAE is zero$"
+        with pytest.raises(ZeroDenominator, match=message):
+            run_evaluation([periodic_panel()], methods=(method,))
+
     def test_repeat_run_is_identical(self, small_suite, eval_rows):
         again = run_evaluation(small_suite, methods=ALL_METHODS)
         assert again == eval_rows
@@ -250,9 +320,14 @@ class TestWinLoss:
         def never(*args, **kwargs):
             raise AssertionError("a panel was scored")
 
-        monkeypatch.setattr(quantarb.reporting, "_score_path", never)
+        monkeypatch.setattr(quantarb.reporting, "crps_batch", never)
         with pytest.raises(ValueError, match=message):
             run_win_loss(hand_fixture, a, b)
+
+    def test_each_panel_pool_is_scored_once(self, small_suite, pool_scorings):
+        panels = small_suite[:3]
+        run_win_loss(panels, "model:expert_00", "oracle")
+        assert pool_scorings == [t.panel.values.shape for t in panels]
 
     def test_matches_the_evaluation_tally_against_the_reference(self, small_suite, eval_rows):
         overall = _rows_for(eval_rows, "overall")
@@ -294,6 +369,23 @@ class TestPoolScaling:
     def test_requires_panels(self):
         with pytest.raises(ValueError):
             run_pool_scaling([], ["a", "b"])
+
+    def test_repeated_name_is_rejected_before_any_scoring(self, small_suite, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a panel was scored")
+
+        monkeypatch.setattr(quantarb.reporting, "crps_batch", never)
+        monkeypatch.setattr(quantarb.reporting, "run_arbitration", never)
+        with pytest.raises(ValueError, match=r"^model order repeats 'expert_00'$"):
+            run_pool_scaling(small_suite, ["expert_00", "expert_01", "expert_00"])
+
+    def test_each_panel_pool_is_scored_once(self, small_suite, pool_scorings):
+        panels = small_suite[:3]
+        run_pool_scaling(panels, ["expert_00", "expert_01", "expert_02"])
+        pool_shapes = [t.panel.values.shape for t in panels]
+        assert [s for s in pool_scorings if len(s) == 3] == pool_shapes
+        # Besides the pools, only the arbitrated paths: two prefixes a panel.
+        assert len(pool_scorings) == len(panels) * 3
 
 
 class TestSelectionAccuracy:
