@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from .core import (
 )
 from .errors import AlignmentMismatch, EmptyWindow
 from .metrics import crps_batch
-from .quantiles import InverseCdf, RandomStreams, empirical_quantiles, philox_uniforms
+from .quantiles import InverseCdf, KeyedPhilox, RandomStreams, empirical_quantiles
 
 #: Cap applied to the horizon-derived default window capacity.
 DEFAULT_WINDOW_CAP = 16
@@ -202,10 +203,11 @@ def run_arbitration(
         streams = RandomStreams(seed)
     horizon = panel.horizon
     # Model i's stream at step t is child("series", id, "t", t).child(name):
-    # all N x T keys in one pass, drawn through one generator.
+    # all N x T keys in one pass, drawn through one generator into one buffer.
     series_streams = streams.child("series", panel.series_id, "t")
     keys = series_streams.grid_keys(range(horizon), names).tolist()
-    generator = np.random.Generator(np.random.Philox(0))
+    philox = KeyedPhilox()
+    uniforms = np.empty(config.n_total)
     out_levels = config.levels if config.levels is not None else levels
     probe, median_at, on_grid = _probe_levels(out_levels)
     icdf = InverseCdf(alphas, panel.values)
@@ -228,10 +230,12 @@ def run_arbitration(
             c = allocate_samples(w, config.n_total)
             scores[t] = s
         weights[t], counts[t] = w, c
-        # Model i draws c[i] uniforms from its own Philox stream, through the
-        # one reused generator; the pooled draws are evaluated in one pass.
-        uniforms = [philox_uniforms(generator, key, k) for key, k in zip(keys[t], c) if k]
-        pooled = icdf.evaluate(np.concatenate(uniforms), offsets[t].repeat(counts[t]))
+        # Model i draws c[i] uniforms from its own Philox stream into its
+        # slice of the buffer; the pooled draws are evaluated in one pass.
+        for key, k, end in zip(keys[t], c, accumulate(c)):
+            if k:
+                philox.uniforms(key, uniforms[end - k:end])
+        pooled = icdf.evaluate(uniforms, offsets[t].repeat(counts[t]))
         values = empirical_quantiles(pooled, probe)
         quantiles[t] = values[on_grid]
         simulated[t] = values[median_at]

@@ -11,9 +11,13 @@ from .errors import DimensionMismatch
 
 
 def median_ensemble(values: np.ndarray) -> np.ndarray:
-    """Per-level median across models, the first axis of ``values``; even
-    counts average the middle pair."""
-    return np.median(values, axis=0)
+    """Per-level median across models, the first axis of finite ``values``;
+    even counts average the middle pair. Equal to ``np.median(values,
+    axis=0)`` under ``==``; at a zero median, numpy's partition may give +0.0
+    where this one sort gives -0.0."""
+    ordered = np.sort(values, axis=0)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def mean_ensemble(values: np.ndarray) -> np.ndarray:

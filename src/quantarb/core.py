@@ -515,19 +515,24 @@ def _validate_trace(trace: ArbitrationTrace) -> None:
     unknown = set(rules) - set(WEIGHT_RULES)
     if unknown:
         raise ValueError(f"trace has unknown weight rules {sorted(unknown)}")
-    counts, weights, scores = trace.counts, trace.weights, trace.scores
-    scored = np.array([rule in SCORED_RULES for rule in rules], dtype=bool)
+    counts, weights, quantiles = trace.counts, trace.weights, trace.quantiles
+    unscored = np.array([rule not in SCORED_RULES for rule in rules], dtype=bool)
+    # Each check marks bad entries in arrays whose first axis is the step.
+    # One reduction over each array tests it; only a failing check is
+    # searched for its first bad step.
     checks = (
-        ((counts < 0).any(axis=1) | (counts.sum(axis=1) != trace.n_total), DimensionMismatch,
+        ((counts < 0, counts.sum(axis=1) != trace.n_total), DimensionMismatch,
          f"sample counts are not a split of {trace.n_total}"),
-        (~np.isfinite(trace.quantiles).all(axis=1) | ~np.isfinite(trace.simulated)
-         | ~np.isfinite(weights).all(axis=1), NonFinite, "values are not finite"),
-        (_dips(trace.quantiles).any(axis=1), NonMonotoneQuantiles, "quantiles decrease"),
-        ((weights < 0).any(axis=1) | (np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL),
+        ((~np.isfinite(quantiles), ~np.isfinite(trace.simulated), ~np.isfinite(weights)),
+         NonFinite, "values are not finite"),
+        ((_dips(quantiles),), NonMonotoneQuantiles, "quantiles decrease"),
+        ((weights < 0, np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL),
          ValueError, "weights are not a distribution"),
-        (np.where(scored, np.isnan(scores).any(axis=1), ~np.isnan(scores).all(axis=1)),
+        ((np.isnan(trace.scores) != unscored[:, None],),
          ValueError, "window scores do not fit the weight rule"),
     )
-    for bad, error, what in checks:
-        if bad.any():
-            raise error(f"trace {trace.series_id!r} at step {int(np.argmax(bad))}: {what}")
+    for marks, error, what in checks:
+        bad = [mark.reshape(horizon, -1).any(axis=1) for mark in marks if np.count_nonzero(mark)]
+        if bad:
+            step = int(np.argmax(np.logical_or.reduce(bad)))
+            raise error(f"trace {trace.series_id!r} at step {step}: {what}")

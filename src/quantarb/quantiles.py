@@ -82,31 +82,13 @@ class InverseCdf:
             for (lo, hi), mid in zip(tails, interior)
         )
         self._base = np.concatenate((levels[:1], levels))
-        size = 16
-        while size < 4 * len(levels):
-            size *= 2
-        self._scale = float(size)
-        # Bucket `size` holds probability 1, and every level at or above it.
-        at = self._buckets(levels)
-        below = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=size + 1))))
-        self._below = below[:-1].astype(np.intp)
-        rank = np.arange(len(levels)) - self._below[at]
-        self._thresholds = np.full((int(rank.max(initial=0)) + 1, size + 1), np.nan)
-        self._thresholds[rank, at] = levels
-
-    def _buckets(self, p: np.ndarray) -> np.ndarray:
-        """floor(clip(p, 0, 1) * 2**e): fmax and fmin send NaN to bucket 0
-        without a warning, and the power-of-two scaling is exact."""
-        x = np.fmax(p, 0.0)
-        np.fmin(x, 1.0, out=x)
-        x *= self._scale
-        return x.astype(np.intp)
+        self._scale, self._below, self._thresholds = _bucket_table(levels.tobytes())
 
     def pieces(self, p: np.ndarray) -> np.ndarray:
         """Piece of each probability in a 1-D float array: the number of
         levels at or below it, ``searchsorted(levels, p, "right")``, for
         every ``p`` but NaN (NaN goes to piece 0, and evaluates to NaN)."""
-        at = self._buckets(p)
+        at = _buckets(p, self._scale)
         piece = self._below.take(at)
         for row in self._thresholds:
             piece += row.take(at) <= p
@@ -157,12 +139,32 @@ class InverseCdf:
         return low.reshape(shape), high.reshape(shape)
 
 
-def _edge_derivative(h0: float, h1: float, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """One-sided three-point end derivative, limited to preserve shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    flipped = np.sign(d) != np.sign(m0)
-    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    return np.where(flipped, 0.0, np.where(overshoot, 3.0 * m0, d))
+def _buckets(p: np.ndarray, scale: float) -> np.ndarray:
+    """floor(clip(p, 0, 1) * scale) for a power-of-two ``scale``: fmax and
+    fmin send NaN to bucket 0 without a warning, and the scaling is exact."""
+    x = np.fmax(p, 0.0)
+    np.fmin(x, 1.0, out=x)
+    x *= scale
+    return x.astype(np.intp)
+
+
+@functools.lru_cache(maxsize=64)
+def _bucket_table(levels: bytes) -> tuple[float, np.ndarray, np.ndarray]:
+    """Bucket count, levels below each bucket and thresholds inside each
+    (see :class:`InverseCdf`) of a level grid given as float64 bytes; the
+    arrays are read-only, shared by every fit on the grid."""
+    levels = np.frombuffer(levels)
+    size = max(16, 1 << (4 * len(levels) - 1).bit_length())  # a power of two >= 4K
+    # Bucket `size` holds probability 1, and every level at or above it.
+    at = _buckets(levels, float(size))
+    below = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=size + 1))))
+    below = below[:-1].astype(np.intp)
+    rank = np.arange(len(levels)) - below[at]
+    thresholds = np.full((int(rank.max(initial=0)) + 1, size + 1), np.nan)
+    thresholds[rank, at] = levels
+    below.setflags(write=False)
+    thresholds.setflags(write=False)
+    return float(size), below, thresholds
 
 
 def _pchip_derivatives(h: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -179,8 +181,15 @@ def _pchip_derivatives(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         whmean = (w1 / m[:, :-1] + w2 / m[:, 1:]) / (w1 + w2)
         interior = np.where(flat, 0.0, 1.0 / whmean)
-    first = _edge_derivative(h[0], h[1], m[:, 0], m[:, 1])
-    last = _edge_derivative(h[-1], h[-2], m[:, -1], m[:, -2])
+    # One-sided three-point end derivatives, limited to preserve shape: the
+    # first knot's row from the first two segments, the last's from the
+    # last two.
+    h0, h1 = h[[0, -1]][:, None], h[[1, -2]][:, None]
+    m0, m1 = m[:, [0, -1]].T, m[:, [1, -2]].T
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flipped = np.sign(d) != np.sign(m0)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    first, last = np.where(flipped, 0.0, np.where(overshoot, 3.0 * m0, d))
     return np.concatenate((first[:, None], interior, last[:, None]), axis=1)
 
 
@@ -261,10 +270,20 @@ def _component_key(component: str | int) -> int:
     return int.from_bytes(digest, "little")
 
 
-# numpy's SeedSequence entropy hash (pool of 4 uint32 words), written out so
-# the keys of many streams that share a path prefix hash side by side. Pool
-# words are Python ints or uint64 arrays holding 32-bit values, so products
-# of two words are exact and no fixed-width scalar can overflow.
+@functools.lru_cache(maxsize=4096)
+def _name_words(name: str) -> tuple[int, ...]:
+    """Key words of a model name, which keys the streams of every panel."""
+    return _words(_component_key(name))
+
+
+def _words(key: int) -> tuple[int, ...]:
+    """uint32 words of a 64-bit key, as SeedSequence splits an integer."""
+    return (key,) if key <= _MASK32 else (key & _MASK32, key >> 32)
+
+
+# numpy's SeedSequence entropy hash (pool of 4 uint32 words), continued past
+# a shared path prefix on uint32 arrays, so the keys of many streams hash
+# side by side. Products wrap mod 2**32, as the hash's do.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _POOL_SIZE = 4
@@ -273,98 +292,46 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hashmix(value, const: int):
-    """One ``hashmix`` of ``value``; returns it with the advanced constant."""
-    value = value ^ const
-    const = const * _MULT_A & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
-def _mix_pool(pool: list, const: int) -> int:
-    """Mix every pool word into every other one, in place."""
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    return const
-
-
-def _schedule(const: int, mult: int) -> list[int]:
-    """``const`` and its next ``_POOL_SIZE`` multiples by ``mult``, mod 2**32."""
-    consts = [const]
-    for _ in range(_POOL_SIZE):
+@functools.lru_cache(maxsize=64)
+def _hash_constants(first: int, count: int, init: int = _INIT_A, mult: int = _MULT_A):
+    """Constants before and after hashmixes ``first`` to ``first + count - 1``,
+    read-only uint32 arrays of shape (count // 4, 4, 1, 1). Each hashmix
+    multiplies the constant by ``mult``, so they depend only on how many
+    came before: once the pool is full, word ``p`` takes ``4p`` to ``4p + 3``."""
+    consts = [init * pow(mult, first, 1 << 32) & _MASK32]
+    for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    return consts
+    arrays = tuple(np.array(c, dtype=np.uint32).reshape(-1, _POOL_SIZE, 1, 1)
+                   for c in (consts[:-1], consts[1:]))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-def _absorb(state: tuple, words) -> tuple:
-    """Feed entropy words into a ``(pool, constant, words seen)`` hash state.
-
-    The constant's schedule depends only on how many words came before, so a
-    word may be an array of alternatives, hashed side by side.
-    """
-    pool, const, seen = state
-    pool = list(pool)
-    for word in words:
-        if seen < _POOL_SIZE:
-            pool[seen], const = _hashmix(word, const)
-            if seen + 1 == _POOL_SIZE:
-                const = _mix_pool(pool, const)
-        elif isinstance(word, np.ndarray):
-            # Each pool word mixes in its own hash of the new word, at the
-            # next four constants: one array operation across the pool.
-            consts = _schedule(const, _MULT_A)
-            const = consts[-1]
-            c = np.array(consts, dtype=np.uint64).reshape((-1,) + (1,) * word.ndim)
-            hashed = (word ^ c[:-1]) * c[1:] & _MASK32
-            pool = list(_mix(np.stack(np.broadcast_arrays(*pool)), hashed ^ hashed >> 16))
-        else:
-            for dst in range(_POOL_SIZE):
-                hashed, const = _hashmix(word, const)
-                pool[dst] = _mix(pool[dst], hashed)
-        seen += 1
-    return pool, const, seen
+def _absorb(pool: np.ndarray, seen: int, words: np.ndarray) -> np.ndarray:
+    """The (4, ...) pool after entropy ``words`` of shape (count, ...), hashed
+    side by side; ``seen`` words, at least four, came before. Each pool word
+    mixes in its own hash of each word, all hashed at once."""
+    before, after = _hash_constants(_POOL_SIZE * seen, _POOL_SIZE * len(words))
+    hashed = words[:, None] ^ before
+    hashed *= after
+    hashed ^= hashed >> 16
+    hashed *= _MIX_MULT_R
+    for h in hashed:
+        pool = pool * _MIX_MULT_L - h
+        pool ^= pool >> 16
+    return pool
 
 
-def _philox_key(state: tuple) -> tuple:
-    """``generate_state(2, np.uint64)`` of a hash state: the Philox key as two
-    uint64 arrays."""
-    pool, const, seen = state
-    if seen < _POOL_SIZE:  # entropy shorter than the pool is padded with zeros
-        pool, const, seen = _absorb(state, [0] * (_POOL_SIZE - seen))
-    words = np.stack(np.broadcast_arrays(*pool))
-    c = np.array(_schedule(_INIT_B, _MULT_B), dtype=np.uint64).reshape(
-        (-1,) + (1,) * (words.ndim - 1)
-    )
-    words = (words ^ c[:-1]) * c[1:] & _MASK32
-    words ^= words >> 16
-    return words[0] | words[1] << 32, words[2] | words[3] << 32
-
-
-def _words(key: int) -> tuple[int, ...]:
-    """uint32 words of a 64-bit key, as SeedSequence splits an integer."""
-    return (key,) if key <= _MASK32 else (key & _MASK32, key >> 32)
-
-
-def _word_groups(components) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Indices of ``components`` grouped by word count, with each group's
-    words as a (count, group size) uint64 array."""
-    groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for i, component in enumerate(components):
-        words = _words(_component_key(component))
-        groups.setdefault(len(words), []).append((i, words))
-    return [
-        (np.array([i for i, _ in group], dtype=np.intp),
-         np.array([w for _, w in group], dtype=np.uint64).T)
-        for group in groups.values()
-    ]
+def _by_word_count(words: list[tuple[int, ...]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Positions of components by how many words their keys have, with each
+    part's words as a (count, size) uint32 array."""
+    parts = []
+    for count in (1, 2):
+        index = [i for i, w in enumerate(words) if len(w) == count]
+        if index:
+            parts.append((np.array(index), np.array([words[i] for i in index], dtype=np.uint32).T))
+    return parts
 
 
 class RandomStreams:
@@ -373,7 +340,7 @@ class RandomStreams:
     Each node is identified by a master seed plus a path of string/int keys;
     ``child`` extends the path and ``generator`` materializes an independent
     Philox stream; ``grid_keys`` derives the Philox keys of a whole grid of
-    grandchildren at once, for ``philox_uniforms``. Keying substreams by
+    grandchildren at once, for :class:`KeyedPhilox`. Keying substreams by
     names (not positions) is what makes arbitration permutation-equivariant
     bit-for-bit.
     """
@@ -399,38 +366,58 @@ class RandomStreams:
         Returns shape (len(rows), len(leaves), 2) uint64; entry ``[r, i]`` is
         the key ``child(rows[r]).child(leaves[i]).generator()`` seeds Philox
         with. Philox is counter-based, so the key fixes the whole stream
-        (Salmon et al. 2011). The shared path is hashed once, then each row
-        word across all rows, then each leaf word across rows and leaves.
+        (Salmon et al. 2011). numpy hashes the shared path once; the row
+        words then mix into a (4, rows, 1) pool array and the leaf words
+        into a (4, rows, leaves) one. One- and two-word keys hash apart,
+        since a word's constants depend on its position.
         """
-        prefix = [w for key in (self.seed & _MASK64,) + self.path for w in _words(key)]
-        pool, const, seen = _absorb(([0] * _POOL_SIZE, _INIT_A, 0), prefix)
-        # As (1, 1) arrays, the pool broadcasts over rows, then leaves.
-        shared = ([np.full((1, 1), w, dtype=np.uint64) for w in pool], const, seen)
-        leaf_groups = _word_groups(leaves)
+        entropy = (self.seed & _MASK64,) + self.path
+        seen = sum(len(_words(key)) for key in entropy)
+        row_words = [_words(_component_key(c)) for c in rows]
+        leaf_words = [_name_words(c) if isinstance(c, str) else _words(_component_key(c))
+                      for c in leaves]
+        if seen < _POOL_SIZE:  # row and leaf words would fill the pool: key each stream
+            keys = [np.random.SeedSequence(entropy + r + i).generate_state(2, np.uint64)
+                    for r in row_words for i in leaf_words]
+            return np.array(keys, dtype=np.uint64).reshape(len(rows), len(leaves), 2)
+        pool = np.random.SeedSequence(entropy).pool[:, None, None]
+        # generate_state(2, np.uint64): output word j hashes pool word j.
+        before, after = (c.ravel() for c in _hash_constants(0, _POOL_SIZE, _INIT_B, _MULT_B))
+        row_parts, leaf_parts = _by_word_count(row_words), _by_word_count(leaf_words)
         out = np.empty((len(rows), len(leaves), 2), dtype=np.uint64)
-        for row_index, row_words in _word_groups(rows):
-            row_state = _absorb(shared, row_words[:, :, None])
-            for leaf_index, leaf_words in leaf_groups:
-                key = _philox_key(_absorb(row_state, leaf_words[:, None, :]))
-                out[np.ix_(row_index, leaf_index)] = np.stack(key, axis=-1)
+        for row_index, row_part in row_parts:
+            row_pool = _absorb(pool, seen, row_part[:, :, None])
+            for leaf_index, leaf_part in leaf_parts:
+                words = _absorb(row_pool, seen + len(row_part), leaf_part[:, None, :])
+                # Output word j of key (r, i) at [r, i, j]; little-endian
+                # pairs of them read as the two uint64 key words.
+                key = np.bitwise_xor(words.transpose(1, 2, 0), before, order="C")
+                key *= after
+                key ^= key >> 16
+                key = key.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+                if len(row_parts) == len(leaf_parts) == 1:
+                    return key
+                out[np.ix_(row_index, leaf_index)] = key
         return out
 
 
-def philox_uniforms(
-    generator: np.random.Generator, key: Sequence[int] | np.ndarray, count: int
-) -> np.ndarray:
-    """The first ``count`` uniforms of the Philox stream with ``key``.
+class KeyedPhilox:
+    """One Philox generator, reset through one state dict to the first draw
+    of any keyed stream: a run builds no generator or state per stream, and
+    the draws equal a fresh ``RandomStreams.generator()``'s bit for bit."""
 
-    ``generator`` wraps a Philox bit generator that is reset to the start of
-    the keyed stream, so one generator serves any number of streams, and the
-    draws equal those of a fresh ``RandomStreams.generator()`` bit for bit.
-    """
-    generator.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return generator.random(count)
+    __slots__ = ("generator", "_state", "_counter")
+
+    def __init__(self) -> None:
+        self.generator = np.random.Generator(np.random.Philox(0))
+        # Counter zero and an empty buffer; tuples load faster than arrays.
+        self._counter = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+        self._state = {"bit_generator": "Philox", "state": self._counter,
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def uniforms(self, key: Sequence[int] | np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the first ``len(out)`` uniforms of the Philox
+        stream with ``key`` and return it."""
+        self._counter["key"] = key
+        self.generator.bit_generator.state = self._state
+        return self.generator.random(out=out)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quantarb.arbitration as arbitration
 from quantarb.arbitration import (
     ArbitratorConfig,
     WindowScores,
@@ -30,7 +31,7 @@ from quantarb.errors import (
     NonMonotoneQuantiles,
 )
 from quantarb.metrics import crps_batch
-from quantarb.quantiles import RandomStreams
+from quantarb.quantiles import InverseCdf, RandomStreams
 
 CFG = ArbitratorConfig()
 
@@ -469,6 +470,29 @@ def test_arbitration_draws_without_building_a_generator_per_stream(monkeypatch):
 
     monkeypatch.setattr(RandomStreams, "generator", refuse)
     assert run_arbitration(_three_model_panel(), seed=3) == expected
+
+
+def test_run_derives_its_keys_and_fits_once(monkeypatch):
+    # The per-panel set-up runs once per run, whatever the horizon: one
+    # grid_keys pass for every (step, model) stream, one fit of all N x T
+    # forecasts.
+    expected = run_arbitration(_three_model_panel(), seed=3)
+    calls = {"keys": 0, "fits": 0}
+    grid_keys = RandomStreams.grid_keys
+
+    def counted_keys(self, rows, leaves):
+        calls["keys"] += 1
+        return grid_keys(self, rows, leaves)
+
+    def counted_fit(levels, values):
+        calls["fits"] += 1
+        return InverseCdf(levels, values)
+
+    monkeypatch.setattr(RandomStreams, "grid_keys", counted_keys)
+    monkeypatch.setattr(arbitration, "InverseCdf", counted_fit)
+    for runs in (1, 2):
+        assert run_arbitration(_three_model_panel(), seed=3) == expected
+        assert calls == {"keys": runs, "fits": runs}
 
 
 def test_window_for_another_model_order_is_rejected():

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quantarb.baselines import mean_ensemble, quantile_mean_ensemble, quantile_median_ensemble
+from quantarb.baselines import (
+    mean_ensemble,
+    median_ensemble,
+    quantile_mean_ensemble,
+    quantile_median_ensemble,
+)
 from quantarb.core import DEFAULT_LEVELS, QuantileForecast, QuantileLevels
 from quantarb.errors import DimensionMismatch
 
@@ -76,6 +81,27 @@ _ONE_LEVEL = np.array(
 def test_mean_ensemble_equals_the_per_step_mean_bit_for_bit(values):
     per_step = np.array([np.mean(values[:, t], axis=0) for t in range(values.shape[1])])
     assert mean_ensemble(values).tobytes() == per_step.tobytes()
+
+
+@st.composite
+def _tied_pool_values(draw):
+    """(N, T, K) pool values, N 1..16, each drawn from eight values so that
+    members tie: +0.0, -0.0 and six of either sign at magnitudes from 1e-3
+    to 1e6."""
+    n, t, k = draw(st.integers(1, 16)), draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signed = rng.choice((-1.0, 1.0), size=6) * 10.0 ** rng.uniform(-3.0, 6.0, size=6)
+    palette = np.concatenate(([0.0, -0.0], signed))
+    return palette[rng.integers(0, len(palette), size=(n, t, k))]
+
+
+@given(_tied_pool_values())
+@settings(max_examples=300, deadline=None)
+@example(np.array([0.0, -0.0]).reshape(2, 1, 1))
+@example(np.array([-0.0, 0.0, -0.0]).reshape(3, 1, 1))
+@example(np.array([1e6, -1e6, 1e-3, -1e-3]).reshape(4, 1, 1))
+def test_median_ensemble_equals_numpy_median(values):
+    assert np.array_equal(median_ensemble(values), np.median(values, axis=0))
 
 
 def test_ensembles_reject_empty_and_mixed_grids():

@@ -354,6 +354,51 @@ def test_trace_rejects_rows_that_no_run_could_write():
         _trace((4, 6), quantiles=[range(8)])
 
 
+def _five_steps(**bad):
+    """A valid five-step trace of two models; ``bad`` maps an array name to
+    the rows, by step, that replace its own."""
+    nan = float("nan")
+    fields = dict(
+        quantiles=[list(range(9))] * 5,
+        weights=[[0.5, 0.5]] * 5,
+        counts=[[5, 5]] * 5,
+        scores=[[nan, nan]] * 5,
+        rules=["uniform"] * 5,
+        simulated=[4.0] * 5,
+    )
+    for name, rows in bad.items():
+        for step, row in rows.items():
+            fields[name][step] = row
+    return ArbitrationTrace("s", ("a", "b"), 10, DEFAULT_LEVELS, **fields)
+
+
+# Each check breaks step 2, and step 4 too; where a check tests several
+# conditions, step 2 fails a later one than step 4, so the first bad step is
+# searched across all of them.
+@pytest.mark.parametrize(
+    "bad, error, what",
+    [
+        (dict(counts={2: [4, 5], 4: [-1, 11]}), DimensionMismatch,
+         "sample counts are not a split of 10"),
+        (dict(weights={2: [float("nan"), 1.0]}, quantiles={4: [0, 1, 2, 3, float("inf"), 5, 6, 7, 8]}),
+         NonFinite, "values are not finite"),
+        (dict(simulated={2: float("inf")}, quantiles={4: [0, 1, 2, 3, float("nan"), 5, 6, 7, 8]}),
+         NonFinite, "values are not finite"),
+        (dict(quantiles={2: [0, 1, 2, 3, 4, 3, 6, 7, 8], 4: [8, 7, 6, 5, 4, 3, 2, 1, 0]}),
+         NonMonotoneQuantiles, "quantiles decrease"),
+        (dict(weights={2: [0.5, 0.6], 4: [-0.1, 1.1]}), ValueError,
+         "weights are not a distribution"),
+        (dict(rules={4: "softmax"}, scores={2: [0.1, 0.2], 4: [0.1, float("nan")]}),
+         ValueError, "window scores do not fit the weight rule"),
+    ],
+)
+def test_trace_check_names_the_first_bad_step(bad, error, what):
+    _five_steps()
+    with pytest.raises(error) as caught:
+        _five_steps(**bad)
+    assert str(caught.value) == f"trace 's' at step 2: {what}"
+
+
 def test_trace_arrays_are_read_only_and_survive_pickling():
     trace = _trace(
         (4, 6),

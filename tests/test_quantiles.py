@@ -7,12 +7,7 @@ from scipy.interpolate import PchipInterpolator
 
 from quantarb.core import DEFAULT_LEVELS, QuantileLevels
 from quantarb.errors import DimensionMismatch, EmptySampleSet, NonFinite
-from quantarb.quantiles import (
-    InverseCdf,
-    RandomStreams,
-    empirical_quantiles,
-    philox_uniforms,
-)
+from quantarb.quantiles import InverseCdf, KeyedPhilox, RandomStreams, empirical_quantiles
 
 
 def _fit(values, levels=DEFAULT_LEVELS):
@@ -286,6 +281,17 @@ def _with_edge_examples(test):
     for seed in _EDGE_SEEDS:
         for prefix in ([], ["series", "s1", "t"]):
             test = example(seed=seed, prefix=prefix, rows=rows, leaves=leaves)(test)
+    # Grids of a real run's size, 40 steps by 16 models: as run_arbitration
+    # keys them, and with two-word rows and one-word leaves among them.
+    steps, names = list(range(40)), [f"expert_{i:02d}" for i in range(16)]
+    mixed_steps = steps[:20] + [2**32 + i for i in range(20)]
+    mixed_names = names[:8] + list(range(8))
+    for seed, prefix, rows, leaves in (
+        (0, ["series", "s1", "t"], steps, names),
+        (2**64 - 1, ["series", "s1", "t"], mixed_steps, mixed_names),
+        (7, [], mixed_steps, names),
+    ):
+        test = example(seed=seed, prefix=prefix, rows=rows, leaves=leaves)(test)
     return test
 
 
@@ -315,14 +321,16 @@ def test_reused_generator_draws_match_fresh_generators(count):
     node = RandomStreams(11).child("series", "s1", "t")
     rows, leaves = [0, 2**33], ["a", 2**40, 2]
     keys = node.grid_keys(rows, leaves)
-    generator = np.random.Generator(np.random.Philox(0))
-    generator.random(3)  # a reused generator is left mid-buffer
+    philox = KeyedPhilox()
+    philox.generator.random(3)  # a reused generator is left mid-buffer
+    buffer = np.full(count + 2, -1.0)
     for r, row in enumerate(rows):
         for i, leaf in enumerate(leaves):
             expected = node.child(row).child(leaf).generator().random(count)
             for key in (keys[r, i], keys[r, i].tolist()):
-                drawn = philox_uniforms(generator, key, count)
+                drawn = philox.uniforms(key, buffer[1:count + 1])
                 assert drawn.tobytes() == expected.tobytes()
+                assert buffer[0] == buffer[-1] == -1.0  # only its slice is written
 
 
 def _scipy_inverse_cdf(levels, values, p):
@@ -479,6 +487,29 @@ def test_inverse_cdf_equals_the_binary_search_arithmetic_bit_for_bit(levels, n, 
     assert got.tobytes() == want.tobytes()
     assert np.float64(scalar).tobytes() == want[:1].tobytes()
     assert np.isnan(got[-1])
+
+
+def test_fits_on_one_grid_share_one_read_only_bucket_table():
+    levels = np.asarray(DEFAULT_LEVELS.levels)
+    a = InverseCdf(levels, np.arange(9.0))
+    b = InverseCdf(levels.copy(), np.arange(18.0).reshape(2, 9))
+    assert a._scale == b._scale == 64.0
+    assert a._below is b._below and a._thresholds is b._thresholds
+    for array in (a._below, a._thresholds):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # A grid one level away has its own table, and fitting it leaves the
+    # first grid's fits as they were.
+    p = np.linspace(0.0, 1.0, 257)
+    before = a(p)
+    moved = levels.copy()
+    moved[4] = 0.55
+    c = InverseCdf(moved, np.arange(9.0))
+    assert c._thresholds is not a._thresholds and c._below is not a._below
+    assert not np.array_equal(c._thresholds, a._thresholds, equal_nan=True)
+    assert a(p).tobytes() == before.tobytes()
+    assert a(p).tobytes() == _binary_search_inverse_cdf(a, p, np.zeros(len(p), int)).tobytes()
+    assert c(p).tobytes() == _binary_search_inverse_cdf(c, p, np.zeros(len(p), int)).tobytes()
 
 
 def test_bucket_table_grows_with_the_grid():
