@@ -168,28 +168,31 @@ def _bucket_table(levels: bytes) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _pchip_derivatives(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Knot derivatives of every row of segment slopes ``m`` (rows x K-1)."""
+    """Knot derivatives of every row of segment slopes ``m`` (rows x K-1).
+
+    The slopes come after a running max, so none is negative: SciPy's sign
+    tests reduce to comparisons with zero, with the same bits.
+    """
     if m.shape[1] == 1:
         return np.concatenate((m, m), axis=1)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
-    # Weighted harmonic mean of neighbouring slopes; zero where either slope
-    # is zero or they differ in sign (tied knots divide by zero here, and
-    # those entries are discarded). A near-zero slope overflows the mean to
-    # inf, giving the correct zero derivative.
-    flat = (np.sign(m[:, 1:]) != np.sign(m[:, :-1])) | (m[:, 1:] == 0) | (m[:, :-1] == 0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        whmean = (w1 / m[:, :-1] + w2 / m[:, 1:]) / (w1 + w2)
-        interior = np.where(flat, 0.0, 1.0 / whmean)
+    # Weighted harmonic mean of neighbouring slopes. A zero slope divides to
+    # inf and a near-zero one overflows to inf, so the mean is inf and the
+    # derivative the correct zero; ``+ 0.0`` turns -0.0 into +0.0, which
+    # would otherwise divide to -inf and meet +inf as NaN.
+    pos = m + 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        interior = 1.0 / ((w1 / pos[:, :-1] + w2 / pos[:, 1:]) / (w1 + w2))
     # One-sided three-point end derivatives, limited to preserve shape: the
     # first knot's row from the first two segments, the last's from the
-    # last two.
+    # last two. A negative (or NaN) one is zeroed; beside a flat neighbouring
+    # segment one is capped at three times the end slope.
     h0, h1 = h[[0, -1]][:, None], h[[1, -2]][:, None]
     m0, m1 = m[:, [0, -1]].T, m[:, [1, -2]].T
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    flipped = np.sign(d) != np.sign(m0)
-    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    first, last = np.where(flipped, 0.0, np.where(overshoot, 3.0 * m0, d))
+    overshoot = (m1 == 0) & (d > 3.0 * m0)
+    first, last = np.where(d >= 0, np.where(overshoot, 3.0 * m0, d), 0.0)
     return np.concatenate((first[:, None], interior, last[:, None]), axis=1)
 
 

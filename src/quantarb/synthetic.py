@@ -9,6 +9,7 @@ adapt to while keeping every run seed-reproducible in milliseconds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,8 +17,8 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .core import DEFAULT_LEVELS, ForecastPanel, QuantileLevels, build_panel
-from .errors import LengthMismatch
+from .core import DEFAULT_LEVELS, ForecastPanel, QuantileLevels
+from .errors import LengthMismatch, NonFinite
 from .panelio import PanelMetadata, TaggedPanel
 from .quantiles import RandomStreams
 
@@ -27,6 +28,13 @@ DOMAINS = ("level_shift", "trend_break", "season_swap", "vol_burst")
 HORIZON_CLASSES = (("short", 8), ("medium", 16), ("long", 32))
 
 _FREQUENCY_BY_CLASS = {"short": "H", "medium": "D", "long": "W"}
+
+
+def _require_finite_fields(owner: object, *fields: str) -> None:
+    for field in fields:
+        value = getattr(owner, field)
+        if not math.isfinite(value):
+            raise ValueError(f"{field} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,7 @@ class Segment:
     noise_scale: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self, "level", "trend", "season_amplitude", "noise_scale")
         if self.length < 1:
             raise ValueError(f"segment length must be >= 1, got {self.length}")
         if self.season_period < 1:
@@ -103,6 +112,7 @@ class SyntheticExpert:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "favored_regimes", tuple(self.favored_regimes))
+        _require_finite_fields(self, "sharpness", "bias", "dispersion_inflation")
         if self.sharpness < 0.0:
             raise ValueError(f"sharpness must be >= 0, got {self.sharpness}")
         if not self.dispersion_inflation > 0.0:
@@ -112,22 +122,55 @@ class SyntheticExpert:
 
 
 def generate_series(spec: RegimeSpec, seed: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Realize the ground-truth process; returns (context, actuals)."""
-    rng = RandomStreams(seed).child("series").generator()
-    noise = rng.standard_normal(spec.total_length)
-    values = []
-    position = 0
+    """Realize the ground-truth process; returns (context, actuals).
+
+    Value ``u`` steps into a segment, at global position ``p``, is
+    ``((level + trend * u) + season) + noise_scale * noise[p]`` in float64,
+    with ``season = season_amplitude * math.sin(2.0 * math.pi * (p % period)
+    / period)``. Each segment evaluates ``math.sin`` once per distinct phase
+    (at most ``season_period`` of them) and repeats that table: ``np.sin`` is
+    not guaranteed to match libm to the last bit.
+    """
+    noise = RandomStreams(seed).child("series").generator().standard_normal(spec.total_length)
+    parts = []
+    start = 0
     for seg in spec.segments:
-        for u in range(seg.length):
-            season = seg.season_amplitude * math.sin(
-                2.0 * math.pi * (position % seg.season_period) / seg.season_period
-            )
-            values.append(
-                seg.level + seg.trend * u + season + seg.noise_scale * noise[position]
-            )
-            position += 1
+        period = seg.season_period
+        phases = range(start, start + min(seg.length, period))
+        season = np.resize([math.sin(2.0 * math.pi * (p % period) / period) for p in phases],
+                           seg.length)
+        u = np.arange(seg.length, dtype=float)
+        parts.append(seg.level + seg.trend * u + seg.season_amplitude * season
+                     + seg.noise_scale * noise[start:start + seg.length])
+        start += seg.length
+    values = np.concatenate(parts).tolist()
     split = spec.context_length
     return tuple(values[:split]), tuple(values[split:])
+
+
+@functools.lru_cache(maxsize=16)
+def _normal_quantiles(levels: tuple[float, ...]) -> np.ndarray:
+    """Standard normal quantiles of a level grid, read-only and shared."""
+    z = norm.ppf(np.asarray(levels))
+    z.setflags(write=False)
+    return z
+
+
+def _expert_values(expert: SyntheticExpert, spec: RegimeSpec, actuals: Sequence[float],
+                   seed: int, levels: QuantileLevels) -> np.ndarray:
+    """:func:`expert_forecast` as a (T, K) float64 array."""
+    if len(actuals) != spec.horizon:
+        raise LengthMismatch(f"{len(actuals)} actuals for a horizon of {spec.horizon}")
+    y = np.asarray(actuals, dtype=float)
+    if not np.isfinite(y).all():
+        raise NonFinite(f"actual at horizon step {np.argmin(np.isfinite(y))} is not finite")
+    jitter = RandomStreams(seed).child("expert", expert.name).generator().standard_normal(len(y))
+    ends = np.cumsum([seg.length for seg in spec.segments])
+    regime = np.searchsorted(ends, np.arange(spec.context_length, spec.total_length), "right")
+    favored = np.array([i in expert.favored_regimes for i in range(len(ends))])[regime]
+    sigma = np.where(favored, expert.sharpness, expert.sharpness * expert.dispersion_inflation)
+    mu = np.where(favored, y, y + expert.bias) + 0.1 * sigma * jitter
+    return mu[:, None] + sigma[:, None] * _normal_quantiles(levels.levels)
 
 
 def expert_forecast(
@@ -142,25 +185,14 @@ def expert_forecast(
     Gaussian-shaped rows ``mu + sigma * z_alpha``, monotone for any sigma >= 0.
     The center jitters mildly around the realized value in favored regimes and
     carries the expert's bias (plus inflated spread) elsewhere.
+
+    In float64, step ``t`` has ``sigma = sharpness`` and
+    ``mu = y + (0.1 * sigma) * jitter[t]`` in a favored regime, and otherwise
+    ``sigma = sharpness * dispersion_inflation`` and
+    ``mu = (y + bias) + (0.1 * sigma) * jitter[t]``; the row is
+    ``mu + sigma * z`` with ``z = scipy.stats.norm.ppf(levels)``.
     """
-    if len(actuals) != spec.horizon:
-        raise LengthMismatch(
-            f"{len(actuals)} actuals for a horizon of {spec.horizon}"
-        )
-    z = norm.ppf(np.asarray(levels.levels))
-    rng = RandomStreams(seed).child("expert", expert.name).generator()
-    jitter = rng.standard_normal(len(actuals))
-    rows = []
-    for t, y in enumerate(actuals):
-        regime = spec.regime_id_at(spec.context_length + t)
-        if regime in expert.favored_regimes:
-            sigma = expert.sharpness
-            mu = y + 0.1 * sigma * jitter[t]
-        else:
-            sigma = expert.sharpness * expert.dispersion_inflation
-            mu = y + expert.bias + 0.1 * sigma * jitter[t]
-        rows.append(tuple(float(v) for v in mu + sigma * z))
-    return tuple(rows)
+    return tuple(map(tuple, _expert_values(expert, spec, actuals, seed, levels).tolist()))
 
 
 def _panel_spec(domain: str, horizon: int, rng: np.random.Generator) -> RegimeSpec:
@@ -260,16 +292,16 @@ def build_benchmark_suite(
         noise_ref = spec.segments[0].noise_scale
         experts = _panel_experts(pool_size, noise_ref, rng)
         context, actuals = generate_series(spec, panel_seed)
-        panel = build_panel(
+        panel = ForecastPanel(
             series_id=f"synth-{idx:04d}",
             context=context,
             actuals=actuals,
             seasonality=spec.segments[0].season_period,
+            model_names=tuple(e.name for e in experts),
             levels=levels,
-            models=[
-                (e.name, expert_forecast(e, spec, actuals, panel_seed, levels))
-                for e in experts
-            ],
+            values=np.stack(
+                [_expert_values(e, spec, actuals, panel_seed, levels) for e in experts]
+            ),
         )
         out.append(
             TaggedPanel(

@@ -7,7 +7,13 @@ from scipy.interpolate import PchipInterpolator
 
 from quantarb.core import DEFAULT_LEVELS, QuantileLevels
 from quantarb.errors import DimensionMismatch, EmptySampleSet, NonFinite
-from quantarb.quantiles import InverseCdf, KeyedPhilox, RandomStreams, empirical_quantiles
+from quantarb.quantiles import (
+    InverseCdf,
+    KeyedPhilox,
+    RandomStreams,
+    _pchip_derivatives,
+    empirical_quantiles,
+)
 
 
 def _fit(values, levels=DEFAULT_LEVELS):
@@ -389,6 +395,59 @@ def test_batched_kernel_matches_scipy_pchip(case):
         assert np.all(np.abs(got - want) <= 1e-12 * scale), (r, got, want)
         one = InverseCdf(levels, values)(p)
         assert np.array_equal(one, got)
+
+
+def _sign_test_pchip_derivatives(h, m):
+    """``_pchip_derivatives`` with SciPy's sign tests, as it was before the
+    comparisons with zero, kept as the oracle for non-negative slopes."""
+    if m.shape[1] == 1:
+        return np.concatenate((m, m), axis=1)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[:, 1:]) != np.sign(m[:, :-1])) | (m[:, 1:] == 0) | (m[:, :-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        whmean = (w1 / m[:, :-1] + w2 / m[:, 1:]) / (w1 + w2)
+        interior = np.where(flat, 0.0, 1.0 / whmean)
+    h0, h1 = h[[0, -1]][:, None], h[[1, -2]][:, None]
+    m0, m1 = m[:, [0, -1]].T, m[:, [1, -2]].T
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flipped = np.sign(d) != np.sign(m0)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    first, last = np.where(flipped, 0.0, np.where(overshoot, 3.0 * m0, d))
+    return np.concatenate((first[:, None], interior, last[:, None]), axis=1)
+
+
+# Signed zeros, subnormals, slopes near 1e-300 and near overflow, and inf.
+_EDGE_SLOPES = (0.0, -0.0, 5e-324, 1e-323, 2.2e-308, 1e-300, 1.0000000000000002e-300,
+                0.5, 1.0, 1e300, 1.7e308, np.inf)
+
+
+@st.composite
+def _slope_blocks(draw):
+    """Level gaps of a 2..8-level grid (one- and two-segment grids weighted
+    up) and 1..4 rows of non-negative slopes; a zero slope is a tie."""
+    k = draw(st.one_of(st.sampled_from((2, 3)), st.integers(2, 8)))
+    ticks = draw(st.lists(st.integers(1, 999), min_size=k, max_size=k, unique=True))
+    h = np.diff(np.array(sorted(ticks)) / 1000.0)
+    slope = st.one_of(st.sampled_from(_EDGE_SLOPES), st.floats(0.0, 1e308))
+    rows = draw(st.integers(1, 4))
+    m = draw(st.lists(st.lists(slope, min_size=k - 1, max_size=k - 1), min_size=rows,
+                      max_size=rows))
+    return h, np.array(m)
+
+
+@given(_slope_blocks())
+# A subnormal end slope beside a flat segment, whose rounding trips the cap
+# at three times the slope; -0.0 beside +0.0 and beside inf.
+@example((np.array([0.221, 0.059]), np.array([[5e-324, 0.0]])))
+@example((np.array([0.1, 0.2, 0.3]), np.array([[-0.0, 0.0, np.inf], [np.inf, -0.0, 1.0]])))
+@settings(max_examples=400, deadline=None)
+def test_pchip_derivatives_equal_the_sign_tests_bit_for_bit(case):
+    h, m = case
+    with np.errstate(all="ignore"):
+        want = _sign_test_pchip_derivatives(h, m)
+        got = _pchip_derivatives(h, m)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (h, m, got, want)
 
 
 def test_batched_kernel_mixes_rows_in_one_call():

@@ -1,9 +1,17 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.stats import norm
 
-from quantarb.core import DEFAULT_LEVELS, ForecastPanel
-from quantarb.errors import LengthMismatch
+from quantarb import synthetic
+from quantarb.core import DEFAULT_LEVELS, ForecastPanel, QuantileLevels
+from quantarb.errors import LengthMismatch, NonFinite
 from quantarb.oracle import oracle_select, selection_frequency_table
+from quantarb.panelio import save_panels
+from quantarb.quantiles import RandomStreams
 from quantarb.synthetic import (
     DOMAINS,
     HORIZON_CLASSES,
@@ -33,6 +41,22 @@ def test_segment_and_spec_validation():
         RegimeSpec(segments=(), context_length=1)
     with pytest.raises(ValueError):
         RegimeSpec(segments=(Segment(4, 1.0),), context_length=4)
+
+
+@pytest.mark.parametrize("field", ["level", "trend", "season_amplitude", "noise_scale"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_segment_rejects_non_finite_parameters(field, bad):
+    kwargs = {"length": 5, "level": 1.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Segment(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["sharpness", "bias", "dispersion_inflation"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_expert_rejects_non_finite_parameters(field, bad):
+    kwargs = {"name": "a", "favored_regimes": (0,), "sharpness": 1.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SyntheticExpert(**kwargs)
 
 
 def test_regime_id_lookup():
@@ -146,6 +170,15 @@ def test_expert_forecast_rejects_misaligned_actuals():
         expert_forecast(expert, spec, [1.0, 2.0], seed=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, None])
+def test_expert_forecast_rejects_non_finite_actuals(bad):
+    # An array of actuals reads None as NaN.
+    spec = _two_regime_spec(pre=1, post=1)
+    expert = SyntheticExpert("e", (0,), sharpness=1.0)
+    with pytest.raises(NonFinite, match="actual at horizon step 1 is not finite"):
+        expert_forecast(expert, spec, [20.0, bad], seed=0)
+
+
 def test_oracle_share_tracks_regime_share_for_disjoint_experts():
     # regime 0 covers 1/4 of the horizon, regime 1 the rest
     spec = RegimeSpec(
@@ -229,3 +262,152 @@ def test_suite_cycles_domains_horizons_and_pool_sizes():
     fixed = build_benchmark_suite(8, seed=0, n_experts=6)
     assert all(tp.panel.n_models == 6 for tp in fixed)
     assert fixed[0].panel.model_names == tuple(f"expert_{i:02d}" for i in range(6))
+
+
+# sha256 of `save_panels` output for pinned suites, recorded from the per-row
+# generator: the array generator must write every file byte for byte the same.
+_GRID3 = QuantileLevels((0.1, 0.25, 0.9))
+_PINNED_SUITES = [
+    (200, 0, None, DEFAULT_LEVELS, "c1af30ee928045ced7ea7ea41fc9a199bde9849504e0eab5664b1a870a1eac99"),
+    (200, 3, 6, DEFAULT_LEVELS, "00d28a0d41550536113e9c293ed826e54c96c7a96bc9a4561dd0251bb83abedc"),
+    (100, 11, 12, DEFAULT_LEVELS, "d46eb3df56ab86e749598db2d45f6193ded8bb502bf6cea3b2b64d410bfdab45"),
+    (40, 5, None, _GRID3, "886e17920a84d15c49b80a7a1ed19693025b55e902c6c4ddde9a2b10ebe28c63"),
+]
+
+
+@pytest.mark.parametrize(
+    "n_panels, seed, n_experts, levels, digest",
+    _PINNED_SUITES,
+    ids=["pool-cycling", "six-experts", "twelve-experts", "three-levels-without-median"],
+)
+def test_suite_files_are_pinned_byte_for_byte(tmp_path, n_panels, seed, n_experts, levels, digest):
+    path = tmp_path / "suite.jsonl"
+    save_panels(path, build_benchmark_suite(n_panels, seed, n_experts, levels))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _loop_generate_series(spec, seed):
+    """The per-row generator the array version replaced, kept as its oracle."""
+    rng = RandomStreams(seed).child("series").generator()
+    noise = rng.standard_normal(spec.total_length)
+    values = []
+    position = 0
+    for seg in spec.segments:
+        for u in range(seg.length):
+            season = seg.season_amplitude * math.sin(
+                2.0 * math.pi * (position % seg.season_period) / seg.season_period
+            )
+            values.append(
+                seg.level + seg.trend * u + season + seg.noise_scale * noise[position]
+            )
+            position += 1
+    split = spec.context_length
+    return tuple(values[:split]), tuple(values[split:])
+
+
+def _loop_expert_forecast(expert, spec, actuals, seed, levels=DEFAULT_LEVELS):
+    """The per-row expert the array version replaced, kept as its oracle."""
+    z = norm.ppf(np.asarray(levels.levels))
+    rng = RandomStreams(seed).child("expert", expert.name).generator()
+    jitter = rng.standard_normal(len(actuals))
+    rows = []
+    for t, y in enumerate(actuals):
+        regime = spec.regime_id_at(spec.context_length + t)
+        if regime in expert.favored_regimes:
+            sigma = expert.sharpness
+            mu = y + 0.1 * sigma * jitter[t]
+        else:
+            sigma = expert.sharpness * expert.dispersion_inflation
+            mu = y + expert.bias + 0.1 * sigma * jitter[t]
+        rows.append(tuple(float(v) for v in mu + sigma * z))
+    return tuple(rows)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _maybe_zero(strategy):
+    return st.one_of(st.just(0.0), strategy)
+
+
+@st.composite
+def _regime_cases(draw):
+    """A spec of 1..4 segments (trend, periods 1..24, zero noise allowed), an
+    expert whose favored set is empty, partial or every regime (zero
+    sharpness allowed), a seed, a grid and, half the time, actuals drawn
+    freely (signed zeros included) in place of the realized ones."""
+    segments = tuple(
+        Segment(
+            length=draw(st.integers(1, 30)),
+            level=draw(st.floats(-100.0, 100.0)),
+            trend=draw(_maybe_zero(st.floats(-2.0, 2.0))),
+            season_amplitude=draw(_maybe_zero(st.floats(-5.0, 5.0))),
+            season_period=draw(st.integers(1, 24)),
+            noise_scale=draw(_maybe_zero(st.floats(0.0, 3.0))),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    total = sum(seg.length for seg in segments)
+    assume(total >= 2)
+    spec = RegimeSpec(segments, context_length=draw(st.integers(1, total - 1)))
+    expert = SyntheticExpert(
+        name=draw(st.sampled_from(("a", "expert_03"))),
+        favored_regimes=tuple(draw(st.sets(st.integers(0, len(segments) - 1)))),
+        sharpness=draw(_maybe_zero(st.floats(0.0, 5.0))),
+        bias=draw(_maybe_zero(st.floats(-10.0, 10.0))),
+        dispersion_inflation=draw(st.floats(0.1, 20.0)),
+    )
+    free = st.lists(st.floats(-1e3, 1e3), min_size=spec.horizon, max_size=spec.horizon)
+    actuals = draw(st.one_of(st.none(), free))
+    levels = draw(st.sampled_from((DEFAULT_LEVELS, _GRID3, QuantileLevels((0.5,)))))
+    return spec, expert, draw(st.integers(0, 2**63 - 1)), levels, actuals
+
+
+@given(_regime_cases())
+# A favored step with zero sharpness on an actual of -0.0: the bias must not
+# be added there, not even as +0.0, or the row's signed zeros flip.
+@example((
+    RegimeSpec((Segment(6, 1.0),), context_length=2),
+    SyntheticExpert("a", (0,), sharpness=0.0, bias=0.0),
+    3,
+    DEFAULT_LEVELS,
+    [-0.0] * 4,
+))
+@settings(max_examples=300, deadline=None)
+def test_array_generator_equals_the_per_row_loops(case):
+    spec, expert, seed, levels, actuals = case
+    series = generate_series(spec, seed)
+    want = _loop_generate_series(spec, seed)
+    assert series == want
+    for got, ref in zip(series, want):
+        assert np.array_equal(_bits(got), _bits(ref))
+    if actuals is None:
+        actuals = series[1]
+    rows = expert_forecast(expert, spec, actuals, seed, levels)
+    want_rows = _loop_expert_forecast(expert, spec, actuals, seed, levels)
+    assert rows == want_rows
+    assert np.array_equal(_bits(rows), _bits(want_rows))
+
+
+def test_normal_quantiles_are_computed_once_per_level_grid(monkeypatch):
+    calls = []
+
+    class CountingNorm:
+        @staticmethod
+        def ppf(q):
+            calls.append(tuple(q))
+            return norm.ppf(q)
+
+    monkeypatch.setattr(synthetic, "norm", CountingNorm)
+    synthetic._normal_quantiles.cache_clear()
+    try:
+        build_benchmark_suite(12, seed=0)
+        build_benchmark_suite(4, seed=1, n_experts=3, levels=_GRID3)
+        spec = _two_regime_spec()
+        _, actuals = generate_series(spec, seed=4)
+        expert_forecast(SyntheticExpert("e", (0,), sharpness=1.0), spec, actuals, seed=4)
+        assert not synthetic._normal_quantiles(DEFAULT_LEVELS.levels).flags.writeable
+    finally:
+        synthetic._normal_quantiles.cache_clear()
+    assert calls == [DEFAULT_LEVELS.levels, _GRID3.levels]
