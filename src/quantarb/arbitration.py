@@ -29,6 +29,7 @@ from .core import (
     PerformanceWindow,
     QuantileLevels,
     normalize_weights,
+    require_integer,
     stack_forecasts,
 )
 from .errors import AlignmentMismatch, EmptyWindow
@@ -59,10 +60,9 @@ class ArbitratorConfig:
     mode: str = "dynamic"
 
     def __post_init__(self) -> None:
-        if self.n_total < 1:
-            raise ValueError(f"n_total must be >= 1, got {self.n_total}")
-        if self.window_capacity is not None and self.window_capacity < 1:
-            raise ValueError(f"window capacity must be >= 1, got {self.window_capacity}")
+        require_integer(self.n_total, "n_total", 1)
+        if self.window_capacity is not None:
+            require_integer(self.window_capacity, "window_capacity", 1)
         if not self.softmax_temperature > 0.0:
             raise ValueError(f"softmax temperature must be > 0, got {self.softmax_temperature}")
         if self.mode not in ("dynamic", "static-uniform"):

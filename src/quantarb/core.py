@@ -38,6 +38,14 @@ def _require_finite(values: Iterable[float], what: str) -> None:
             raise NonFinite(f"{what} contains non-finite value {v!r} at index {i}")
 
 
+def require_integer(value: object, what: str, low: int) -> None:
+    """Reject a bool, a non-integer (numpy integers pass) or a ``value`` below
+    ``low`` with a ``ValueError`` naming ``what``."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+    if not integer or value < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuantileLevels:
     """Strictly increasing probability levels in the open interval (0, 1),
@@ -124,14 +132,6 @@ class QuantileForecast:
             raise NonMonotoneQuantiles(
                 f"quantile values decrease at level indices {bad}", indices=tuple(bad)
             )
-
-    def value_at(self, alpha: float) -> float:
-        """Value at probability ``alpha``: exact when on the grid, else linear in level."""
-        return float(quantile_at(self.levels.levels, self.values, alpha))
-
-    @property
-    def median(self) -> float:
-        return self.value_at(0.5)
 
 
 def _frozen(values) -> np.ndarray:
@@ -267,13 +267,6 @@ class ForecastPanel:
         """All models' forecasts for horizon step ``t``, as value objects."""
         return tuple(QuantileForecast(self.levels, row) for row in self.values[:, t].tolist())
 
-    def model_forecasts(self, name: str) -> tuple[QuantileForecast, ...]:
-        """One model's forecasts over the horizon, as value objects."""
-        if name not in self.model_names:
-            raise KeyError(f"panel {self.series_id!r} has no model {name!r}")
-        rows = self.values[self.model_names.index(name)].tolist()
-        return tuple(QuantileForecast(self.levels, row) for row in rows)
-
     def require_actuals(self) -> tuple[float, ...]:
         if self.actuals is None:
             raise MissingActuals(f"panel {self.series_id!r} has no actuals")
@@ -383,10 +376,6 @@ class PerformanceWindow:
 
     def __len__(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self) == 0
 
 
 #: Weight-rule labels recorded in traces.

@@ -47,10 +47,6 @@ class SeriesTooShort(ArbitrationError):
     """Series is too short for the requested computation."""
 
 
-class DegenerateVariance(ArbitrationError):
-    """A variance required to be nonzero is zero."""
-
-
 class EmptyWindow(ArbitrationError):
     """Performance window holds no records."""
 

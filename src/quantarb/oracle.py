@@ -9,14 +9,14 @@ choices is measured as top-k selection accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .baselines import median_ensemble
 from .core import ArbitrationTrace, ForecastPanel, quantile_at
-from .errors import DimensionMismatch, EmptyGroup, Misalignment
+from .errors import DimensionMismatch, EmptyGroup, Misalignment, NonFinite
 from .metrics import crps_batch
 
 
@@ -25,39 +25,32 @@ class OracleTrace:
     """Per-timestep oracle selections plus the full CRPS matrix behind them.
 
     ``crps_matrix[t, i]`` is model ``i``'s CRPS at timestep ``t``: one
-    read-only (T, N) float64 array, validated once, vectorized.
+    read-only (T, N) float64 array. ``selections`` is derived from it: each
+    row's argmin, ties going to the lowest index. A NaN entry is rejected.
     """
 
     series_id: str
     model_names: tuple[str, ...]
-    selections: tuple[int, ...]
     crps_matrix: np.ndarray
+    selections: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        picks = tuple(map(int, self.selections))
-        object.__setattr__(self, "selections", picks)
-        shape = (len(picks), len(self.model_names))
+        n = len(self.model_names)
         try:
             matrix = np.array(self.crps_matrix, dtype=float)
         except ValueError:  # ragged rows
             matrix = None
-        if matrix is None or matrix.shape != shape:
-            raise DimensionMismatch(
-                f"CRPS matrix does not hold {shape[0]} timesteps x {shape[1]} models"
-            )
+        if matrix is None or matrix.ndim != 2 or matrix.shape[1] != n or n == 0:
+            raise DimensionMismatch(f"CRPS matrix is not one row of {n} model scores per timestep")
         matrix.setflags(write=False)
+        nan = np.isnan(matrix).any(axis=1)
+        if nan.any():
+            raise NonFinite(f"CRPS matrix has a NaN score at timestep {int(np.argmax(nan))}")
         object.__setattr__(self, "crps_matrix", matrix)
-        if picks and not (0 <= min(picks) and max(picks) < shape[1]):
-            t = next(t for t, p in enumerate(picks) if not 0 <= p < shape[1])
-            raise DimensionMismatch(f"selection {picks[t]} at timestep {t} out of range")
-        at = np.array(picks, dtype=np.intp)
-        off_min = matrix[np.arange(shape[0]), at] != matrix.min(axis=1, initial=np.inf)
-        if off_min.any():
-            t = int(np.argmax(off_min))
-            raise DimensionMismatch(f"selection {picks[t]} at timestep {t} is not a CRPS argmin")
+        object.__setattr__(self, "selections", tuple(matrix.argmin(axis=1).tolist()))
 
     def _args(self) -> tuple:
-        return (self.series_id, self.model_names, self.selections, self.crps_matrix)
+        return (self.series_id, self.model_names, self.crps_matrix)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OracleTrace):
@@ -77,13 +70,6 @@ class OracleTrace:
         return len(self.model_names)
 
     @property
-    def selection_frequencies(self) -> tuple[float, ...]:
-        counts = [0] * self.n_models
-        for pick in self.selections:
-            counts[pick] += 1
-        return tuple(c / self.horizon for c in counts)
-
-    @property
     def switch_count(self) -> int:
         return sum(a != b for a, b in zip(self.selections, self.selections[1:]))
 
@@ -96,7 +82,7 @@ class OracleTrace:
 
     @property
     def per_timestep_crps(self) -> tuple[float, ...]:
-        return tuple(row[p] for row, p in zip(self.crps_matrix.tolist(), self.selections))
+        return tuple(self.crps_matrix[np.arange(self.horizon), self.selections].tolist())
 
     @property
     def crps(self) -> float:
@@ -113,13 +99,7 @@ def oracle_select(panel: ForecastPanel) -> OracleTrace:
 
 def _oracle_trace(panel: ForecastPanel, pool_crps: np.ndarray) -> OracleTrace:
     """The oracle trace of ``panel`` from its pool's (N, T) CRPS matrix."""
-    scores = pool_crps.T
-    return OracleTrace(
-        series_id=panel.series_id,
-        model_names=panel.model_names,
-        selections=tuple(scores.argmin(axis=1).tolist()),
-        crps_matrix=scores,
-    )
+    return OracleTrace(panel.series_id, panel.model_names, pool_crps.T)
 
 
 def switching_stats(
@@ -195,21 +175,3 @@ def suite_topk_accuracy(
     hits = sum(_topk_hits(rankings, trace, k) for rankings, trace in pairs)
     return hits / sum(trace.horizon for _, trace in pairs)
 
-
-def selection_frequency_table(
-    traces: Sequence[OracleTrace],
-) -> Mapping[str, float]:
-    """Pooled selection share per model name across traces with a shared pool."""
-    if not traces:
-        raise EmptyGroup("no oracle traces")
-    names = traces[0].model_names
-    for tr in traces:
-        if tr.model_names != names:
-            raise DimensionMismatch("traces disagree on the model pool")
-    counts = [0] * len(names)
-    total = 0
-    for tr in traces:
-        for pick in tr.selections:
-            counts[pick] += 1
-        total += tr.horizon
-    return {name: counts[i] / total for i, name in enumerate(names)}

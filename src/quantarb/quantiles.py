@@ -45,7 +45,7 @@ class InverseCdf:
     rows, so every grid takes the same path.
     """
 
-    __slots__ = ("levels", "values", "_base", "_coef", "_scale", "_below", "_thresholds")
+    __slots__ = ("levels", "_base", "_coef", "_scale", "_below", "_thresholds")
 
     def __init__(self, levels: np.ndarray, values: np.ndarray) -> None:
         levels = np.asarray(levels, dtype=float)
@@ -58,7 +58,6 @@ class InverseCdf:
         # fed non-decreasing knots.
         values = np.maximum.accumulate(values, axis=-1)
         self.levels = levels
-        self.values = values
         y = values.reshape(-1, len(levels))
         zero = np.zeros(len(y))
         if len(levels) >= 2:
@@ -126,17 +125,6 @@ class InverseCdf:
         out += np.multiply(c2, s2, out=c2)
         out += np.multiply(c3, np.multiply(s2, s, out=s), out=c3)
         return out
-
-    @property
-    def support(self) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-        """Range of attainable values, [F^-1(0), F^-1(1)], per forecast."""
-        const, linear = (c.reshape(-1, len(self.levels) + 1) for c in self._coef[:2])
-        low = const[:, 0] - self.levels[0] * linear[:, 0]
-        high = const[:, -1] + (1.0 - self.levels[-1]) * linear[:, -1]
-        shape = self.values.shape[:-1]
-        if not shape:
-            return float(low[0]), float(high[0])
-        return low.reshape(shape), high.reshape(shape)
 
 
 def _buckets(p: np.ndarray, scale: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .core import DEFAULT_LEVELS, ForecastPanel, QuantileLevels
+from .core import DEFAULT_LEVELS, ForecastPanel, QuantileLevels, require_integer
 from .errors import LengthMismatch, NonFinite
 from .panelio import PanelMetadata, TaggedPanel
 from .quantiles import RandomStreams
@@ -101,7 +101,8 @@ class SyntheticExpert:
     """A forecaster that is sharp in its favored regimes and degraded elsewhere.
 
     Outside favored regimes the emitted median shifts by ``bias`` and the
-    spread widens by ``dispersion_inflation``.
+    spread widens by ``dispersion_inflation``. Regimes are named by segment
+    index: non-negative integers, not bools.
     """
 
     name: str
@@ -112,6 +113,8 @@ class SyntheticExpert:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "favored_regimes", tuple(self.favored_regimes))
+        for regime in self.favored_regimes:
+            require_integer(regime, "a favored regime id", 0)
         _require_finite_fields(self, "sharpness", "bias", "dispersion_inflation")
         if self.sharpness < 0.0:
             raise ValueError(f"sharpness must be >= 0, got {self.sharpness}")
@@ -190,7 +193,9 @@ def expert_forecast(
     ``mu = y + (0.1 * sigma) * jitter[t]`` in a favored regime, and otherwise
     ``sigma = sharpness * dispersion_inflation`` and
     ``mu = (y + bias) + (0.1 * sigma) * jitter[t]``; the row is
-    ``mu + sigma * z`` with ``z = scipy.stats.norm.ppf(levels)``.
+    ``mu + sigma * z`` with ``z = scipy.stats.norm.ppf(levels)``. A favored
+    regime id at or above the spec's segment count favors no step, so the
+    same expert can forecast a shorter history spec (as backtests do).
     """
     return tuple(map(tuple, _expert_values(expert, spec, actuals, seed, levels).tolist()))
 

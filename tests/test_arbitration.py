@@ -22,6 +22,7 @@ from quantarb.core import (
     QuantileLevels,
     build_panel,
     normalize_weights,
+    quantile_at,
 )
 from quantarb.errors import (
     AlignmentMismatch,
@@ -54,6 +55,18 @@ def test_config_validation():
         ArbitratorConfig(softmax_temperature=0.0)
     with pytest.raises(ValueError):
         ArbitratorConfig(mode="bogus")
+
+
+@pytest.mark.parametrize("field", ["n_total", "window_capacity"])
+@pytest.mark.parametrize("bad", [True, np.True_, 2.5, 1500.5, 4.0])
+def test_config_rejects_sizes_that_are_not_integers(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got "):
+        ArbitratorConfig(**{field: bad})
+
+
+def test_config_takes_numpy_integer_sizes():
+    config = ArbitratorConfig(n_total=np.int64(300), window_capacity=np.int32(4))
+    assert (config.n_total, config.resolve_capacity(40)) == (300, 4)
 
 
 def test_default_window_capacity_tracks_short_horizons():
@@ -171,9 +184,9 @@ def test_arbitrate_point_masses_splits_the_budget():
     assert counts == (750, 750)
     # pooled sample is exactly 750 zeros and 750 tens; under the linear
     # interpolation estimator the 0.5 level lands between the two blocks
-    assert out.value_at(0.2) == 0.0
-    assert out.value_at(0.8) == 10.0
-    assert out.median == 5.0
+    assert quantile_at(out.levels.levels, out.values, 0.2) == 0.0
+    assert quantile_at(out.levels.levels, out.values, 0.8) == 10.0
+    assert quantile_at(out.levels.levels, out.values, 0.5) == 5.0
 
 
 def test_arbitrate_single_model_round_trips_its_forecast():
@@ -325,8 +338,8 @@ def test_permutation_equivariance_is_bit_exact():
         seasonality=panel.seasonality,
         levels=DEFAULT_LEVELS,
         models=[
-            ("b", [list(f.values) for f in panel.model_forecasts("b")]),
-            ("a", [list(f.values) for f in panel.model_forecasts("a")]),
+            ("b", panel.values[panel.model_names.index("b")].tolist()),
+            ("a", panel.values[panel.model_names.index("a")].tolist()),
         ],
     )
     t_ab = run_arbitration(panel, seed=5)
@@ -377,7 +390,7 @@ def test_n_total_must_cover_model_count():
 def test_seed_window_empty_without_backtests():
     panel = _drifting_panel()
     window = seed_window_from_context(panel)
-    assert window.is_empty
+    assert len(window) == 0
     assert (window.model_names, window.levels) == (panel.model_names, panel.levels)
     assert window.values.shape == (2, 0, 9) and window.observations.shape == (0,)
 

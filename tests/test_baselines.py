@@ -8,7 +8,7 @@ from quantarb.baselines import (
     quantile_mean_ensemble,
     quantile_median_ensemble,
 )
-from quantarb.core import DEFAULT_LEVELS, QuantileForecast, QuantileLevels
+from quantarb.core import DEFAULT_LEVELS, QuantileForecast, QuantileLevels, quantile_at
 from quantarb.errors import DimensionMismatch
 
 
@@ -31,7 +31,7 @@ def test_median_ensemble_single_model_is_identity():
 def test_median_ensemble_odd_count_picks_middle():
     fcs = [_shift(BASE, 0.0), _shift(BASE, 1.0), _shift(BASE, 8.0)]
     ens = quantile_median_ensemble(fcs)
-    assert ens.value_at(0.5) == 5.0 + 1.0
+    assert quantile_at(ens.levels.levels, ens.values) == 5.0 + 1.0
     assert ens.values == _shift(BASE, 1.0).values
 
 

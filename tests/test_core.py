@@ -54,7 +54,7 @@ def test_levels_accept_neighbours_just_beyond_the_tolerance():
 def test_forecast_accepts_monotone_values_with_ties():
     fc = QuantileForecast(DEFAULT_LEVELS, (1, 1, 2, 2, 3, 3, 4, 4, 5))
     assert fc.values == (1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 5.0)
-    assert fc.median == 3.0
+    assert quantile_at(DEFAULT_LEVELS.levels, fc.values) == 3.0
 
 
 def test_forecast_rejects_decreasing_values_with_indices():
@@ -83,11 +83,11 @@ def test_forecast_length_must_match_levels():
 
 
 def test_value_at_is_exact_on_grid_and_linear_between():
-    fc = QuantileForecast(DEFAULT_LEVELS, (1, 2, 3, 4, 5, 6, 7, 8, 9))
-    assert fc.value_at(0.3) == 3.0
-    assert fc.value_at(0.35) == pytest.approx(3.5)
-    assert fc.value_at(0.05) == 1.0  # clamped to the outermost knot
-    assert fc.value_at(0.95) == 9.0
+    row = np.arange(1.0, 10.0)
+    assert quantile_at(DEFAULT_LEVELS.levels, row, 0.3) == 3.0
+    assert quantile_at(DEFAULT_LEVELS.levels, row, 0.35) == pytest.approx(3.5)
+    assert quantile_at(DEFAULT_LEVELS.levels, row, 0.05) == 1.0  # clamped to the outermost knot
+    assert quantile_at(DEFAULT_LEVELS.levels, row, 0.95) == 9.0
 
 
 def _matrix(rows):
@@ -159,8 +159,6 @@ def test_panel_values_are_a_read_only_copy():
         panel.values[0, 0, 0] = 100.0
     assert (panel.n_models, panel.horizon) == (2, 3)
     assert panel.forecasts_at(2)[1] == QuantileForecast(DEFAULT_LEVELS, range(1, 10))
-    with pytest.raises(KeyError):
-        panel.model_forecasts("c")
 
 
 def test_quantile_at_matches_value_at_row_by_row():
@@ -170,8 +168,7 @@ def test_quantile_at_matches_value_at_row_by_row():
         got = quantile_at(grid.levels, values, alpha)
         for i in range(2):
             for t in range(3):
-                fc = QuantileForecast(grid, values[i, t])
-                assert got[i, t] == fc.value_at(alpha)
+                assert got[i, t] == quantile_at(grid.levels, values[i, t].tolist(), alpha)
     # off the grid: linear between neighbours, clamped at the ends
     assert quantile_at(grid.levels, [1.0, 2.0, 4.0, 5.0, 9.0], 0.5) == 4.0 + (0.05 / 0.15) * 1.0
     assert quantile_at(grid.levels, [1.0, 2.0, 4.0, 5.0, 9.0], 0.99) == 9.0
@@ -290,7 +287,7 @@ def test_window_is_one_validated_read_only_block():
     names, levels, values, obs = _window(n_records=3)
     window = PerformanceWindow(names, levels, values, obs)
     values[0, 0, 0] = 0.0
-    assert (len(window), window.is_empty) == (3, False)
+    assert len(window) == 3
     assert window.values[0, 0, 0] == 1.0
     with pytest.raises(ValueError):
         window.values[0, 0, 0] = 100.0
@@ -306,7 +303,7 @@ def test_window_is_one_validated_read_only_block():
     values[1, 2, 4] = 0.0
     with pytest.raises(NonMonotoneQuantiles, match="model 'b' at backtest step 2"):
         PerformanceWindow(names, levels, values, obs)
-    assert PerformanceWindow(names, levels, np.empty((2, 0, 9)), []).is_empty
+    assert len(PerformanceWindow(names, levels, np.empty((2, 0, 9)), [])) == 0
 
 
 def _trace(split, names=("a", "b"), n_total=10, **arrays):

@@ -2,55 +2,45 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantarb.core import DEFAULT_LEVELS, QuantileLevels
-from quantarb.errors import (
-    DegenerateVariance,
-    LengthMismatch,
-    SeriesTooShort,
-    ZeroDenominator,
-)
-from quantarb.metrics import (
-    ABS_OBS_FLOOR,
-    crps_batch,
-    mase,
-    mase_scale,
-    pearson_correlation,
-    pinball_loss,
-    weighted_quantile_loss,
-)
+from quantarb.core import DEFAULT_LEVELS, QuantileLevels, build_panel
+from quantarb.errors import SeriesTooShort, ZeroDenominator
+from quantarb.metrics import ABS_OBS_FLOOR, crps_batch, mase_scale
+from quantarb.panelio import TaggedPanel
+from quantarb.reporting import score_panel
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
+def _wql(alpha, q, y):
+    """Weighted quantile loss of one quantile: ``crps_batch`` with K = 1,
+    ``2 * pinball / max(|y|, 1e-8)``."""
+    return float(crps_batch([alpha], [q], y))
+
+
 def test_pinball_hand_values():
-    assert pinball_loss(0.5, 0.0, 2.0) == 1.0
-    assert pinball_loss(0.9, 3.0, 3.0) == 0.0
-    assert pinball_loss(0.1, 5.0, 2.0) == pytest.approx(2.7, rel=1e-15)
-
-
-def test_pinball_rejects_degenerate_alpha():
-    for alpha in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            pinball_loss(alpha, 1.0, 2.0)
+    # At |y| = 2 the weighted quantile loss equals the pinball loss itself.
+    assert _wql(0.5, 0.0, 2.0) == 1.0
+    assert _wql(0.9, 3.0, 3.0) == 0.0
+    assert _wql(0.1, 5.0, 2.0) == pytest.approx(2.7, rel=1e-15)
 
 
 @given(st.floats(min_value=0.01, max_value=0.99), finite, finite)
 def test_pinball_nonnegative_and_zero_only_at_truth(alpha, q, y):
-    loss = pinball_loss(alpha, q, y)
+    loss = _wql(alpha, q, y)
     assert loss >= 0.0
     if q != y:
         assert loss > 0.0
-    assert pinball_loss(alpha, y, y) == 0.0
+    assert _wql(alpha, y, y) == 0.0
 
 
 def test_weighted_quantile_loss_hand_values():
-    assert weighted_quantile_loss(0.5, 0.0, 2.0) == 1.0
-    assert weighted_quantile_loss(0.5, 4.0, 4.0) == 0.0
-    assert weighted_quantile_loss(0.2, 1.0, -2.0) == pytest.approx(2.4, rel=1e-15)
+    assert _wql(0.5, 0.0, 2.0) == 1.0
+    assert _wql(0.5, 4.0, 4.0) == 0.0
+    assert _wql(0.2, 1.0, -2.0) == pytest.approx(2.4, rel=1e-15)
 
 
 def test_weighted_quantile_loss_is_finite_at_zero_observation():
-    v = weighted_quantile_loss(0.5, 1.0, 0.0)
+    v = _wql(0.5, 1.0, 0.0)
     assert np.isfinite(v)
     assert v == pytest.approx(2.0 * 0.5 * 1.0 / 1e-8)
 
@@ -157,23 +147,32 @@ def test_crps_series_is_mean_of_timesteps():
     assert float(np.mean(crps_batch(DEFAULT_LEVELS.levels, horizon[:1], [5.0]))) == a
 
 
+def _mase(points, actuals, context, seasonality):
+    """The reported MASE of a one-model panel whose forecasts sit on
+    ``points`` at every level."""
+    panel = build_panel("s", context, actuals, seasonality, DEFAULT_LEVELS,
+                        [("a", [[p] * 9 for p in points])])
+    return score_panel(TaggedPanel(panel), ["per-model"])["model:a"].mase
+
+
 def test_mase_hand_oracle():
     # context (0,1,3) m=1: naive errors 1 and 2, denominator 1.5; |4-2| = 2.
-    assert mase([4.0], [2.0], [0.0, 1.0, 3.0], 1) == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert abs(4.0 - 2.0) / mase_scale([0.0, 1.0, 3.0], 1) == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert _mase([4.0], [2.0], [0.0, 1.0, 3.0], 1) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_mase_zero_for_perfect_forecasts():
-    assert mase([1.0, 2.0], [1.0, 2.0], [0.0, 1.0, 3.0], 1) == 0.0
+    assert _mase([1.0, 2.0], [1.0, 2.0], [0.0, 1.0, 3.0], 1) == 0.0
 
 
 def test_mase_periodic_context_is_an_error_not_infinity():
     with pytest.raises(ZeroDenominator):
-        mase([3.0, 3.0], [1.0, 2.0], [1.0, 2.0, 1.0, 2.0, 1.0, 2.0], 2)
+        _mase([3.0, 3.0], [1.0, 2.0], [1.0, 2.0, 1.0, 2.0, 1.0, 2.0], 2)
 
 
 def test_mase_context_must_exceed_seasonality():
     with pytest.raises(SeriesTooShort):
-        mase([1.0], [1.0], [1.0, 2.0], 2)
+        mase_scale([1.0, 2.0], 2)
 
 
 def test_mase_scale_hand_oracle():
@@ -192,10 +191,9 @@ def test_mase_scale_hand_oracle():
     ],
 )
 def test_mase_and_its_scale_reject_the_same_contexts_alike(context, m, error, message):
+    # Every reported MASE divides by this scale, so these are its rejections.
     with pytest.raises(error, match=message):
         mase_scale(context, m)
-    with pytest.raises(error, match=message):
-        mase([1.0], [2.0], context, m)
 
 
 @given(
@@ -210,34 +208,14 @@ def test_mase_is_the_forecast_mae_over_its_scale(errors, context, m):
         return
     points = [float(e) for e in errors]
     actuals = [0.0] * len(points)
-    assert mase(points, actuals, context, m) == float(np.mean(np.abs(points))) / scale
+    assert _mase(points, actuals, context, m) == float(np.mean(np.abs(points))) / scale
 
 
 @given(st.floats(min_value=-100, max_value=100))
 def test_mase_translation_invariant(c):
-    base = mase([4.0, 1.0], [2.0, 2.0], [0.0, 1.0, 3.0, 2.0], 1)
-    shifted = mase(
+    base = _mase([4.0, 1.0], [2.0, 2.0], [0.0, 1.0, 3.0, 2.0], 1)
+    shifted = _mase(
         [4.0 + c, 1.0 + c], [2.0 + c, 2.0 + c], [0.0 + c, 1.0 + c, 3.0 + c, 2.0 + c], 1
     )
     assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
 
-
-def test_pearson_exact_endpoints():
-    xs = [1.0, 2.0, 4.0]
-    assert pearson_correlation(xs, xs) == 1.0
-    assert pearson_correlation(xs, [-v for v in xs]) == -1.0
-
-
-def test_pearson_closed_form_oracle():
-    # r = 15 / sqrt(228) for (1,2,3) vs (2,4,7)
-    want = 15.0 / np.sqrt(228.0)
-    assert pearson_correlation([1, 2, 3], [2, 4, 7]) == pytest.approx(want, rel=1e-12)
-
-
-def test_pearson_degenerate_and_mismatch():
-    with pytest.raises(DegenerateVariance):
-        pearson_correlation([1.0, 1.0], [1.0, 2.0])
-    with pytest.raises(LengthMismatch):
-        pearson_correlation([1.0], [1.0, 2.0])
-    with pytest.raises(SeriesTooShort):
-        pearson_correlation([1.0], [2.0])

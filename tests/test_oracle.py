@@ -3,18 +3,24 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from quantarb.core import DEFAULT_LEVELS, ArbitrationTrace, QuantileForecast, build_panel
+from quantarb.core import (
+    DEFAULT_LEVELS,
+    ArbitrationTrace,
+    QuantileForecast,
+    build_panel,
+    quantile_at,
+)
 from quantarb.errors import (
     DimensionMismatch,
     EmptyGroup,
     Misalignment,
     MissingActuals,
+    NonFinite,
 )
 from quantarb.oracle import (
     OracleTrace,
     median_ensemble_rankings,
     oracle_select,
-    selection_frequency_table,
     suite_topk_accuracy,
     switching_stats,
     topk_selection_accuracy,
@@ -50,7 +56,6 @@ def test_single_model_is_always_selected():
     assert trace.selections == (0, 0)
     assert trace.switch_count == 0
     assert trace.switch_percentage == 0.0
-    assert trace.selection_frequencies == (1.0,)
     # A lone model is the oracle's pick at every step, so their CRPS agree.
     per = crps_batch(panel.levels.levels, panel.values[0], panel.require_actuals())
     alone = float(per.mean())
@@ -75,7 +80,6 @@ def test_alternating_perfect_models_switch_every_step():
     assert trace.selections == (0, 1, 0, 1)
     assert trace.switch_count == 3
     assert trace.switch_percentage == 1.0
-    assert trace.selection_frequencies == (0.5, 0.5)
 
 
 def test_ties_break_to_the_lowest_index():
@@ -88,7 +92,7 @@ def test_oracle_requires_actuals():
     panel = _panel("na", [("a", [_spread(1.0)])], [1.0])
     stripped = build_panel(
         "na", panel.context, None, 1, DEFAULT_LEVELS,
-        [("a", [list(f.values) for f in panel.model_forecasts("a")])],
+        [("a", panel.values[panel.model_names.index("a")].tolist())],
     )
     with pytest.raises(MissingActuals):
         oracle_select(stripped)
@@ -96,41 +100,45 @@ def test_oracle_requires_actuals():
 
 def test_oracle_crps_hand_mean():
     # per-step CRPS: a=(0.1, 0.5), b=(0.4, 0.2) -> oracle mean (0.1+0.2)/2
-    trace = OracleTrace(
-        "hand", ("a", "b"), (0, 1), ((0.1, 0.4), (0.5, 0.2))
-    )
+    trace = OracleTrace("hand", ("a", "b"), ((0.1, 0.4), (0.5, 0.2)))
+    assert trace.selections == (0, 1)
     assert trace.crps == pytest.approx(0.15, rel=1e-15)
     assert trace.per_timestep_crps == (0.1, 0.2)
 
 
-def test_trace_rejects_non_argmin_selection():
-    with pytest.raises(DimensionMismatch):
-        OracleTrace("bad", ("a", "b"), (1,), ((0.1, 0.4),))
+def test_trace_picks_each_row_argmin_with_ties_to_the_lowest_index():
+    rows = ((0.3, 0.1, 0.2), (0.2, 0.2, 0.5), (0.4, 0.1, 0.1), (float("inf"), 0.0, 0.0))
+    trace = OracleTrace("p", ("a", "b", "c"), rows)
+    assert trace.selections == (1, 0, 1, 1)
+    assert trace.per_timestep_crps == (0.1, 0.2, 0.1, 0.0)
 
 
-@pytest.mark.parametrize(
-    "selections, rows",
-    [((0,), ((0.1, 0.4, 0.5),)), ((0, 0), ((0.1, 0.4),)), ((0, 0), ((0.1, 0.4), (0.2,))),
-     ((2,), ((0.1, 0.4),)), ((-1,), ((0.4, 0.1),))],
-)
-def test_trace_rejects_a_matrix_that_does_not_fit(selections, rows):
+@pytest.mark.parametrize("rows", [((0.1, 0.4, 0.5),), ((0.1, 0.4), (0.2,)), (0.1, 0.4)])
+def test_trace_rejects_a_matrix_that_does_not_fit(rows):
     with pytest.raises(DimensionMismatch):
-        OracleTrace("bad", ("a", "b"), selections, rows)
+        OracleTrace("bad", ("a", "b"), rows)
+
+
+def test_trace_rejects_a_nan_score_and_names_its_timestep():
+    with pytest.raises(NonFinite, match="NaN score at timestep 1"):
+        OracleTrace("bad", ("a", "b"), ((0.1, 0.4), (0.2, float("nan")), (float("nan"), 0.1)))
 
 
 def test_trace_matrix_is_one_read_only_array_that_survives_pickling():
-    trace = OracleTrace("p", ("a", "b"), (0, 1), ((0.1, 0.4), (0.5, 0.2)))
+    trace = OracleTrace("p", ("a", "b"), ((0.1, 0.4), (0.5, 0.2)))
     assert trace.crps_matrix.shape == (2, 2)
     assert not trace.crps_matrix.flags.writeable
     clone = pickle.loads(pickle.dumps(trace))
     assert clone == trace
     assert not clone.crps_matrix.flags.writeable
-    assert clone != OracleTrace("p", ("a", "b"), (0, 1), ((0.1, 0.4), (0.5, 0.3)))
+    assert clone.selections == trace.selections == (0, 1)
+    assert clone != OracleTrace("p", ("a", "b"), ((0.1, 0.4), (0.5, 0.3)))
 
 
 def test_switching_stats_groups_and_means():
-    t_zero = OracleTrace("z", ("a",), (0, 0), ((0.1,), (0.2,)))
-    t_mixed1 = OracleTrace("m1", ("a", "b"), (0, 1, 1, 0), _rows4())
+    t_zero = OracleTrace("z", ("a",), ((0.1,), (0.2,)))
+    t_mixed1 = OracleTrace("m1", ("a", "b"), _rows4())
+    assert t_mixed1.selections == (0, 1, 1, 0)
     stats = switching_stats(
         [
             ("retail", "short", t_zero),
@@ -190,7 +198,7 @@ def _one_step_rankings(centers):
 def test_median_implicit_ranking_hand_cases():
     fcs = [_fc(_spread(1.0)), _fc(_spread(5.0)), _fc(_spread(9.0))]
     ens = quantile_median_ensemble(fcs)
-    assert ens.median == 5.0
+    assert quantile_at(DEFAULT_LEVELS.levels, ens.values) == 5.0
     assert _one_step_rankings((1.0, 5.0, 9.0)) == ((1, 0, 2),)
 
     # two medians 0.5 either side of the ensemble's 2.5: ties go to the lower index
@@ -212,7 +220,7 @@ def test_median_ensemble_rankings_cover_the_horizon():
 
 def test_topk_accuracy_counts_hits():
     oracle = OracleTrace(
-        "t", ("a", "b", "c"), (0, 2, 1, 0),
+        "t", ("a", "b", "c"),
         (
             (0.1, 0.2, 0.3),
             (0.5, 0.4, 0.1),
@@ -220,6 +228,7 @@ def test_topk_accuracy_counts_hits():
             (0.1, 0.6, 0.2),
         ),
     )
+    assert oracle.selections == (0, 2, 1, 0)
     rankings = ((0, 1, 2), (0, 1, 2), (0, 1, 2), (1, 0, 2))
     assert topk_selection_accuracy(rankings, oracle, 1) == 0.25
     assert topk_selection_accuracy(rankings, oracle, 2) == 0.75
@@ -227,7 +236,7 @@ def test_topk_accuracy_counts_hits():
 
 
 def test_topk_accuracy_validates_inputs():
-    oracle = OracleTrace("t", ("a", "b"), (0,), ((0.1, 0.2),))
+    oracle = OracleTrace("t", ("a", "b"), ((0.1, 0.2),))
     with pytest.raises(ValueError):
         topk_selection_accuracy(((0, 1),), oracle, 0)
     with pytest.raises(ValueError):
@@ -238,12 +247,9 @@ def test_topk_accuracy_validates_inputs():
 
 def test_suite_topk_global_vs_per_panel_weighting():
     # panel 1: 1 of 2 hits; panel 2: 4 of 4 hits
-    o1 = OracleTrace("p1", ("a", "b"), (0, 1), ((0.1, 0.2), (0.3, 0.1)))
+    o1 = OracleTrace("p1", ("a", "b"), ((0.1, 0.2), (0.3, 0.1)))
     r1 = ((0, 1), (0, 1))
-    o2 = OracleTrace(
-        "p2", ("a", "b"), (0, 0, 0, 0),
-        ((0.1, 0.2),) * 4,
-    )
+    o2 = OracleTrace("p2", ("a", "b"), ((0.1, 0.2),) * 4)
     r2 = ((0, 1),) * 4
     pairs = [(r1, o1), (r2, o2)]
     assert suite_topk_accuracy(pairs, 1) == pytest.approx(5 / 6)
@@ -268,14 +274,3 @@ def test_topk_accuracy_never_decreases_in_k_and_tops_out_at_one():
     assert accs == sorted(accs)
     assert accs[-1] == 1.0
 
-
-def test_selection_frequency_table_pools_counts():
-    o1 = OracleTrace("p1", ("a", "b"), (0, 1), ((0.1, 0.2), (0.3, 0.1)))
-    o2 = OracleTrace("p2", ("a", "b"), (1, 1), ((0.5, 0.2), (0.3, 0.1)))
-    table = selection_frequency_table([o1, o2])
-    assert table == {"a": 0.25, "b": 0.75}
-    other = OracleTrace("p3", ("x", "y"), (0,), ((0.1, 0.2),))
-    with pytest.raises(DimensionMismatch):
-        selection_frequency_table([o1, other])
-    with pytest.raises(EmptyGroup):
-        selection_frequency_table([])

@@ -53,9 +53,8 @@ class TestFixture:
         assert first.panel.context == (1.0, 2.0, 1.0, 2.0)
         assert first.panel.actuals == (1.5, 2.5)
         assert first.panel.levels.levels == (0.1, 0.5, 0.9)
-        alpha = first.panel.model_forecasts("alpha")
-        assert alpha[0].values == (1.0, 1.5, 2.0)
-        assert alpha[1].values == (2.0, 2.5, 3.0)
+        alpha = first.panel.values[first.panel.model_names.index("alpha")]
+        assert alpha.tolist() == [[1.0, 1.5, 2.0], [2.0, 2.5, 3.0]]
         assert first.metadata == PanelMetadata(
             domain="level_shift", horizon_class="short", frequency="H"
         )
@@ -80,10 +79,7 @@ class TestRoundTrip:
             assert after.panel.levels.levels == before.panel.levels.levels
             assert after.panel.model_names == before.panel.model_names
             assert after.metadata == before.metadata
-            for name in before.panel.model_names:
-                old = before.panel.model_forecasts(name)
-                new = after.panel.model_forecasts(name)
-                assert all(a.values == b.values for a, b in zip(old, new))
+            assert after.panel.values.tolist() == before.panel.values.tolist()
 
     def test_double_round_trip_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.jsonl"
