@@ -63,8 +63,9 @@ class ArbitratorConfig:
         require_integer(self.n_total, "n_total", 1)
         if self.window_capacity is not None:
             require_integer(self.window_capacity, "window_capacity", 1)
-        if not self.softmax_temperature > 0.0:
-            raise ValueError(f"softmax temperature must be > 0, got {self.softmax_temperature}")
+        temperature = self.softmax_temperature
+        if isinstance(temperature, (bool, np.bool_)) or not temperature > 0.0:
+            raise ValueError(f"softmax_temperature must be a number > 0, got {temperature!r}")
         if self.mode not in ("dynamic", "static-uniform"):
             raise ValueError(f"unknown weighting mode {self.mode!r}")
 
@@ -160,7 +161,7 @@ def _probe_levels(levels: QuantileLevels) -> tuple[tuple[float, ...], int, np.nd
 def run_arbitration(
     panel: ForecastPanel,
     initial_window: PerformanceWindow | None = None,
-    config: ArbitratorConfig | None = None,
+    config: ArbitratorConfig = ArbitratorConfig(),
     streams: RandomStreams | None = None,
     seed: int = 0,
 ) -> ArbitrationTrace:
@@ -176,7 +177,6 @@ def run_arbitration(
     across panels to keep per-model draws identical regardless of which
     other series are processed; plain ``seed`` builds a fresh stream tree.
     """
-    config = config if config is not None else ArbitratorConfig()
     n = panel.n_models
     if config.n_total < n:
         raise ValueError(

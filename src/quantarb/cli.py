@@ -37,15 +37,27 @@ EXIT_RUNTIME = 3
 class _EnvDefault:
     """A flag default read from ``QUANTARB_<name>``, resolved only when the
     subcommand that has the flag runs, so a bad value fails that subcommand
-    alone."""
+    alone. A flag with fixed ``choices`` has its environment value checked
+    against them here, since argparse checks only values given as flags."""
 
-    def __init__(self, name: str, cast: Callable[[str], object], fallback: object) -> None:
+    def __init__(
+        self,
+        name: str,
+        cast: Callable[[str], object],
+        fallback: object,
+        choices: Sequence[str] | None = None,
+    ) -> None:
         self.name, self.cast, self.fallback = ENV_PREFIX + name, cast, fallback
+        self.choices = choices
 
     def resolve(self) -> object:
         raw = os.environ.get(self.name)
         if raw is None:
             return self.fallback
+        if self.choices is not None and raw not in self.choices:
+            raise ValueError(
+                f"environment variable {self.name}={raw!r} is not one of {', '.join(self.choices)}"
+            )
         try:
             return self.cast(raw)
         except ValueError:
@@ -57,37 +69,6 @@ def _resolve_env_defaults(args: argparse.Namespace) -> argparse.Namespace:
         if isinstance(value, _EnvDefault):
             setattr(args, key, value.resolve())
     return args
-
-
-class _FromEnv(str):
-    """A flag default read from a ``QUANTARB_`` environment variable."""
-
-
-def _env_choice(name: str, choices: Sequence[str], fallback: str) -> dict:
-    """``type`` and ``default`` for a flag with fixed ``choices`` whose default
-    comes from ``QUANTARB_<name>``.
-
-    argparse checks ``choices`` only for values given on the command line, but
-    it runs a string default through ``type`` while parsing. The default is
-    marked as read from the environment, so a bad environment value is
-    rejected here, before any work starts, and a bad flag value still gets
-    argparse's own message.
-    """
-    env = ENV_PREFIX + name
-    raw = os.environ.get(env)
-
-    def check(value: str) -> str:
-        if isinstance(value, _FromEnv) and value not in choices:
-            raise argparse.ArgumentTypeError(
-                f"environment variable {env}={value!r} is not one of {', '.join(choices)}"
-            )
-        return str(value)
-
-    return {
-        "type": check,
-        "choices": tuple(choices),
-        "default": fallback if raw is None else _FromEnv(raw),
-    }
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -118,7 +99,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     modes = ("dynamic", "static-uniform")
     parser.add_argument(
         "--mode",
-        **_env_choice("MODE", modes, "dynamic"),
+        choices=modes,
+        default=_EnvDefault("MODE", str, "dynamic", modes),
         help="weighting mode (default dynamic)",
     )
 
@@ -126,7 +108,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _add_output_flags(parser: argparse.ArgumentParser, formats: Sequence[str]) -> None:
     parser.add_argument(
         "--format",
-        **_env_choice("FORMAT", formats, "table"),
+        choices=formats,
+        default=_EnvDefault("FORMAT", str, "table", formats),
         help="output format (default table)",
     )
     parser.add_argument("--out", default=None, help="write output to this file")

@@ -133,45 +133,19 @@ def median_ensemble_rankings(panel: ForecastPanel) -> tuple[tuple[int, ...], ...
     return tuple(_closest_first(p, target) for p, target in zip(points, targets))
 
 
-def _topk_hits(
-    method_rankings: Sequence[Sequence[int]], oracle_trace: OracleTrace, k: int
-) -> int:
-    """Timesteps where the oracle's pick is in the method's top k."""
-    if not 1 <= k <= oracle_trace.n_models:
-        raise ValueError(f"k must be in 1..{oracle_trace.n_models}, got {k}")
-    if len(method_rankings) != oracle_trace.horizon:
-        raise Misalignment(
-            f"{len(method_rankings)} rankings for horizon {oracle_trace.horizon}"
-        )
-    return sum(
-        pick in ranking[:k]
-        for pick, ranking in zip(oracle_trace.selections, method_rankings)
-    )
-
-
-def topk_selection_accuracy(
-    method_rankings: Sequence[Sequence[int]], oracle_trace: OracleTrace, k: int
-) -> float:
-    """Fraction of timesteps where the oracle's pick is in the method's top k."""
-    return _topk_hits(method_rankings, oracle_trace, k) / oracle_trace.horizon
-
-
 def suite_topk_accuracy(
     pairs: Sequence[tuple[Sequence[Sequence[int]], OracleTrace]],
     k: int,
-    per_panel: bool = False,
 ) -> float:
-    """Top-k accuracy over many panels.
-
-    Default pools every timestep globally; ``per_panel=True`` averages each
-    panel's own accuracy instead, which weights short and long horizons
-    equally.
-    """
+    """Fraction of timesteps, pooled over every panel, where the oracle's
+    pick is in the method's top k."""
     if not pairs:
         raise EmptyGroup("no panels to aggregate")
-    if per_panel:
-        accs = [topk_selection_accuracy(r, tr, k) for r, tr in pairs]
-        return math.fsum(accs) / len(accs)
-    hits = sum(_topk_hits(rankings, trace, k) for rankings, trace in pairs)
+    hits = 0
+    for rankings, trace in pairs:
+        if not 1 <= k <= trace.n_models:
+            raise ValueError(f"k must be in 1..{trace.n_models}, got {k}")
+        if len(rankings) != trace.horizon:
+            raise Misalignment(f"{len(rankings)} rankings for horizon {trace.horizon}")
+        hits += sum(pick in ranking[:k] for pick, ranking in zip(trace.selections, rankings))
     return hits / sum(trace.horizon for _, trace in pairs)
-

@@ -208,31 +208,26 @@ METHODS = tuple(_SCORERS)
 
 
 def _scorer(method: str) -> Scorer:
+    """The scorer of a registry method or of ``model:<name>``, which yields
+    that one pool member's row."""
+    if method.startswith(_MODEL_PREFIX):
+        name = method[len(_MODEL_PREFIX):]
+        return lambda p, c, s: {method: p.member(name)}
     if method not in _SCORERS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     return _SCORERS[method]
 
 
-def _method_score(
-    scoring: _PanelScoring, method: str, config: ArbitratorConfig, streams: RandomStreams
-) -> PanelScore:
-    """One method's score: a registry method that yields its own row, or
-    ``model:<name>``."""
-    if method.startswith(_MODEL_PREFIX):
-        return scoring.member(method[len(_MODEL_PREFIX):])
-    return _SCORERS[method](scoring, config, streams)[method]
-
-
 def score_panel(
     tagged: TaggedPanel,
     methods: Sequence[str],
-    config: ArbitratorConfig | None = None,
+    config: ArbitratorConfig = ArbitratorConfig(),
     streams: RandomStreams | None = None,
     seed: int = 0,
 ) -> dict[str, PanelScore]:
-    """Score one panel under every requested method, in request order."""
+    """Score one panel under every requested method, in request order; a
+    method is a registry name or ``model:<name>``."""
     scorers = [_scorer(m) for m in dict.fromkeys(methods)]
-    config = config if config is not None else ArbitratorConfig()
     streams = streams if streams is not None else RandomStreams(seed)
     scoring = _PanelScoring(tagged.panel)
     out: dict[str, PanelScore] = {}
@@ -281,7 +276,7 @@ def _mean(values: Sequence[float]) -> float:
 def run_evaluation(
     tagged_panels: Sequence[TaggedPanel],
     methods: Sequence[str] = ("synapse", "median"),
-    config: ArbitratorConfig | None = None,
+    config: ArbitratorConfig = ArbitratorConfig(),
     seed: int = 0,
     workers: int | None = None,
     include_series: bool = False,
@@ -299,7 +294,6 @@ def run_evaluation(
         raise ValueError("at least one panel is required")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    config = config if config is not None else ArbitratorConfig()
     streams = RandomStreams(seed)
 
     def worker(tagged: TaggedPanel) -> dict[str, PanelScore]:
@@ -314,69 +308,34 @@ def run_evaluation(
     method_keys = sorted({k for scores in per_panel for k in scores}, key=_method_sort_key)
     reference = "synapse" if "synapse" in method_keys else method_keys[0]
 
-    scopes: dict[str, list[int]] = {"overall": list(range(len(tagged_panels)))}
-    domains: dict[str, list[int]] = {}
-    for i, tagged in enumerate(tagged_panels):
-        domains.setdefault(tagged.metadata.domain, []).append(i)
-        scopes.setdefault(f"horizon:{tagged.metadata.horizon_class}", []).append(i)
-        scopes.setdefault(f"domain:{tagged.metadata.domain}", []).append(i)
+    scopes: dict[str, list[dict[str, PanelScore]]] = {"overall": per_panel}
+    for tagged, scores in zip(tagged_panels, per_panel):
+        scopes.setdefault(f"horizon:{tagged.metadata.horizon_class}", []).append(scores)
+        scopes.setdefault(f"domain:{tagged.metadata.domain}", []).append(scores)
         if include_series:
-            scopes.setdefault(f"series:{tagged.panel.series_id}", []).append(i)
+            scopes.setdefault(f"series:{tagged.panel.series_id}", []).append(scores)
 
     rows = []
-    for scope in sorted(scopes, key=_scope_sort_key):
-        indices = scopes[scope]
+    for scope, panels in scopes.items():
         for key in method_keys:
-            present = [i for i in indices if key in per_panel[i]]
+            present = [s for s in panels if key in s]
             if not present:
                 continue
-            crps_vals = [per_panel[i][key].crps for i in present]
-            mase_vals = [per_panel[i][key].mase for i in present]
-            wins, losses, ties = _tally(
-                [
-                    per_panel[i][key].crps - per_panel[i][reference].crps
-                    for i in present
-                    if reference in per_panel[i]
-                ]
-            )
-            rows.append(
-                ReportRow(
-                    method=key,
-                    scope=scope,
-                    n_panels=len(present),
-                    crps=_mean(crps_vals),
-                    mase=_mean(mase_vals),
-                    wins=wins,
-                    losses=losses,
-                    ties=ties,
-                )
-            )
+            deltas = [s[key].crps - s[reference].crps for s in present if reference in s]
+            crps = _mean([s[key].crps for s in present])
+            mase = _mean([s[key].mase for s in present])
+            rows.append(ReportRow(key, scope, len(present), crps, mase, *_tally(deltas)))
 
-    # Balanced overall: every domain contributes equally regardless of size.
+    # Balanced overall: the mean of a method's domain rows, so every domain
+    # counts equally regardless of size. The domains split the panels, so
+    # their counts add up to the method's overall count.
+    domain_rows = [row for row in rows if row.scope.startswith("domain:")]
     for key in method_keys:
-        domain_crps = []
-        domain_mase = []
-        for domain in sorted(domains):
-            present = [i for i in domains[domain] if key in per_panel[i]]
-            if not present:
-                continue
-            domain_crps.append(_mean([per_panel[i][key].crps for i in present]))
-            domain_mase.append(_mean([per_panel[i][key].mase for i in present]))
-        if not domain_crps:
-            continue
-        n_present = sum(1 for scores in per_panel if key in scores)
-        rows.append(
-            ReportRow(
-                method=key,
-                scope="overall-balanced",
-                n_panels=n_present,
-                crps=_mean(domain_crps),
-                mase=_mean(domain_mase),
-                wins=0,
-                losses=0,
-                ties=0,
-            )
-        )
+        mine = [row for row in domain_rows if row.method == key]
+        n_panels = sum(row.n_panels for row in mine)
+        crps = _mean([row.crps for row in mine])
+        mase = _mean([row.mase for row in mine])
+        rows.append(ReportRow(key, "overall-balanced", n_panels, crps, mase, 0, 0, 0))
     rows.sort(key=lambda r: (_scope_sort_key(r.scope), _method_sort_key(r.method)))
     return rows
 
@@ -384,7 +343,7 @@ def run_evaluation(
 def run_pool_scaling(
     tagged_panels: Sequence[TaggedPanel],
     model_order: Sequence[str],
-    config: ArbitratorConfig | None = None,
+    config: ArbitratorConfig = ArbitratorConfig(),
     seed: int = 0,
 ) -> list[PoolScalingRow]:
     """Arbitrate growing pool prefixes and compare against the best member.
@@ -409,7 +368,6 @@ def run_pool_scaling(
             raise DimensionMismatch(
                 f"panel {tagged.panel.series_id!r} lacks models {missing}"
             )
-    config = config if config is not None else ArbitratorConfig()
     streams = RandomStreams(seed)
 
     scorings = [_PanelScoring(tagged.panel) for tagged in tagged_panels]
@@ -446,7 +404,7 @@ def run_win_loss(
     tagged_panels: Sequence[TaggedPanel],
     method_a: str,
     method_b: str,
-    config: ArbitratorConfig | None = None,
+    config: ArbitratorConfig = ArbitratorConfig(),
     seed: int = 0,
 ) -> dict[str, tuple[int, int, int]]:
     """Per-panel (wins, losses, ties) of method A against method B.
@@ -455,22 +413,20 @@ def run_win_loss(
     ``WIN_LOSS_TIE_TOL`` tie. Each method is one registry method or
     ``model:<name>``; ``per-model``, which names the whole pool, is rejected.
     """
-    for method in (method_a, method_b):
+    methods = (method_a, method_b)
+    for method in methods:
         if method == "per-model":
             raise ValueError(
                 "winloss compares one method with another; name one pool member "
                 "as model:<name> instead of per-model"
             )
-        if not method.startswith(_MODEL_PREFIX):
-            _scorer(method)
+        _scorer(method)
     if not tagged_panels:
         raise ValueError("at least one panel is required")
-    config = config if config is not None else ArbitratorConfig()
     streams = RandomStreams(seed)
-    scorings = [_PanelScoring(t.panel) for t in tagged_panels]
     pairs = [
-        tuple(_method_score(scoring, m, config, streams) for m in (method_a, method_b))
-        for scoring in scorings
+        (scores[method_a], scores[method_b])
+        for scores in (score_panel(t, methods, config, streams) for t in tagged_panels)
     ]
     return {
         metric: _tally([getattr(a, metric) - getattr(b, metric) for a, b in pairs])
@@ -480,15 +436,14 @@ def run_win_loss(
 
 def selection_accuracy_table(
     tagged_panels: Sequence[TaggedPanel],
-    config: ArbitratorConfig | None = None,
+    config: ArbitratorConfig = ArbitratorConfig(),
     seed: int = 0,
-    per_panel: bool = False,
 ) -> dict[str, tuple[float, ...]]:
-    """Top-k agreement with the oracle for arbitration weights and for the
-    median ensemble's implicit ranking, for k = 1..smallest pool size."""
+    """Top-k agreement with the oracle, pooled over every timestep, for
+    arbitration weights and for the median ensemble's implicit ranking, for
+    k = 1..smallest pool size."""
     if not tagged_panels:
         raise ValueError("at least one panel is required")
-    config = config if config is not None else ArbitratorConfig()
     streams = RandomStreams(seed)
     synapse_pairs = []
     median_pairs = []
@@ -499,15 +454,10 @@ def selection_accuracy_table(
         trace = run_arbitration(panel, config=config, streams=streams)
         synapse_pairs.append((weight_rankings(trace), oracle))
         median_pairs.append((median_ensemble_rankings(panel), oracle))
+    ks = range(1, min_pool + 1)
     return {
-        "synapse": tuple(
-            suite_topk_accuracy(synapse_pairs, k, per_panel=per_panel)
-            for k in range(1, min_pool + 1)
-        ),
-        "median": tuple(
-            suite_topk_accuracy(median_pairs, k, per_panel=per_panel)
-            for k in range(1, min_pool + 1)
-        ),
+        "synapse": tuple(suite_topk_accuracy(synapse_pairs, k) for k in ks),
+        "median": tuple(suite_topk_accuracy(median_pairs, k) for k in ks),
     }
 
 

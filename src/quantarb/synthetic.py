@@ -50,10 +50,8 @@ class Segment:
 
     def __post_init__(self) -> None:
         _require_finite_fields(self, "level", "trend", "season_amplitude", "noise_scale")
-        if self.length < 1:
-            raise ValueError(f"segment length must be >= 1, got {self.length}")
-        if self.season_period < 1:
-            raise ValueError(f"season period must be >= 1, got {self.season_period}")
+        require_integer(self.length, "segment length", 1)
+        require_integer(self.season_period, "season period", 1)
         if self.noise_scale < 0.0:
             raise ValueError(f"noise scale must be >= 0, got {self.noise_scale}")
 
@@ -69,8 +67,9 @@ class RegimeSpec:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("at least one segment is required")
+        require_integer(self.context_length, "context length", 1)
         total = self.total_length
-        if not 1 <= self.context_length < total:
+        if self.context_length >= total:
             raise ValueError(
                 f"context length {self.context_length} must leave a non-empty "
                 f"horizon within total length {total}"

@@ -21,7 +21,7 @@ from quantarb.metrics import crps_batch, mase_scale
 from quantarb.oracle import (
     median_ensemble_rankings,
     oracle_select,
-    topk_selection_accuracy,
+    suite_topk_accuracy,
 )
 from quantarb.panelio import TaggedPanel
 from quantarb.quantiles import InverseCdf, RandomStreams, empirical_quantiles
@@ -270,7 +270,7 @@ def test_oracle_dominates_every_constituent_with_topk_certainty(capsys):
 
         rankings = median_ensemble_rankings(panel)
         accs = [
-            topk_selection_accuracy(rankings, trace, k)
+            suite_topk_accuracy([(rankings, trace)], k)
             for k in range(1, panel.n_models + 1)
         ]
         if any(later < earlier for earlier, later in zip(accs, accs[1:])):

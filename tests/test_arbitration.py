@@ -64,6 +64,12 @@ def test_config_rejects_sizes_that_are_not_integers(field, bad):
         ArbitratorConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [True, np.True_])
+def test_config_rejects_a_bool_temperature(bad):
+    with pytest.raises(ValueError, match="^softmax_temperature must be a number > 0, got "):
+        ArbitratorConfig(softmax_temperature=bad)
+
+
 def test_config_takes_numpy_integer_sizes():
     config = ArbitratorConfig(n_total=np.int64(300), window_capacity=np.int32(4))
     assert (config.n_total, config.resolve_capacity(40)) == (300, 4)

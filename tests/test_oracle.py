@@ -23,7 +23,6 @@ from quantarb.oracle import (
     oracle_select,
     suite_topk_accuracy,
     switching_stats,
-    topk_selection_accuracy,
     weight_rankings,
 )
 from quantarb.arbitration import run_arbitration
@@ -230,30 +229,30 @@ def test_topk_accuracy_counts_hits():
     )
     assert oracle.selections == (0, 2, 1, 0)
     rankings = ((0, 1, 2), (0, 1, 2), (0, 1, 2), (1, 0, 2))
-    assert topk_selection_accuracy(rankings, oracle, 1) == 0.25
-    assert topk_selection_accuracy(rankings, oracle, 2) == 0.75
-    assert topk_selection_accuracy(rankings, oracle, 3) == 1.0
+    pairs = [(rankings, oracle)]
+    assert suite_topk_accuracy(pairs, 1) == 0.25
+    assert suite_topk_accuracy(pairs, 2) == 0.75
+    assert suite_topk_accuracy(pairs, 3) == 1.0
 
 
 def test_topk_accuracy_validates_inputs():
     oracle = OracleTrace("t", ("a", "b"), ((0.1, 0.2),))
     with pytest.raises(ValueError):
-        topk_selection_accuracy(((0, 1),), oracle, 0)
+        suite_topk_accuracy([(((0, 1),), oracle)], 0)
     with pytest.raises(ValueError):
-        topk_selection_accuracy(((0, 1),), oracle, 3)
+        suite_topk_accuracy([(((0, 1),), oracle)], 3)
     with pytest.raises(Misalignment):
-        topk_selection_accuracy(((0, 1), (0, 1)), oracle, 1)
+        suite_topk_accuracy([(((0, 1), (0, 1)), oracle)], 1)
 
 
-def test_suite_topk_global_vs_per_panel_weighting():
-    # panel 1: 1 of 2 hits; panel 2: 4 of 4 hits
+def test_suite_topk_pools_every_timestep():
+    # panel 1: 1 of 2 hits; panel 2: 4 of 4 hits; pooled, 5 of 6
     o1 = OracleTrace("p1", ("a", "b"), ((0.1, 0.2), (0.3, 0.1)))
     r1 = ((0, 1), (0, 1))
     o2 = OracleTrace("p2", ("a", "b"), ((0.1, 0.2),) * 4)
     r2 = ((0, 1),) * 4
     pairs = [(r1, o1), (r2, o2)]
     assert suite_topk_accuracy(pairs, 1) == pytest.approx(5 / 6)
-    assert suite_topk_accuracy(pairs, 1, per_panel=True) == pytest.approx(0.75)
     with pytest.raises(EmptyGroup):
         suite_topk_accuracy([], 1)
 
@@ -270,7 +269,7 @@ def test_topk_accuracy_never_decreases_in_k_and_tops_out_at_one():
     )
     oracle = oracle_select(panel)
     rankings = weight_rankings(run_arbitration(panel, seed=0))
-    accs = [topk_selection_accuracy(rankings, oracle, k) for k in (1, 2, 3)]
+    accs = [suite_topk_accuracy([(rankings, oracle)], k) for k in (1, 2, 3)]
     assert accs == sorted(accs)
     assert accs[-1] == 1.0
 

@@ -6,6 +6,7 @@ afterwards; they guard against silent behavior drift, not external truth.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -16,7 +17,7 @@ import pytest
 import quantarb.oracle
 import quantarb.reporting
 from quantarb.core import DEFAULT_LEVELS, build_panel
-from quantarb.errors import InsufficientModels, ZeroDenominator
+from quantarb.errors import DimensionMismatch, InsufficientModels, ZeroDenominator
 from quantarb.panelio import TaggedPanel
 from quantarb.reporting import (
     METHODS,
@@ -145,6 +146,15 @@ class TestScorePanel:
         expected = {f"model:{n}" for n in small_suite[0].panel.model_names}
         assert set(scores) == expected
 
+    def test_model_method_yields_that_member_alone(self, small_suite):
+        tagged = small_suite[0]
+        every = score_panel(tagged, ["per-model"])
+        assert score_panel(tagged, ["model:expert_01"]) == {
+            "model:expert_01": every["model:expert_01"]
+        }
+        with pytest.raises(DimensionMismatch, match="has no model 'ghost'"):
+            score_panel(tagged, ["model:ghost"])
+
     def test_unknown_method_rejected(self, small_suite):
         with pytest.raises(ValueError, match="unknown method"):
             score_panel(small_suite[0], ["typo"])
@@ -254,6 +264,22 @@ class TestRunEvaluation:
         for row in overall.values():
             assert row.wins + row.losses + row.ties == n
 
+    def test_model_method_rows_match_the_per_model_rows(self, small_suite, eval_rows):
+        rows = run_evaluation(small_suite, methods=("model:expert_02", "synapse"))
+        assert rows == [r for r in eval_rows if r.method in ("synapse", "model:expert_02")]
+
+    def test_balanced_rows_count_only_panels_that_hold_the_member(self):
+        # Pools cycle through 2..6 members, so only the six-member pools hold expert_05.
+        suite = build_benchmark_suite(24, seed=1)
+        rows = run_evaluation(suite, methods=("per-model",))
+        overall = _rows_for(rows, "overall")
+        balanced = _rows_for(rows, "overall-balanced")
+        assert set(balanced) == set(overall)
+        for method, row in balanced.items():
+            assert row.n_panels == overall[method].n_panels
+            assert (row.wins, row.losses, row.ties) == (0, 0, 0)
+        assert balanced["model:expert_05"].n_panels < len(suite)
+
     def test_include_series_adds_single_panel_scopes(self, hand_fixture):
         rows = run_evaluation(hand_fixture, methods=("median",), include_series=True)
         series_rows = [r for r in rows if r.scope.startswith("series:")]
@@ -323,6 +349,19 @@ class TestWinLoss:
         monkeypatch.setattr(quantarb.reporting, "crps_batch", never)
         with pytest.raises(ValueError, match=message):
             run_win_loss(hand_fixture, a, b)
+
+    def test_scores_each_panel_through_score_panel_once(self, small_suite, monkeypatch):
+        calls = []
+        real = quantarb.reporting.score_panel
+
+        def counting(tagged, methods, *args, **kwargs):
+            calls.append((tagged.panel.series_id, tuple(methods)))
+            return real(tagged, methods, *args, **kwargs)
+
+        monkeypatch.setattr(quantarb.reporting, "score_panel", counting)
+        panels = small_suite[:3]
+        run_win_loss(panels, "synapse", "model:expert_00")
+        assert calls == [(t.panel.series_id, ("synapse", "model:expert_00")) for t in panels]
 
     def test_each_panel_pool_is_scored_once(self, small_suite, pool_scorings):
         panels = small_suite[:3]
@@ -486,3 +525,41 @@ class TestEmission:
             return emit_report(rows, fmt="json").encode()
 
         assert one_pass() == one_pass()
+
+
+# sha256 of reports on a pool-cycling suite: a change to how panels are scored
+# or rows aggregated must keep every report byte for byte the same. The
+# aggregate rows are otherwise checked only within tolerances.
+_PINNED_REPORTS = {
+    "csv": "1f5e8c00608e30093f4803a327216203c4b895f3e66fa34410a302c5c7ea8899",
+    "json": "791ec3a6241b49739ca8d3e1f5fff7a4faacdb584a6be92d0e76ecb2696a3596",
+}
+_PINNED_SCALING_CSV = "fca7a43e398e13ec3f860c1b3e2255dc941e80cd4cbadf759807ea7c88af8403"
+_PINNED_TALLIES = [
+    ("synapse", "median", {"crps": (40, 0, 0), "mase": (38, 2, 0)}),
+    ("model:expert_00", "oracle", {"crps": (0, 40, 0), "mase": (0, 40, 0)}),
+    ("median", "median", {"crps": (0, 0, 40), "mase": (0, 0, 40)}),
+    ("synapse-static", "model:expert_01", {"crps": (28, 12, 0), "mase": (39, 1, 0)}),
+    ("mean", "synapse", {"crps": (0, 40, 0), "mase": (0, 40, 0)}),
+]
+
+
+class TestPinnedReports:
+    @pytest.fixture(scope="class")
+    def cycling_suite(self):
+        return build_benchmark_suite(40, seed=5)
+
+    @pytest.mark.parametrize("fmt", sorted(_PINNED_REPORTS))
+    def test_evaluation_report_is_pinned_byte_for_byte(self, cycling_suite, fmt):
+        rows = run_evaluation(cycling_suite, METHODS, include_series=True)
+        text = emit_report(rows, fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_REPORTS[fmt]
+
+    def test_scaling_report_is_pinned_byte_for_byte(self, cycling_suite):
+        rows = run_pool_scaling(cycling_suite, ("expert_00", "expert_01"))
+        text = emit_scaling(rows, "csv")
+        assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_SCALING_CSV
+
+    @pytest.mark.parametrize("a, b, tallies", _PINNED_TALLIES)
+    def test_win_loss_tallies_are_pinned(self, cycling_suite, a, b, tallies):
+        assert run_win_loss(cycling_suite, a, b) == tallies

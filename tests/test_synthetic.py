@@ -43,6 +43,28 @@ def test_segment_and_spec_validation():
         RegimeSpec(segments=(Segment(4, 1.0),), context_length=4)
 
 
+@pytest.mark.parametrize(
+    "field, what", [("length", "segment length"), ("season_period", "season period")]
+)
+@pytest.mark.parametrize("bad", [True, np.True_, 2.5, 4.0, "4"])
+def test_segment_rejects_sizes_that_are_not_integers(field, what, bad):
+    kwargs = {"length": 5, "level": 1.0, field: bad}
+    with pytest.raises(ValueError, match=f"{what} must be an integer >= 1, got "):
+        Segment(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 2.5, 4.0])
+def test_spec_rejects_a_context_length_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match="context length must be an integer >= 1, got "):
+        RegimeSpec(segments=(Segment(8, 1.0),), context_length=bad)
+
+
+def test_segment_and_spec_take_numpy_integer_sizes():
+    spec = RegimeSpec((Segment(np.int64(6), 1.0, season_period=np.int32(3)),), np.int64(2))
+    plain = RegimeSpec((Segment(6, 1.0, season_period=3),), 2)
+    assert generate_series(spec, seed=1) == generate_series(plain, seed=1)
+
+
 @pytest.mark.parametrize("field", ["level", "trend", "season_amplitude", "noise_scale"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_segment_rejects_non_finite_parameters(field, bad):
