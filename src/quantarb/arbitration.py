@@ -11,6 +11,7 @@ horizon without access to actuals.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
@@ -64,7 +65,9 @@ class ArbitratorConfig:
         if self.window_capacity is not None:
             require_integer(self.window_capacity, "window_capacity", 1)
         temperature = self.softmax_temperature
-        if isinstance(temperature, (bool, np.bool_)) or not temperature > 0.0:
+        # A bool is a Real, numpy's is not; neither is a temperature.
+        if (isinstance(temperature, bool) or not isinstance(temperature, numbers.Real)
+                or not temperature > 0.0):
             raise ValueError(f"softmax_temperature must be a number > 0, got {temperature!r}")
         if self.mode not in ("dynamic", "static-uniform"):
             raise ValueError(f"unknown weighting mode {self.mode!r}")
@@ -162,8 +165,7 @@ def run_arbitration(
     panel: ForecastPanel,
     initial_window: PerformanceWindow | None = None,
     config: ArbitratorConfig = ArbitratorConfig(),
-    streams: RandomStreams | None = None,
-    seed: int = 0,
+    streams: RandomStreams = RandomStreams(0),
 ) -> ArbitrationTrace:
     """Arbitrate one panel over its full horizon.
 
@@ -175,7 +177,7 @@ def run_arbitration(
     model names, in the panel's order, on its levels; the run keeps the
     newest ``config`` window-capacity records of it. Pass ``streams`` shared
     across panels to keep per-model draws identical regardless of which
-    other series are processed; plain ``seed`` builds a fresh stream tree.
+    other series are processed; the default is the tree of seed 0.
     """
     n = panel.n_models
     if config.n_total < n:
@@ -199,8 +201,6 @@ def run_arbitration(
     window = WindowScores(config.resolve_capacity(panel.horizon))
     if dynamic and initial_window is not None:
         window.push(alphas, initial_window.values, initial_window.observations)
-    if streams is None:
-        streams = RandomStreams(seed)
     horizon = panel.horizon
     # Model i's stream at step t is child("series", id, "t", t).child(name):
     # all N x T keys in one pass, drawn through one generator into one buffer.

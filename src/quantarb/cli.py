@@ -152,10 +152,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    panels = load_panels(args.path)
+    methods = _parse_methods(args.methods)
     rows = run_evaluation(
-        panels,
-        methods=_parse_methods(args.methods),
+        load_panels(args.path),
+        methods=methods,
         config=_config_from(args),
         seed=args.seed,
         workers=args.workers,

@@ -63,10 +63,6 @@ class EmptyGroup(ArbitrationError):
     """Grouped aggregation received no members."""
 
 
-class Misalignment(ArbitrationError):
-    """Per-timestep structures do not line up."""
-
-
 class AlignmentMismatch(ArbitrationError):
     """Backtest forecasts do not align with the context window."""
 

@@ -3,7 +3,8 @@
 The oracle picks, at every timestep, the model with the lowest CRPS against
 the realized value. Its error curve is the floor any selection strategy could
 reach; the gap between a method's implied model ranking and the oracle's
-choices is measured as top-k selection accuracy.
+choices is measured as top-k agreement: the share of steps whose oracle pick
+ranks among the method's k best.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import median_ensemble
-from .core import ArbitrationTrace, ForecastPanel, quantile_at
-from .errors import DimensionMismatch, EmptyGroup, Misalignment, NonFinite
+from .core import ForecastPanel, quantile_at
+from .errors import DimensionMismatch, EmptyGroup, NonFinite
 from .metrics import crps_batch
 
 
@@ -62,44 +63,26 @@ class OracleTrace:
         return OracleTrace, self._args()
 
     @property
-    def horizon(self) -> int:
-        return len(self.selections)
-
-    @property
-    def n_models(self) -> int:
-        return len(self.model_names)
-
-    @property
     def switch_count(self) -> int:
         return sum(a != b for a, b in zip(self.selections, self.selections[1:]))
 
     @property
     def switch_percentage(self) -> float:
         """Switches per comparison, as a fraction. A one-step trace has none."""
-        if self.horizon < 2:
-            return 0.0
-        return self.switch_count / (self.horizon - 1)
-
-    @property
-    def per_timestep_crps(self) -> tuple[float, ...]:
-        return tuple(self.crps_matrix[np.arange(self.horizon), self.selections].tolist())
+        steps = len(self.selections)
+        return self.switch_count / (steps - 1) if steps > 1 else 0.0
 
     @property
     def crps(self) -> float:
-        per = self.per_timestep_crps
-        return math.fsum(per) / len(per)
+        """Mean CRPS of the picked models, one per timestep."""
+        picked = self.crps_matrix[np.arange(len(self.selections)), self.selections]
+        return math.fsum(picked.tolist()) / len(picked)
 
 
 def oracle_select(panel: ForecastPanel) -> OracleTrace:
     """Pick the per-timestep CRPS argmin against actuals; ties go to the lowest index."""
-    return _oracle_trace(
-        panel, crps_batch(panel.levels.levels, panel.values, panel.require_actuals())
-    )
-
-
-def _oracle_trace(panel: ForecastPanel, pool_crps: np.ndarray) -> OracleTrace:
-    """The oracle trace of ``panel`` from its pool's (N, T) CRPS matrix."""
-    return OracleTrace(panel.series_id, panel.model_names, pool_crps.T)
+    crps = crps_batch(panel.levels.levels, panel.values, panel.require_actuals())
+    return OracleTrace(panel.series_id, panel.model_names, crps.T)
 
 
 def switching_stats(
@@ -114,38 +97,34 @@ def switching_stats(
     return {key: math.fsum(vals) / len(vals) for key, vals in sorted(groups.items())}
 
 
-def weight_rankings(trace: ArbitrationTrace) -> tuple[tuple[int, ...], ...]:
-    """Model indices per timestep, best first by weight; ties by index."""
-    order = np.argsort(-trace.weights, axis=1, kind="stable")
-    return tuple(map(tuple, order.tolist()))
-
-
-def _closest_first(points: Sequence[float], target: float) -> tuple[int, ...]:
-    dist = [abs(p - target) for p in points]
-    return tuple(sorted(range(len(dist)), key=lambda i: (dist[i], i)))
-
-
-def median_ensemble_rankings(panel: ForecastPanel) -> tuple[tuple[int, ...], ...]:
-    """Per-timestep implicit rankings of the per-level median ensemble."""
+def median_distances(panel: ForecastPanel) -> np.ndarray:
+    """(T, N) distance of each member's median from the median ensemble's at
+    every step: the median ensemble's implicit ranking, nearest first."""
     levels = panel.levels.levels
-    points = quantile_at(levels, panel.values).T.tolist()
-    targets = quantile_at(levels, median_ensemble(panel.values)).tolist()
-    return tuple(_closest_first(p, target) for p, target in zip(points, targets))
+    points = quantile_at(levels, panel.values).T
+    targets = quantile_at(levels, median_ensemble(panel.values))
+    return np.abs(points - targets[:, None])
 
 
-def suite_topk_accuracy(
-    pairs: Sequence[tuple[Sequence[Sequence[int]], OracleTrace]],
-    k: int,
-) -> float:
-    """Fraction of timesteps, pooled over every panel, where the oracle's
-    pick is in the method's top k."""
-    if not pairs:
-        raise EmptyGroup("no panels to aggregate")
-    hits = 0
-    for rankings, trace in pairs:
-        if not 1 <= k <= trace.n_models:
-            raise ValueError(f"k must be in 1..{trace.n_models}, got {k}")
-        if len(rankings) != trace.horizon:
-            raise Misalignment(f"{len(rankings)} rankings for horizon {trace.horizon}")
-        hits += sum(pick in ranking[:k] for pick, ranking in zip(trace.selections, rankings))
-    return hits / sum(trace.horizon for _, trace in pairs)
+def pick_ranks(scores: np.ndarray, picks: Sequence[int]) -> np.ndarray:
+    """Position of each step's pick in that step's ascending ``scores`` row,
+    ties going to the lower index: the count of models that score below the
+    pick, or the same with a lower index. ``scores`` is (T, N), one pick per
+    row; no row is sorted."""
+    scores = np.asarray(scores, dtype=float)
+    picks = np.asarray(picks, dtype=np.intp)
+    if scores.ndim != 2 or picks.shape != scores.shape[:1]:
+        raise DimensionMismatch(f"{picks.size} picks for a score matrix of shape {scores.shape}")
+    if not ((0 <= picks) & (picks < scores.shape[1])).all():
+        raise DimensionMismatch(f"a pick is not a model index below {scores.shape[1]}")
+    mine = scores[np.arange(len(picks)), picks][:, None]
+    before = np.arange(scores.shape[1]) < picks[:, None]
+    return np.count_nonzero((scores < mine) | ((scores == mine) & before), axis=1)
+
+
+def topk_agreement(ranks: np.ndarray, k_max: int) -> tuple[float, ...]:
+    """Share of steps whose pick ranks among the top k, for k = 1..``k_max``."""
+    if not len(ranks):
+        raise EmptyGroup("no steps to pool")
+    hits = np.cumsum(np.bincount(ranks, minlength=k_max))[:k_max]
+    return tuple((hits / len(ranks)).tolist())

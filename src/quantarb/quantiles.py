@@ -314,17 +314,6 @@ def _absorb(pool: np.ndarray, seen: int, words: np.ndarray) -> np.ndarray:
     return pool
 
 
-def _by_word_count(words: list[tuple[int, ...]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Positions of components by how many words their keys have, with each
-    part's words as a (count, size) uint32 array."""
-    parts = []
-    for count in (1, 2):
-        index = [i for i, w in enumerate(words) if len(w) == count]
-        if index:
-            parts.append((np.array(index), np.array([words[i] for i in index], dtype=np.uint32).T))
-    return parts
-
-
 class RandomStreams:
     """Deterministic tree of counter-based random streams.
 
@@ -357,39 +346,36 @@ class RandomStreams:
         Returns shape (len(rows), len(leaves), 2) uint64; entry ``[r, i]`` is
         the key ``child(rows[r]).child(leaves[i]).generator()`` seeds Philox
         with. Philox is counter-based, so the key fixes the whole stream
-        (Salmon et al. 2011). numpy hashes the shared path once; the row
-        words then mix into a (4, rows, 1) pool array and the leaf words
-        into a (4, rows, leaves) one. One- and two-word keys hash apart,
-        since a word's constants depend on its position.
+        (Salmon et al. 2011). When every row key has one word count and every
+        leaf key has one word count (a step index is one word, a model name
+        almost always two), numpy hashes the shared path once; the row words
+        then mix into a (4, rows, 1) pool array and the leaf words into a
+        (4, rows, leaves) one. Any other grid keys each stream on its own.
         """
         entropy = (self.seed & _MASK64,) + self.path
         seen = sum(len(_words(key)) for key in entropy)
         row_words = [_words(_component_key(c)) for c in rows]
         leaf_words = [_name_words(c) if isinstance(c, str) else _words(_component_key(c))
                       for c in leaves]
-        if seen < _POOL_SIZE:  # row and leaf words would fill the pool: key each stream
+        # Side by side needs a full pool and one word count along each axis.
+        if (seen < _POOL_SIZE or len({len(w) for w in row_words}) != 1
+                or len({len(w) for w in leaf_words}) != 1):
             keys = [np.random.SeedSequence(entropy + r + i).generate_state(2, np.uint64)
                     for r in row_words for i in leaf_words]
             return np.array(keys, dtype=np.uint64).reshape(len(rows), len(leaves), 2)
         pool = np.random.SeedSequence(entropy).pool[:, None, None]
-        # generate_state(2, np.uint64): output word j hashes pool word j.
+        row_part = np.array(row_words, dtype=np.uint32).T
+        leaf_part = np.array(leaf_words, dtype=np.uint32).T
+        row_pool = _absorb(pool, seen, row_part[:, :, None])
+        words = _absorb(row_pool, seen + len(row_part), leaf_part[:, None, :])
+        # generate_state(2, np.uint64): output word j hashes pool word j, so
+        # output word j of key (r, i) sits at [r, i, j]; little-endian pairs
+        # of them read as the two uint64 key words.
         before, after = (c.ravel() for c in _hash_constants(0, _POOL_SIZE, _INIT_B, _MULT_B))
-        row_parts, leaf_parts = _by_word_count(row_words), _by_word_count(leaf_words)
-        out = np.empty((len(rows), len(leaves), 2), dtype=np.uint64)
-        for row_index, row_part in row_parts:
-            row_pool = _absorb(pool, seen, row_part[:, :, None])
-            for leaf_index, leaf_part in leaf_parts:
-                words = _absorb(row_pool, seen + len(row_part), leaf_part[:, None, :])
-                # Output word j of key (r, i) at [r, i, j]; little-endian
-                # pairs of them read as the two uint64 key words.
-                key = np.bitwise_xor(words.transpose(1, 2, 0), before, order="C")
-                key *= after
-                key ^= key >> 16
-                key = key.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-                if len(row_parts) == len(leaf_parts) == 1:
-                    return key
-                out[np.ix_(row_index, leaf_index)] = key
-        return out
+        key = np.bitwise_xor(words.transpose(1, 2, 0), before, order="C")
+        key *= after
+        key ^= key >> 16
+        return key.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 class KeyedPhilox:

@@ -26,13 +26,7 @@ from .baselines import mean_ensemble, median_ensemble
 from .core import ForecastPanel, QuantileLevels, quantile_at
 from .errors import DimensionMismatch, InsufficientModels
 from .metrics import crps_batch, mase_scale
-from .oracle import (
-    _oracle_trace,
-    median_ensemble_rankings,
-    oracle_select,
-    suite_topk_accuracy,
-    weight_rankings,
-)
+from .oracle import OracleTrace, median_distances, oracle_select, pick_ranks, topk_agreement
 from .panelio import TaggedPanel
 from .quantiles import RandomStreams
 
@@ -175,7 +169,7 @@ class _PanelScoring:
 
     def oracle(self) -> PanelScore:
         panel = self.panel
-        trace = _oracle_trace(panel, self.pool_crps)
+        trace = OracleTrace(panel.series_id, panel.model_names, self.pool_crps.T)
         picked = panel.values[list(trace.selections), np.arange(panel.horizon)]
         points = quantile_at(panel.levels.levels, picked, 0.5)
         return PanelScore(crps=trace.crps, mase=float(self.mase(points)))
@@ -222,13 +216,11 @@ def score_panel(
     tagged: TaggedPanel,
     methods: Sequence[str],
     config: ArbitratorConfig = ArbitratorConfig(),
-    streams: RandomStreams | None = None,
-    seed: int = 0,
+    streams: RandomStreams = RandomStreams(0),
 ) -> dict[str, PanelScore]:
     """Score one panel under every requested method, in request order; a
     method is a registry name or ``model:<name>``."""
     scorers = [_scorer(m) for m in dict.fromkeys(methods)]
-    streams = streams if streams is not None else RandomStreams(seed)
     scoring = _PanelScoring(tagged.panel)
     out: dict[str, PanelScore] = {}
     for scorer in scorers:
@@ -441,24 +433,20 @@ def selection_accuracy_table(
 ) -> dict[str, tuple[float, ...]]:
     """Top-k agreement with the oracle, pooled over every timestep, for
     arbitration weights and for the median ensemble's implicit ranking, for
-    k = 1..smallest pool size."""
+    k = 1..smallest pool size. A step counts for k when the oracle's pick is
+    among the method's k best there, ties going to the lower index."""
     if not tagged_panels:
         raise ValueError("at least one panel is required")
     streams = RandomStreams(seed)
-    synapse_pairs = []
-    median_pairs = []
-    min_pool = min(t.panel.n_models for t in tagged_panels)
+    ranks: dict[str, list[np.ndarray]] = {"synapse": [], "median": []}
     for tagged in tagged_panels:
         panel = tagged.panel
-        oracle = oracle_select(panel)
+        picks = oracle_select(panel).selections
         trace = run_arbitration(panel, config=config, streams=streams)
-        synapse_pairs.append((weight_rankings(trace), oracle))
-        median_pairs.append((median_ensemble_rankings(panel), oracle))
-    ks = range(1, min_pool + 1)
-    return {
-        "synapse": tuple(suite_topk_accuracy(synapse_pairs, k) for k in ks),
-        "median": tuple(suite_topk_accuracy(median_pairs, k) for k in ks),
-    }
+        ranks["synapse"].append(pick_ranks(-trace.weights, picks))
+        ranks["median"].append(pick_ranks(median_distances(panel), picks))
+    min_pool = min(t.panel.n_models for t in tagged_panels)
+    return {method: topk_agreement(np.concatenate(r), min_pool) for method, r in ranks.items()}
 
 
 def _cell(value, float_format: Callable[[float], str]) -> str:

@@ -18,11 +18,7 @@ from scipy.optimize import bisect
 from quantarb.arbitration import ArbitratorConfig, run_arbitration
 from quantarb.core import DEFAULT_LEVELS, ForecastPanel, QuantileForecast, build_panel
 from quantarb.metrics import crps_batch, mase_scale
-from quantarb.oracle import (
-    median_ensemble_rankings,
-    oracle_select,
-    suite_topk_accuracy,
-)
+from quantarb.oracle import median_distances, oracle_select, pick_ranks, topk_agreement
 from quantarb.panelio import TaggedPanel
 from quantarb.quantiles import InverseCdf, RandomStreams, empirical_quantiles
 from quantarb.reporting import (
@@ -268,11 +264,8 @@ def test_oracle_dominates_every_constituent_with_topk_certainty(capsys):
             matrix_mean = math.fsum(row[0] for row in trace.crps_matrix) / horizon
             assert recomputed == pytest.approx(matrix_mean, rel=1e-12)
 
-        rankings = median_ensemble_rankings(panel)
-        accs = [
-            suite_topk_accuracy([(rankings, trace)], k)
-            for k in range(1, panel.n_models + 1)
-        ]
+        ranks = pick_ranks(median_distances(panel), trace.selections)
+        accs = topk_agreement(ranks, panel.n_models)
         if any(later < earlier for earlier, later in zip(accs, accs[1:])):
             ordering_violations += 1
         if accs[-1] != 1.0:

@@ -64,8 +64,9 @@ def test_config_rejects_sizes_that_are_not_integers(field, bad):
         ArbitratorConfig(**{field: bad})
 
 
-@pytest.mark.parametrize("bad", [True, np.True_])
+@pytest.mark.parametrize("bad", [True, np.True_, "1.0", None])
 def test_config_rejects_a_bool_temperature(bad):
+    # Bools and non-numbers get the message a temperature <= 0 gets.
     with pytest.raises(ValueError, match="^softmax_temperature must be a number > 0, got "):
         ArbitratorConfig(softmax_temperature=bad)
 
@@ -179,7 +180,9 @@ def _arbitrate_step(rows, config=CFG, seed=0, backtests=None):
     """The one arbitrated step of a horizon-1 panel, its counts and weights."""
     panel = _one_step_panel(rows)
     window = seed_window_from_context(panel, backtests, config) if backtests else None
-    trace = run_arbitration(panel, initial_window=window, config=config, seed=seed)
+    trace = run_arbitration(
+        panel, initial_window=window, config=config, streams=RandomStreams(seed)
+    )
     step = trace.steps[0]
     return step.forecast, step.sample_counts, step.weights
 
@@ -226,7 +229,7 @@ def test_arbitrate_rejects_forecasts_on_different_grids():
     grid = QuantileLevels((0.25, 0.5, 0.75))
     other = PerformanceWindow(panel.model_names, grid, [[[1.0, 2.0, 3.0]]] * 2, [10.0])
     with pytest.raises(AlignmentMismatch, match="initial window levels"):
-        run_arbitration(panel, initial_window=other, seed=0)
+        run_arbitration(panel, initial_window=other, streams=RandomStreams(0))
 
 
 def _drifting_panel(names=("a", "b"), t_steps=6, offsets=(0.0, 1.5)):
@@ -246,7 +249,7 @@ def _drifting_panel(names=("a", "b"), t_steps=6, offsets=(0.0, 1.5)):
 
 def test_run_arbitration_trace_shape_and_budget():
     panel = _drifting_panel()
-    trace = run_arbitration(panel, seed=0)
+    trace = run_arbitration(panel, streams=RandomStreams(0))
     assert len(trace) == panel.horizon
     assert trace.model_names == ("a", "b")
     for step in trace.steps:
@@ -256,7 +259,7 @@ def test_run_arbitration_trace_shape_and_budget():
 
 def test_trace_arrays_hold_every_step_and_its_views_agree():
     panel = _drifting_panel()
-    trace = run_arbitration(panel, seed=0)
+    trace = run_arbitration(panel, streams=RandomStreams(0))
     n, t = panel.n_models, panel.horizon
     assert trace.quantiles.shape == (t, 9) and trace.levels == DEFAULT_LEVELS
     assert trace.weights.shape == trace.counts.shape == trace.scores.shape == (t, n)
@@ -278,12 +281,12 @@ def test_run_builds_no_value_objects_per_step(monkeypatch):
 
     for cls in (QuantileForecast, ArbitrationStep):
         monkeypatch.setattr(cls, "__init__", refuse)
-    trace = run_arbitration(_drifting_panel(), seed=0)
+    trace = run_arbitration(_drifting_panel(), streams=RandomStreams(0))
     assert len(trace) == 6
 
 
 def test_first_step_uses_uniform_weights_when_window_empty():
-    trace = run_arbitration(_drifting_panel(), seed=0)
+    trace = run_arbitration(_drifting_panel(), streams=RandomStreams(0))
     assert trace.steps[0].weight_rule == "uniform"
     assert trace.steps[0].weights == (0.5, 0.5)
     assert all(s.weight_rule == "inverse_error" for s in trace.steps[1:])
@@ -291,7 +294,7 @@ def test_first_step_uses_uniform_weights_when_window_empty():
 
 def test_static_mode_keeps_uniform_weights_throughout():
     trace = run_arbitration(
-        _drifting_panel(), config=ArbitratorConfig(mode="static-uniform"), seed=0
+        _drifting_panel(), config=ArbitratorConfig(mode="static-uniform"), streams=RandomStreams(0)
     )
     assert all(s.weight_rule == "static" for s in trace.steps)
     assert all(s.weights == (0.5, 0.5) for s in trace.steps)
@@ -308,7 +311,7 @@ def test_self_tracking_model_triggers_softmax_branch():
         "self", [5.0, 5.0], [5.0] * t_steps, 1, DEFAULT_LEVELS,
         [("a", a_rows), ("b", b_rows)],
     )
-    trace = run_arbitration(panel, seed=0)
+    trace = run_arbitration(panel, streams=RandomStreams(0))
     assert trace.steps[0].weight_rule == "uniform"
     for step in trace.steps[1:]:
         assert step.weight_rule == "softmax"
@@ -328,9 +331,9 @@ def test_lower_window_error_earns_more_weight():
 
 def test_seeded_runs_are_bit_identical():
     panel = _drifting_panel()
-    t1 = run_arbitration(panel, seed=11)
-    t2 = run_arbitration(panel, seed=11)
-    t3 = run_arbitration(panel, seed=12)
+    t1 = run_arbitration(panel, streams=RandomStreams(11))
+    t2 = run_arbitration(panel, streams=RandomStreams(11))
+    t3 = run_arbitration(panel, streams=RandomStreams(12))
     assert t1 == t2
     assert t1 != t3
 
@@ -348,8 +351,8 @@ def test_permutation_equivariance_is_bit_exact():
             ("a", panel.values[panel.model_names.index("a")].tolist()),
         ],
     )
-    t_ab = run_arbitration(panel, seed=5)
-    t_ba = run_arbitration(swapped, seed=5)
+    t_ab = run_arbitration(panel, streams=RandomStreams(5))
+    t_ba = run_arbitration(swapped, streams=RandomStreams(5))
     for s1, s2 in zip(t_ab.steps, t_ba.steps):
         assert s1.forecast.values == s2.forecast.values
         assert s1.weights == (s2.weights[1], s2.weights[0])
@@ -358,7 +361,7 @@ def test_permutation_equivariance_is_bit_exact():
 
 
 def test_arbitrated_forecasts_always_validate():
-    trace = run_arbitration(_drifting_panel(), seed=3)
+    trace = run_arbitration(_drifting_panel(), streams=RandomStreams(3))
     for step in trace.steps:
         vals = step.forecast.values
         assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -454,7 +457,7 @@ def test_seeded_window_keeps_the_newest_records_at_capacity():
     window = seed_window_from_context(panel, backtests)
     assert len(window) == 8
     cfg = ArbitratorConfig(window_capacity=4)
-    trace = run_arbitration(panel, initial_window=window, config=cfg, seed=0)
+    trace = run_arbitration(panel, initial_window=window, config=cfg, streams=RandomStreams(0))
     newest = [(window.values[:, j], window.observations[j]) for j in range(4, 8)]
     assert trace.steps[0].scores == _rescored(newest)
     assert trace.steps[0].scores != _rescored(
@@ -474,7 +477,7 @@ def test_seed_window_may_hold_more_records_than_the_run_capacity():
     window = seed_window_from_context(panel, backtests, cfg)
     assert len(window) == 5
     assert window.observations.tolist() == list(panel.context[-5:])
-    trace = run_arbitration(panel, initial_window=window, config=cfg, seed=0)
+    trace = run_arbitration(panel, initial_window=window, config=cfg, streams=RandomStreams(0))
     newest = [(window.values[:, j], window.observations[j]) for j in range(1, 5)]
     assert trace.steps[0].scores == _rescored(newest)
 
@@ -482,20 +485,20 @@ def test_seed_window_may_hold_more_records_than_the_run_capacity():
 def test_arbitration_draws_without_building_a_generator_per_stream(monkeypatch):
     # Keys for every (step, model) come from one grid_keys pass; building a
     # SeedSequence-backed generator per stream is the slow path it replaces.
-    expected = run_arbitration(_three_model_panel(), seed=3)
+    expected = run_arbitration(_three_model_panel(), streams=RandomStreams(3))
 
     def refuse(self):
         raise AssertionError("run_arbitration built a per-stream generator")
 
     monkeypatch.setattr(RandomStreams, "generator", refuse)
-    assert run_arbitration(_three_model_panel(), seed=3) == expected
+    assert run_arbitration(_three_model_panel(), streams=RandomStreams(3)) == expected
 
 
 def test_run_derives_its_keys_and_fits_once(monkeypatch):
     # The per-panel set-up runs once per run, whatever the horizon: one
     # grid_keys pass for every (step, model) stream, one fit of all N x T
     # forecasts.
-    expected = run_arbitration(_three_model_panel(), seed=3)
+    expected = run_arbitration(_three_model_panel(), streams=RandomStreams(3))
     calls = {"keys": 0, "fits": 0}
     grid_keys = RandomStreams.grid_keys
 
@@ -510,7 +513,7 @@ def test_run_derives_its_keys_and_fits_once(monkeypatch):
     monkeypatch.setattr(RandomStreams, "grid_keys", counted_keys)
     monkeypatch.setattr(arbitration, "InverseCdf", counted_fit)
     for runs in (1, 2):
-        assert run_arbitration(_three_model_panel(), seed=3) == expected
+        assert run_arbitration(_three_model_panel(), streams=RandomStreams(3)) == expected
         assert calls == {"keys": runs, "fits": runs}
 
 
@@ -525,8 +528,9 @@ def test_window_for_another_model_order_is_rejected():
         [(name, panel.values[i].tolist()) for i, name in reversed(list(enumerate("abc")))],
     )
     with pytest.raises(AlignmentMismatch, match="initial window models"):
-        run_arbitration(flipped, initial_window=window, seed=0)
-    run_arbitration(flipped, initial_window=seed_window_from_context(flipped, backtests), seed=0)
+        run_arbitration(flipped, initial_window=window, streams=RandomStreams(0))
+    own = seed_window_from_context(flipped, backtests)
+    run_arbitration(flipped, initial_window=own, streams=RandomStreams(0))
 
 
 def test_initial_window_biases_first_step_weights():
@@ -537,7 +541,7 @@ def test_initial_window_biases_first_step_weights():
         "b": [[12.0 + 0.01 * k for k in range(9)], [12.5 + 0.01 * k for k in range(9)]],
     }
     window = seed_window_from_context(panel, steps)
-    trace = run_arbitration(panel, initial_window=window, seed=0)
+    trace = run_arbitration(panel, initial_window=window, streams=RandomStreams(0))
     assert trace.steps[0].weight_rule == "inverse_error"
     assert trace.steps[0].weights[0] > 0.9
 
@@ -576,7 +580,7 @@ def test_cached_window_scores_match_rescoring_bit_for_bit(seeded):
     }
     window = seed_window_from_context(panel, backtests, cfg)
     assert len(window) == seeded
-    trace = run_arbitration(panel, initial_window=window, config=cfg, seed=4)
+    trace = run_arbitration(panel, initial_window=window, config=cfg, streams=RandomStreams(4))
     records = deque(
         ((window.values[:, j], window.observations[j]) for j in range(seeded)), maxlen=4
     )

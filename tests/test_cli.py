@@ -323,9 +323,22 @@ class TestEnvironmentChoices:
 
             return never
 
-        for name in ("run_evaluation", "run_pool_scaling"):
+        for name in ("load_panels", "run_evaluation", "run_pool_scaling"):
             monkeypatch.setattr(quantarb.cli, name, record(name))
         return seen
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_unknown_method_fails_before_the_panels_load(
+        self, tmp_path, monkeypatch, capsys, calls, flag
+    ):
+        argv = ["eval", str(tmp_path / "missing.jsonl")]
+        if flag:
+            argv += ["--methods", "typo"]
+        else:
+            monkeypatch.setenv("QUANTARB_METHODS", "typo")
+        assert main(argv) == EXIT_VALIDATION
+        assert calls == []
+        assert "'typo'" in capsys.readouterr().err
 
     def test_format_the_subcommand_lacks_fails_before_the_sweep(
         self, suite_path, monkeypatch, capsys, calls

@@ -1,29 +1,18 @@
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quantarb.core import (
-    DEFAULT_LEVELS,
-    ArbitrationTrace,
-    QuantileForecast,
-    build_panel,
-    quantile_at,
-)
-from quantarb.errors import (
-    DimensionMismatch,
-    EmptyGroup,
-    Misalignment,
-    MissingActuals,
-    NonFinite,
-)
+from quantarb.core import DEFAULT_LEVELS, QuantileForecast, build_panel, quantile_at
+from quantarb.errors import DimensionMismatch, EmptyGroup, MissingActuals, NonFinite
 from quantarb.oracle import (
     OracleTrace,
-    median_ensemble_rankings,
+    median_distances,
     oracle_select,
-    suite_topk_accuracy,
+    pick_ranks,
     switching_stats,
-    weight_rankings,
+    topk_agreement,
 )
 from quantarb.arbitration import run_arbitration
 from quantarb.metrics import crps_batch
@@ -67,7 +56,7 @@ def test_point_mass_at_truth_wins_every_step():
     wide = [_spread(a, 5.0) for a in actuals]
     trace = oracle_select(_panel("pm", [("exact", exact), ("wide", wide)], actuals))
     assert trace.selections == (0, 0)
-    assert trace.per_timestep_crps == (0.0, 0.0)
+    assert trace.crps == 0.0
 
 
 def test_alternating_perfect_models_switch_every_step():
@@ -102,14 +91,13 @@ def test_oracle_crps_hand_mean():
     trace = OracleTrace("hand", ("a", "b"), ((0.1, 0.4), (0.5, 0.2)))
     assert trace.selections == (0, 1)
     assert trace.crps == pytest.approx(0.15, rel=1e-15)
-    assert trace.per_timestep_crps == (0.1, 0.2)
 
 
 def test_trace_picks_each_row_argmin_with_ties_to_the_lowest_index():
     rows = ((0.3, 0.1, 0.2), (0.2, 0.2, 0.5), (0.4, 0.1, 0.1), (float("inf"), 0.0, 0.0))
     trace = OracleTrace("p", ("a", "b", "c"), rows)
     assert trace.selections == (1, 0, 1, 1)
-    assert trace.per_timestep_crps == (0.1, 0.2, 0.1, 0.0)
+    assert trace.crps == (0.1 + 0.2 + 0.1 + 0.0) / 4
 
 
 @pytest.mark.parametrize("rows", [((0.1, 0.4, 0.5),), ((0.1, 0.4), (0.2,)), (0.1, 0.4)])
@@ -160,61 +148,95 @@ def _rows4():
     return tuple(rows)
 
 
-def test_weight_rankings_sort_by_descending_weight():
+def _sorted_position(row, pick):
+    """Where ``pick`` lands when a row is sorted by (score, index)."""
+    return sorted(range(len(row)), key=lambda i: (row[i], i)).index(pick)
+
+
+def test_pick_ranks_of_negated_weights_put_the_heaviest_first():
     panel = _panel(
         "wr",
         [("a", [_spread(1.0)] * 3), ("b", [_spread(1.4)] * 3)],
         [1.0, 1.0, 1.0],
     )
-    trace = run_arbitration(panel, seed=0)
-    rankings = weight_rankings(trace)
-    assert len(rankings) == 3
-    assert rankings[0] == (0, 1)  # uniform weights tie-break by index
-    for step, ranking in zip(trace.steps, rankings):
-        w = step.weights
-        assert w[ranking[0]] == max(w)
+    trace = run_arbitration(panel)
+    heaviest = trace.weights.argmax(axis=1)
+    assert pick_ranks(-trace.weights, heaviest).tolist() == [0, 0, 0]
+    # Step 0 has uniform weights, which tie-break by index.
+    assert pick_ranks(-trace.weights[:1], [1]).tolist() == [1]
 
 
-@given(st.lists(st.sampled_from((0.0, 0.125, 0.25, 0.5)), min_size=1, max_size=7))
-def test_weight_rankings_match_a_sort_by_weight_then_index(raw):
+def test_pick_ranks_hand_cases():
+    scores = [[0.3, 0.1, 0.2], [0.2, 0.2, 0.2], [0.2, 0.2, 0.2], [0.0, -0.0, 1.0]]
+    ranks = pick_ranks(scores, [0, 0, 2, 1])
+    # The last row: -0.0 equals 0.0, so the lower index ranks first.
+    assert ranks.tolist() == [2, 0, 2, 1]
+
+
+@pytest.mark.parametrize("scores, picks", [
+    ([[0.1, 0.2]], [0, 1]),  # two picks for one step
+    ([[0.1, 0.2], [0.2, 0.1]], [0]),  # two steps, one pick
+    ([0.1, 0.2], [0]),  # not a (T, N) matrix
+    ([[0.1, 0.2]], [2]),  # no model 2
+    ([[0.1, 0.2]], [-1]),
+])
+def test_pick_ranks_reject_picks_that_do_not_fit(scores, picks):
+    with pytest.raises(DimensionMismatch):
+        pick_ranks(scores, picks)
+
+
+@given(st.lists(st.sampled_from((0.0, 0.125, 0.25, 0.5)), min_size=1, max_size=7), st.data())
+def test_pick_ranks_match_a_sort_by_weight_then_index(raw, data):
     # Few distinct values, so most rows hold ties, zeros among them.
     weights = [w / sum(raw) for w in raw] if sum(raw) else [1.0 / len(raw)] * len(raw)
-    n = len(weights)
-    trace = ArbitrationTrace(
-        "w", [f"m{i}" for i in range(n)], n, DEFAULT_LEVELS, quantiles=[range(9)],
-        weights=[weights], counts=[[1] * n], scores=[[float("nan")] * n],
-        rules=["uniform"], simulated=[4.0],
-    )
-    assert weight_rankings(trace) == (tuple(sorted(range(n), key=lambda i: (-weights[i], i))),)
+    negated = [-w for w in weights]
+    pick = data.draw(st.integers(0, len(weights) - 1))
+    assert pick_ranks([negated], [pick]).tolist() == [_sorted_position(negated, pick)]
 
 
-def _one_step_rankings(centers):
-    """Median-ensemble rankings of a one-step panel of spread forecasts."""
+_SCORE_VALUES = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, float("inf")))
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(_SCORE_VALUES, min_size=n, max_size=n), min_size=1, max_size=5)
+    ),
+    st.data(),
+)
+def test_pick_ranks_equal_the_position_in_a_sort_by_score_then_index(rows, data):
+    picks = [data.draw(st.integers(0, len(rows[0]) - 1)) for _ in rows]
+    expected = [_sorted_position(row, pick) for row, pick in zip(rows, picks)]
+    assert pick_ranks(rows, picks).tolist() == expected
+
+
+def _one_step_ranks(centers):
+    """Every member's rank in the median ensemble's implicit ranking of a
+    one-step panel of spread forecasts."""
     rows = [(f"m{i}", [_spread(c)]) for i, c in enumerate(centers)]
-    return median_ensemble_rankings(_panel("ir", rows, [0.0]))
+    distances = median_distances(_panel("ir", rows, [0.0]))
+    return [pick_ranks(distances, [i]).item() for i in range(len(centers))]
 
 
 def test_median_implicit_ranking_hand_cases():
     fcs = [_fc(_spread(1.0)), _fc(_spread(5.0)), _fc(_spread(9.0))]
     ens = quantile_median_ensemble(fcs)
     assert quantile_at(DEFAULT_LEVELS.levels, ens.values) == 5.0
-    assert _one_step_rankings((1.0, 5.0, 9.0)) == ((1, 0, 2),)
+    assert _one_step_ranks((1.0, 5.0, 9.0)) == [1, 0, 2]
 
     # two medians 0.5 either side of the ensemble's 2.5: ties go to the lower index
-    assert _one_step_rankings((2.0, 3.0)) == ((0, 1),)
+    assert _one_step_ranks((2.0, 3.0)) == [0, 1]
 
-    assert _one_step_rankings((4.0, 4.0, 4.0)) == ((0, 1, 2),)
+    assert _one_step_ranks((4.0, 4.0, 4.0)) == [0, 1, 2]
 
 
-def test_median_ensemble_rankings_cover_the_horizon():
+def test_median_distances_cover_the_horizon():
     panel = _panel(
         "mr",
         [("a", [_spread(1.0), _spread(9.0)]), ("b", [_spread(2.0), _spread(2.0)])],
         [1.0, 2.0],
     )
-    rankings = median_ensemble_rankings(panel)
-    assert len(rankings) == 2
-    assert all(sorted(r) == [0, 1] for r in rankings)
+    # The two-member ensemble's median sits halfway between the members'.
+    assert median_distances(panel).tolist() == [[0.5, 0.5], [3.5, 3.5]]
 
 
 def test_topk_accuracy_counts_hits():
@@ -228,33 +250,25 @@ def test_topk_accuracy_counts_hits():
         ),
     )
     assert oracle.selections == (0, 2, 1, 0)
-    rankings = ((0, 1, 2), (0, 1, 2), (0, 1, 2), (1, 0, 2))
-    pairs = [(rankings, oracle)]
-    assert suite_topk_accuracy(pairs, 1) == 0.25
-    assert suite_topk_accuracy(pairs, 2) == 0.75
-    assert suite_topk_accuracy(pairs, 3) == 1.0
+    # A method that scores (0, 1, 2) on every step but the last, (1, 0, 2) there.
+    scores = [(0, 1, 2), (0, 1, 2), (0, 1, 2), (1, 0, 2)]
+    ranks = pick_ranks(scores, oracle.selections)
+    assert ranks.tolist() == [0, 2, 1, 1]
+    assert topk_agreement(ranks, 3) == (0.25, 0.75, 1.0)
 
 
 def test_topk_accuracy_validates_inputs():
-    oracle = OracleTrace("t", ("a", "b"), ((0.1, 0.2),))
-    with pytest.raises(ValueError):
-        suite_topk_accuracy([(((0, 1),), oracle)], 0)
-    with pytest.raises(ValueError):
-        suite_topk_accuracy([(((0, 1),), oracle)], 3)
-    with pytest.raises(Misalignment):
-        suite_topk_accuracy([(((0, 1), (0, 1)), oracle)], 1)
+    with pytest.raises(EmptyGroup):
+        topk_agreement(np.array([], dtype=np.intp), 2)
 
 
 def test_suite_topk_pools_every_timestep():
     # panel 1: 1 of 2 hits; panel 2: 4 of 4 hits; pooled, 5 of 6
     o1 = OracleTrace("p1", ("a", "b"), ((0.1, 0.2), (0.3, 0.1)))
-    r1 = ((0, 1), (0, 1))
     o2 = OracleTrace("p2", ("a", "b"), ((0.1, 0.2),) * 4)
-    r2 = ((0, 1),) * 4
-    pairs = [(r1, o1), (r2, o2)]
-    assert suite_topk_accuracy(pairs, 1) == pytest.approx(5 / 6)
-    with pytest.raises(EmptyGroup):
-        suite_topk_accuracy([], 1)
+    r1 = pick_ranks([(0, 1)] * 2, o1.selections)
+    r2 = pick_ranks([(0, 1)] * 4, o2.selections)
+    assert topk_agreement(np.concatenate([r1, r2]), 2) == (5 / 6, 1.0)
 
 
 def test_topk_accuracy_never_decreases_in_k_and_tops_out_at_one():
@@ -268,8 +282,7 @@ def test_topk_accuracy_never_decreases_in_k_and_tops_out_at_one():
         [1.0, 1.0, 1.0],
     )
     oracle = oracle_select(panel)
-    rankings = weight_rankings(run_arbitration(panel, seed=0))
-    accs = [suite_topk_accuracy([(rankings, oracle)], k) for k in (1, 2, 3)]
-    assert accs == sorted(accs)
+    ranks = pick_ranks(-run_arbitration(panel).weights, oracle.selections)
+    accs = topk_agreement(ranks, 3)
+    assert list(accs) == sorted(accs)
     assert accs[-1] == 1.0
-

@@ -16,6 +16,7 @@ import pytest
 
 import quantarb.oracle
 import quantarb.reporting
+from quantarb.arbitration import ArbitratorConfig
 from quantarb.core import DEFAULT_LEVELS, build_panel
 from quantarb.errors import DimensionMismatch, InsufficientModels, ZeroDenominator
 from quantarb.panelio import TaggedPanel
@@ -443,6 +444,53 @@ class TestSelectionAccuracy:
     def test_requires_panels(self):
         with pytest.raises(ValueError):
             selection_accuracy_table([])
+
+    #: ``float.hex`` of every agreement on the 40-panel, six-expert suite of
+    #: seed 0, recorded when each method's ranking was a tuple sorted per step.
+    PINNED = {
+        "dynamic": {
+            "synapse": (
+                "0x1.3000000000000p-1",
+                "0x1.722e8ba2e8ba3p-1",
+                "0x1.8e8ba2e8ba2e9p-1",
+                "0x1.e3a2e8ba2e8bap-1",
+                "0x1.0000000000000p+0",
+                "0x1.0000000000000p+0",
+            ),
+            "median": (
+                "0x1.da2e8ba2e8ba3p-3",
+                "0x1.ea2e8ba2e8ba3p-2",
+                "0x1.8ae8ba2e8ba2fp-1",
+                "0x1.ef45d1745d174p-1",
+                "0x1.fdd1745d1745dp-1",
+                "0x1.0000000000000p+0",
+            ),
+        },
+        "static-uniform": {
+            "synapse": (
+                "0x1.68ba2e8ba2e8cp-4",
+                "0x1.4000000000000p-2",
+                "0x1.d8ba2e8ba2e8cp-2",
+                "0x1.6800000000000p-1",
+                "0x1.8c5d1745d1746p-1",
+                "0x1.0000000000000p+0",
+            ),
+            "median": (
+                "0x1.da2e8ba2e8ba3p-3",
+                "0x1.ea2e8ba2e8ba3p-2",
+                "0x1.8ae8ba2e8ba2fp-1",
+                "0x1.ef45d1745d174p-1",
+                "0x1.fdd1745d1745dp-1",
+                "0x1.0000000000000p+0",
+            ),
+        },
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PINNED))
+    def test_agreement_is_pinned_bit_for_bit(self, mode):
+        suite = build_benchmark_suite(40, seed=0, n_experts=6)
+        table = selection_accuracy_table(suite, config=ArbitratorConfig(mode=mode))
+        assert {m: tuple(v.hex() for v in vals) for m, vals in table.items()} == self.PINNED[mode]
 
 
 class TestEmission:
