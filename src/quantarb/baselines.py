@@ -27,11 +27,13 @@ def mean_ensemble(values: np.ndarray) -> np.ndarray:
     more, one reduction over the whole block adds up each (step, level)
     cell's models in the same order as a reduction over that step alone. On a
     one-level grid a step is a 1-D reduction, which numpy sums pairwise from
-    eight models up, so each step is averaged on its own there.
+    eight models up, so each step is averaged on its own there. A mean is a
+    sum and one division by the count, as in ``np.mean``.
     """
+    n = len(values)
     if values.shape[-1] == 1:
-        return np.array([np.mean(values[:, t], axis=0) for t in range(values.shape[1])])
-    return np.mean(values, axis=0)
+        return np.array([np.add.reduce(values[:, t], axis=0) / n for t in range(values.shape[1])])
+    return np.add.reduce(values, axis=0) / n
 
 
 def _stack(forecasts: Sequence[QuantileForecast]) -> np.ndarray:

@@ -196,17 +196,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     panels = load_panels(args.path)
+    traces = [oracle_select(t.panel) for t in panels]
     tagged_traces = [
-        (t.metadata.domain, t.metadata.horizon_class, oracle_select(t.panel))
-        for t in panels
+        (t.metadata.domain, t.metadata.horizon_class, trace) for t, trace in zip(panels, traces)
     ]
     print("mean oracle switch percentage by (domain, horizon class):")
     for (domain, horizon_class), pct in switching_stats(tagged_traces).items():
         print(f"  {domain:<14} {horizon_class:<8} {100.0 * pct:6.1f}%")
     if not args.no_topk:
-        table = selection_accuracy_table(
-            panels, config=_config_from(args), seed=args.seed
-        )
+        picks = [trace.selections for trace in traces]
+        table = selection_accuracy_table(panels, picks, config=_config_from(args), seed=args.seed)
         ks = range(1, len(table["synapse"]) + 1)
         print("top-k oracle agreement (pooled over timesteps):")
         print("  k        " + "  ".join(f"{k:>6d}" for k in ks))

@@ -135,8 +135,9 @@ class QuantileForecast:
 
 
 def _frozen(values) -> np.ndarray:
-    """A read-only float64 copy of ``values``."""
-    out = np.array(values, dtype=float)
+    """A read-only, C-ordered float64 copy of ``values``: scores reduce along
+    the last axis, and their sums follow its memory order."""
+    out = np.array(values, dtype=float, order="C")
     out.setflags(write=False)
     return out
 

@@ -17,6 +17,12 @@ from .errors import SeriesTooShort, ZeroDenominator
 ABS_OBS_FLOOR = 1e-8
 
 
+def row_means(x: np.ndarray) -> np.ndarray:
+    """Mean along the last axis: ``np.mean``'s own arithmetic (a sum, then
+    one true division by the count), without its per-call dispatch."""
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
+
+
 def crps_batch(levels: Sequence[float], values, observations) -> np.ndarray:
     """CRPS approximation of every forecast in ``values``: mean wQL over the
     last axis.
@@ -28,10 +34,13 @@ def crps_batch(levels: Sequence[float], values, observations) -> np.ndarray:
     alphas = np.asarray(levels, dtype=float)
     q = np.asarray(values, dtype=float)
     y = np.asarray(observations, dtype=float)[..., None]
-    rho = np.where(y > q, alphas * (y - q), (1.0 - alphas) * (q - y))
-    # np.mean's own arithmetic (a sum, then one true division by the count),
-    # without its per-call dispatch.
-    return np.add.reduce(2.0 * rho / np.maximum(np.abs(y), ABS_OBS_FLOOR), axis=-1) / q.shape[-1]
+    # Pinball loss from one C-ordered d = q - y, scaled in place: d(-alpha) where
+    # d < 0, else d(1 - alpha); the two-branch form's bits, in any layout.
+    rho = np.subtract(q, y, order="C")
+    rho *= np.where(rho < 0.0, -alphas, 1.0 - alphas)
+    rho *= 2.0
+    rho /= np.maximum(np.abs(y), ABS_OBS_FLOOR)
+    return row_means(rho)
 
 
 def mase_scale(context: Sequence[float], seasonality: int) -> float:
@@ -51,7 +60,7 @@ def mase_scale(context: Sequence[float], seasonality: int) -> float:
         raise SeriesTooShort(
             f"context length {len(ctx)} must exceed seasonality {m}"
         )
-    scale = float(np.mean(np.abs(ctx[m:] - ctx[:-m])))
+    scale = float(row_means(np.abs(ctx[m:] - ctx[:-m])))
     if scale == 0.0:
         raise ZeroDenominator(
             f"context is {m}-periodic; seasonal-naive MAE is zero"

@@ -25,8 +25,8 @@ from .arbitration import ArbitratorConfig, run_arbitration
 from .baselines import mean_ensemble, median_ensemble
 from .core import ForecastPanel, QuantileLevels, quantile_at
 from .errors import DimensionMismatch, InsufficientModels
-from .metrics import crps_batch, mase_scale
-from .oracle import OracleTrace, median_distances, oracle_select, pick_ranks, topk_agreement
+from .metrics import crps_batch, mase_scale, row_means
+from .oracle import OracleTrace, median_distances, pick_ranks, topk_agreement
 from .panelio import TaggedPanel
 from .quantiles import RandomStreams
 
@@ -126,53 +126,53 @@ def _subset_panel(panel: ForecastPanel, names: Sequence[str]) -> ForecastPanel:
 
 class _PanelScoring:
     """What every score of one panel shares, each computed once: its actuals
-    and its MASE scale, and, on first use, its pool's (N, T) CRPS matrix and
-    the member scores read from it."""
+    and its MASE scale, and, the first time a static method asks, its static
+    block: the pool's N members, the median and the mean ensemble stacked
+    into one C-ordered (N + 2, T, K) array. One CRPS pass and one pass over
+    its level-0.5 points score the whole block; every member, ensemble and
+    oracle score is read from them."""
 
     def __init__(self, panel: ForecastPanel) -> None:
         self.panel = panel
         self.actuals = np.asarray(panel.require_actuals(), dtype=float)
         self.scale = mase_scale(panel.context, panel.seasonality)
 
-    @cached_property
-    def pool_crps(self) -> np.ndarray:
-        panel = self.panel
-        return crps_batch(panel.levels.levels, panel.values, self.actuals)
-
     def mase(self, points: np.ndarray) -> np.ndarray:
         """MASE of each point path along the last axis of ``points``."""
-        return np.mean(np.abs(points - self.actuals), axis=-1) / self.scale
+        return row_means(np.abs(points - self.actuals)) / self.scale
 
     def path(self, levels: QuantileLevels, values: np.ndarray) -> PanelScore:
-        """CRPS and MASE of one forecast path: ``values`` of shape (T, K) on
-        ``levels``. A step's MASE point is its value at level 0.5."""
+        """CRPS and MASE of one arbitrated path: ``values`` of shape (T, K)
+        on ``levels``. A step's MASE point is its value at level 0.5."""
         per = crps_batch(levels.levels, values, self.actuals)
         points = quantile_at(levels.levels, values, 0.5)
-        return PanelScore(crps=float(np.mean(per)), mase=float(self.mase(points)))
+        return PanelScore(crps=float(row_means(per)), mase=float(self.mase(points)))
 
     @cached_property
-    def members(self) -> dict[str, PanelScore]:
-        """Every pool member's own score, keyed by model name."""
-        panel = self.panel
-        crps = np.mean(self.pool_crps, axis=1).tolist()
-        mase = self.mase(quantile_at(panel.levels.levels, panel.values, 0.5)).tolist()
-        return {
-            name: PanelScore(crps=c, mase=m)
-            for name, c, m in zip(panel.model_names, crps, mase)
-        }
+    def block(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N + 2, T) CRPS and level-0.5 point of the static block's rows."""
+        values, levels = self.panel.values, self.panel.levels.levels
+        block = np.concatenate((values, median_ensemble(values)[None], mean_ensemble(values)[None]))
+        return crps_batch(levels, block, self.actuals), quantile_at(levels, block, 0.5)
+
+    @cached_property
+    def statics(self) -> list[PanelScore]:
+        """Every member's score in pool order, then the median's and the mean's."""
+        crps, points = self.block
+        return list(map(PanelScore, row_means(crps).tolist(), self.mase(points).tolist()))
 
     def member(self, name: str) -> PanelScore:
         """The ``model:<name>`` score; a name the panel lacks raises
         ``DimensionMismatch``."""
-        _model_index(self.panel, name)
-        return self.members[name]
+        return self.statics[_model_index(self.panel, name)]
 
     def oracle(self) -> PanelScore:
+        """The score of each step's CRPS argmin, read from the block's rows."""
         panel = self.panel
-        trace = OracleTrace(panel.series_id, panel.model_names, self.pool_crps.T)
-        picked = panel.values[list(trace.selections), np.arange(panel.horizon)]
-        points = quantile_at(panel.levels.levels, picked, 0.5)
-        return PanelScore(crps=trace.crps, mase=float(self.mase(points)))
+        crps, points = self.block
+        trace = OracleTrace(panel.series_id, panel.model_names, crps[:-2].T)
+        picked = points[list(trace.selections), np.arange(panel.horizon)]
+        return PanelScore(crps=trace.crps, mase=float(self.mase(picked)))
 
     def arbitrated(self, config: ArbitratorConfig, streams: RandomStreams) -> PanelScore:
         trace = run_arbitration(self.panel, config=config, streams=streams)
@@ -191,9 +191,11 @@ _SCORERS: dict[str, Scorer] = {
     "synapse-static": lambda p, c, s: {
         "synapse-static": p.arbitrated(replace(c, mode="static-uniform"), s)
     },
-    "median": lambda p, c, s: {"median": p.path(p.panel.levels, median_ensemble(p.panel.values))},
-    "mean": lambda p, c, s: {"mean": p.path(p.panel.levels, mean_ensemble(p.panel.values))},
-    "per-model": lambda p, c, s: {_MODEL_PREFIX + name: score for name, score in p.members.items()},
+    "median": lambda p, c, s: {"median": p.statics[-2]},
+    "mean": lambda p, c, s: {"mean": p.statics[-1]},
+    "per-model": lambda p, c, s: {
+        _MODEL_PREFIX + name: score for name, score in zip(p.panel.model_names, p.statics)
+    },
     "oracle": lambda p, c, s: {"oracle": p.oracle()},
 }
 
@@ -231,15 +233,9 @@ def score_panel(
 def _tally(deltas: Sequence[float]) -> tuple[int, int, int]:
     """(wins, losses, ties) of per-panel score differences, lower is better;
     differences within ``WIN_LOSS_TIE_TOL`` tie."""
-    wins = losses = ties = 0
-    for delta in deltas:
-        if delta < -WIN_LOSS_TIE_TOL:
-            wins += 1
-        elif delta > WIN_LOSS_TIE_TOL:
-            losses += 1
-        else:
-            ties += 1
-    return wins, losses, ties
+    wins = sum(delta < -WIN_LOSS_TIE_TOL for delta in deltas)
+    losses = sum(delta > WIN_LOSS_TIE_TOL for delta in deltas)
+    return wins, losses, len(deltas) - wins - losses
 
 
 def _method_sort_key(name: str) -> tuple[int, str]:
@@ -363,8 +359,8 @@ def run_pool_scaling(
     streams = RandomStreams(seed)
 
     scorings = [_PanelScoring(tagged.panel) for tagged in tagged_panels]
-    member_crps = {name: [s.members[name].crps for s in scorings] for name in model_order}
-    member_mase = {name: [s.members[name].mase for s in scorings] for name in model_order}
+    member_crps = {name: [s.member(name).crps for s in scorings] for name in model_order}
+    member_mase = {name: [s.member(name).mase for s in scorings] for name in model_order}
 
     rows = []
     for size in range(2, len(model_order) + 1):
@@ -428,23 +424,27 @@ def run_win_loss(
 
 def selection_accuracy_table(
     tagged_panels: Sequence[TaggedPanel],
+    picks: Sequence[Sequence[int]],
     config: ArbitratorConfig = ArbitratorConfig(),
     seed: int = 0,
 ) -> dict[str, tuple[float, ...]]:
     """Top-k agreement with the oracle, pooled over every timestep, for
     arbitration weights and for the median ensemble's implicit ranking, for
-    k = 1..smallest pool size. A step counts for k when the oracle's pick is
-    among the method's k best there, ties going to the lower index."""
+    k = 1..smallest pool size. ``picks`` holds each panel's oracle picks, as
+    ``oracle_select(panel).selections`` gives them. A step counts for k when
+    the oracle's pick is among the method's k best there, ties going to the
+    lower index."""
     if not tagged_panels:
         raise ValueError("at least one panel is required")
+    if len(picks) != len(tagged_panels):
+        raise DimensionMismatch(f"{len(picks)} pick rows for {len(tagged_panels)} panels")
     streams = RandomStreams(seed)
     ranks: dict[str, list[np.ndarray]] = {"synapse": [], "median": []}
-    for tagged in tagged_panels:
+    for tagged, panel_picks in zip(tagged_panels, picks):
         panel = tagged.panel
-        picks = oracle_select(panel).selections
         trace = run_arbitration(panel, config=config, streams=streams)
-        ranks["synapse"].append(pick_ranks(-trace.weights, picks))
-        ranks["median"].append(pick_ranks(median_distances(panel), picks))
+        ranks["synapse"].append(pick_ranks(-trace.weights, panel_picks))
+        ranks["median"].append(pick_ranks(median_distances(panel), panel_picks))
     min_pool = min(t.panel.n_models for t in tagged_panels)
     return {method: topk_agreement(np.concatenate(r), min_pool) for method, r in ranks.items()}
 
@@ -557,19 +557,8 @@ def load_report(path: str | Path) -> list[ReportRow]:
         header = next(reader)
         if tuple(header) != _REPORT_COLUMNS:
             raise ValueError(f"unexpected report header {header!r}")
-        rows = []
-        for record in reader:
-            method, scope, n_panels, crps_v, mase_v, wins, losses, ties = record
-            rows.append(
-                ReportRow(
-                    method=method,
-                    scope=scope,
-                    n_panels=int(n_panels),
-                    crps=float(crps_v),
-                    mase=float(mase_v),
-                    wins=int(wins),
-                    losses=int(losses),
-                    ties=int(ties),
-                )
-            )
-    return rows
+        return [
+            ReportRow(method, scope, int(n), float(crps), float(mase),
+                      int(wins), int(losses), int(ties))
+            for method, scope, n, crps, mase, wins, losses, ties in reader
+        ]

@@ -288,7 +288,7 @@ def test_desk_scale_directional_claims(capsys, desk_suite):
     start = perf_counter()
     rows = run_evaluation(suite, methods=ALL_METHODS)
     rows_again = run_evaluation(suite, methods=ALL_METHODS)
-    table = selection_accuracy_table(suite)
+    table = selection_accuracy_table(suite, [oracle_select(t.panel).selections for t in suite])
     elapsed = build_elapsed + (perf_counter() - start)
 
     overall = {r.method: r for r in rows if r.scope == "overall"}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,10 +10,13 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import quantarb
 import quantarb.cli
+import quantarb.oracle
+import quantarb.reporting
 from quantarb.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from quantarb.panelio import SCHEMA_VERSION, load_panels
 from quantarb.reporting import load_report, report_json_schema
@@ -305,6 +309,26 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "top-k oracle agreement" in out
         assert "synapse" in out and "median" in out
+
+    def test_output_is_pinned(self, suite_path, capsys):
+        # sha256 of the full output, recorded while the top-k table still
+        # scored every pool a second time.
+        assert main(["oracle", str(suite_path)]) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "a9c8be00970117e13ec894c8bbbf7ff3a6da44b7a0e4afd92dfc71203a59d650"
+
+    def test_each_pool_is_scored_once(self, suite_path, monkeypatch, capsys):
+        shapes = []
+        real = quantarb.oracle.crps_batch
+
+        def counting(levels, values, observations):
+            shapes.append(np.shape(values))
+            return real(levels, values, observations)
+
+        monkeypatch.setattr(quantarb.oracle, "crps_batch", counting)
+        monkeypatch.setattr(quantarb.reporting, "crps_batch", counting)
+        assert main(["oracle", str(suite_path)]) == EXIT_OK
+        assert shapes == [t.panel.values.shape for t in load_panels(suite_path)]
 
 
 class TestEnvironmentChoices:

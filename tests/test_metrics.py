@@ -130,6 +130,62 @@ def test_crps_batch_equals_the_np_mean_formulation_bit_for_bit(block, shape, dat
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def _crps_with_both_branches(levels, values, observations):
+    """``crps_batch`` as it was written with the pinball loss's two branches
+    spelled out, on a C-ordered copy of ``values``, kept as an oracle."""
+    alphas = np.asarray(levels, dtype=float)
+    q = np.ascontiguousarray(values, dtype=float)
+    y = np.asarray(observations, dtype=float)[..., None]
+    rho = np.where(y > q, alphas * (y - q), (1.0 - alphas) * (q - y))
+    return np.add.reduce(2.0 * rho / np.maximum(np.abs(y), ABS_OBS_FLOOR), axis=-1) / q.shape[-1]
+
+
+# Signed zeros, subnormals, the smallest normal, values near the floor on |y|
+# and large magnitudes, next to ordinary finite values.
+_awkward = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-8, -3e-9, 1e300, -1e300]
+)
+
+
+@st.composite
+def _laid_out_blocks(draw):
+    """(N, T, K) blocks, unsorted, C-ordered, F-ordered or a strided slice of a
+    larger array, against observations that include +-inf; some cells tie
+    with their observation."""
+    k = draw(st.integers(1, 12))
+    levels = tuple((j + 1) / (k + 1) for j in range(k))
+    n, t = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    values = np.array(draw(st.lists(_awkward | finite, min_size=n * t * k, max_size=n * t * k)))
+    values = values.reshape(n, t, k)
+    obs = np.array(draw(st.lists(_awkward | finite | st.sampled_from([np.inf, -np.inf]),
+                                 min_size=t, max_size=t)))
+    ties = np.array(draw(st.lists(st.booleans(), min_size=n * t * k, max_size=n * t * k)))
+    ties = ties.reshape(n, t, k) & np.isfinite(obs)[:, None]
+    values[ties] = np.broadcast_to(obs[:, None], values.shape)[ties]
+    layout = draw(st.sampled_from(("C", "F", "strided")))
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "strided":
+        wide = np.full((n, 2 * t, 2 * k + 1), np.nan)
+        wide[:, ::2, 1::2] = values
+        values = wide[:, ::2, 1::2]
+    return levels, values, obs
+
+
+@given(_laid_out_blocks())
+@settings(max_examples=200)
+def test_crps_batch_equals_the_two_branch_pinball_bit_for_bit_in_every_layout(block):
+    levels, values, obs = block
+    cases = [(values, obs), (values[:, 0], obs[0]), (values[0, 0], obs[0])]
+    # An infinite observation scores inf / inf = NaN; huge losses overflow.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for v, y in cases:
+            got = crps_batch(levels, v, y)
+            want = _crps_with_both_branches(levels, v, y)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_crps_batch_of_forecasts_on_their_observation_is_positive_zero():
     for y in (5.0, -5.0, 0.0):
         got = crps_batch(DEFAULT_LEVELS.levels, [[y] * 9, [y] * 9], y)

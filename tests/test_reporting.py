@@ -6,6 +6,7 @@ afterwards; they guard against silent behavior drift, not external truth.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ import quantarb.reporting
 from quantarb.arbitration import ArbitratorConfig
 from quantarb.core import DEFAULT_LEVELS, build_panel
 from quantarb.errors import DimensionMismatch, InsufficientModels, ZeroDenominator
+from quantarb.oracle import oracle_select
 from quantarb.panelio import TaggedPanel
 from quantarb.reporting import (
     METHODS,
@@ -55,9 +57,14 @@ def scaling_rows(small_suite):
     return run_pool_scaling(small_suite, names)
 
 
+def _picks(suite):
+    """Each panel's oracle picks, as ``quantarb oracle`` hands them over."""
+    return [oracle_select(t.panel).selections for t in suite]
+
+
 @pytest.fixture(scope="module")
 def accuracy_table(small_suite):
-    return selection_accuracy_table(small_suite)
+    return selection_accuracy_table(small_suite, _picks(small_suite))
 
 
 def _rows_for(rows, scope):
@@ -105,10 +112,18 @@ def periodic_panel():
     )
 
 
+def _static_block(tagged):
+    """Shape of a panel's static block: its N members, then the median and
+    mean ensembles, as (N + 2, T, K)."""
+    n, t, k = tagged.panel.values.shape
+    return (n + 2, t, k)
+
+
 @pytest.fixture
 def pool_scorings(monkeypatch):
     """Shapes of the values every ``crps_batch`` call in reporting and oracle
-    scores; a pool's scoring is the one of shape (N, T, K)."""
+    scores; a panel's static block is scored in one (N + 2, T, K) call and an
+    arbitrated path in one (T, K) call."""
     shapes = []
     real = quantarb.reporting.crps_batch
 
@@ -156,6 +171,21 @@ class TestScorePanel:
         with pytest.raises(DimensionMismatch, match="has no model 'ghost'"):
             score_panel(tagged, ["model:ghost"])
 
+    @pytest.mark.parametrize("n_experts", [6, 12])
+    def test_scores_do_not_depend_on_the_memory_layout_of_the_values(self, n_experts):
+        # A panel built from an F-ordered array equals the C-ordered one, so
+        # it must score byte for byte the same under every method.
+        for tagged in build_benchmark_suite(4, seed=0, n_experts=n_experts):
+            fortran = dataclasses.replace(
+                tagged.panel, values=np.asfortranarray(tagged.panel.values)
+            )
+            assert fortran == tagged.panel
+            scores = [
+                {k: (v.crps.hex(), v.mase.hex()) for k, v in score_panel(t, ALL_METHODS).items()}
+                for t in (tagged, TaggedPanel(fortran, tagged.metadata))
+            ]
+            assert scores[0] == scores[1]
+
     def test_unknown_method_rejected(self, small_suite):
         with pytest.raises(ValueError, match="unknown method"):
             score_panel(small_suite[0], ["typo"])
@@ -167,19 +197,22 @@ class TestScorePanel:
             (("per-model",), 1),
             (("oracle",), 1),
             (("oracle", "median", "per-model"), 1),
-            (("median", "mean"), 0),
+            (("median", "mean"), 1),
+            (("model:expert_02", "mean", "synapse"), 1),
             (("synapse", "synapse-static"), 0),
         ],
     )
     def test_the_pool_is_scored_once_and_only_when_a_method_needs_it(
         self, small_suite, pool_scorings, methods, pool_calls
     ):
+        # Every static method reads the one (N + 2, T, K) block of the pool
+        # and both ensembles; only arbitrated paths are scored on their own.
         tagged = small_suite[0]
         score_panel(tagged, methods)
-        assert pool_scorings.count(tagged.panel.values.shape) == pool_calls
-        # Besides the pool, only each ensemble or arbitrated path is scored.
-        paths = [m for m in methods if m not in ("per-model", "oracle")]
-        assert len(pool_scorings) == pool_calls + len(paths)
+        arbitrated = [m for m in methods if m.startswith("synapse")]
+        path = tagged.panel.values.shape[1:]
+        want = [_static_block(tagged)] * pool_calls + [path] * len(arbitrated)
+        assert sorted(pool_scorings) == sorted(want)
 
     def test_member_and_oracle_scores_read_the_pool_matrix(self, small_suite):
         # The oracle's CRPS is the mean of each step's lowest member CRPS, so
@@ -367,7 +400,7 @@ class TestWinLoss:
     def test_each_panel_pool_is_scored_once(self, small_suite, pool_scorings):
         panels = small_suite[:3]
         run_win_loss(panels, "model:expert_00", "oracle")
-        assert pool_scorings == [t.panel.values.shape for t in panels]
+        assert pool_scorings == [_static_block(t) for t in panels]
 
     def test_matches_the_evaluation_tally_against_the_reference(self, small_suite, eval_rows):
         overall = _rows_for(eval_rows, "overall")
@@ -422,10 +455,9 @@ class TestPoolScaling:
     def test_each_panel_pool_is_scored_once(self, small_suite, pool_scorings):
         panels = small_suite[:3]
         run_pool_scaling(panels, ["expert_00", "expert_01", "expert_02"])
-        pool_shapes = [t.panel.values.shape for t in panels]
-        assert [s for s in pool_scorings if len(s) == 3] == pool_shapes
-        # Besides the pools, only the arbitrated paths: two prefixes a panel.
-        assert len(pool_scorings) == len(panels) * 3
+        # Each panel's static block, then two arbitrated prefixes a panel.
+        blocks = [_static_block(t) for t in panels]
+        assert pool_scorings == blocks + [t.panel.values.shape[1:] for t in panels] * 2
 
 
 class TestSelectionAccuracy:
@@ -443,7 +475,15 @@ class TestSelectionAccuracy:
 
     def test_requires_panels(self):
         with pytest.raises(ValueError):
-            selection_accuracy_table([])
+            selection_accuracy_table([], [])
+
+    def test_needs_one_pick_row_per_panel(self, small_suite):
+        panels = small_suite[:3]
+        with pytest.raises(DimensionMismatch, match="^2 pick rows for 3 panels$"):
+            selection_accuracy_table(panels, _picks(panels)[:2])
+        first, *rest = _picks(panels)
+        with pytest.raises(DimensionMismatch, match="^7 picks for a score matrix"):
+            selection_accuracy_table(panels, [first[:-1], *rest])
 
     #: ``float.hex`` of every agreement on the 40-panel, six-expert suite of
     #: seed 0, recorded when each method's ranking was a tuple sorted per step.
@@ -489,7 +529,7 @@ class TestSelectionAccuracy:
     @pytest.mark.parametrize("mode", sorted(PINNED))
     def test_agreement_is_pinned_bit_for_bit(self, mode):
         suite = build_benchmark_suite(40, seed=0, n_experts=6)
-        table = selection_accuracy_table(suite, config=ArbitratorConfig(mode=mode))
+        table = selection_accuracy_table(suite, _picks(suite), config=ArbitratorConfig(mode=mode))
         assert {m: tuple(v.hex() for v in vals) for m, vals in table.items()} == self.PINNED[mode]
 
 
