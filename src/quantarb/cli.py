@@ -185,7 +185,7 @@ def _cmd_winloss(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    # Imported here: the synthetic suite needs SciPy, which no other command does.
+    # Imported here: the suite's `statistics` import (3-4 ms) serves no other command.
     from .synthetic import build_benchmark_suite
 
     suite = build_benchmark_suite(args.n, seed=args.seed, n_experts=args.experts)

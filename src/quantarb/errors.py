@@ -40,7 +40,7 @@ class LengthMismatch(ArbitrationError):
 
 
 class ZeroDenominator(ArbitrationError):
-    """Scale denominator is exactly zero (e.g. seasonal-naive MAE on a periodic context)."""
+    """Scale denominator is zero (periodic context) or so small a ratio over it overflows."""
 
 
 class SeriesTooShort(ArbitrationError):

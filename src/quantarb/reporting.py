@@ -24,7 +24,7 @@ import numpy as np
 from .arbitration import ArbitratorConfig, run_arbitration
 from .baselines import mean_ensemble, median_ensemble
 from .core import ForecastPanel, QuantileLevels, quantile_at
-from .errors import DimensionMismatch, InsufficientModels
+from .errors import DimensionMismatch, InsufficientModels, ZeroDenominator
 from .metrics import crps_batch, mase_scale, row_means
 from .oracle import OracleTrace, median_distances, pick_ranks, topk_agreement
 from .panelio import TaggedPanel
@@ -83,14 +83,9 @@ class ReportRow:
         for label, value in (("crps", self.crps), ("mase", self.mase)):
             if not math.isfinite(value):
                 raise ValueError(f"{label} is not finite: {value!r}")
-        for label, value in (
-            ("n_panels", self.n_panels),
-            ("wins", self.wins),
-            ("losses", self.losses),
-            ("ties", self.ties),
-        ):
-            if value < 0:
-                raise ValueError(f"{label} must be >= 0, got {value}")
+        for label in ("n_panels", "wins", "losses", "ties"):
+            if getattr(self, label) < 0:
+                raise ValueError(f"{label} must be >= 0, got {getattr(self, label)}")
 
 
 @dataclass(frozen=True)
@@ -137,16 +132,21 @@ class _PanelScoring:
         self.actuals = np.asarray(panel.require_actuals(), dtype=float)
         self.scale = mase_scale(panel.context, panel.seasonality)
 
-    def mase(self, points: np.ndarray) -> np.ndarray:
-        """MASE of each point path along the last axis of ``points``."""
-        return row_means(np.abs(points - self.actuals)) / self.scale
+    def mase(self, points: np.ndarray) -> list[float]:
+        """Each path's MASE (last axis of ``points``) in Python floats, which overflow silently."""
+        maes = row_means(np.abs(points - self.actuals))
+        mases = [mae / self.scale for mae in (maes.tolist() if maes.ndim else [float(maes)])]
+        if math.inf in mases:
+            raise ZeroDenominator(f"panel {self.panel.series_id!r}: MASE overflows over its "
+                                  f"seasonal-naive scale {self.scale!r}")
+        return mases
 
     def path(self, levels: QuantileLevels, values: np.ndarray) -> PanelScore:
         """CRPS and MASE of one arbitrated path: ``values`` of shape (T, K)
         on ``levels``. A step's MASE point is its value at level 0.5."""
         per = crps_batch(levels.levels, values, self.actuals)
         points = quantile_at(levels.levels, values, 0.5)
-        return PanelScore(crps=float(row_means(per)), mase=float(self.mase(points)))
+        return PanelScore(crps=float(row_means(per)), mase=self.mase(points)[0])
 
     @cached_property
     def block(self) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +159,7 @@ class _PanelScoring:
     def statics(self) -> list[PanelScore]:
         """Every member's score in pool order, then the median's and the mean's."""
         crps, points = self.block
-        return list(map(PanelScore, row_means(crps).tolist(), self.mase(points).tolist()))
+        return list(map(PanelScore, row_means(crps).tolist(), self.mase(points)))
 
     def member(self, name: str) -> PanelScore:
         """The ``model:<name>`` score; a name the panel lacks raises
@@ -172,7 +172,7 @@ class _PanelScoring:
         crps, points = self.block
         trace = OracleTrace(panel.series_id, panel.model_names, crps[:-2].T)
         picked = points[list(trace.selections), np.arange(panel.horizon)]
-        return PanelScore(crps=trace.crps, mase=float(self.mase(picked)))
+        return PanelScore(crps=trace.crps, mase=self.mase(picked)[0])
 
     def arbitrated(self, config: ArbitratorConfig, streams: RandomStreams) -> PanelScore:
         trace = run_arbitration(self.panel, config=config, streams=streams)

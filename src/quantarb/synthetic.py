@@ -12,10 +12,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import DEFAULT_LEVELS, ForecastPanel, QuantileLevels, require_integer
 from .errors import LengthMismatch, NonFinite
@@ -153,7 +153,7 @@ def generate_series(spec: RegimeSpec, seed: int) -> tuple[tuple[float, ...], tup
 @functools.lru_cache(maxsize=16)
 def _normal_quantiles(levels: tuple[float, ...]) -> np.ndarray:
     """Standard normal quantiles of a level grid, read-only and shared."""
-    z = norm.ppf(np.asarray(levels))
+    z = np.array([NormalDist().inv_cdf(a) for a in levels])
     z.setflags(write=False)
     return z
 
@@ -192,9 +192,9 @@ def expert_forecast(
     ``mu = y + (0.1 * sigma) * jitter[t]`` in a favored regime, and otherwise
     ``sigma = sharpness * dispersion_inflation`` and
     ``mu = (y + bias) + (0.1 * sigma) * jitter[t]``; the row is
-    ``mu + sigma * z`` with ``z = scipy.stats.norm.ppf(levels)``. A favored
-    regime id at or above the spec's segment count favors no step, so the
-    same expert can forecast a shorter history spec (as backtests do).
+    ``mu + sigma * z`` with ``z`` the standard normal quantile of each level.
+    A favored regime id at or above the spec's segment count favors no step,
+    so the same expert can forecast a shorter history spec (as backtests do).
     """
     return tuple(map(tuple, _expert_values(expert, spec, actuals, seed, levels).tolist()))
 

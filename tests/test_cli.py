@@ -133,6 +133,23 @@ class TestEval:
         err = capsys.readouterr().err
         assert err == "error: context is 2-periodic; seasonal-naive MAE is zero\n"
 
+    def test_mase_overflowing_a_tiny_scale_names_the_panel(self, tmp_path, capsys):
+        # Seasonal-naive scale about 1.1e-309: any MAE near 1 overflows over it.
+        path = tmp_path / "tiny.jsonl"
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "series_id": "tiny-scale",
+            "seasonality": 1,
+            "levels": [0.25, 0.5, 0.75],
+            "context": [0.0, 0.0, 2.225073858507203e-309],
+            "actuals": [0.0],
+            "models": {"a": [[0.5, 1.0, 1.5]], "b": [[0.75, 1.25, 1.75]]},
+        }
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["eval", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: panel 'tiny-scale': MASE overflows")
+
     def test_table_output_to_stdout(self, suite_path, capsys):
         code = main(["eval", str(suite_path), "--methods", "synapse,median"])
         assert code == EXIT_OK
@@ -490,10 +507,11 @@ def test_module_invocation_shows_usage():
         assert name in result.stdout
 
 
-def test_cli_import_loads_neither_scipy_nor_jsonschema():
-    # SciPy serves only `synth`, and jsonschema only the tests.
+def test_cli_and_suite_build_load_neither_scipy_nor_jsonschema():
+    # Both serve only the tests: SciPy as a reference, jsonschema for reports.
     probe = (
-        "import sys, quantarb.cli; "
+        "import sys, quantarb.cli, quantarb.synthetic; "
+        "quantarb.synthetic.build_benchmark_suite(1, seed=0); "
         "print(sorted(m for m in ('scipy', 'jsonschema') if m in sys.modules))"
     )
     result = subprocess.run(

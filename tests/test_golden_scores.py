@@ -1,5 +1,6 @@
 """Per-panel scores of every method against values recorded before the
-pool-scoring pass.
+pool-scoring pass, and re-recorded when the suite's normal quantiles moved
+from SciPy to the standard library.
 
 ``data/golden_scores.json`` holds, for every panel of two benchmark suites,
 the ``(crps, mase)`` that ``score_panel`` gave under each method: median,

@@ -2,8 +2,10 @@
 
 ``data/golden_traces.json`` holds ``run_arbitration`` traces of four desk-suite
 panels (seed 0, six experts, one per domain, all three horizon classes),
-arbitrated with the default config and one shared stream tree, as written by
-the per-forecast SciPy PCHIP fit and per-step window re-scoring. Rules,
+arbitrated with the default config and one shared stream tree. They were
+first written by the per-forecast SciPy PCHIP fit and per-step window
+re-scoring, which the batched kernel matched bit for bit, and re-recorded when
+the suite's normal quantiles moved from SciPy to the standard library. Rules,
 sample counts and weights must match exactly; quantiles to 1e-12.
 
 ``data/golden_traces_variants.json`` holds traces of the same panels under

@@ -1,6 +1,9 @@
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantarb.core import DEFAULT_LEVELS, QuantileLevels, build_panel
 from quantarb.errors import SeriesTooShort, ZeroDenominator
@@ -257,6 +260,8 @@ def test_mase_and_its_scale_reject_the_same_contexts_alike(context, m, error, me
     st.lists(finite, min_size=3, max_size=20),
     st.integers(1, 2),
 )
+# A subnormal seasonal-naive scale (about 1.1e-309) that a MAE of 1 overflows.
+@example([1.0], [0.0, 0.0, 2.225073858507203e-309], 1)
 def test_mase_is_the_forecast_mae_over_its_scale(errors, context, m):
     try:
         scale = mase_scale(context, m)
@@ -264,7 +269,12 @@ def test_mase_is_the_forecast_mae_over_its_scale(errors, context, m):
         return
     points = [float(e) for e in errors]
     actuals = [0.0] * len(points)
-    assert _mase(points, actuals, context, m) == float(np.mean(np.abs(points))) / scale
+    want = float(np.mean(np.abs(points))) / scale  # a Python float: inf on overflow
+    if math.isinf(want):
+        with pytest.raises(ZeroDenominator, match=f"panel 's': .* scale {re.escape(repr(scale))}$"):
+            _mase(points, actuals, context, m)
+    else:
+        assert _mase(points, actuals, context, m) == want
 
 
 @given(st.floats(min_value=-100, max_value=100))

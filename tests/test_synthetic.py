@@ -1,5 +1,6 @@
 import hashlib
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -310,14 +311,15 @@ def test_suite_cycles_domains_horizons_and_pool_sizes():
     assert fixed[0].panel.model_names == tuple(f"expert_{i:02d}" for i in range(6))
 
 
-# sha256 of `save_panels` output for pinned suites, recorded from the per-row
-# generator: the array generator must write every file byte for byte the same.
+# sha256 of `save_panels` output for pinned suites, recorded with the standard
+# library's normal quantiles (the per-row loops below give the same bytes): a
+# change to the generator must write every file byte for byte the same.
 _GRID3 = QuantileLevels((0.1, 0.25, 0.9))
 _PINNED_SUITES = [
-    (200, 0, None, DEFAULT_LEVELS, "c1af30ee928045ced7ea7ea41fc9a199bde9849504e0eab5664b1a870a1eac99"),
-    (200, 3, 6, DEFAULT_LEVELS, "00d28a0d41550536113e9c293ed826e54c96c7a96bc9a4561dd0251bb83abedc"),
-    (100, 11, 12, DEFAULT_LEVELS, "d46eb3df56ab86e749598db2d45f6193ded8bb502bf6cea3b2b64d410bfdab45"),
-    (40, 5, None, _GRID3, "886e17920a84d15c49b80a7a1ed19693025b55e902c6c4ddde9a2b10ebe28c63"),
+    (200, 0, None, DEFAULT_LEVELS, "0f94b85c4835d3947b62f77dfe80ea6eb93a05967c48e9b3abfdd4b7688601eb"),
+    (200, 3, 6, DEFAULT_LEVELS, "02659640031c7d659f90a5010a57854b4518fe9e87b7772b327a4d06749c1472"),
+    (100, 11, 12, DEFAULT_LEVELS, "5c4461b3f0d4f68cca32373f86649b77ff80dd9f5d3f51a3411a75390da98d47"),
+    (40, 5, None, _GRID3, "12e5360e8a44c72c26ac0e01a6dec47ee524482352ce23c4eaff1d6834d2d4da"),
 ]
 
 
@@ -353,7 +355,7 @@ def _loop_generate_series(spec, seed):
 
 def _loop_expert_forecast(expert, spec, actuals, seed, levels=DEFAULT_LEVELS):
     """The per-row expert the array version replaced, kept as its oracle."""
-    z = norm.ppf(np.asarray(levels.levels))
+    z = np.array([NormalDist().inv_cdf(a) for a in levels.levels])
     rng = RandomStreams(seed).child("expert", expert.name).generator()
     jitter = rng.standard_normal(len(actuals))
     rows = []
@@ -439,13 +441,12 @@ def test_array_generator_equals_the_per_row_loops(case):
 def test_normal_quantiles_are_computed_once_per_level_grid(monkeypatch):
     calls = []
 
-    class CountingNorm:
-        @staticmethod
-        def ppf(q):
-            calls.append(tuple(q))
-            return norm.ppf(q)
+    class CountingNormal(NormalDist):
+        def inv_cdf(self, p):
+            calls.append(p)
+            return super().inv_cdf(p)
 
-    monkeypatch.setattr(synthetic, "norm", CountingNorm)
+    monkeypatch.setattr(synthetic, "NormalDist", CountingNormal)
     synthetic._normal_quantiles.cache_clear()
     try:
         build_benchmark_suite(12, seed=0)
@@ -456,4 +457,17 @@ def test_normal_quantiles_are_computed_once_per_level_grid(monkeypatch):
         assert not synthetic._normal_quantiles(DEFAULT_LEVELS.levels).flags.writeable
     finally:
         synthetic._normal_quantiles.cache_clear()
-    assert calls == [DEFAULT_LEVELS.levels, _GRID3.levels]
+    assert calls == [*DEFAULT_LEVELS.levels, *_GRID3.levels]
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [tuple(np.linspace(0.001, 0.999, 9981).tolist()), DEFAULT_LEVELS.levels, (0.05, 0.1, 0.2)],
+    ids=["dense", "default", "low-tail"],
+)
+def test_normal_quantiles_match_scipy_within_8_ulps(levels):
+    # The standard library's AS 241 and SciPy's ndtri are different
+    # algorithms; 5 ulps was the largest gap seen on the dense grid.
+    z = synthetic._normal_quantiles(levels)
+    want = norm.ppf(np.asarray(levels))
+    assert np.all(np.abs(z - want) <= 8 * np.spacing(np.abs(want)))
