@@ -14,7 +14,6 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ from .core import (
     stack_forecasts,
 )
 from .errors import AlignmentMismatch, EmptyWindow
-from .metrics import crps_batch
+from .metrics import PinballLoss
 from .quantiles import InverseCdf, KeyedPhilox, RandomStreams, empirical_quantiles
 
 #: Cap applied to the horizon-derived default window capacity.
@@ -79,35 +78,37 @@ class ArbitratorConfig:
 
 
 class WindowScores:
-    """Per-record CRPS rows of a rolling performance window.
+    """Per-model CRPS columns of a rolling performance window on one level grid.
 
-    Each record's N model scores are computed once, when the record enters;
-    the oldest rows drop out when the window is full. Averages use exact
-    summation, so they match re-scoring the whole window bit for bit and do
-    not depend on record order.
+    Each record's N model scores are computed once, when the record enters,
+    and appended to the N columns; the oldest drop out when the window is
+    full. Averages use exact summation, so they match re-scoring the whole
+    window bit for bit and do not depend on record order.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_columns", "_loss")
 
-    def __init__(self, capacity: int) -> None:
-        self._rows: deque[list[float]] = deque(maxlen=capacity)
+    def __init__(self, capacity: int, levels: Sequence[float], n_models: int) -> None:
+        self._loss = PinballLoss(levels)
+        self._columns = [deque((), capacity) for _ in range(n_models)]
 
-    def push(self, levels: Sequence[float], values, observations) -> None:
+    def push(self, values, observations) -> None:
         """Score records, oldest first: the N models' forecasts ``values`` of
-        shape (N, L, K) on ``levels`` against ``observations`` of shape (L,),
-        or one record as (N, K) against a single observation."""
-        scores = crps_batch(levels, values, observations)
-        self._rows.extend(scores.reshape(len(scores), -1).T.tolist())
+        shape (N, L, K) against ``observations`` of shape (L,), or one record
+        as (N, K) against a single observation."""
+        rows = self._loss(values, observations).reshape(len(self._columns), -1).tolist()
+        for column, row in zip(self._columns, rows):
+            column.extend(row)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._columns[0])
 
     def averages(self) -> tuple[float, ...]:
         """Each model's mean CRPS over the records in the window."""
-        if not self._rows:
+        n = len(self._columns[0])
+        if not n:
             raise EmptyWindow("cannot score models against an empty window")
-        n = len(self._rows)
-        return tuple(math.fsum(column) / n for column in zip(*self._rows))
+        return tuple(math.fsum(column) / n for column in self._columns)
 
 
 def weights_with_rule(
@@ -172,12 +173,12 @@ def run_arbitration(
     The feedback loop is sequential: each step's pooled median is pushed
     into the window as a stand-in observation before the next step is scored.
     Inverse CDFs of all N x T forecasts are fitted once, before the loop, and
-    each window record is scored once, when it enters; each step only fills
-    rows of the trace's arrays. An ``initial_window`` must hold the panel's
-    model names, in the panel's order, on its levels; the run keeps the
-    newest ``config`` window-capacity records of it. Pass ``streams`` shared
-    across panels to keep per-model draws identical regardless of which
-    other series are processed; the default is the tree of seed 0.
+    each window record is scored once, when it enters; each step only
+    appends its rows of the trace. An ``initial_window`` must hold the
+    panel's model names, in the panel's order, on its levels; the run keeps
+    the newest ``config`` window-capacity records of it. Pass ``streams``
+    shared across panels to keep per-model draws identical regardless of
+    which other series are processed; the default is the tree of seed 0.
     """
     n = panel.n_models
     if config.n_total < n:
@@ -197,11 +198,10 @@ def run_arbitration(
             f"panel {panel.series_id!r} levels {list(levels)}"
         )
     dynamic = config.mode == "dynamic"
-    alphas = np.asarray(levels.levels)
-    window = WindowScores(config.resolve_capacity(panel.horizon))
-    if dynamic and initial_window is not None:
-        window.push(alphas, initial_window.values, initial_window.observations)
     horizon = panel.horizon
+    window = WindowScores(config.resolve_capacity(horizon), levels.levels, n)
+    if dynamic and initial_window is not None:
+        window.push(initial_window.values, initial_window.observations)
     # Model i's stream at step t is child("series", id, "t", t).child(name):
     # all N x T keys in one pass, drawn through one generator into one buffer.
     series_streams = streams.child("series", panel.series_id, "t")
@@ -210,49 +210,43 @@ def run_arbitration(
     uniforms = np.empty(config.n_total)
     out_levels = config.levels if config.levels is not None else levels
     probe, median_at, on_grid = _probe_levels(out_levels)
-    icdf = InverseCdf(alphas, panel.values)
+    icdf = InverseCdf(levels.levels, panel.values)
     # Batch row of model i at step t is i * horizon + t.
     offsets = icdf.offsets(np.arange(horizon)[:, None] + np.arange(n) * horizon)
+    # Step t's window record, models by levels, as one C-ordered block.
+    records = panel.values.transpose(1, 0, 2).copy()
     uniform = (1.0 / n,) * n
-    uniform_counts = allocate_samples(uniform, config.n_total)
-    quantiles = np.empty((horizon, len(out_levels)))
-    weights = np.empty((horizon, n))
-    counts = np.empty((horizon, n), dtype=np.int64)
-    scores = np.full((horizon, n), np.nan)
-    simulated = np.empty(horizon)
+    uniform_row = (uniform, allocate_samples(uniform, config.n_total), (math.nan,) * n)
     rules = [RULE_UNIFORM if dynamic else RULE_STATIC] * horizon
+    rows, probed = [], []
     for t in range(horizon):
         if not dynamic or not len(window):
-            w, c = uniform, uniform_counts
+            w, c, s = uniform_row
         else:
             s = window.averages()
             w, rules[t] = weights_with_rule(s, config)
             c = allocate_samples(w, config.n_total)
-            scores[t] = s
-        weights[t], counts[t] = w, c
+        rows.append((w, c, s))
         # Model i draws c[i] uniforms from its own Philox stream into its
         # slice of the buffer; the pooled draws are evaluated in one pass.
-        for key, k, end in zip(keys[t], c, accumulate(c)):
-            if k:
-                philox.uniforms(key, uniforms[end - k:end])
-        pooled = icdf.evaluate(uniforms, offsets[t].repeat(counts[t]))
-        values = empirical_quantiles(pooled, probe)
-        quantiles[t] = values[on_grid]
-        simulated[t] = values[median_at]
+        pooled = icdf.evaluate(philox.fill(keys[t], c, uniforms), offsets[t].repeat(c))
+        probed.append(empirical_quantiles(pooled, probe))
         # The last step's record would never be read.
         if dynamic and t + 1 < horizon:
-            window.push(alphas, panel.values[:, t], simulated[t])
+            window.push(records[t], probed[t][median_at])
+    weights, counts, scores = zip(*rows)
+    probed = np.array(probed)
     return ArbitrationTrace(
         series_id=panel.series_id,
         model_names=names,
         n_total=config.n_total,
         levels=out_levels,
-        quantiles=quantiles,
+        quantiles=probed[:, on_grid],
         weights=weights,
         counts=counts,
         scores=scores,
         rules=rules,
-        simulated=simulated,
+        simulated=probed[:, median_at],
     )
 
 

@@ -23,24 +23,32 @@ def row_means(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def crps_batch(levels: Sequence[float], values, observations) -> np.ndarray:
-    """CRPS approximation of every forecast in ``values``: mean wQL over the
-    last axis.
+class PinballLoss:
+    """CRPS approximation on one level grid: mean wQL over the last axis of
+    ``values``, against ``observations`` that broadcast against
+    ``values.shape[:-1]``. The grid's -alpha and 1 - alpha are built once."""
 
-    ``values`` holds forecasts on ``levels`` along its last axis;
-    ``observations`` broadcasts against ``values.shape[:-1]``. Returns an
-    array of that shape.
-    """
-    alphas = np.asarray(levels, dtype=float)
-    q = np.asarray(values, dtype=float)
-    y = np.asarray(observations, dtype=float)[..., None]
-    # Pinball loss from one C-ordered d = q - y, scaled in place: d(-alpha) where
-    # d < 0, else d(1 - alpha); the two-branch form's bits, in any layout.
-    rho = np.subtract(q, y, order="C")
-    rho *= np.where(rho < 0.0, -alphas, 1.0 - alphas)
-    rho *= 2.0
-    rho /= np.maximum(np.abs(y), ABS_OBS_FLOOR)
-    return row_means(rho)
+    __slots__ = ("_below", "_above")
+
+    def __init__(self, levels: Sequence[float]) -> None:
+        alphas = np.asarray(levels, dtype=float)
+        self._below, self._above = -alphas, 1.0 - alphas
+
+    def __call__(self, values, observations) -> np.ndarray:
+        q = np.asarray(values, dtype=float)
+        y = np.asarray(observations, dtype=float)[..., None]
+        # Pinball loss from one C-ordered d = q - y, scaled in place: d(-alpha) where
+        # d < 0, else d(1 - alpha); the two-branch form's bits, in any layout.
+        rho = np.subtract(q, y, order="C")
+        rho *= np.where(rho < 0.0, self._below, self._above)
+        rho *= 2.0
+        rho /= np.maximum(np.abs(y), ABS_OBS_FLOOR)
+        return row_means(rho)
+
+
+def crps_batch(levels: Sequence[float], values, observations) -> np.ndarray:
+    """CRPS approximation of each forecast in ``values`` on ``levels``: :class:`PinballLoss`."""
+    return PinballLoss(levels)(values, observations)
 
 
 def mase_scale(context: Sequence[float], seasonality: int) -> float:

@@ -188,13 +188,13 @@ def _pchip_derivatives(h: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _type7_positions(levels: tuple[float, ...], n: int) -> tuple[np.ndarray, ...]:
     """Where each level reads ``n`` sorted samples under the linear estimator.
 
-    Returns the lower and upper sorted indices, the interpolation weight, its
-    complement, and where the weight is at least one half: numpy's ``linear``
-    method (Hyndman & Fan 1996, type 7) step by step, virtual index
-    ``(n - 1) * level`` included, so the result matches ``np.quantile`` bit
-    for bit. The arrays are read-only; they are shared by every call with the
-    same levels and sample size. Levels must be a non-empty set of finite
-    values in [0, 1]; any other would read past the ends of the sample.
+    Returns the lower and upper sorted indices, the index each value is
+    interpolated from and the signed weight of the difference: numpy's
+    ``linear`` method (Hyndman & Fan 1996, type 7) step by step, virtual
+    index ``(n - 1) * level`` included, so the result matches ``np.quantile``
+    bit for bit. The arrays are read-only; they are shared by every call
+    with the same levels and sample size. Levels must be a non-empty set of
+    finite values in [0, 1]; any other would read past the ends of the sample.
     """
     probs = np.asarray(levels, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
@@ -207,7 +207,10 @@ def _type7_positions(levels: tuple[float, ...], n: int) -> tuple[np.ndarray, ...
     at_top = virtual >= n - 1
     lower[at_top] = upper[at_top] = -1
     gamma = virtual - lower
-    out = (lower.astype(np.intp), upper.astype(np.intp), gamma, 1 - gamma, gamma >= 0.5)
+    lower, upper, high = lower.astype(np.intp), upper.astype(np.intp), gamma >= 0.5
+    # numpy's _lerp: a + (b - a) * gamma below one half, else b - (b - a) * (1 - gamma),
+    # so each end is exact; that is b + (b - a) * (gamma - 1), bit for bit.
+    out = (lower, upper, np.where(high, upper, lower), np.where(high, gamma - 1, gamma))
     for a in out:
         a.setflags(write=False)
     return out
@@ -227,20 +230,17 @@ def empirical_quantiles(
     :class:`NonFinite`; levels that are not all in [0, 1] raise
     ``ValueError``.
     """
-    xs = np.asarray(samples, dtype=float).ravel()
+    xs = np.sort(np.asarray(samples, dtype=float), axis=None)  # a sorted copy
     if xs.size == 0:
         raise EmptySampleSet("cannot take quantiles of an empty sample set")
-    xs = np.sort(xs)
     # NaN sorts last, so the two ends cover every non-finite sample.
     if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
         raise NonFinite("samples contain non-finite values")
-    lower, upper, gamma, complement, high = _type7_positions(tuple(levels), xs.size)
-    a, b = xs[lower], xs[upper]
-    diff = b - a
-    # numpy's _lerp: from the lower neighbour below one half, else from the
-    # upper one, so each end is exact.
-    out = a + diff * gamma
-    np.subtract(b, diff * complement, out=out, where=high)
+    lower, upper, base, weight = _type7_positions(tuple(levels), xs.size)
+    a = xs.take(lower)
+    out = np.subtract(xs.take(upper), a, out=a)
+    out *= weight
+    out += xs.take(base)
     return out
 
 
@@ -392,9 +392,19 @@ class KeyedPhilox:
         self._state = {"bit_generator": "Philox", "state": self._counter,
                        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
+    def fill(self, keys: Sequence, counts: Sequence[int], out: np.ndarray) -> np.ndarray:
+        """``out`` filled from its start with the first ``counts[i]`` uniforms of
+        the stream with ``keys[i]``, for each i in turn; zero counts are skipped."""
+        counter, state, end = self._counter, self._state, 0
+        bit_generator, random = self.generator.bit_generator, self.generator.random
+        for key, k in zip(keys, counts):
+            if k:
+                counter["key"] = key
+                bit_generator.state = state
+                random(out=out[end:end + k])
+                end += k
+        return out
+
     def uniforms(self, key: Sequence[int] | np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with the first ``len(out)`` uniforms of the Philox
-        stream with ``key`` and return it."""
-        self._counter["key"] = key
-        self.generator.bit_generator.state = self._state
-        return self.generator.random(out=out)
+        """``out`` filled with the first ``len(out)`` uniforms of the stream with ``key``."""
+        return self.fill((key,), (len(out),), out)

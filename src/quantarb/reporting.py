@@ -24,7 +24,7 @@ import numpy as np
 from .arbitration import ArbitratorConfig, run_arbitration
 from .baselines import mean_ensemble, median_ensemble
 from .core import ForecastPanel, QuantileLevels, quantile_at
-from .errors import DimensionMismatch, InsufficientModels, ZeroDenominator
+from .errors import DimensionMismatch, InsufficientModels, NonFinite, ZeroDenominator
 from .metrics import crps_batch, mase_scale, row_means
 from .oracle import OracleTrace, median_distances, pick_ranks, topk_agreement
 from .panelio import TaggedPanel
@@ -132,21 +132,25 @@ class _PanelScoring:
         self.actuals = np.asarray(panel.require_actuals(), dtype=float)
         self.scale = mase_scale(panel.context, panel.seasonality)
 
-    def mase(self, points: np.ndarray) -> list[float]:
-        """Each path's MASE (last axis of ``points``) in Python floats, which overflow silently."""
+    def scores(self, crps: list[float], points: np.ndarray) -> list[PanelScore]:
+        """Each path's score from its mean CRPS and level-0.5 ``points`` (last axis: steps)."""
         maes = row_means(np.abs(points - self.actuals))
         mases = [mae / self.scale for mae in (maes.tolist() if maes.ndim else [float(maes)])]
-        if math.inf in mases:
-            raise ZeroDenominator(f"panel {self.panel.series_id!r}: MASE overflows over its "
+        if math.inf in mases or math.inf in crps:
+            sid = self.panel.series_id
+            if not np.isfinite(maes).all():
+                raise NonFinite(f"panel {sid!r}: forecast minus actual overflows float64")
+            if math.inf in crps:
+                raise NonFinite(f"panel {sid!r}: CRPS overflows float64")
+            raise ZeroDenominator(f"panel {sid!r}: MASE overflows over its "
                                   f"seasonal-naive scale {self.scale!r}")
-        return mases
+        return list(map(PanelScore, crps, mases))
 
     def path(self, levels: QuantileLevels, values: np.ndarray) -> PanelScore:
         """CRPS and MASE of one arbitrated path: ``values`` of shape (T, K)
         on ``levels``. A step's MASE point is its value at level 0.5."""
         per = crps_batch(levels.levels, values, self.actuals)
-        points = quantile_at(levels.levels, values, 0.5)
-        return PanelScore(crps=float(row_means(per)), mase=self.mase(points)[0])
+        return self.scores([float(row_means(per))], quantile_at(levels.levels, values, 0.5))[0]
 
     @cached_property
     def block(self) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +163,7 @@ class _PanelScoring:
     def statics(self) -> list[PanelScore]:
         """Every member's score in pool order, then the median's and the mean's."""
         crps, points = self.block
-        return list(map(PanelScore, row_means(crps).tolist(), self.mase(points)))
+        return self.scores(row_means(crps).tolist(), points)
 
     def member(self, name: str) -> PanelScore:
         """The ``model:<name>`` score; a name the panel lacks raises
@@ -172,7 +176,7 @@ class _PanelScoring:
         crps, points = self.block
         trace = OracleTrace(panel.series_id, panel.model_names, crps[:-2].T)
         picked = points[list(trace.selections), np.arange(panel.horizon)]
-        return PanelScore(crps=trace.crps, mase=self.mase(picked)[0])
+        return self.scores([trace.crps], picked)[0]
 
     def arbitrated(self, config: ArbitratorConfig, streams: RandomStreams) -> PanelScore:
         trace = run_arbitration(self.panel, config=config, streams=streams)
@@ -225,8 +229,10 @@ def score_panel(
     scorers = [_scorer(m) for m in dict.fromkeys(methods)]
     scoring = _PanelScoring(tagged.panel)
     out: dict[str, PanelScore] = {}
-    for scorer in scorers:
-        out.update(scorer(scoring, config, streams))
+    # An overflowing score raises NonFinite, naming the panel, in its checks.
+    with np.errstate(over="ignore"):
+        for scorer in scorers:
+            out.update(scorer(scoring, config, streams))
     return out
 
 
@@ -358,33 +364,34 @@ def run_pool_scaling(
             )
     streams = RandomStreams(seed)
 
-    scorings = [_PanelScoring(tagged.panel) for tagged in tagged_panels]
-    member_crps = {name: [s.member(name).crps for s in scorings] for name in model_order}
-    member_mase = {name: [s.member(name).mase for s in scorings] for name in model_order}
-
-    rows = []
-    for size in range(2, len(model_order) + 1):
-        prefix = model_order[:size]
-        crps_vals = []
-        mase_vals = []
-        for scoring in scorings:
-            subset = _subset_panel(scoring.panel, prefix)
-            trace = run_arbitration(subset, config=config, streams=streams)
-            score = scoring.path(trace.levels, trace.quantiles)
-            crps_vals.append(score.crps)
-            mase_vals.append(score.mase)
-        best = min(prefix, key=lambda n: (_mean(member_crps[n]), n))
-        rows.append(
-            PoolScalingRow(
-                pool_size=size,
-                model_names=prefix,
-                crps=_mean(crps_vals),
-                mase=_mean(mase_vals),
-                best_individual=best,
-                best_individual_crps=_mean(member_crps[best]),
-                best_individual_mase=min(_mean(member_mase[n]) for n in prefix),
+    # As in score_panel, an overflowing score raises in its checks.
+    with np.errstate(over="ignore"):
+        scorings = [_PanelScoring(tagged.panel) for tagged in tagged_panels]
+        member_crps = {name: [s.member(name).crps for s in scorings] for name in model_order}
+        member_mase = {name: [s.member(name).mase for s in scorings] for name in model_order}
+        rows = []
+        for size in range(2, len(model_order) + 1):
+            prefix = model_order[:size]
+            crps_vals = []
+            mase_vals = []
+            for scoring in scorings:
+                subset = _subset_panel(scoring.panel, prefix)
+                trace = run_arbitration(subset, config=config, streams=streams)
+                score = scoring.path(trace.levels, trace.quantiles)
+                crps_vals.append(score.crps)
+                mase_vals.append(score.mase)
+            best = min(prefix, key=lambda n: (_mean(member_crps[n]), n))
+            rows.append(
+                PoolScalingRow(
+                    pool_size=size,
+                    model_names=prefix,
+                    crps=_mean(crps_vals),
+                    mase=_mean(mase_vals),
+                    best_individual=best,
+                    best_individual_crps=_mean(member_crps[best]),
+                    best_individual_mase=min(_mean(member_mase[n]) for n in prefix),
+                )
             )
-        )
     return rows
 
 

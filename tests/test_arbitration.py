@@ -84,9 +84,9 @@ def test_default_window_capacity_tracks_short_horizons():
 
 def _scored(capacity, records):
     """Window scores after pushing ``(observation, forecasts)`` records one by one."""
-    ring = WindowScores(capacity)
+    ring = WindowScores(capacity, DEFAULT_LEVELS.levels, len(records[0][1]))
     for obs, fcs in records:
-        ring.push(DEFAULT_LEVELS.levels, [fc.values for fc in fcs], obs)
+        ring.push([fc.values for fc in fcs], obs)
     return ring
 
 
@@ -116,7 +116,7 @@ def test_average_scores_symmetric_for_identical_models():
 
 def test_average_scores_reject_empty_window():
     with pytest.raises(EmptyWindow):
-        WindowScores(2).averages()
+        WindowScores(2, DEFAULT_LEVELS.levels, 2).averages()
 
 
 def test_inverse_error_weights_hand_values():
@@ -596,13 +596,13 @@ def test_cached_window_scores_match_rescoring_bit_for_bit(seeded):
 
 
 def test_window_scores_evict_the_oldest_row_at_capacity():
-    ring = WindowScores(2)
+    ring = WindowScores(2, DEFAULT_LEVELS.levels, 2)
     records = deque(maxlen=2)
     for obs in (3.0, 3.5, 2.8, 4.1):
         values = np.array([_gauss(3.0, 0.5).values, _gauss(4.0, 2.0).values])
-        ring.push(DEFAULT_LEVELS.levels, values, obs)
+        ring.push(values, obs)
         records.append((values, obs))
         assert len(ring) == len(records)
         assert ring.averages() == _rescored(records)
     with pytest.raises(EmptyWindow):
-        WindowScores(3).averages()
+        WindowScores(3, DEFAULT_LEVELS.levels, 2).averages()

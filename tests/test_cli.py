@@ -150,6 +150,26 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: panel 'tiny-scale': MASE overflows")
 
+    @pytest.mark.parametrize("method", ["median", "synapse", "oracle"])
+    def test_forecast_minus_actual_overflow_names_the_panel(
+        self, tmp_path, capsys, recwarn, method
+    ):
+        path = tmp_path / "big.jsonl"
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "series_id": "big",
+            "seasonality": 1,
+            "levels": [0.5],
+            "context": [0.0, 1.0, 2.5, 1.0],
+            "actuals": [-1e308],
+            "models": {"a": [[1e308]]},
+        }
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["eval", str(path), "--methods", method]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: panel 'big': forecast minus actual overflows float64\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_table_output_to_stdout(self, suite_path, capsys):
         code = main(["eval", str(suite_path), "--methods", "synapse,median"])
         assert code == EXIT_OK

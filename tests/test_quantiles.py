@@ -12,6 +12,7 @@ from quantarb.quantiles import (
     KeyedPhilox,
     RandomStreams,
     _pchip_derivatives,
+    _type7_positions,
     empirical_quantiles,
 )
 
@@ -162,6 +163,24 @@ def test_empirical_quantiles_equal_numpys_linear_quantile_bit_for_bit(xs, levels
     # different places, so the sign of a zero is not compared; every other
     # bit is.
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+@given(_samples(), _levels(), st.booleans())
+@settings(max_examples=100, deadline=None)
+# 1499 samples: a size no run draws, in reverse order.
+@example(np.arange(1499.0)[::-1].copy(), DEFAULT_LEVELS.levels, False)
+@example(np.array([0.0, -0.0, 0.0]), (0.25, 0.5), True)
+def test_empirical_quantiles_leave_their_samples_untouched(xs, levels, as_list):
+    samples = xs.tolist() if as_list else xs
+    before = np.array(samples).tobytes()
+    want = np.quantile(xs, np.array(levels))
+    # With the cache cleared, the first call works out its positions afresh
+    # and the second reads them from the cache.
+    _type7_positions.cache_clear()
+    for _ in range(2):
+        got = empirical_quantiles(samples, levels)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        assert np.array(samples).tobytes() == before
 
 
 def test_empirical_quantiles_leave_the_samples_unsorted():
@@ -337,6 +356,25 @@ def test_reused_generator_draws_match_fresh_generators(count):
                 drawn = philox.uniforms(key, buffer[1:count + 1])
                 assert drawn.tobytes() == expected.tobytes()
                 assert buffer[0] == buffer[-1] == -1.0  # only its slice is written
+
+
+@pytest.mark.parametrize("counts", [(0, 3, 5), (4, 0, 0), (1500, 0, 1), (0, 0, 0)])
+def test_fill_draws_each_streams_slice_as_fresh_generators_do(counts):
+    # One call fills the buffer slice by slice, one keyed stream per count,
+    # in order; a zero count takes no slice.
+    node = RandomStreams(11).child("series", "s1", "t")
+    leaves = ["a", 2**40, 2]
+    keys = node.grid_keys([7], leaves)[0]
+    expected = np.concatenate(
+        [node.child(7).child(leaf).generator().random(c) for leaf, c in zip(leaves, counts)]
+    )
+    philox = KeyedPhilox()
+    philox.generator.random(3)  # a reused generator is left mid-buffer
+    for row in (keys, keys.tolist()):
+        buffer = np.full(sum(counts) + 1, -1.0)
+        assert philox.fill(row, counts, buffer) is buffer
+        assert buffer[:-1].tobytes() == expected.tobytes()
+        assert buffer[-1] == -1.0  # past the counts, nothing is written
 
 
 def _scipy_inverse_cdf(levels, values, p):

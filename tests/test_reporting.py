@@ -10,16 +10,18 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
 
+import quantarb.arbitration
 import quantarb.oracle
 import quantarb.reporting
 from quantarb.arbitration import ArbitratorConfig
-from quantarb.core import DEFAULT_LEVELS, build_panel
-from quantarb.errors import DimensionMismatch, InsufficientModels, ZeroDenominator
+from quantarb.core import DEFAULT_LEVELS, SCORED_RULES, QuantileLevels, build_panel
+from quantarb.errors import DimensionMismatch, InsufficientModels, NonFinite, ZeroDenominator
 from quantarb.oracle import oracle_select
 from quantarb.panelio import TaggedPanel
 from quantarb.reporting import (
@@ -221,6 +223,74 @@ class TestScorePanel:
         members = [v for k, v in scores.items() if k.startswith("model:")]
         assert len(members) == small_suite[3].panel.n_models
         assert all(scores["oracle"].crps <= m.crps for m in members)
+
+    @pytest.mark.parametrize("method", ["median", "per-model", "oracle", "synapse"])
+    def test_forecast_minus_actual_overflow_names_the_panel(self, method):
+        # 1e308 - (-1e308) is finite minus finite, but not a float64.
+        panel = build_panel("big", [0.0, 1.0, 2.5, 1.0], [-1e308], 1, QuantileLevels((0.5,)),
+                            [("a", [[1e308]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=r"^panel 'big': forecast minus actual "
+                                                r"overflows float64$"):
+                score_panel(TaggedPanel(panel), [method])
+
+    @pytest.mark.parametrize("method", ["median", "per-model", "oracle", "synapse"])
+    def test_crps_overflow_names_the_panel(self, method):
+        # 1e308 - 0.5 is a float64, but the loss scaled by 2 / 0.5 is not.
+        panel = build_panel("big", [0.0, 1.0, 2.5, 1.0], [0.5], 1, QuantileLevels((0.5,)),
+                            [("a", [[1e308]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=r"^panel 'big': CRPS overflows float64$"):
+                score_panel(TaggedPanel(panel), [method])
+
+    def test_pool_scaling_names_the_overflowing_panel(self):
+        panel = build_panel("big", [0.0, 1.0, 2.5, 1.0], [-1e308], 1, QuantileLevels((0.5,)),
+                            [("a", [[1e308]]), ("b", [[1.0]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=r"^panel 'big': forecast minus actual "):
+                run_pool_scaling([TaggedPanel(panel)], ("a", "b"))
+
+    def test_the_benchmark_step_timer_and_spans_find_their_call_sites(
+        self, small_suite, monkeypatch
+    ):
+        # The benchmark times and traces by wrapping module globals where
+        # their callers look them up: each panel's arbitrated methods call
+        # reporting's run_arbitration once each, with config= by keyword (the
+        # step timer reads its mode), and a run calls arbitration's
+        # weights_with_rule once per scored step and empirical_quantiles once
+        # per step.
+        runs, traces, calls = [], [], {"weights": 0, "requantize": 0}
+        real_run = quantarb.reporting.run_arbitration
+        real_weights = quantarb.arbitration.weights_with_rule
+        real_requantize = quantarb.arbitration.empirical_quantiles
+
+        def run(*args, **kwargs):
+            runs.append((args[0].series_id, kwargs["config"].mode))
+            traces.append(real_run(*args, **kwargs))
+            return traces[-1]
+
+        def weights(*args):
+            calls["weights"] += 1
+            return real_weights(*args)
+
+        def requantize(*args):
+            calls["requantize"] += 1
+            return real_requantize(*args)
+
+        monkeypatch.setattr(quantarb.reporting, "run_arbitration", run)
+        monkeypatch.setattr(quantarb.arbitration, "weights_with_rule", weights)
+        monkeypatch.setattr(quantarb.arbitration, "empirical_quantiles", requantize)
+        for tagged in small_suite[:3]:
+            score_panel(tagged, ["synapse", "median", "synapse-static"])
+        assert runs == [(t.panel.series_id, mode) for t in small_suite[:3]
+                        for mode in ("dynamic", "static-uniform")]
+        rules = [rule for trace in traces for rule in trace.rules.tolist()]
+        assert calls == {"weights": sum(rule in SCORED_RULES for rule in rules),
+                         "requantize": len(rules)}
+        assert calls["weights"] > 0
 
 
 class TestRunEvaluation:
