@@ -206,7 +206,7 @@ def run_arbitration(
     # all N x T keys in one pass, drawn through one generator into one buffer.
     series_streams = streams.child("series", panel.series_id, "t")
     keys = series_streams.grid_keys(range(horizon), names).tolist()
-    philox = KeyedPhilox()
+    philox = KeyedPhilox.for_thread()
     uniforms = np.empty(config.n_total)
     out_levels = config.levels if config.levels is not None else levels
     probe, median_at, on_grid = _probe_levels(out_levels)
@@ -233,7 +233,7 @@ def run_arbitration(
         probed.append(empirical_quantiles(pooled, probe))
         # The last step's record would never be read.
         if dynamic and t + 1 < horizon:
-            window.push(records[t], probed[t][median_at])
+            window.push(records[t], probed[t].item(median_at))
     weights, counts, scores = zip(*rows)
     probed = np.array(probed)
     return ArbitrationTrace(

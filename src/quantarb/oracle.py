@@ -80,8 +80,13 @@ class OracleTrace:
 
 
 def oracle_select(panel: ForecastPanel) -> OracleTrace:
-    """Pick the per-timestep CRPS argmin against actuals; ties go to the lowest index."""
-    crps = crps_batch(panel.levels.levels, panel.values, panel.require_actuals())
+    """Pick the per-timestep CRPS argmin against actuals; ties go to the
+    lowest index. A CRPS that overflows float64 raises :class:`NonFinite`
+    naming the panel, as scoring it in ``eval`` does."""
+    with np.errstate(over="ignore"):
+        crps = crps_batch(panel.levels.levels, panel.values, panel.require_actuals())
+    if not np.isfinite(crps).all():
+        raise NonFinite(f"panel {panel.series_id!r}: CRPS overflows float64")
     return OracleTrace(panel.series_id, panel.model_names, crps.T)
 
 

@@ -13,7 +13,8 @@ import functools
 import hashlib
 import math
 import operator
-from typing import Sequence
+import threading
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,38 +51,45 @@ class InverseCdf:
     def __init__(self, levels: np.ndarray, values: np.ndarray) -> None:
         levels = np.asarray(levels, dtype=float)
         values = np.asarray(values, dtype=float)
+        k = len(levels)
         if values.shape[-1:] != levels.shape:
             raise DimensionMismatch(
-                f"values of shape {values.shape} do not end in {len(levels)} levels"
+                f"values of shape {values.shape} do not end in {k} levels"
             )
-        # Running max absorbs sub-tolerance float dips so the fit is always
-        # fed non-decreasing knots.
-        values = np.maximum.accumulate(values, axis=-1)
+        grid = _grid(levels.tobytes())
         self.levels = levels
-        y = values.reshape(-1, len(levels))
-        zero = np.zeros(len(y))
-        if len(levels) >= 2:
-            h = np.diff(levels)
-            m = np.diff(y, axis=1) / h  # non-negative after the running max
-            lo_slope, hi_slope = m[:, 0], m[:, -1]
-            d = _pchip_derivatives(h, m)
-            # Hermite form in scipy's CubicHermiteSpline arithmetic.
-            t = (d[:, :-1] + d[:, 1:] - 2 * m) / h
-            interior = (y[:, :-1], d[:, :-1], (m - d[:, :-1]) / h - t, t / h)
-        else:
-            lo_slope = hi_slope = zero
-            interior = (np.empty((len(y), 0)),) * 4
+        self._base, self._scale = grid.base, grid.scale
+        self._below, self._thresholds = grid.below, grid.thresholds
+        # Running max absorbs sub-tolerance float dips so the fit is always
+        # fed non-decreasing knots. The fit works on (K, rows) arrays, one
+        # column per forecast: each operation then runs over whole
+        # contiguous rows, and the end knots are plain slices.
+        y = np.maximum.accumulate(values.reshape(-1, k), axis=-1).T.copy()
         # Coefficients (1, s, s^2, s^3) of K + 1 pieces per forecast, one
-        # contiguous array per power: the lower tail, the K - 1 segments, the
-        # upper tail. Piece j covers levels[j-1] <= p < levels[j] and starts
-        # at _base[j]; the tails are lines, so their cubic terms are zero.
-        tails = ((y[:, 0], y[:, -1]), (lo_slope, hi_slope), (zero, zero), (zero, zero))
-        self._coef = tuple(
-            np.concatenate((lo[:, None], mid, hi[:, None]), axis=1).ravel()
-            for (lo, hi), mid in zip(tails, interior)
-        )
-        self._base = np.concatenate((levels[:1], levels))
-        self._scale, self._below, self._thresholds = _bucket_table(levels.tobytes())
+        # zeroed block with a row per power: the lower tail, the K - 1
+        # segments, the upper tail. Piece j covers levels[j-1] <= p < levels[j]
+        # and starts at _base[j]; the tails are lines, so their cubic terms
+        # stay zero, as do the slopes of a one-level grid.
+        block = np.zeros((4, y.shape[1], k + 1))
+        c0, c1, c2, c3 = block.transpose(0, 2, 1)
+        c0[0] = y[0]
+        c0[1:] = y
+        if k >= 2:
+            h = grid.h
+            m = np.subtract(y[1:], y[:-1])
+            m /= h  # non-negative after the running max
+            d = _pchip_derivatives(m, grid.pchip)
+            c1[0], c1[-1] = m[0], m[-1]
+            c1[1:-1] = d[:-1]
+            # Hermite form in scipy's CubicHermiteSpline arithmetic.
+            t = np.add(d[:-1], d[1:])
+            t -= 2 * m
+            t /= h
+            np.divide(t, h, out=c3[1:-1])
+            mid = np.subtract(m, d[:-1], out=c2[1:-1])
+            mid /= h
+            mid -= t
+        self._coef = tuple(block.reshape(4, -1))
 
     def pieces(self, p: np.ndarray) -> np.ndarray:
         """Piece of each probability in a 1-D float array: the number of
@@ -136,11 +144,25 @@ def _buckets(p: np.ndarray, scale: float) -> np.ndarray:
     return x.astype(np.intp)
 
 
+class _Grid(NamedTuple):
+    """What every fit on one level grid shares: see :func:`_grid`."""
+
+    scale: float
+    below: np.ndarray
+    thresholds: np.ndarray
+    base: np.ndarray
+    h: np.ndarray
+    pchip: tuple[np.ndarray, ...] | None
+
+
 @functools.lru_cache(maxsize=64)
-def _bucket_table(levels: bytes) -> tuple[float, np.ndarray, np.ndarray]:
-    """Bucket count, levels below each bucket and thresholds inside each
-    (see :class:`InverseCdf`) of a level grid given as float64 bytes; the
-    arrays are read-only, shared by every fit on the grid."""
+def _grid(levels: bytes) -> _Grid:
+    """What a fit needs of a level grid, given as float64 bytes, that depends
+    on the grid alone: the bucket count, the levels below each bucket and the
+    thresholds inside each (see :class:`InverseCdf`), each piece's base, the
+    level gaps ``h`` as a (K - 1, 1) column and the PCHIP constants of
+    :func:`_pchip_constants`. The arrays are read-only, shared by every fit
+    on the grid."""
     levels = np.frombuffer(levels)
     size = max(16, 1 << (4 * len(levels) - 1).bit_length())  # a power of two >= 4K
     # Bucket `size` holds probability 1, and every level at or above it.
@@ -150,38 +172,66 @@ def _bucket_table(levels: bytes) -> tuple[float, np.ndarray, np.ndarray]:
     rank = np.arange(len(levels)) - below[at]
     thresholds = np.full((int(rank.max(initial=0)) + 1, size + 1), np.nan)
     thresholds[rank, at] = levels
-    below.setflags(write=False)
-    thresholds.setflags(write=False)
-    return float(size), below, thresholds
+    base = np.concatenate((levels[:1], levels))
+    h = np.diff(levels)[:, None]
+    for a in (below, thresholds, base, h):
+        a.setflags(write=False)
+    return _Grid(float(size), below, thresholds, base, h, _pchip_constants(h))
 
 
-def _pchip_derivatives(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Knot derivatives of every row of segment slopes ``m`` (rows x K-1).
+def _pchip_constants(h: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The terms of :func:`_pchip_derivatives` that depend only on the level
+    gaps, a (K - 1, 1) column ``h``: the interior weights ``w1``, ``w2`` and
+    ``w1 + w2``, then, from the end gaps ``h0`` (beside the end knot) and
+    ``h1`` (next in), ``h0``, ``2*h0 + h1`` and ``h0 + h1``, first knot over
+    last; and which slopes sit next in. All are read-only columns; ``None``
+    below two gaps, where both derivatives are the one slope."""
+    if len(h) < 2:
+        return None
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    h0, h1 = h[[0, -1]], h[[1, -2]]
+    out = (w1, w2, w1 + w2, h0, 2 * h0 + h1, h0 + h1, np.array([1, len(h) - 2]))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _pchip_derivatives(m: np.ndarray, constants: tuple[np.ndarray, ...] | None) -> np.ndarray:
+    """Knot derivatives of segment slopes ``m`` (K-1 x rows, one forecast a
+    column), given the grid's :func:`_pchip_constants`: K x rows.
 
     The slopes come after a running max, so none is negative: SciPy's sign
     tests reduce to comparisons with zero, with the same bits.
     """
-    if m.shape[1] == 1:
-        return np.concatenate((m, m), axis=1)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
+    if constants is None:
+        return np.concatenate((m, m))
+    w1, w2, w12, h0, end_weight, end_gap, next_in = constants
+    k = len(m) + 1
+    d = np.empty((k, m.shape[1]))
     # Weighted harmonic mean of neighbouring slopes. A zero slope divides to
     # inf and a near-zero one overflows to inf, so the mean is inf and the
     # derivative the correct zero; ``+ 0.0`` turns -0.0 into +0.0, which
     # would otherwise divide to -inf and meet +inf as NaN.
     pos = m + 0.0
     with np.errstate(divide="ignore", over="ignore"):
-        interior = 1.0 / ((w1 / pos[:, :-1] + w2 / pos[:, 1:]) / (w1 + w2))
+        mean = np.divide(w1, pos[:-1])
+        mean += np.divide(w2, pos[1:], out=pos[1:])
+        mean /= w12
+        np.divide(1.0, mean, out=d[1:-1])
     # One-sided three-point end derivatives, limited to preserve shape: the
-    # first knot's row from the first two segments, the last's from the
-    # last two. A negative (or NaN) one is zeroed; beside a flat neighbouring
+    # first knot's from the first two segments, the last's from the last
+    # two. A negative (or NaN) one is zeroed; beside a flat neighbouring
     # segment one is capped at three times the end slope.
-    h0, h1 = h[[0, -1]][:, None], h[[1, -2]][:, None]
-    m0, m1 = m[:, [0, -1]].T, m[:, [1, -2]].T
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    overshoot = (m1 == 0) & (d > 3.0 * m0)
-    first, last = np.where(d >= 0, np.where(overshoot, 3.0 * m0, d), 0.0)
-    return np.concatenate((first[:, None], interior, last[:, None]), axis=1)
+    m0, m1 = m[::k - 2], m.take(next_in, axis=0)  # the end slopes and the next in
+    end = end_weight * m0
+    end -= h0 * m1
+    end /= end_gap
+    cap = 3.0 * m0
+    overshoot = m1 == 0
+    overshoot &= end > cap
+    d[::k - 1] = np.where(end >= 0, np.where(overshoot, cap, end), 0.0)
+    return d
 
 
 @functools.lru_cache(maxsize=64)
@@ -272,6 +322,31 @@ def _words(key: int) -> tuple[int, ...]:
     return (key,) if key <= _MASK32 else (key & _MASK32, key >> 32)
 
 
+def _path_words(components: Sequence[str | int]) -> tuple[tuple, np.ndarray | None]:
+    """Each component's key words, and all of them as a read-only (words,
+    len) uint32 array when every component has one word count, else None.
+    Kept for a range of step indices or a tuple of names, what every run
+    keys; not for other tuples, since ``1``, ``1.0`` and ``True`` are equal
+    cache keys but different components."""
+    if isinstance(components, range) or (
+            type(components) is tuple and all(type(c) is str for c in components)):
+        return _kept_path_words(components)
+    return _key_path_words(components)
+
+
+def _key_path_words(components: Sequence[str | int]) -> tuple[tuple, np.ndarray | None]:
+    words = tuple(_name_words(c) if isinstance(c, str) else _words(_component_key(c))
+                  for c in components)
+    if len({len(w) for w in words}) != 1:
+        return words, None
+    block = np.array(words, dtype=np.uint32).T
+    block.setflags(write=False)
+    return words, block
+
+
+_kept_path_words = functools.lru_cache(maxsize=256)(_key_path_words)
+
+
 # numpy's SeedSequence entropy hash (pool of 4 uint32 words), continued past
 # a shared path prefix on uint32 arrays, so the keys of many streams hash
 # side by side. Products wrap mod 2**32, as the hash's do.
@@ -354,18 +429,13 @@ class RandomStreams:
         """
         entropy = (self.seed & _MASK64,) + self.path
         seen = sum(len(_words(key)) for key in entropy)
-        row_words = [_words(_component_key(c)) for c in rows]
-        leaf_words = [_name_words(c) if isinstance(c, str) else _words(_component_key(c))
-                      for c in leaves]
+        (row_words, row_part), (leaf_words, leaf_part) = _path_words(rows), _path_words(leaves)
         # Side by side needs a full pool and one word count along each axis.
-        if (seen < _POOL_SIZE or len({len(w) for w in row_words}) != 1
-                or len({len(w) for w in leaf_words}) != 1):
+        if seen < _POOL_SIZE or row_part is None or leaf_part is None:
             keys = [np.random.SeedSequence(entropy + r + i).generate_state(2, np.uint64)
                     for r in row_words for i in leaf_words]
             return np.array(keys, dtype=np.uint64).reshape(len(rows), len(leaves), 2)
         pool = np.random.SeedSequence(entropy).pool[:, None, None]
-        row_part = np.array(row_words, dtype=np.uint32).T
-        leaf_part = np.array(leaf_words, dtype=np.uint32).T
         row_pool = _absorb(pool, seen, row_part[:, :, None])
         words = _absorb(row_pool, seen + len(row_part), leaf_part[:, None, :])
         # generate_state(2, np.uint64): output word j hashes pool word j, so
@@ -378,10 +448,15 @@ class RandomStreams:
         return key.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
+#: Per-thread state: the thread's KeyedPhilox.
+_THREAD = threading.local()
+
+
 class KeyedPhilox:
     """One Philox generator, reset through one state dict to the first draw
     of any keyed stream: a run builds no generator or state per stream, and
-    the draws equal a fresh ``RandomStreams.generator()``'s bit for bit."""
+    the draws equal a fresh ``RandomStreams.generator()``'s bit for bit.
+    Runs take their thread's one instance from :meth:`for_thread`."""
 
     __slots__ = ("generator", "_state", "_counter")
 
@@ -392,9 +467,28 @@ class KeyedPhilox:
         self._state = {"bit_generator": "Philox", "state": self._counter,
                        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
+    @staticmethod
+    def for_thread() -> "KeyedPhilox":
+        """The calling thread's instance, built on its first call. Each stream
+        starts from a whole state set afresh, so every run on a thread can
+        share one; threads never share one."""
+        try:
+            return _THREAD.philox
+        except AttributeError:
+            philox = _THREAD.philox = KeyedPhilox()
+            return philox
+
+    def stream(self, key: Sequence[int] | np.ndarray) -> np.random.Generator:
+        """The generator, reset to the first draw of the stream with ``key``."""
+        self._counter["key"] = key
+        self.generator.bit_generator.state = self._state
+        return self.generator
+
     def fill(self, keys: Sequence, counts: Sequence[int], out: np.ndarray) -> np.ndarray:
         """``out`` filled from its start with the first ``counts[i]`` uniforms of
-        the stream with ``keys[i]``, for each i in turn; zero counts are skipped."""
+        the stream with ``keys[i]``, for each i in turn; zero counts are skipped.
+        Each stream resets the generator as :meth:`stream` does, with the
+        lookups made once per call."""
         counter, state, end = self._counter, self._state, 0
         bit_generator, random = self.generator.bit_generator, self.generator.random
         for key, k in zip(keys, counts):
@@ -404,7 +498,3 @@ class KeyedPhilox:
                 random(out=out[end:end + k])
                 end += k
         return out
-
-    def uniforms(self, key: Sequence[int] | np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out`` filled with the first ``len(out)`` uniforms of the stream with ``key``."""
-        return self.fill((key,), (len(out),), out)

@@ -130,7 +130,10 @@ class _PanelScoring:
     def __init__(self, panel: ForecastPanel) -> None:
         self.panel = panel
         self.actuals = np.asarray(panel.require_actuals(), dtype=float)
-        self.scale = mase_scale(panel.context, panel.seasonality)
+        try:
+            self.scale = mase_scale(panel.context, panel.seasonality)
+        except NonFinite as exc:
+            raise NonFinite(f"panel {panel.series_id!r}: {exc}") from None
 
     def scores(self, crps: list[float], points: np.ndarray) -> list[PanelScore]:
         """Each path's score from its mean CRPS and level-0.5 ``points`` (last axis: steps)."""
@@ -227,10 +230,11 @@ def score_panel(
     """Score one panel under every requested method, in request order; a
     method is a registry name or ``model:<name>``."""
     scorers = [_scorer(m) for m in dict.fromkeys(methods)]
-    scoring = _PanelScoring(tagged.panel)
     out: dict[str, PanelScore] = {}
-    # An overflowing score raises NonFinite, naming the panel, in its checks.
+    # An overflowing scale or score raises NonFinite, naming the panel, in
+    # its checks.
     with np.errstate(over="ignore"):
+        scoring = _PanelScoring(tagged.panel)
         for scorer in scorers:
             out.update(scorer(scoring, config, streams))
     return out

@@ -20,7 +20,7 @@ import numpy as np
 from .core import DEFAULT_LEVELS, ForecastPanel, QuantileLevels, require_integer
 from .errors import LengthMismatch, NonFinite
 from .panelio import PanelMetadata, TaggedPanel
-from .quantiles import RandomStreams
+from .quantiles import KeyedPhilox, RandomStreams
 
 DOMAINS = ("level_shift", "trend_break", "season_swap", "vol_burst")
 
@@ -158,21 +158,30 @@ def _normal_quantiles(levels: tuple[float, ...]) -> np.ndarray:
     return z
 
 
-def _expert_values(expert: SyntheticExpert, spec: RegimeSpec, actuals: Sequence[float],
-                   seed: int, levels: QuantileLevels) -> np.ndarray:
-    """:func:`expert_forecast` as a (T, K) float64 array."""
+def _expert_values(experts: Sequence[SyntheticExpert], spec: RegimeSpec,
+                   actuals: Sequence[float], seed: int, levels: QuantileLevels) -> np.ndarray:
+    """:func:`expert_forecast` of each of ``experts`` as one (N, T, K) float64
+    array. The N jitter streams are keyed in one ``grid_keys`` pass and drawn
+    through the thread's :class:`KeyedPhilox`."""
     if len(actuals) != spec.horizon:
         raise LengthMismatch(f"{len(actuals)} actuals for a horizon of {spec.horizon}")
     y = np.asarray(actuals, dtype=float)
     if not np.isfinite(y).all():
         raise NonFinite(f"actual at horizon step {np.argmin(np.isfinite(y))} is not finite")
-    jitter = RandomStreams(seed).child("expert", expert.name).generator().standard_normal(len(y))
+    keys = RandomStreams(seed).grid_keys(("expert",), tuple(e.name for e in experts))[0].tolist()
+    philox = KeyedPhilox.for_thread()
     ends = np.cumsum([seg.length for seg in spec.segments])
     regime = np.searchsorted(ends, np.arange(spec.context_length, spec.total_length), "right")
-    favored = np.array([i in expert.favored_regimes for i in range(len(ends))])[regime]
-    sigma = np.where(favored, expert.sharpness, expert.sharpness * expert.dispersion_inflation)
-    mu = np.where(favored, y, y + expert.bias) + 0.1 * sigma * jitter
-    return mu[:, None] + sigma[:, None] * _normal_quantiles(levels.levels)
+    z = _normal_quantiles(levels.levels)
+    values = np.empty((len(experts), len(y), len(z)))
+    for expert, key, out in zip(experts, keys, values):
+        jitter = philox.stream(key).standard_normal(len(y))
+        favored = np.array([i in expert.favored_regimes for i in range(len(ends))])[regime]
+        sigma = np.where(favored, expert.sharpness,
+                         expert.sharpness * expert.dispersion_inflation)
+        mu = np.where(favored, y, y + expert.bias) + 0.1 * sigma * jitter
+        np.add(mu[:, None], sigma[:, None] * z, out=out)
+    return values
 
 
 def expert_forecast(
@@ -196,7 +205,7 @@ def expert_forecast(
     A favored regime id at or above the spec's segment count favors no step,
     so the same expert can forecast a shorter history spec (as backtests do).
     """
-    return tuple(map(tuple, _expert_values(expert, spec, actuals, seed, levels).tolist()))
+    return tuple(map(tuple, _expert_values((expert,), spec, actuals, seed, levels)[0].tolist()))
 
 
 def _panel_spec(domain: str, horizon: int, rng: np.random.Generator) -> RegimeSpec:
@@ -303,9 +312,7 @@ def build_benchmark_suite(
             seasonality=spec.segments[0].season_period,
             model_names=tuple(e.name for e in experts),
             levels=levels,
-            values=np.stack(
-                [_expert_values(e, spec, actuals, panel_seed, levels) for e in experts]
-            ),
+            values=_expert_values(experts, spec, actuals, panel_seed, levels),
         )
         out.append(
             TaggedPanel(

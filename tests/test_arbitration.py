@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from quantarb.errors import (
 )
 from quantarb.metrics import crps_batch
 from quantarb.quantiles import InverseCdf, RandomStreams
+from quantarb.synthetic import build_benchmark_suite
 
 CFG = ArbitratorConfig()
 
@@ -515,6 +519,62 @@ def test_run_derives_its_keys_and_fits_once(monkeypatch):
     for runs in (1, 2):
         assert run_arbitration(_three_model_panel(), streams=RandomStreams(3)) == expected
         assert calls == {"keys": runs, "fits": runs}
+
+
+def _trace_bits(trace):
+    """Everything a trace holds, arrays as their bytes."""
+    return tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in trace._args())
+
+
+def test_runs_on_one_thread_share_one_philox_generator(monkeypatch):
+    # A thread builds its generator on its first run and every later run on
+    # it draws from the same one; a new thread builds its own, once.
+    expected = _trace_bits(run_arbitration(_three_model_panel(), streams=RandomStreams(3)))
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(threading.get_ident())
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    assert _trace_bits(run_arbitration(_three_model_panel(), streams=RandomStreams(3))) == expected
+    assert built == []
+
+    def twice():
+        return [_trace_bits(run_arbitration(_three_model_panel(), streams=RandomStreams(3)))
+                for _ in range(2)]
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(twice).result() == [expected, expected]
+    assert len(built) == 1 and built[0] != threading.get_ident()
+
+
+def test_threads_arbitrating_at_once_reproduce_the_serial_traces():
+    # Eight threads, one panel each, start together and run their panel
+    # three times while the interpreter switches threads every 10 us: every
+    # trace is the serial run's, bit for bit, so no thread ever drew from
+    # another's generator state.
+    suite = build_benchmark_suite(8, seed=4)
+    config = ArbitratorConfig(n_total=600)
+    serial = [_trace_bits(run_arbitration(t.panel, config=config, streams=RandomStreams(2)))
+              for t in suite]
+    start = threading.Barrier(len(suite))
+
+    def arbitrate(tagged):
+        start.wait(timeout=60)
+        return [_trace_bits(run_arbitration(tagged.panel, config=config,
+                                            streams=RandomStreams(2))) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(suite)) as pool:
+            futures = [pool.submit(arbitrate, tagged) for tagged in suite]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == [[bits] * 3 for bits in serial]
 
 
 def test_window_for_another_model_order_is_rejected():

@@ -170,6 +170,27 @@ class TestEval:
         assert err == "error: panel 'big': forecast minus actual overflows float64\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_overflowing_seasonal_naive_scale_names_the_panel(self, tmp_path, capsys, recwarn):
+        # The context is finite but its differences overflow float64: an
+        # infinite scale would print every MASE as 0.
+        path = tmp_path / "wild.jsonl"
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "series_id": "wild",
+            "seasonality": 1,
+            "levels": [0.5],
+            "context": [1e308, -1e308, 1e308, 0.0],
+            "actuals": [1.0],
+            "models": {"a": [[5.0]]},
+        }
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["eval", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: panel 'wild': seasonal-naive MAE of the context is inf, "
+                       "not finite\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_table_output_to_stdout(self, suite_path, capsys):
         code = main(["eval", str(suite_path), "--methods", "synapse,median"])
         assert code == EXIT_OK
@@ -353,6 +374,26 @@ class TestOracle:
         assert main(["oracle", str(suite_path)]) == EXIT_OK
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "a9c8be00970117e13ec894c8bbbf7ff3a6da44b7a0e4afd92dfc71203a59d650"
+
+    def test_overflowing_crps_names_the_panel(self, tmp_path, capsys, recwarn):
+        # Member a's 1e308 - (-1e308) is not a float64; its CRPS row is not
+        # one the oracle can pick from.
+        path = tmp_path / "big.jsonl"
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "series_id": "big",
+            "seasonality": 1,
+            "levels": [0.5],
+            "context": [0.0, 1.0, 2.5, 1.0],
+            "actuals": [-1e308],
+            "models": {"a": [[1e308]], "b": [[1.0]]},
+        }
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["oracle", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: panel 'big': CRPS overflows float64\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_each_pool_is_scored_once(self, suite_path, monkeypatch, capsys):
         shapes = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quantarb.core import DEFAULT_LEVELS, QuantileLevels, build_panel
-from quantarb.errors import SeriesTooShort, ZeroDenominator
+from quantarb.errors import NonFinite, SeriesTooShort, ZeroDenominator
 from quantarb.metrics import ABS_OBS_FLOOR, crps_batch, mase_scale
 from quantarb.panelio import TaggedPanel
 from quantarb.reporting import score_panel
@@ -253,6 +253,15 @@ def test_mase_and_its_scale_reject_the_same_contexts_alike(context, m, error, me
     # Every reported MASE divides by this scale, so these are its rejections.
     with pytest.raises(error, match=message):
         mase_scale(context, m)
+
+
+def test_mase_scale_rejects_a_context_whose_differences_overflow():
+    # Finite values whose seasonal differences are not float64: an infinite
+    # scale would read every MASE as 0.
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFinite, match=r"^seasonal-naive MAE of the context is inf, "
+                                            r"not finite$"):
+            mase_scale([1e308, -1e308, 1e308, 0.0], 1)
 
 
 @given(

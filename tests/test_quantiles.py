@@ -11,6 +11,8 @@ from quantarb.quantiles import (
     InverseCdf,
     KeyedPhilox,
     RandomStreams,
+    _grid,
+    _pchip_constants,
     _pchip_derivatives,
     _type7_positions,
     empirical_quantiles,
@@ -352,10 +354,12 @@ def test_reused_generator_draws_match_fresh_generators(count):
     for r, row in enumerate(rows):
         for i, leaf in enumerate(leaves):
             expected = node.child(row).child(leaf).generator().random(count)
+            normals = node.child(row).child(leaf).generator().standard_normal(count)
             for key in (keys[r, i], keys[r, i].tolist()):
-                drawn = philox.uniforms(key, buffer[1:count + 1])
+                drawn = philox.stream(key).random(out=buffer[1:count + 1])
                 assert drawn.tobytes() == expected.tobytes()
                 assert buffer[0] == buffer[-1] == -1.0  # only its slice is written
+                assert philox.stream(key).standard_normal(count).tobytes() == normals.tobytes()
 
 
 @pytest.mark.parametrize("counts", [(0, 3, 5), (4, 0, 0), (1500, 0, 1), (0, 0, 0)])
@@ -484,7 +488,7 @@ def test_pchip_derivatives_equal_the_sign_tests_bit_for_bit(case):
     h, m = case
     with np.errstate(all="ignore"):
         want = _sign_test_pchip_derivatives(h, m)
-        got = _pchip_derivatives(h, m)
+        got = _pchip_derivatives(m.T, _pchip_constants(h[:, None])).T
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (h, m, got, want)
 
 
@@ -590,7 +594,17 @@ def test_fits_on_one_grid_share_one_read_only_bucket_table():
     b = InverseCdf(levels.copy(), np.arange(18.0).reshape(2, 9))
     assert a._scale == b._scale == 64.0
     assert a._below is b._below and a._thresholds is b._thresholds
-    for array in (a._below, a._thresholds):
+    # The piece bases, the level gaps and the PCHIP constants come from the
+    # same per-grid entry, built once.
+    grid = _grid(levels.tobytes())
+    assert grid is _grid(levels.copy().tobytes())
+    assert a._base is b._base is grid.base
+    assert grid.h.ravel().tolist() == np.diff(levels).tolist()
+    h = np.diff(levels)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    assert [c.ravel().tolist() for c in grid.pchip[:3]] == [
+        w1.tolist(), w2.tolist(), (w1 + w2).tolist()]
+    for array in (a._below, a._thresholds, grid.base, grid.h, *grid.pchip):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     # A grid one level away has its own table, and fitting it leaves the
@@ -601,6 +615,9 @@ def test_fits_on_one_grid_share_one_read_only_bucket_table():
     moved[4] = 0.55
     c = InverseCdf(moved, np.arange(9.0))
     assert c._thresholds is not a._thresholds and c._below is not a._below
+    moved_grid = _grid(moved.tobytes())
+    assert moved_grid.pchip[0] is not grid.pchip[0]
+    assert moved_grid.pchip[0].tobytes() != grid.pchip[0].tobytes()
     assert not np.array_equal(c._thresholds, a._thresholds, equal_nan=True)
     assert a(p).tobytes() == before.tobytes()
     assert a(p).tobytes() == _binary_search_inverse_cdf(a, p, np.zeros(len(p), int)).tobytes()

@@ -245,6 +245,19 @@ class TestScorePanel:
             with pytest.raises(NonFinite, match=r"^panel 'big': CRPS overflows float64$"):
                 score_panel(TaggedPanel(panel), [method])
 
+    @pytest.mark.parametrize("method", ["median", "per-model", "oracle", "synapse"])
+    def test_overflowing_mase_scale_names_the_panel(self, method):
+        # Every context value is finite, but 1e308 - (-1e308) is not a float64.
+        panel = build_panel("wild", [1e308, -1e308, 1e308, 0.0], [1.0], 1,
+                            QuantileLevels((0.5,)), [("a", [[5.0]]), ("b", [[6.0]])])
+        message = r"^panel 'wild': seasonal-naive MAE of the context is inf, not finite$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=message):
+                score_panel(TaggedPanel(panel), [method])
+            with pytest.raises(NonFinite, match=message):
+                run_pool_scaling([TaggedPanel(panel)], ("a", "b"))
+
     def test_pool_scaling_names_the_overflowing_panel(self):
         panel = build_panel("big", [0.0, 1.0, 2.5, 1.0], [-1e308], 1, QuantileLevels((0.5,)),
                             [("a", [[1e308]]), ("b", [[1.0]])])
