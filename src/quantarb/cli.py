@@ -71,7 +71,7 @@ def _resolve_env_defaults(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, mode: bool) -> None:
     parser.add_argument(
         "--seed",
         type=int,
@@ -96,6 +96,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         default=_EnvDefault("TEMPERATURE", float, 1.0),
         help="softmax temperature for the near-zero-score fallback (default 1.0)",
     )
+    if not mode:  # eval's and winloss's synapse methods each pin their own
+        return
     modes = ("dynamic", "static-uniform")
     parser.add_argument(
         "--mode",
@@ -120,7 +122,7 @@ def _config_from(args: argparse.Namespace) -> ArbitratorConfig:
         n_total=args.n_total,
         window_capacity=args.window,
         softmax_temperature=args.temperature,
-        mode=args.mode,
+        mode=getattr(args, "mode", ArbitratorConfig.mode),
     )
 
 
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--per-series", action="store_true", help="also emit one row per series"
     )
-    _add_config_flags(p_eval)
+    _add_config_flags(p_eval, mode=False)
     _add_output_flags(p_eval, ("table", "csv", "csv-long", "json"))
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument(
         "--order", required=True, help="comma-separated model names, prefix order"
     )
-    _add_config_flags(p_scale)
+    _add_config_flags(p_scale, mode=True)
     _add_output_flags(p_scale, ("table", "csv", "json"))
     p_scale.set_defaults(func=_cmd_scale)
 
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_winloss.add_argument(
         "--b", required=True, help="second method: one method name or model:<name>"
     )
-    _add_config_flags(p_winloss)
+    _add_config_flags(p_winloss, mode=False)
     p_winloss.set_defaults(func=_cmd_winloss)
 
     p_synth = sub.add_parser("synth", help="generate the synthetic benchmark suite")
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--no-topk", action="store_true", help="skip the top-k agreement table"
     )
-    _add_config_flags(p_oracle)
+    _add_config_flags(p_oracle, mode=True)
     p_oracle.set_defaults(func=_cmd_oracle)
     return parser
 

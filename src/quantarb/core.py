@@ -7,7 +7,9 @@ freely across threads.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -31,11 +33,26 @@ LEVEL_TOL = 1e-12
 # Absolute tolerance on the sum of a step's weights.
 WEIGHT_SUM_TOL = 1e-9
 
+# Largest magnitude of a panel or window value, so that no score overflows
+# float64: the steepest cubic term of a PCHIP inverse CDF grows as a value gap
+# over the cube of a level gap (Fritsch & Carlson 1980), a level gap exceeds
+# LEVEL_TOL, and the wQL divides by |y| floored at 1e-8. Panels with values
+# at +-1e270 or 0 and level gaps just above LEVEL_TOL score without overflow.
+MAX_ABS_VALUE = 1e270
 
-def _require_finite(values: Iterable[float], what: str) -> None:
+
+def _require_within(
+    values: Iterable[float], what: str, bound: float = sys.float_info.max, at: str = "index"
+) -> None:
+    """Reject a value above ``bound`` in magnitude or not finite, naming its
+    position ``at``; the default bound passes every finite value."""
     for i, v in enumerate(values):
-        if not math.isfinite(v):
-            raise NonFinite(f"{what} contains non-finite value {v!r} at index {i}")
+        if not abs(v) <= bound:  # NaN fails it too
+            if math.isfinite(v):
+                raise NonFinite(
+                    f"{what} contains out-of-range value {v!r} (|value| > {bound:g}) at {at} {i}"
+                )
+            raise NonFinite(f"{what} contains non-finite value {v!r} at {at} {i}")
 
 
 def require_integer(value: object, what: str, low: int) -> None:
@@ -57,7 +74,7 @@ class QuantileLevels:
         object.__setattr__(self, "levels", tuple(float(a) for a in self.levels))
         if not self.levels:
             raise ValueError("at least one quantile level is required")
-        _require_finite(self.levels, "quantile levels")
+        _require_within(self.levels, "quantile levels")
         for a in self.levels:
             if not 0.0 < a < 1.0:
                 raise ValueError(f"quantile level {a} outside the open interval (0, 1)")
@@ -82,9 +99,10 @@ DEFAULT_LEVELS = QuantileLevels((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
 
 
 def _dips(values: np.ndarray) -> np.ndarray:
-    """Where values[..., k] -> values[..., k + 1] decreases beyond tolerance."""
+    """Where values[..., k] -> values[..., k + 1] decreases beyond tolerance;
+    no warning for values whose bound check rejects them."""
     lo, hi = values[..., :-1], values[..., 1:]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return lo - hi > MONOTONE_REL_TOL * np.maximum(np.abs(lo), np.abs(hi))
 
 
@@ -126,12 +144,34 @@ class QuantileForecast:
             raise DimensionMismatch(
                 f"forecast has {len(self.values)} values for {len(self.levels)} levels"
             )
-        _require_finite(self.values, "forecast values")
+        _require_within(self.values, "forecast values")
         bad = np.flatnonzero(_dips(np.asarray(self.values))).tolist()
         if bad:
             raise NonMonotoneQuantiles(
                 f"quantile values decrease at level indices {bad}", indices=tuple(bad)
             )
+
+
+class _Record:
+    """Base of the frozen dataclasses that hold arrays: equality by value,
+    arrays compared element-wise with NaN equal to NaN in float arrays, and
+    pickling through the constructor, so a copy is validated and read-only
+    too. Equality and pickling see the fields the constructor takes."""
+
+    def _args(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self) if f.init)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+            if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._args(), other._args())
+        )
+
+    def __reduce__(self):
+        return type(self), self._args()
 
 
 def _frozen(values) -> np.ndarray:
@@ -178,8 +218,9 @@ def _validate_forecasts(
     """Check an (N, S, K) forecast block once, vectorized.
 
     The shape must hold ``names`` x S x ``levels``, names must be unique, and
-    every row finite and non-decreasing under ``MONOTONE_REL_TOL``. The first
-    bad row, model-major, is reported by model name and ``step``.
+    every row within ``MAX_ABS_VALUE`` and non-decreasing under
+    ``MONOTONE_REL_TOL``. The first bad row, model-major, is reported by
+    ``owner``, model name and ``step``.
     """
     if not names:
         raise DimensionMismatch(f"{owner} has no models")
@@ -192,19 +233,14 @@ def _validate_forecasts(
         # Random substreams are keyed by model name; repeats would share one.
         repeated = sorted({name for name in names if names.count(name) > 1})
         raise DimensionMismatch(f"{owner} repeats model names {repeated}")
-    finite = np.isfinite(values)
+    within = np.abs(values) <= MAX_ABS_VALUE
     dips = _dips(values)
-    bad = ~finite.all(axis=-1) | dips.any(axis=-1)
+    bad = ~within.all(axis=-1) | dips.any(axis=-1)
     if not bad.any():
         return
     i, s = (int(v) for v in np.argwhere(bad)[0])
-    where = f"model {names[i]!r} at {step} {s}"
-    if not finite[i, s].all():
-        k = int(np.argmin(finite[i, s]))
-        raise NonFinite(
-            f"{where}: forecast values contains non-finite value "
-            f"{float(values[i, s, k])!r} at index {k}"
-        )
+    where = f"{owner}, model {names[i]!r} at {step} {s}"
+    _require_within(values[i, s].tolist(), f"{where}: forecast values", MAX_ABS_VALUE)
     indices = np.flatnonzero(dips[i, s]).tolist()
     raise NonMonotoneQuantiles(
         f"{where}: quantile values decrease at level indices {indices}",
@@ -215,7 +251,7 @@ def _validate_forecasts(
 
 
 @dataclass(frozen=True, eq=False)
-class ForecastPanel:
+class ForecastPanel(_Record):
     """Everything needed to arbitrate and score one series.
 
     ``values[i, t]`` holds model ``model_names[i]``'s quantiles for horizon
@@ -240,21 +276,6 @@ class ForecastPanel:
         object.__setattr__(self, "model_names", tuple(str(n) for n in self.model_names))
         object.__setattr__(self, "values", _frozen(self.values))
         _validate_panel(self)
-
-    def _args(self) -> tuple:
-        return (self.series_id, self.context, self.actuals, self.seasonality,
-                self.model_names, self.levels, self.values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ForecastPanel):
-            return NotImplemented
-        mine, theirs = self._args(), other._args()
-        return mine[:-1] == theirs[:-1] and np.array_equal(mine[-1], theirs[-1])
-
-    def __reduce__(self):
-        # Unpickling goes through the constructor, so a copy is validated and
-        # read-only too.
-        return ForecastPanel, self._args()
 
     @property
     def n_models(self) -> int:
@@ -281,14 +302,14 @@ def _validate_panel(panel: ForecastPanel) -> None:
         raise DimensionMismatch(f"horizon must be positive, got {panel.horizon}")
     if panel.seasonality < 1:
         raise DimensionMismatch(f"seasonality must be positive, got {panel.seasonality}")
-    _require_finite(panel.context, "context")
+    _require_within(panel.context, f"{owner}: context", MAX_ABS_VALUE)
     if len(panel.context) < panel.seasonality + 1:
         raise DimensionMismatch(
             f"context length {len(panel.context)} shorter than seasonality "
             f"{panel.seasonality} + 1"
         )
     if panel.actuals is not None:
-        _require_finite(panel.actuals, "actuals")
+        _require_within(panel.actuals, f"{owner}: actuals", MAX_ABS_VALUE)
         if len(panel.actuals) != panel.horizon:
             raise DimensionMismatch(
                 f"actuals length {len(panel.actuals)} does not match horizon {panel.horizon}"
@@ -338,7 +359,7 @@ def normalize_weights(raw: Sequence[float]) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class PerformanceWindow:
+class PerformanceWindow(_Record):
     """Backtest records that seed the rolling performance window of a run.
 
     ``values[i, j]`` holds model ``model_names[i]``'s quantiles on ``levels``
@@ -365,15 +386,7 @@ class PerformanceWindow:
             raise DimensionMismatch(
                 f"window observations of shape {obs.shape} do not match {len(self)} records"
             )
-        finite = np.isfinite(obs)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise NonFinite(f"window observation at backtest step {j} is {float(obs[j])!r}")
-
-    def __reduce__(self):
-        # As for panels: a copy goes through the constructor, so it is
-        # validated and read-only too.
-        return PerformanceWindow, (self.model_names, self.levels, self.values, self.observations)
+        _require_within(obs.tolist(), "window observations", MAX_ABS_VALUE, "backtest step")
 
     def __len__(self) -> int:
         return self.values.shape[1]
@@ -403,7 +416,7 @@ class ArbitrationStep:
 
 
 @dataclass(frozen=True, eq=False)
-class ArbitrationTrace:
+class ArbitrationTrace(_Record):
     """Full record of one arbitration run over a horizon, as arrays.
 
     Row ``t`` of each array is timestep ``t``: ``quantiles`` (T, K) on
@@ -434,23 +447,6 @@ class ArbitrationTrace:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         _validate_trace(self)
-
-    def _args(self) -> tuple:
-        return (self.series_id, self.model_names, self.n_total, self.levels, self.quantiles,
-                self.weights, self.counts, self.scores, self.rules, self.simulated)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArbitrationTrace):
-            return NotImplemented
-        mine, theirs = self._args(), other._args()
-        return mine[:4] == theirs[:4] and all(
-            np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
-            for a, b in zip(mine[4:], theirs[4:])
-        )
-
-    def __reduce__(self):
-        # As for panels: a copy goes through the constructor.
-        return ArbitrationTrace, self._args()
 
     def __len__(self) -> int:
         return len(self.rules)

@@ -32,7 +32,9 @@ class NonMonotoneQuantiles(ArbitrationError):
 
 
 class NonFinite(ArbitrationError):
-    """NaN or infinity where a finite value is required."""
+    """NaN or infinity where a finite value is required, or a panel or window
+    value beyond ``core.MAX_ABS_VALUE`` in magnitude, where scoring could
+    overflow float64."""
 
 
 class LengthMismatch(ArbitrationError):
@@ -72,10 +74,11 @@ class InsufficientModels(ArbitrationError):
 
 
 class ParseError(ArbitrationError):
-    """Panel file could not be parsed; message carries file and line."""
+    """Panel file could not be parsed; renders as ``path:line: message``."""
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None) -> None:
-        super().__init__(message)
+        where = ":".join(str(part) for part in (path, line) if part is not None)
+        super().__init__(f"{where}: {message}" if where else message)
         self.path = path
         self.line = line
 

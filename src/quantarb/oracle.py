@@ -16,13 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import median_ensemble
-from .core import ForecastPanel, quantile_at
+from .core import ForecastPanel, _Record, quantile_at
 from .errors import DimensionMismatch, EmptyGroup, NonFinite
 from .metrics import crps_batch
 
 
 @dataclass(frozen=True, eq=False)
-class OracleTrace:
+class OracleTrace(_Record):
     """Per-timestep oracle selections plus the full CRPS matrix behind them.
 
     ``crps_matrix[t, i]`` is model ``i``'s CRPS at timestep ``t``: one
@@ -50,18 +50,6 @@ class OracleTrace:
         object.__setattr__(self, "crps_matrix", matrix)
         object.__setattr__(self, "selections", tuple(matrix.argmin(axis=1).tolist()))
 
-    def _args(self) -> tuple:
-        return (self.series_id, self.model_names, self.crps_matrix)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OracleTrace):
-            return NotImplemented
-        mine, theirs = self._args(), other._args()
-        return mine[:-1] == theirs[:-1] and np.array_equal(mine[-1], theirs[-1])
-
-    def __reduce__(self):
-        return OracleTrace, self._args()
-
     @property
     def switch_count(self) -> int:
         return sum(a != b for a, b in zip(self.selections, self.selections[1:]))
@@ -81,12 +69,8 @@ class OracleTrace:
 
 def oracle_select(panel: ForecastPanel) -> OracleTrace:
     """Pick the per-timestep CRPS argmin against actuals; ties go to the
-    lowest index. A CRPS that overflows float64 raises :class:`NonFinite`
-    naming the panel, as scoring it in ``eval`` does."""
-    with np.errstate(over="ignore"):
-        crps = crps_batch(panel.levels.levels, panel.values, panel.require_actuals())
-    if not np.isfinite(crps).all():
-        raise NonFinite(f"panel {panel.series_id!r}: CRPS overflows float64")
+    lowest index."""
+    crps = crps_batch(panel.levels.levels, panel.values, panel.require_actuals())
     return OracleTrace(panel.series_id, panel.model_names, crps.T)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import ForecastPanel, QuantileLevels, build_panel
-from .errors import ParseError, SchemaVersionMismatch
+from .errors import ArbitrationError, ParseError, SchemaVersionMismatch
 
 SCHEMA_VERSION = 1
 
@@ -98,6 +98,9 @@ def _record_to_panel(record: dict, where: str, line: int, strict: bool) -> Tagge
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed panel record: {exc}", path=where, line=line) from None
+    except ArbitrationError as exc:  # keeps its class and attributes
+        exc.args = (f"{where}:{line}: {exc}",)
+        raise
     meta = PanelMetadata(
         domain=str(record.get("domain", "unknown")),
         horizon_class=str(record.get("horizon_class", "unknown")),

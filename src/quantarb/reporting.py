@@ -24,7 +24,7 @@ import numpy as np
 from .arbitration import ArbitratorConfig, run_arbitration
 from .baselines import mean_ensemble, median_ensemble
 from .core import ForecastPanel, QuantileLevels, quantile_at
-from .errors import DimensionMismatch, InsufficientModels, NonFinite, ZeroDenominator
+from .errors import DimensionMismatch, InsufficientModels, ZeroDenominator
 from .metrics import crps_batch, mase_scale, row_means
 from .oracle import OracleTrace, median_distances, pick_ranks, topk_agreement
 from .panelio import TaggedPanel
@@ -130,22 +130,16 @@ class _PanelScoring:
     def __init__(self, panel: ForecastPanel) -> None:
         self.panel = panel
         self.actuals = np.asarray(panel.require_actuals(), dtype=float)
-        try:
-            self.scale = mase_scale(panel.context, panel.seasonality)
-        except NonFinite as exc:
-            raise NonFinite(f"panel {panel.series_id!r}: {exc}") from None
+        self.scale = mase_scale(panel.context, panel.seasonality)
 
     def scores(self, crps: list[float], points: np.ndarray) -> list[PanelScore]:
-        """Each path's score from its mean CRPS and level-0.5 ``points`` (last axis: steps)."""
+        """Each path's score from its mean CRPS and level-0.5 ``points`` (last
+        axis: steps). A panel's values are bounded, so only a MAE over a
+        subnormal scale can overflow; it raises ``ZeroDenominator``."""
         maes = row_means(np.abs(points - self.actuals))
         mases = [mae / self.scale for mae in (maes.tolist() if maes.ndim else [float(maes)])]
-        if math.inf in mases or math.inf in crps:
-            sid = self.panel.series_id
-            if not np.isfinite(maes).all():
-                raise NonFinite(f"panel {sid!r}: forecast minus actual overflows float64")
-            if math.inf in crps:
-                raise NonFinite(f"panel {sid!r}: CRPS overflows float64")
-            raise ZeroDenominator(f"panel {sid!r}: MASE overflows over its "
+        if math.inf in mases:
+            raise ZeroDenominator(f"panel {self.panel.series_id!r}: MASE overflows over its "
                                   f"seasonal-naive scale {self.scale!r}")
         return list(map(PanelScore, crps, mases))
 
@@ -231,12 +225,9 @@ def score_panel(
     method is a registry name or ``model:<name>``."""
     scorers = [_scorer(m) for m in dict.fromkeys(methods)]
     out: dict[str, PanelScore] = {}
-    # An overflowing scale or score raises NonFinite, naming the panel, in
-    # its checks.
-    with np.errstate(over="ignore"):
-        scoring = _PanelScoring(tagged.panel)
-        for scorer in scorers:
-            out.update(scorer(scoring, config, streams))
+    scoring = _PanelScoring(tagged.panel)
+    for scorer in scorers:
+        out.update(scorer(scoring, config, streams))
     return out
 
 
@@ -368,34 +359,32 @@ def run_pool_scaling(
             )
     streams = RandomStreams(seed)
 
-    # As in score_panel, an overflowing score raises in its checks.
-    with np.errstate(over="ignore"):
-        scorings = [_PanelScoring(tagged.panel) for tagged in tagged_panels]
-        member_crps = {name: [s.member(name).crps for s in scorings] for name in model_order}
-        member_mase = {name: [s.member(name).mase for s in scorings] for name in model_order}
-        rows = []
-        for size in range(2, len(model_order) + 1):
-            prefix = model_order[:size]
-            crps_vals = []
-            mase_vals = []
-            for scoring in scorings:
-                subset = _subset_panel(scoring.panel, prefix)
-                trace = run_arbitration(subset, config=config, streams=streams)
-                score = scoring.path(trace.levels, trace.quantiles)
-                crps_vals.append(score.crps)
-                mase_vals.append(score.mase)
-            best = min(prefix, key=lambda n: (_mean(member_crps[n]), n))
-            rows.append(
-                PoolScalingRow(
-                    pool_size=size,
-                    model_names=prefix,
-                    crps=_mean(crps_vals),
-                    mase=_mean(mase_vals),
-                    best_individual=best,
-                    best_individual_crps=_mean(member_crps[best]),
-                    best_individual_mase=min(_mean(member_mase[n]) for n in prefix),
-                )
+    scorings = [_PanelScoring(tagged.panel) for tagged in tagged_panels]
+    member_crps = {name: [s.member(name).crps for s in scorings] for name in model_order}
+    member_mase = {name: [s.member(name).mase for s in scorings] for name in model_order}
+    rows = []
+    for size in range(2, len(model_order) + 1):
+        prefix = model_order[:size]
+        crps_vals = []
+        mase_vals = []
+        for scoring in scorings:
+            subset = _subset_panel(scoring.panel, prefix)
+            trace = run_arbitration(subset, config=config, streams=streams)
+            score = scoring.path(trace.levels, trace.quantiles)
+            crps_vals.append(score.crps)
+            mase_vals.append(score.mase)
+        best = min(prefix, key=lambda n: (_mean(member_crps[n]), n))
+        rows.append(
+            PoolScalingRow(
+                pool_size=size,
+                model_names=prefix,
+                crps=_mean(crps_vals),
+                mase=_mean(mase_vals),
+                best_individual=best,
+                best_individual_crps=_mean(member_crps[best]),
+                best_individual_mase=min(_mean(member_mase[n]) for n in prefix),
             )
+        )
     return rows
 
 

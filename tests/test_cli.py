@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -167,12 +168,13 @@ class TestEval:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         assert main(["eval", str(path), "--methods", method]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err == "error: panel 'big': forecast minus actual overflows float64\n"
+        assert err == (f"error: {path}:1: panel 'big', model 'a' at timestep 0: forecast values "
+                       "contains out-of-range value 1e+308 (|value| > 1e+270) at index 0\n")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_overflowing_seasonal_naive_scale_names_the_panel(self, tmp_path, capsys, recwarn):
-        # The context is finite but its differences overflow float64: an
-        # infinite scale would print every MASE as 0.
+        # The context is finite but its differences would overflow float64
+        # (an infinite scale prints every MASE as 0), so loading rejects it.
         path = tmp_path / "wild.jsonl"
         record = {
             "schema_version": SCHEMA_VERSION,
@@ -187,8 +189,8 @@ class TestEval:
         assert main(["eval", str(path)]) == EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("error: panel 'wild': seasonal-naive MAE of the context is inf, "
-                       "not finite\n")
+        assert err == (f"error: {path}:1: panel 'wild': context contains out-of-range value "
+                       "1e+308 (|value| > 1e+270) at index 0\n")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_table_output_to_stdout(self, suite_path, capsys):
@@ -273,6 +275,57 @@ class TestEval:
         assert main(argv) == EXIT_VALIDATION
         assert f"workers must be >= 1, got {count}" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv", [["eval"], ["winloss", "--a", "synapse", "--b", "median"]])
+    def test_mode_is_not_an_option_where_each_method_pins_its_own(
+        self, suite_path, monkeypatch, capsys, argv
+    ):
+        # synapse and synapse-static each pin their mode, so eval and winloss
+        # have no --mode and read no QUANTARB_MODE.
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], str(suite_path), *argv[1:], "--mode", "dynamic"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --mode dynamic" in capsys.readouterr().err
+        monkeypatch.setenv("QUANTARB_MODE", "bogus")
+        assert main([argv[0], str(suite_path), *argv[1:]]) == EXIT_OK
+
+
+class TestValueBound:
+    # Member a's tails are finite, but their gap is not a float64.
+    WIDE = {
+        "schema_version": SCHEMA_VERSION,
+        "series_id": "wide",
+        "seasonality": 1,
+        "levels": [0.1, 0.9],
+        "context": [0.0, 1.0, 2.5, 1.0],
+        "actuals": [0.0, 1.0],
+        "models": {"a": [[-1e308, 1e308], [0.0, 1.0]], "b": [[0.0, 1.0], [0.0, 1.0]]},
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["eval", "--methods", "synapse"],
+            ["eval", "--methods", "median"],
+            ["eval", "--methods", "oracle"],
+            ["oracle"],
+        ],
+    )
+    def test_a_value_beyond_the_bound_fails_at_load_naming_the_panel(
+        self, tmp_path, capsys, argv
+    ):
+        path = tmp_path / "wide.jsonl"
+        path.write_text(json.dumps(self.WIDE) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([argv[0], str(path), *argv[1:]]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {path}:1: panel 'wide', model 'a' at timestep 0: forecast "
+                       "values contains out-of-range value -1e+308 (|value| > 1e+270) "
+                       "at index 0\n")
 
 
 class TestScale:
@@ -376,8 +429,8 @@ class TestOracle:
         assert digest == "a9c8be00970117e13ec894c8bbbf7ff3a6da44b7a0e4afd92dfc71203a59d650"
 
     def test_overflowing_crps_names_the_panel(self, tmp_path, capsys, recwarn):
-        # Member a's 1e308 - (-1e308) is not a float64; its CRPS row is not
-        # one the oracle can pick from.
+        # Member a's 1e308 - (-1e308) is not a float64; loading rejects the
+        # panel before the oracle scores it.
         path = tmp_path / "big.jsonl"
         record = {
             "schema_version": SCHEMA_VERSION,
@@ -392,7 +445,7 @@ class TestOracle:
         assert main(["oracle", str(path)]) == EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: panel 'big': CRPS overflows float64\n"
+        assert err.startswith(f"error: {path}:1: panel 'big', model 'a' at timestep 0: ")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_each_pool_is_scored_once(self, suite_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from quantarb.core import (
     DEFAULT_LEVELS,
+    MAX_ABS_VALUE,
     ArbitrationStep,
     ArbitrationTrace,
     ForecastPanel,
@@ -304,6 +305,56 @@ def test_window_is_one_validated_read_only_block():
     with pytest.raises(NonMonotoneQuantiles, match="model 'b' at backtest step 2"):
         PerformanceWindow(names, levels, values, obs)
     assert len(PerformanceWindow(names, levels, np.empty((2, 0, 9)), [])) == 0
+
+
+def _holding(field, big):
+    """A panel, or a window, whose ``field`` holds ``big`` at step 1."""
+    names, levels, values, obs = _window()
+    rows, context, actuals = _steps([4.0, 5.0]), [1.0, 2.0, 3.0], [4.0, 5.0]
+    if field == "forecast values":
+        rows[1][8] = big
+    elif field == "window values":
+        values[0, 1, 8] = big
+    else:
+        {"context": context, "actuals": actuals, "window observations": obs}[field][1] = big
+    if field.startswith("window"):
+        return PerformanceWindow(names, levels, values, obs)
+    return build_panel("s", context, actuals, 1, DEFAULT_LEVELS, [("a", rows)])
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("forecast values", "panel 's', model 'a' at timestep 1: forecast values contains "
+                            "{} at index 8"),
+        ("context", "panel 's': context contains {} at index 1"),
+        ("actuals", "panel 's': actuals contains {} at index 1"),
+        ("window values", "window, model 'a' at backtest step 1: forecast values contains "
+                          "{} at index 8"),
+        ("window observations", "window observations contains {} at backtest step 1"),
+    ],
+)
+def test_a_value_just_beyond_the_bound_is_rejected_naming_its_owner(field, message):
+    _holding(field, MAX_ABS_VALUE)
+    above = float(np.nextafter(MAX_ABS_VALUE, math.inf))
+    with pytest.raises(NonFinite) as caught:
+        _holding(field, above)
+    assert str(caught.value) == message.format(
+        f"out-of-range value {above!r} (|value| > 1e+270)"
+    )
+    with pytest.raises(NonFinite) as caught:
+        _holding(field, math.inf)
+    assert str(caught.value) == message.format("non-finite value inf")
+
+
+def test_array_records_compare_by_value_and_type():
+    names, levels, values, obs = _window()
+    window = PerformanceWindow(names, levels, values, obs)
+    assert window == PerformanceWindow(names, levels, values.copy(), obs.copy())
+    assert window != PerformanceWindow(names, levels, values, obs + 1.0)
+    assert window != _holding("context", 1.0)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(window)
 
 
 def _trace(split, names=("a", "b"), n_total=10, **arrays):

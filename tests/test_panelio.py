@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quantarb.errors import NonMonotoneQuantiles, ParseError, SchemaVersionMismatch
+from quantarb.errors import NonFinite, NonMonotoneQuantiles, ParseError, SchemaVersionMismatch
 from quantarb.panelio import (
     SCHEMA_VERSION,
     PanelMetadata,
@@ -152,6 +152,32 @@ class TestFailureModes:
         with pytest.raises(ParseError, match="5e-324 and 1e-300") as excinfo:
             load_panels(path)
         assert (excinfo.value.path, excinfo.value.line) == (str(path), 1)
+
+    def test_parse_error_names_file_and_line(self, tmp_path):
+        record = _valid_record(series_id="b")
+        del record["seasonality"]
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(_valid_record()), json.dumps(record)])
+        with pytest.raises(ParseError) as excinfo:
+            load_panels(path)
+        assert str(excinfo.value) == f"{path}:2: missing fields ['seasonality']"
+
+    def test_validation_error_names_file_line_and_series(self, tmp_path):
+        record = _valid_record(series_id="b", models={"m": [[3.0, 2.0, 1.0]]})
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(_valid_record()), json.dumps(record)])
+        with pytest.raises(NonMonotoneQuantiles) as excinfo:
+            load_panels(path)
+        assert str(excinfo.value) == (f"{path}:2: panel 'b', model 'm' at timestep 0: "
+                                      "quantile values decrease at level indices [0, 1]")
+        error = excinfo.value
+        assert (error.model, error.timestep, error.indices) == ("m", 0, (0, 1))
+
+    def test_non_finite_context_names_file_line_and_series(self, tmp_path):
+        record = _valid_record(context=[1.0, float("nan"), 3.0])
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(record)])
+        with pytest.raises(NonFinite) as excinfo:
+            load_panels(path)
+        assert str(excinfo.value) == (f"{path}:1: panel 'unit': context contains "
+                                      "non-finite value nan at index 1")
 
     def test_panel_validation_errors_propagate(self, tmp_path):
         record = _valid_record(models={"m": [[3.0, 2.0, 1.0]]})

@@ -15,12 +15,20 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quantarb.arbitration
 import quantarb.oracle
 import quantarb.reporting
-from quantarb.arbitration import ArbitratorConfig
-from quantarb.core import DEFAULT_LEVELS, SCORED_RULES, QuantileLevels, build_panel
+from quantarb.arbitration import ArbitratorConfig, run_arbitration, seed_window_from_context
+from quantarb.core import (
+    DEFAULT_LEVELS,
+    LEVEL_TOL,
+    MAX_ABS_VALUE,
+    SCORED_RULES,
+    QuantileLevels,
+    build_panel,
+)
 from quantarb.errors import DimensionMismatch, InsufficientModels, NonFinite, ZeroDenominator
 from quantarb.oracle import oracle_select
 from quantarb.panelio import TaggedPanel
@@ -224,47 +232,109 @@ class TestScorePanel:
         assert len(members) == small_suite[3].panel.n_models
         assert all(scores["oracle"].crps <= m.crps for m in members)
 
+    # Each case once at the value bound, where every score is a float64, and
+    # once beyond it (1e308, whose scores overflow), where building the
+    # panel fails naming it; neither warns.
     @pytest.mark.parametrize("method", ["median", "per-model", "oracle", "synapse"])
     def test_forecast_minus_actual_overflow_names_the_panel(self, method):
         # 1e308 - (-1e308) is finite minus finite, but not a float64.
-        panel = build_panel("big", [0.0, 1.0, 2.5, 1.0], [-1e308], 1, QuantileLevels((0.5,)),
-                            [("a", [[1e308]])])
+        def panel(big):
+            return build_panel("big", [0.0, 1.0, 2.5, 1.0], [-big], 1, QuantileLevels((0.5,)),
+                               [("a", [[big]])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFinite, match=r"^panel 'big': forecast minus actual "
-                                                r"overflows float64$"):
-                score_panel(TaggedPanel(panel), [method])
+            scores = score_panel(TaggedPanel(panel(MAX_ABS_VALUE)), [method])
+            assert all(math.isfinite(v) for s in scores.values() for v in (s.crps, s.mase))
+            with pytest.raises(NonFinite, match=r"^panel 'big', model 'a' at timestep 0: "
+                                                r"forecast values contains out-of-range value "
+                                                r"1e\+308 \(\|value\| > 1e\+270\) at index 0$"):
+                panel(1e308)
 
     @pytest.mark.parametrize("method", ["median", "per-model", "oracle", "synapse"])
     def test_crps_overflow_names_the_panel(self, method):
         # 1e308 - 0.5 is a float64, but the loss scaled by 2 / 0.5 is not.
-        panel = build_panel("big", [0.0, 1.0, 2.5, 1.0], [0.5], 1, QuantileLevels((0.5,)),
-                            [("a", [[1e308]])])
+        def panel(big):
+            return build_panel("big", [0.0, 1.0, 2.5, 1.0], [0.5], 1, QuantileLevels((0.5,)),
+                               [("a", [[big]])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFinite, match=r"^panel 'big': CRPS overflows float64$"):
-                score_panel(TaggedPanel(panel), [method])
+            scores = score_panel(TaggedPanel(panel(MAX_ABS_VALUE)), [method])
+            assert all(math.isfinite(s.crps) for s in scores.values())
+            with pytest.raises(NonFinite, match=r"^panel 'big', model 'a' at timestep 0: "
+                                                r"forecast values contains out-of-range"):
+                panel(1e308)
 
     @pytest.mark.parametrize("method", ["median", "per-model", "oracle", "synapse"])
     def test_overflowing_mase_scale_names_the_panel(self, method):
         # Every context value is finite, but 1e308 - (-1e308) is not a float64.
-        panel = build_panel("wild", [1e308, -1e308, 1e308, 0.0], [1.0], 1,
-                            QuantileLevels((0.5,)), [("a", [[5.0]]), ("b", [[6.0]])])
-        message = r"^panel 'wild': seasonal-naive MAE of the context is inf, not finite$"
+        def panel(big):
+            return build_panel("wild", [big, -big, big, 0.0], [1.0], 1,
+                               QuantileLevels((0.5,)), [("a", [[5.0]]), ("b", [[6.0]])])
+        message = (r"^panel 'wild': context contains out-of-range value 1e\+308 "
+                   r"\(\|value\| > 1e\+270\) at index 0$")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            bounded = TaggedPanel(panel(MAX_ABS_VALUE))
+            assert all(s.mase > 0.0 for s in score_panel(bounded, [method]).values())
+            assert run_pool_scaling([bounded], ("a", "b"))[0].mase > 0.0
             with pytest.raises(NonFinite, match=message):
-                score_panel(TaggedPanel(panel), [method])
-            with pytest.raises(NonFinite, match=message):
-                run_pool_scaling([TaggedPanel(panel)], ("a", "b"))
+                panel(1e308)
 
     def test_pool_scaling_names_the_overflowing_panel(self):
-        panel = build_panel("big", [0.0, 1.0, 2.5, 1.0], [-1e308], 1, QuantileLevels((0.5,)),
-                            [("a", [[1e308]]), ("b", [[1.0]])])
+        def panel(big):
+            return build_panel("big", [0.0, 1.0, 2.5, 1.0], [-big], 1, QuantileLevels((0.5,)),
+                               [("a", [[big]]), ("b", [[1.0]])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFinite, match=r"^panel 'big': forecast minus actual "):
-                run_pool_scaling([TaggedPanel(panel)], ("a", "b"))
+            row, = run_pool_scaling([TaggedPanel(panel(MAX_ABS_VALUE))], ("a", "b"))
+            assert math.isfinite(row.crps) and math.isfinite(row.mase)
+            with pytest.raises(NonFinite, match=r"^panel 'big', model 'a' at timestep 0: "):
+                panel(1e308)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_score_of_a_bounded_panel_is_a_float64(self, data):
+        # The bound's worst cases: every value at +-MAX_ABS_VALUE or 0, and
+        # levels just over LEVEL_TOL apart, where the inverse CDF is
+        # steepest. A subnormal (or zero) seasonal-naive scale may still make
+        # MASE overflow; that raises ZeroDenominator.
+        big = MAX_ABS_VALUE
+        edges = st.sampled_from([-big, 0.0, big])
+        levels = [data.draw(st.floats(0.01, 0.5))]
+        for _ in range(data.draw(st.integers(0, 4))):
+            if data.draw(st.booleans()):
+                hi = levels[-1] + LEVEL_TOL
+                while hi - levels[-1] <= LEVEL_TOL:
+                    hi = math.nextafter(hi, 1.0)
+            else:
+                hi = levels[-1] + data.draw(st.floats(0.01, 0.1))
+            levels.append(hi)
+        k, horizon, span = len(levels), data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6))
+        names = ("a", "b", "c")[:data.draw(st.integers(2, 3))]
+
+        def rows(count):
+            return [sorted(data.draw(st.lists(edges, min_size=k, max_size=k)))
+                    for _ in range(count)]
+
+        context = data.draw(st.lists(st.sampled_from([-big, 0.0, 1.0, big, 2.2e-309]),
+                                     min_size=6, max_size=6))
+        actuals = data.draw(st.lists(edges, min_size=horizon, max_size=horizon))
+        panel = build_panel("edge", context, actuals, 1, QuantileLevels(tuple(levels)),
+                            [(name, rows(horizon)) for name in names])
+        window = seed_window_from_context(panel, {name: rows(span) for name in names})
+        tagged, config = TaggedPanel(panel), ArbitratorConfig(n_total=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isfinite(oracle_select(panel).crps_matrix).all()
+            run_arbitration(panel, window, config)  # its trace rejects a non-finite value
+            results = [lambda m=m: score_panel(tagged, [m], config).values() for m in METHODS]
+            results.append(lambda: run_pool_scaling([tagged], names, config))
+            for result in results:
+                try:
+                    scores = result()
+                except ZeroDenominator:
+                    continue
+                assert all(math.isfinite(s.crps) and math.isfinite(s.mase) for s in scores)
 
     def test_the_benchmark_step_timer_and_spans_find_their_call_sites(
         self, small_suite, monkeypatch
