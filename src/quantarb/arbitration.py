@@ -11,7 +11,6 @@ horizon without access to actuals.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -21,7 +20,6 @@ import numpy as np
 from .core import (
     LEVEL_TOL,
     RULE_INVERSE_ERROR,
-    RULE_SOFTMAX,
     RULE_STATIC,
     RULE_UNIFORM,
     ArbitrationTrace,
@@ -39,8 +37,9 @@ from .quantiles import InverseCdf, KeyedPhilox, RandomStreams, empirical_quantil
 #: Cap applied to the horizon-derived default window capacity.
 DEFAULT_WINDOW_CAP = 16
 
-#: Window scores at or below this make a step fall back from inverse-error
-#: weighting to the softmax.
+#: Floor on a window score before it is inverted: a member that tracks the
+#: stand-in observations exactly scores 0 and is weighted as if it scored
+#: this, so weights stay finite and continuous in the scores.
 NEAR_ZERO_EPSILON = 1e-9
 
 
@@ -56,18 +55,12 @@ class ArbitratorConfig:
     n_total: int = 1500
     window_capacity: int | None = None
     levels: QuantileLevels | None = None
-    softmax_temperature: float = 1.0
     mode: str = "dynamic"
 
     def __post_init__(self) -> None:
         require_integer(self.n_total, "n_total", 1)
         if self.window_capacity is not None:
             require_integer(self.window_capacity, "window_capacity", 1)
-        temperature = self.softmax_temperature
-        # A bool is a Real, numpy's is not; neither is a temperature.
-        if (isinstance(temperature, bool) or not isinstance(temperature, numbers.Real)
-                or not temperature > 0.0):
-            raise ValueError(f"softmax_temperature must be a number > 0, got {temperature!r}")
         if self.mode not in ("dynamic", "static-uniform"):
             raise ValueError(f"unknown weighting mode {self.mode!r}")
 
@@ -111,21 +104,15 @@ class WindowScores:
         return tuple(math.fsum(column) / n for column in self._columns)
 
 
-def weights_with_rule(
-    scores: Sequence[float], config: ArbitratorConfig
-) -> tuple[tuple[float, ...], str]:
-    """Weights from scores, plus which rule produced them.
+def weights_with_rule(scores: Sequence[float]) -> tuple[float, ...]:
+    """Inverse-error weights: each in proportion to ``1 / max(score,
+    NEAR_ZERO_EPSILON)``.
 
-    Inverse-error weighting when every score is safely positive; otherwise a
-    temperature softmax of the negated scores, which tolerates exact zeros.
-    Both paths use exact summation so the result is independent of model
-    order.
+    Above the floor this is ``1 / score`` exactly. Exact summation makes the
+    result independent of model order.
     """
-    if min(scores) > NEAR_ZERO_EPSILON:
-        return normalize_weights([1.0 / s for s in scores]), RULE_INVERSE_ERROR
-    logits = [-s / config.softmax_temperature for s in scores]
-    shift = max(logits)
-    return normalize_weights([math.exp(z - shift) for z in logits]), RULE_SOFTMAX
+    floor = NEAR_ZERO_EPSILON
+    return normalize_weights([1.0 / (s if s > floor else floor) for s in scores])
 
 
 def allocate_samples(weights: Sequence[float], n_total: int) -> tuple[int, ...]:
@@ -224,7 +211,8 @@ def run_arbitration(
             w, c, s = uniform_row
         else:
             s = window.averages()
-            w, rules[t] = weights_with_rule(s, config)
+            w = weights_with_rule(s)
+            rules[t] = RULE_INVERSE_ERROR
             c = allocate_samples(w, config.n_total)
         rows.append((w, c, s))
         # Model i draws c[i] uniforms from its own Philox stream into its

@@ -90,12 +90,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, mode: bool) -> None:
         default=_EnvDefault("N_TOTAL", int, 1500),
         help="pooled sample budget per timestep (default 1500)",
     )
-    parser.add_argument(
-        "--temperature",
-        type=float,
-        default=_EnvDefault("TEMPERATURE", float, 1.0),
-        help="softmax temperature for the near-zero-score fallback (default 1.0)",
-    )
     if not mode:  # eval's and winloss's synapse methods each pin their own
         return
     modes = ("dynamic", "static-uniform")
@@ -121,7 +115,6 @@ def _config_from(args: argparse.Namespace) -> ArbitratorConfig:
     return ArbitratorConfig(
         n_total=args.n_total,
         window_capacity=args.window,
-        softmax_temperature=args.temperature,
         mode=getattr(args, "mode", ArbitratorConfig.mode),
     )
 

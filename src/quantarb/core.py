@@ -392,15 +392,12 @@ class PerformanceWindow(_Record):
         return self.values.shape[1]
 
 
-#: Weight-rule labels recorded in traces.
+#: Weight-rule labels recorded in traces; only an inverse-error step weights
+#: by window scores, the others leave a step without any.
 RULE_UNIFORM = "uniform"
 RULE_INVERSE_ERROR = "inverse_error"
-RULE_SOFTMAX = "softmax"
 RULE_STATIC = "static"
-WEIGHT_RULES = (RULE_UNIFORM, RULE_INVERSE_ERROR, RULE_SOFTMAX, RULE_STATIC)
-
-#: Rules that weight by window scores; the others leave a step without any.
-SCORED_RULES = (RULE_INVERSE_ERROR, RULE_SOFTMAX)
+WEIGHT_RULES = (RULE_UNIFORM, RULE_INVERSE_ERROR, RULE_STATIC)
 
 
 @dataclass(frozen=True)
@@ -412,7 +409,7 @@ class ArbitrationStep:
     sample_counts: tuple[int, ...]
     simulated_truth: float
     scores: tuple[float, ...] | None
-    weight_rule: str  # "uniform" | "inverse_error" | "softmax" | "static"
+    weight_rule: str  # "uniform" | "inverse_error" | "static"
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,7 +457,7 @@ class ArbitrationTrace(_Record):
                 weights=tuple(w),
                 sample_counts=tuple(c),
                 simulated_truth=m,
-                scores=tuple(s) if rule in SCORED_RULES else None,
+                scores=tuple(s) if rule == RULE_INVERSE_ERROR else None,
                 weight_rule=rule,
             )
             for forecast, w, c, m, s, rule in zip(
@@ -502,7 +499,7 @@ def _validate_trace(trace: ArbitrationTrace) -> None:
     if unknown:
         raise ValueError(f"trace has unknown weight rules {sorted(unknown)}")
     counts, weights, quantiles = trace.counts, trace.weights, trace.quantiles
-    unscored = np.array([rule not in SCORED_RULES for rule in rules], dtype=bool)
+    unscored = trace.rules != RULE_INVERSE_ERROR
     # Each check marks bad entries in arrays whose first axis is the step.
     # One reduction over each array tests it; only a failing check is
     # searched for its first bad step.

@@ -90,7 +90,14 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class PoolScalingRow:
-    """Arbitration versus the best pool member, for one pool prefix."""
+    """Arbitration versus the best pool member, for one pool prefix.
+
+    ``crps`` and ``mase`` are the arbitrated means over the suite.
+    ``best_individual`` is the member with the lowest mean CRPS, and
+    ``best_individual_crps`` is that mean. ``best_individual_mase`` is the
+    lowest mean MASE among the prefix's members, which may belong to a
+    member other than ``best_individual``.
+    """
 
     pool_size: int
     model_names: tuple[str, ...]
@@ -130,7 +137,10 @@ class _PanelScoring:
     def __init__(self, panel: ForecastPanel) -> None:
         self.panel = panel
         self.actuals = np.asarray(panel.require_actuals(), dtype=float)
-        self.scale = mase_scale(panel.context, panel.seasonality)
+        try:
+            self.scale = mase_scale(panel.context, panel.seasonality)
+        except ZeroDenominator as exc:  # validation accepts a periodic context
+            raise ZeroDenominator(f"panel {panel.series_id!r}: {exc}") from None
 
     def scores(self, crps: list[float], points: np.ndarray) -> list[PanelScore]:
         """Each path's score from its mean CRPS and level-0.5 ``points`` (last

@@ -17,6 +17,7 @@ from quantarb.arbitration import (
     seed_window_from_context,
     weights_with_rule,
 )
+from quantarb.cli import main
 from quantarb.core import (
     DEFAULT_LEVELS,
     ArbitrationStep,
@@ -56,8 +57,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ArbitratorConfig(window_capacity=0)
     with pytest.raises(ValueError):
-        ArbitratorConfig(softmax_temperature=0.0)
-    with pytest.raises(ValueError):
         ArbitratorConfig(mode="bogus")
 
 
@@ -68,10 +67,10 @@ def test_config_rejects_sizes_that_are_not_integers(field, bad):
         ArbitratorConfig(**{field: bad})
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, "1.0", None])
+@pytest.mark.parametrize("bad", [True, np.True_, "1.0", None, 2.0])
 def test_config_rejects_a_bool_temperature(bad):
-    # Bools and non-numbers get the message a temperature <= 0 gets.
-    with pytest.raises(ValueError, match="^softmax_temperature must be a number > 0, got "):
+    # The config has no temperature: any value given as one is a TypeError.
+    with pytest.raises(TypeError, match="softmax_temperature"):
         ArbitratorConfig(softmax_temperature=bad)
 
 
@@ -124,32 +123,63 @@ def test_average_scores_reject_empty_window():
 
 
 def test_inverse_error_weights_hand_values():
-    assert weights_with_rule((1.0, 1.0), CFG)[0] == (0.5, 0.5)
-    w = weights_with_rule((1.0, 3.0), CFG)[0]
+    assert weights_with_rule((1.0, 1.0)) == (0.5, 0.5)
+    w = weights_with_rule((1.0, 3.0))
     assert w[0] == pytest.approx(0.75, rel=1e-12)
     assert w[1] == pytest.approx(0.25, rel=1e-12)
 
 
-def test_zero_score_takes_the_softmax_path():
-    w, rule = weights_with_rule((0.0, 1.0), CFG)
-    assert rule == "softmax"
-    z = 1.0 + math.exp(-1.0)
-    assert w[0] == pytest.approx(1.0 / z, rel=1e-12)
-    assert w[1] == pytest.approx(math.exp(-1.0) / z, rel=1e-12)
+def test_zero_score_is_weighted_at_the_floor():
+    # A zero score counts as NEAR_ZERO_EPSILON = 1e-9: weights 1e9 : 1.
+    w = weights_with_rule((0.0, 1.0))
+    assert w[0] == pytest.approx(1e9 / (1e9 + 1.0), rel=1e-15)
+    assert w[1] == pytest.approx(1.0 / (1e9 + 1.0), rel=1e-12)
 
 
-def test_softmax_temperature_flattens_weights():
-    sharp, _ = weights_with_rule((0.0, 1.0), ArbitratorConfig(softmax_temperature=0.25))
-    flat, _ = weights_with_rule((0.0, 1.0), ArbitratorConfig(softmax_temperature=4.0))
-    assert sharp[0] > flat[0] > 0.5
+def test_temperature_knob_is_gone(capsys):
+    # ArbitratorConfig has no temperature (test_config_rejects_a_bool_temperature),
+    # and no command takes one.
+    with pytest.raises(SystemExit) as caught:
+        main(["eval", "panels.jsonl", "--temperature", "2"])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --temperature 2" in capsys.readouterr().err
 
 
 def test_weight_rules_are_order_equivariant():
-    scores = (0.031, 0.72, 0.0044, 0.5)
-    w = weights_with_rule(scores, CFG)[0]
     perm = (2, 0, 3, 1)
-    w_perm = weights_with_rule(tuple(scores[i] for i in perm), CFG)[0]
-    assert w_perm == tuple(w[i] for i in perm)
+    for scores in ((0.031, 0.72, 0.0044, 0.5), (0.031, 0.0, 0.0044, 0.0)):
+        w = weights_with_rule(scores)
+        w_perm = weights_with_rule(tuple(scores[i] for i in perm))
+        assert w_perm == tuple(w[i] for i in perm)
+
+
+# Scores at and around the floor, or ordinary window-score magnitudes.
+_score = st.one_of(
+    st.sampled_from((0.0, 1e-12, 0.99e-9, 1.01e-9)),
+    st.floats(1e-9, 1.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(_score, min_size=1, max_size=12), data=st.data())
+def test_weights_are_continuous_monotone_and_equivariant(scores, data):
+    w = weights_with_rule(scores)
+    # Moving one score across the floor, 1.01e-9 -> 0.99e-9, barely moves
+    # any weight.
+    i = data.draw(st.integers(0, len(scores) - 1))
+    above = weights_with_rule(scores[:i] + [1.01e-9] + scores[i + 1:])
+    below = weights_with_rule(scores[:i] + [0.99e-9] + scores[i + 1:])
+    assert all(abs(b - a) <= 0.02 * a for a, b in zip(above, below))
+    # A lower score never gets less weight; tied scores get equal weights.
+    for sj, wj in zip(scores, w):
+        for sk, wk in zip(scores, w):
+            if sj < sk:
+                assert wj >= wk
+            elif sj == sk:
+                assert wj == wk
+    # Permuting the scores permutes the weights bit for bit.
+    perm = data.draw(st.permutations(range(len(scores))))
+    assert weights_with_rule([scores[j] for j in perm]) == tuple(w[j] for j in perm)
 
 
 def test_allocation_hand_values():
@@ -305,9 +335,9 @@ def test_static_mode_keeps_uniform_weights_throughout():
     assert all(s.scores is None for s in trace.steps)
 
 
-def test_self_tracking_model_triggers_softmax_branch():
+def test_self_tracking_model_takes_nearly_all_the_weight():
     # model a is a point mass exactly at each arbitrated median: from t=1 on
-    # its window score is exactly zero, forcing the softmax fallback
+    # its window score is exactly zero, which is weighted at the floor
     t_steps = 4
     b_rows = [[5.0 + 0.4 * k for k in range(9)] for _ in range(t_steps)]
     a_rows = [[5.0 + 0.4 * 4] * 9 for _ in range(t_steps)]  # matches b's median
@@ -318,9 +348,9 @@ def test_self_tracking_model_triggers_softmax_branch():
     trace = run_arbitration(panel, streams=RandomStreams(0))
     assert trace.steps[0].weight_rule == "uniform"
     for step in trace.steps[1:]:
-        assert step.weight_rule == "softmax"
+        assert step.weight_rule == "inverse_error"
         assert step.scores[0] == 0.0
-        assert step.weights[0] > step.weights[1]
+        assert step.weights[0] >= 1.0 - 1e-6
 
 
 def test_lower_window_error_earns_more_weight():
@@ -329,7 +359,7 @@ def test_lower_window_error_earns_more_weight():
     records = [(obs, (_gauss(obs, 0.5), _gauss(obs + 2.0, 3.0))) for obs in (3.0, 3.5, 2.8)]
     scores = _scored(4, records).averages()
     assert scores[0] < scores[1]
-    w = weights_with_rule(scores, CFG)[0]
+    w = weights_with_rule(scores)
     assert w[0] > w[1]
 
 
@@ -649,8 +679,8 @@ def test_cached_window_scores_match_rescoring_bit_for_bit(seeded):
             assert step.weight_rule == "uniform" and step.scores is None
         else:
             assert step.scores == _rescored(records)
-            weights, rule = weights_with_rule(_rescored(records), cfg)
-            assert (step.weights, step.weight_rule) == (weights, rule)
+            weights = weights_with_rule(_rescored(records))
+            assert (step.weights, step.weight_rule) == (weights, "inverse_error")
         records.append((panel.values[:, t], step.simulated_truth))
     assert len(records) == 4
 

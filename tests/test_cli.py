@@ -132,7 +132,18 @@ class TestEval:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         assert main(["eval", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err == "error: context is 2-periodic; seasonal-naive MAE is zero\n"
+        assert err == "error: panel 'periodic': context is 2-periodic; seasonal-naive MAE is zero\n"
+
+    def test_periodic_fixture_validates_but_scoring_names_the_panel(self, capsys):
+        # validate does not compute the MASE scale, which only scoring reads;
+        # fx-aa's context [1, 2, 1, 2] is 2-periodic.
+        assert main(["validate", str(FIXTURE)]) == EXIT_OK
+        assert "3 panel(s) valid" in capsys.readouterr().out
+        for methods in ("median", "synapse"):
+            assert main(["eval", str(FIXTURE), "--methods", methods]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == (
+                "error: panel 'fx-aa': context is 2-periodic; seasonal-naive MAE is zero\n"
+            )
 
     def test_mase_overflowing_a_tiny_scale_names_the_panel(self, tmp_path, capsys):
         # Seasonal-naive scale about 1.1e-309: any MAE near 1 overflows over it.

@@ -382,8 +382,10 @@ def test_trace_requires_counts_to_sum_to_n_total():
 
 
 def test_trace_rejects_rows_that_no_run_could_write():
-    with pytest.raises(ValueError, match="unknown weight rules"):
-        _trace((4, 6), rules=["greedy"])
+    # Weights come from one inverse-error rule; no run writes "softmax".
+    for rule in ("greedy", "softmax"):
+        with pytest.raises(ValueError, match=f"unknown weight rules \\['{rule}'\\]"):
+            _trace((4, 6), rules=[rule])
     _trace((4, 6), weights=[[0.25, 0.75]])
     for weights in ([0.5, 0.6], [0.25, 0.7], [-0.1, 1.1]):
         with pytest.raises(ValueError, match="step 0: weights are not a distribution"):
@@ -393,7 +395,7 @@ def test_trace_rejects_rows_that_no_run_could_write():
     with pytest.raises(ValueError, match="window scores"):
         _trace((4, 6), scores=[[0.1, 0.2]])
     with pytest.raises(ValueError, match="window scores"):
-        _trace((4, 6), rules=["softmax"], scores=[[0.1, float("nan")]])
+        _trace((4, 6), rules=["inverse_error"], scores=[[0.1, float("nan")]])
     with pytest.raises(NonFinite):
         _trace((4, 6), simulated=[float("inf")])
     with pytest.raises(NonMonotoneQuantiles):
@@ -436,7 +438,7 @@ def _five_steps(**bad):
          NonMonotoneQuantiles, "quantiles decrease"),
         (dict(weights={2: [0.5, 0.6], 4: [-0.1, 1.1]}), ValueError,
          "weights are not a distribution"),
-        (dict(rules={4: "softmax"}, scores={2: [0.1, 0.2], 4: [0.1, float("nan")]}),
+        (dict(rules={4: "inverse_error"}, scores={2: [0.1, 0.2], 4: [0.1, float("nan")]}),
          ValueError, "window scores do not fit the weight rule"),
     ],
 )

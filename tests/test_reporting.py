@@ -25,7 +25,6 @@ from quantarb.core import (
     DEFAULT_LEVELS,
     LEVEL_TOL,
     MAX_ABS_VALUE,
-    SCORED_RULES,
     QuantileLevels,
     build_panel,
 )
@@ -167,6 +166,19 @@ class TestReportRow:
 
 
 class TestScorePanel:
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_periodic_context_names_the_panel(self, method):
+        with pytest.raises(ZeroDenominator) as caught:
+            score_panel(periodic_panel(), [method])
+        assert str(caught.value) == (
+            "panel 'periodic': context is 2-periodic; seasonal-naive MAE is zero"
+        )
+
+    def test_arbitration_alone_runs_on_a_periodic_context(self):
+        # Only scoring reads the MASE scale, so a periodic panel arbitrates.
+        trace = run_arbitration(periodic_panel().panel)
+        assert len(trace) == 2
+
     def test_per_model_expands_to_one_entry_per_member(self, small_suite):
         scores = score_panel(small_suite[0], ["per-model"])
         expected = {f"model:{n}" for n in small_suite[0].panel.model_names}
@@ -371,7 +383,7 @@ class TestScorePanel:
         assert runs == [(t.panel.series_id, mode) for t in small_suite[:3]
                         for mode in ("dynamic", "static-uniform")]
         rules = [rule for trace in traces for rule in trace.rules.tolist()]
-        assert calls == {"weights": sum(rule in SCORED_RULES for rule in rules),
+        assert calls == {"weights": sum(rule == "inverse_error" for rule in rules),
                          "requantize": len(rules)}
         assert calls["weights"] > 0
 
@@ -484,7 +496,7 @@ class TestRunEvaluation:
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_periodic_context_raises_zero_denominator(self, method):
-        message = r"^context is 2-periodic; seasonal-naive MAE is zero$"
+        message = r"^panel 'periodic': context is 2-periodic; seasonal-naive MAE is zero$"
         with pytest.raises(ZeroDenominator, match=message):
             run_evaluation([periodic_panel()], methods=(method,))
 
