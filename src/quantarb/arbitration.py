@@ -89,8 +89,12 @@ class WindowScores:
         """Score records, oldest first: the N models' forecasts ``values`` of
         shape (N, L, K) against ``observations`` of shape (L,), or one record
         as (N, K) against a single observation."""
-        rows = self._loss(values, observations).reshape(len(self._columns), -1).tolist()
-        for column, row in zip(self._columns, rows):
+        scores = self._loss(values, observations)
+        if scores.ndim == 1:  # one record: one score per column
+            for column, score in zip(self._columns, scores.tolist()):
+                column.append(score)
+            return
+        for column, row in zip(self._columns, scores.reshape(len(self._columns), -1).tolist()):
             column.extend(row)
 
     def __len__(self) -> int:

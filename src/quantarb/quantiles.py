@@ -95,7 +95,11 @@ class InverseCdf:
         """Piece of each probability in a 1-D float array: the number of
         levels at or below it, ``searchsorted(levels, p, "right")``, for
         every ``p`` but NaN (NaN goes to piece 0, and evaluates to NaN)."""
-        at = _buckets(p, self._scale)
+        return self._lookup(p, _buckets(p, self._scale))
+
+    def _lookup(self, p: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Pieces of ``p`` whose buckets are ``at``: each bucket's count plus
+        how many of its thresholds the probability reaches."""
         piece = self._below.take(at)
         for row in self._thresholds:
             piece += row.take(at) <= p
@@ -110,14 +114,23 @@ class InverseCdf:
     ) -> float | np.ndarray:
         """Evaluate at probabilities ``p``; ``rows`` picks each probability's
         forecast by flat index into the batch (0 for a single forecast)."""
-        out = self.evaluate(np.atleast_1d(np.asarray(p, dtype=float)), self.offsets(rows))
+        x = np.atleast_1d(np.asarray(p, dtype=float))
+        out = self._at(x, self.offsets(rows), self.pieces(x))
         return float(out[0]) if np.ndim(p) == 0 else out
 
     def evaluate(self, p: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Evaluate a 1-D float array ``p``, probability i against the
-        forecast at flat offset ``offsets[i]`` (see :meth:`offsets`;
-        ``offsets`` broadcasts against ``p``)."""
-        piece = self.pieces(p)
+        """Evaluate a 1-D float array ``p`` of probabilities in [0, 1],
+        probability i against the forecast at flat offset ``offsets[i]`` (see
+        :meth:`offsets`; ``offsets`` broadcasts against ``p``).
+
+        The buckets are not clipped: a ``p`` below -1/scale would read the
+        bucket table from its end, and a NaN warns in the cast. Other
+        probabilities go through ``__call__``, which clips, as :meth:`pieces`
+        does, and gives the same values on [0, 1]."""
+        return self._at(p, offsets, self._lookup(p, (p * self._scale).astype(np.intp)))
+
+    def _at(self, p: np.ndarray, offsets: np.ndarray, piece: np.ndarray) -> np.ndarray:
+        """The polynomial of each probability's ``piece`` at ``p``."""
         # take, not fancy indexing: numpy gathers far faster so.
         index = offsets + piece
         c0, c1, c2, c3 = (c.take(index) for c in self._coef)
@@ -280,7 +293,8 @@ def empirical_quantiles(
     :class:`NonFinite`; levels that are not all in [0, 1] raise
     ``ValueError``.
     """
-    xs = np.sort(np.asarray(samples, dtype=float), axis=None)  # a sorted copy
+    xs = np.array(samples, dtype=float).reshape(-1)  # one copy, sorted in place
+    xs.sort()
     if xs.size == 0:
         raise EmptySampleSet("cannot take quantiles of an empty sample set")
     # NaN sorts last, so the two ends cover every non-finite sample.

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
@@ -299,6 +298,9 @@ def run_evaluation(
         return score_panel(tagged, methods, config=config, streams=streams)
 
     if workers is not None and workers > 1:
+        # Imported here, so that importing the CLI loads neither it nor logging.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_panel = list(pool.map(worker, tagged_panels))
     else:

@@ -685,6 +685,95 @@ def test_cached_window_scores_match_rescoring_bit_for_bit(seeded):
     assert len(records) == 4
 
 
+def _reference_run(panel, window, config, streams):
+    """A plain step loop to check ``run_arbitration`` against: each model's
+    stream from its own generator, its draws through ``InverseCdf.__call__``,
+    numpy's linear quantiles, and the whole window re-scored every step.
+    Returns per step the weights, counts, scores (None when unscored), rule,
+    quantiles on the panel grid and pooled median."""
+    levels = panel.levels.levels
+    probe = tuple(sorted(set(levels) | {0.5}))
+    on_grid = [probe.index(a) for a in levels]
+    dynamic = config.mode == "dynamic"
+    records = deque(maxlen=config.window_capacity)
+    if dynamic and window is not None:
+        records.extend((window.values[:, j], window.observations[j]) for j in range(len(window)))
+    series = streams.child("series", panel.series_id, "t")
+    n, steps = panel.n_models, []
+    for t in range(panel.horizon):
+        if dynamic and records:
+            scores = tuple(
+                math.fsum(float(crps_batch(levels, v[i], y)) for v, y in records) / len(records)
+                for i in range(n)
+            )
+            weights, rule = weights_with_rule(scores), "inverse_error"
+        else:
+            scores, weights = None, (1.0 / n,) * n
+            rule = "uniform" if dynamic else "static"
+        counts = allocate_samples(weights, config.n_total)
+        pooled = np.concatenate([
+            InverseCdf(levels, panel.values[i, t])(
+                series.child(t).child(name).generator().random(c))
+            for i, (name, c) in enumerate(zip(panel.model_names, counts))
+        ])
+        q = np.quantile(pooled, probe, method="linear")
+        median = float(q[probe.index(0.5)])
+        steps.append((weights, counts, scores, rule, q[on_grid], median))
+        records.append((panel.values[:, t], median))
+    return steps
+
+
+_LEVEL_GRIDS = st.lists(st.integers(1, 99), min_size=1, max_size=5, unique=True).map(
+    lambda ks: QuantileLevels(tuple(k / 100 for k in sorted(ks))))
+
+
+@given(
+    st.data(),
+    _LEVEL_GRIDS,
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.sampled_from(["dynamic", "static-uniform"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_run_equals_a_plain_reference_step_loop(data, levels, n, horizon, capacity, mode, seed):
+    rng = np.random.default_rng(seed)
+    k = len(levels)
+    names = data.draw(st.lists(st.text("abxyz", min_size=1, max_size=3),
+                               min_size=n, max_size=n, unique=True))
+    n_total = data.draw(st.integers(n, 200))
+    values = np.sort(rng.normal(20.0, 3.0, size=(n, horizon, k)), axis=-1)
+    if rng.random() < 0.5:
+        values = np.round(values)  # tied knots and flat pieces
+    panel = build_panel("p", [19.0, 20.0, 21.0], None, 1, levels,
+                        [(name, values[i].tolist()) for i, name in enumerate(names)])
+    window = None
+    if data.draw(st.booleans()):
+        span = data.draw(st.integers(0, 5))
+        window = PerformanceWindow(
+            model_names=panel.model_names,
+            levels=levels,
+            values=np.sort(rng.normal(20.0, 3.0, size=(n, span, k)), axis=-1),
+            observations=rng.normal(20.0, 3.0, size=span),
+        )
+    config = ArbitratorConfig(n_total=n_total, window_capacity=capacity, mode=mode)
+    streams = RandomStreams(seed)
+    trace = run_arbitration(panel, initial_window=window, config=config, streams=streams)
+    want = _reference_run(panel, window, config, streams)
+    assert len(trace) == len(want)
+    for t, (weights, counts, scores, rule, quantiles, median) in enumerate(want):
+        assert tuple(trace.weights[t].tolist()) == weights
+        assert tuple(trace.counts[t].tolist()) == counts
+        if scores is None:
+            assert np.isnan(trace.scores[t]).all()
+        else:
+            assert tuple(trace.scores[t].tolist()) == scores
+        assert trace.rules[t] == rule
+        assert np.array_equal(trace.quantiles[t], quantiles)
+        assert trace.simulated[t] == median
+
+
 def test_window_scores_evict_the_oldest_row_at_capacity():
     ring = WindowScores(2, DEFAULT_LEVELS.levels, 2)
     records = deque(maxlen=2)

@@ -648,3 +648,21 @@ def test_cli_and_suite_build_load_neither_scipy_nor_jsonschema():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_neither_the_thread_pool_nor_logging():
+    # `quantarb eval --workers N` imports the pool when it runs, so every
+    # other command starts without concurrent.futures and the logging it pulls in.
+    probe = (
+        "import sys, quantarb.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

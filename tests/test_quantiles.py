@@ -588,6 +588,31 @@ def test_inverse_cdf_equals_the_binary_search_arithmetic_bit_for_bit(levels, n, 
     assert np.isnan(got[-1])
 
 
+# The desk grid; three levels in one bucket of 16 beside a fourth; one level.
+@pytest.mark.parametrize("levels", [DEFAULT_LEVELS.levels, (0.3, 0.305, 0.31, 0.8), (0.5,)])
+def test_unclipped_evaluate_equals_call_bit_for_bit_on_the_unit_interval(levels):
+    levels = np.asarray(levels)
+    rng = np.random.default_rng(23)
+    values = np.sort(rng.normal(0.0, 5.0, size=(3, len(levels))), axis=-1)
+    values[0, : len(levels) // 2] = 0.0  # a flat piece
+    icdf = InverseCdf(levels, values)
+    if len(levels) == 4:
+        assert len(set((levels[:3] * icdf._scale).astype(int))) == 1
+        assert len(icdf._thresholds) == 3
+    # Both ends, every level and one ulp either side, the smallest subnormal,
+    # the largest double below 1, and Philox-like draws.
+    p = np.concatenate((
+        [0.0, 1.0, 5e-324, 1.0 - 2.0**-53],
+        levels, np.nextafter(levels, 0.0), np.nextafter(levels, 1.0),
+        rng.random(500),
+    ))
+    rows = rng.integers(0, 3, size=len(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = icdf.evaluate(p, icdf.offsets(rows))
+    assert got.tobytes() == icdf(p, rows).tobytes()
+
+
 def test_fits_on_one_grid_share_one_read_only_bucket_table():
     levels = np.asarray(DEFAULT_LEVELS.levels)
     a = InverseCdf(levels, np.arange(9.0))
