@@ -10,10 +10,11 @@ horizon without access to actuals.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,13 +77,14 @@ class WindowScores:
     Each record's N model scores are computed once, when the record enters,
     and appended to the N columns; the oldest drop out when the window is
     full. Averages use exact summation, so they match re-scoring the whole
-    window bit for bit and do not depend on record order.
+    window bit for bit and do not depend on record order. ``loss`` scores on
+    the grid; runs on one grid share it.
     """
 
     __slots__ = ("_columns", "_loss")
 
-    def __init__(self, capacity: int, levels: Sequence[float], n_models: int) -> None:
-        self._loss = PinballLoss(levels)
+    def __init__(self, capacity: int, loss: PinballLoss, n_models: int) -> None:
+        self._loss = loss
         self._columns = [deque((), capacity) for _ in range(n_models)]
 
     def push(self, values, observations) -> None:
@@ -137,20 +139,47 @@ def allocate_samples(weights: Sequence[float], n_total: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _probe_levels(levels: QuantileLevels) -> tuple[tuple[float, ...], int, np.ndarray]:
-    """Levels to requantize on, where the median sits among them, and which
-    of them are the output grid's.
+class _StepPlan(NamedTuple):
+    """What a run's steps need that depends on its shape alone: see :func:`_step_plan`."""
 
-    0.5 joins the grid only when it lacks it (to within ``LEVEL_TOL``), so
-    the median never falls back to an outer level.
+    offsets: np.ndarray
+    uniform_row: tuple
+    probe: tuple[float, ...]
+    median_at: int
+    on_grid: slice | np.ndarray
+    loss: PinballLoss
+
+
+@functools.lru_cache(maxsize=64)
+def _step_plan(
+    levels: tuple[float, ...], out_levels: tuple[float, ...], n: int, horizon: int, n_total: int
+) -> _StepPlan:
+    """The read-only plan of every run of ``n`` models over ``horizon`` steps
+    on ``levels``, reporting on ``out_levels``, from ``n_total`` samples a
+    step.
+
+    It holds each (step, model) forecast's flat offset in the fitted batch,
+    where row ``i * horizon + t`` is model i at step t (see
+    :meth:`InverseCdf.offsets`); the uniform step's weights, counts and NaN
+    scores; the levels to requantize on, where the median sits among them
+    and which of them are the output grid's; and the window's loss on
+    ``levels``. 0.5 joins the output grid only when it lacks it (to within
+    ``LEVEL_TOL``), so the median never falls back to an outer level.
     """
-    grid = levels.levels
-    for k, a in enumerate(grid):
-        if abs(a - 0.5) <= LEVEL_TOL:
-            return grid, k, np.arange(len(grid))
-    probe = tuple(sorted(grid + (0.5,)))
-    k = probe.index(0.5)
-    return probe, k, np.delete(np.arange(len(probe)), k)
+    rows = np.arange(horizon)[:, None] + np.arange(n) * horizon
+    offsets = rows * (len(levels) + 1)
+    offsets.setflags(write=False)
+    at = [k for k, a in enumerate(out_levels) if abs(a - 0.5) <= LEVEL_TOL]
+    if at:
+        probe, median_at, on_grid = out_levels, at[0], slice(None)
+    else:
+        probe = tuple(sorted(out_levels + (0.5,)))
+        median_at = probe.index(0.5)
+        on_grid = np.delete(np.arange(len(probe)), median_at)
+        on_grid.setflags(write=False)
+    uniform = (1.0 / n,) * n
+    uniform_row = (uniform, allocate_samples(uniform, n_total), (math.nan,) * n)
+    return _StepPlan(offsets, uniform_row, probe, median_at, on_grid, PinballLoss(levels))
 
 
 def run_arbitration(
@@ -190,7 +219,11 @@ def run_arbitration(
         )
     dynamic = config.mode == "dynamic"
     horizon = panel.horizon
-    window = WindowScores(config.resolve_capacity(horizon), levels.levels, n)
+    out_levels = levels if config.levels is None else config.levels
+    offsets, uniform_row, probe, median_at, on_grid, loss = _step_plan(
+        levels.levels, out_levels.levels, n, horizon, config.n_total
+    )
+    window = WindowScores(config.resolve_capacity(horizon), loss, n)
     if dynamic and initial_window is not None:
         window.push(initial_window.values, initial_window.observations)
     # Model i's stream at step t is child("series", id, "t", t).child(name):
@@ -199,17 +232,13 @@ def run_arbitration(
     keys = series_streams.grid_keys(range(horizon), names).tolist()
     philox = KeyedPhilox.for_thread()
     uniforms = np.empty(config.n_total)
-    out_levels = config.levels if config.levels is not None else levels
-    probe, median_at, on_grid = _probe_levels(out_levels)
     icdf = InverseCdf(levels.levels, panel.values)
-    # Batch row of model i at step t is i * horizon + t.
-    offsets = icdf.offsets(np.arange(horizon)[:, None] + np.arange(n) * horizon)
     # Step t's window record, models by levels, as one C-ordered block.
     records = panel.values.transpose(1, 0, 2).copy()
-    uniform = (1.0 / n,) * n
-    uniform_row = (uniform, allocate_samples(uniform, config.n_total), (math.nan,) * n)
     rules = [RULE_UNIFORM if dynamic else RULE_STATIC] * horizon
-    rows, probed = [], []
+    # Each step's weights, counts and scores extend one flat list apiece,
+    # which converts to an array faster than a tuple of rows.
+    weights, counts, scores, probed = [], [], [], []
     for t in range(horizon):
         if not dynamic or not len(window):
             w, c, s = uniform_row
@@ -218,7 +247,9 @@ def run_arbitration(
             w = weights_with_rule(s)
             rules[t] = RULE_INVERSE_ERROR
             c = allocate_samples(w, config.n_total)
-        rows.append((w, c, s))
+        weights += w
+        counts += c
+        scores += s
         # Model i draws c[i] uniforms from its own Philox stream into its
         # slice of the buffer; the pooled draws are evaluated in one pass.
         pooled = icdf.evaluate(philox.fill(keys[t], c, uniforms), offsets[t].repeat(c))
@@ -226,7 +257,6 @@ def run_arbitration(
         # The last step's record would never be read.
         if dynamic and t + 1 < horizon:
             window.push(records[t], probed[t].item(median_at))
-    weights, counts, scores = zip(*rows)
     probed = np.array(probed)
     return ArbitrationTrace(
         series_id=panel.series_id,
@@ -234,9 +264,9 @@ def run_arbitration(
         n_total=config.n_total,
         levels=out_levels,
         quantiles=probed[:, on_grid],
-        weights=weights,
-        counts=counts,
-        scores=scores,
+        weights=np.array(weights).reshape(horizon, n),
+        counts=np.array(counts, dtype=np.int64).reshape(horizon, n),
+        scores=np.array(scores).reshape(horizon, n),
         rules=rules,
         simulated=probed[:, median_at],
     )

@@ -11,6 +11,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -55,6 +56,30 @@ def _require_within(
             raise NonFinite(f"{what} contains non-finite value {v!r} at {at} {i}")
 
 
+#: What float conversion would read but a panel value is not: a JSON null
+#: (read as NaN in an array), a string ("1.0") or a boolean (0.0 or 1.0).
+_NOT_A_NUMBER = {type(None): "null", str: "a string", bool: "a boolean", np.bool_: "a boolean"}
+
+
+def _non_number(values: Sequence) -> tuple[int, str] | None:
+    """Index and kind of the first null, string or boolean in ``values``, or
+    None; one C-level pass over the value types when there is none."""
+    if set(map(type, values)).isdisjoint(_NOT_A_NUMBER):
+        return None
+    return next((i, _NOT_A_NUMBER[type(v)]) for i, v in enumerate(values)
+                if type(v) in _NOT_A_NUMBER)
+
+
+def _floats(values: Iterable, what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; a null, string or boolean among them
+    raises ``TypeError`` naming ``what`` and its index."""
+    values = tuple(values)
+    bad = _non_number(values)
+    if bad:
+        raise TypeError(f"{what} value at index {bad[0]} is {bad[1]}, not a number")
+    return tuple(map(float, values))
+
+
 def require_integer(value: object, what: str, low: int) -> None:
     """Reject a bool, a non-integer (numpy integers pass) or a ``value`` below
     ``low`` with a ``ValueError`` naming ``what``."""
@@ -71,7 +96,7 @@ class QuantileLevels:
     levels: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(float(a) for a in self.levels))
+        object.__setattr__(self, "levels", _floats(self.levels, "levels"))
         if not self.levels:
             raise ValueError("at least one quantile level is required")
         _require_within(self.levels, "quantile levels")
@@ -189,27 +214,28 @@ def stack_forecasts(
 
     ``models`` pairs each name with S rows, S equal across models. A row
     whose length is not ``n_levels`` raises :class:`DimensionMismatch`, and a
-    JSON null (which float conversion would read as NaN) raises
+    null, string or boolean value (see ``_NOT_A_NUMBER``) raises
     ``TypeError``; both name the model and the ``step`` ("timestep",
-    "backtest step").
+    "backtest step"). Every panel pays the same: one pass over the row
+    lengths, one over the value types and one conversion.
     """
-    for name, matrix in models:
-        for s, row in enumerate(matrix):
-            if len(row) != n_levels:
-                raise DimensionMismatch(
-                    f"model {name!r} at {step} {s}: forecast has {len(row)} values "
-                    f"for {n_levels} levels"
-                )
-    values = np.array([matrix for _, matrix in models], dtype=float)
-    # Matrices without rows stack to (N, 0), not (N, 0, K).
-    values = values.reshape(len(models), len(models[0][1]), n_levels)
-    for i, s, k in np.argwhere(np.isnan(values)).tolist():
-        if models[i][1][s][k] is None:
-            raise TypeError(
-                f"model {models[i][0]!r} at {step} {s}: value at level index {k} "
-                f"is null, not a number"
-            )
-    return values
+    rows = list(chain.from_iterable(matrix for _, matrix in models))
+    if set(map(len, rows)) - {n_levels}:
+        name, s, row = next((name, s, row) for name, matrix in models
+                            for s, row in enumerate(matrix) if len(row) != n_levels)
+        raise DimensionMismatch(
+            f"model {name!r} at {step} {s}: forecast has {len(row)} values for {n_levels} levels"
+        )
+    if not set(map(type, chain.from_iterable(rows))).isdisjoint(_NOT_A_NUMBER):
+        for name, matrix in models:
+            for s, row in enumerate(matrix):
+                bad = _non_number(row)
+                if bad:
+                    raise TypeError(f"model {name!r} at {step} {s}: value at level index "
+                                    f"{bad[0]} is {bad[1]}, not a number")
+    values = np.fromiter(chain.from_iterable(rows), float, len(rows) * n_levels)
+    # Matrices without rows stack to (N, 0, K) too.
+    return values.reshape(len(models), len(models[0][1]), n_levels)
 
 
 def _validate_forecasts(
@@ -270,9 +296,10 @@ class ForecastPanel(_Record):
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "context", tuple(float(v) for v in self.context))
+        owner = f"panel {self.series_id!r}"
+        object.__setattr__(self, "context", _floats(self.context, f"{owner}: context"))
         if self.actuals is not None:
-            object.__setattr__(self, "actuals", tuple(float(v) for v in self.actuals))
+            object.__setattr__(self, "actuals", _floats(self.actuals, f"{owner}: actuals"))
         object.__setattr__(self, "model_names", tuple(str(n) for n in self.model_names))
         object.__setattr__(self, "values", _frozen(self.values))
         _validate_panel(self)
@@ -436,7 +463,7 @@ class ArbitrationTrace(_Record):
     simulated: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "model_names", tuple(str(n) for n in self.model_names))
+        object.__setattr__(self, "model_names", tuple(map(str, self.model_names)))
         for name in ("quantiles", "weights", "scores", "simulated"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         for name, dtype in (("counts", np.int64), ("rules", str)):
@@ -502,13 +529,16 @@ def _validate_trace(trace: ArbitrationTrace) -> None:
     unscored = trace.rules != RULE_INVERSE_ERROR
     # Each check marks bad entries in arrays whose first axis is the step.
     # One reduction over each array tests it; only a failing check is
-    # searched for its first bad step.
+    # searched for its first bad step. A dip beyond tolerance is a decrease,
+    # so the tolerance is applied only where the quantiles decrease at all.
+    decreasing = quantiles[:, 1:] < quantiles[:, :-1]
     checks = (
         ((counts < 0, counts.sum(axis=1) != trace.n_total), DimensionMismatch,
          f"sample counts are not a split of {trace.n_total}"),
         ((~np.isfinite(quantiles), ~np.isfinite(trace.simulated), ~np.isfinite(weights)),
          NonFinite, "values are not finite"),
-        ((_dips(quantiles),), NonMonotoneQuantiles, "quantiles decrease"),
+        ((_dips(quantiles) if decreasing.any() else decreasing,), NonMonotoneQuantiles,
+         "quantiles decrease"),
         ((weights < 0, np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL),
          ValueError, "weights are not a distribution"),
         ((np.isnan(trace.scores) != unscored[:, None],),

@@ -60,11 +60,18 @@ class InverseCdf:
         self.levels = levels
         self._base, self._scale = grid.base, grid.scale
         self._below, self._thresholds = grid.below, grid.thresholds
-        # Running max absorbs sub-tolerance float dips so the fit is always
-        # fed non-decreasing knots. The fit works on (K, rows) arrays, one
-        # column per forecast: each operation then runs over whole
-        # contiguous rows, and the end knots are plain slices.
-        y = np.maximum.accumulate(values.reshape(-1, k), axis=-1).T.copy()
+        # The fit works on (K, rows) arrays, one column per forecast: each
+        # operation then runs over whole contiguous rows, and the end knots
+        # are plain slices. A running max absorbs sub-tolerance float dips so
+        # the fit is always fed non-decreasing knots; knots whose every slope
+        # is positive are their own running max, so it runs only where a
+        # slope is not: a dip, a NaN, or a tie, whose signed zeros it may
+        # rewrite.
+        y = values.reshape(-1, k).T.copy()
+        m = np.subtract(y[1:], y[:-1])
+        if not (m > 0).all():
+            y = np.maximum.accumulate(values.reshape(-1, k), axis=-1).T.copy()
+            m = np.subtract(y[1:], y[:-1])
         # Coefficients (1, s, s^2, s^3) of K + 1 pieces per forecast, one
         # zeroed block with a row per power: the lower tail, the K - 1
         # segments, the upper tail. Piece j covers levels[j-1] <= p < levels[j]
@@ -76,7 +83,6 @@ class InverseCdf:
         c0[1:] = y
         if k >= 2:
             h = grid.h
-            m = np.subtract(y[1:], y[:-1])
             m /= h  # non-negative after the running max
             d = _pchip_derivatives(m, grid.pchip)
             c1[0], c1[-1] = m[0], m[-1]
@@ -336,71 +342,106 @@ def _words(key: int) -> tuple[int, ...]:
     return (key,) if key <= _MASK32 else (key & _MASK32, key >> 32)
 
 
-def _path_words(components: Sequence[str | int]) -> tuple[tuple, np.ndarray | None]:
-    """Each component's key words, and all of them as a read-only (words,
-    len) uint32 array when every component has one word count, else None.
-    Kept for a range of step indices or a tuple of names, what every run
-    keys; not for other tuples, since ``1``, ``1.0`` and ``True`` are equal
-    cache keys but different components."""
+class _PathWords(NamedTuple):
+    """A path's key words: see :func:`_path_words`."""
+
+    words: tuple
+    block: np.ndarray | None
+    hashed: dict
+
+
+def _path_words(components: Sequence[str | int]) -> _PathWords:
+    """Each component's key words; all of them as a read-only (words, len)
+    uint32 ``block`` when every component has one word count, else None; and
+    the block's hashed words by how many words came before (see
+    :func:`_hashed`). Kept, hashed blocks included, for a range of step
+    indices or a tuple of names, what every run keys; not for other tuples,
+    since ``1``, ``1.0`` and ``True`` are equal cache keys but different
+    components."""
     if isinstance(components, range) or (
             type(components) is tuple and all(type(c) is str for c in components)):
         return _kept_path_words(components)
     return _key_path_words(components)
 
 
-def _key_path_words(components: Sequence[str | int]) -> tuple[tuple, np.ndarray | None]:
+def _key_path_words(components: Sequence[str | int]) -> _PathWords:
     words = tuple(_name_words(c) if isinstance(c, str) else _words(_component_key(c))
                   for c in components)
     if len({len(w) for w in words}) != 1:
-        return words, None
+        return _PathWords(words, None, {})
     block = np.array(words, dtype=np.uint32).T
     block.setflags(write=False)
-    return words, block
+    return _PathWords(words, block, {})
 
 
 _kept_path_words = functools.lru_cache(maxsize=256)(_key_path_words)
 
+#: How many word positions a path entry keeps hashed blocks for; a run's
+#: position is fixed by its seed and stream path, so few ever occur.
+_KEPT_POSITIONS = 4
+
 
 # numpy's SeedSequence entropy hash (pool of 4 uint32 words), continued past
 # a shared path prefix on uint32 arrays, so the keys of many streams hash
-# side by side. Products wrap mod 2**32, as the hash's do.
+# side by side. Products wrap mod 2**32, as the hash's do; the mix constants
+# are uint32 already, so no operation converts a Python int.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R, _SHIFT = (
+    np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
 
 
 @functools.lru_cache(maxsize=64)
 def _hash_constants(first: int, count: int, init: int = _INIT_A, mult: int = _MULT_A):
     """Constants before and after hashmixes ``first`` to ``first + count - 1``,
-    read-only uint32 arrays of shape (count // 4, 4, 1, 1). Each hashmix
+    read-only uint32 arrays of shape (count // 4, 4, 1). Each hashmix
     multiplies the constant by ``mult``, so they depend only on how many
     came before: once the pool is full, word ``p`` takes ``4p`` to ``4p + 3``."""
     consts = [init * pow(mult, first, 1 << 32) & _MASK32]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    arrays = tuple(np.array(c, dtype=np.uint32).reshape(-1, _POOL_SIZE, 1, 1)
+    arrays = tuple(np.array(c, dtype=np.uint32).reshape(-1, _POOL_SIZE, 1)
                    for c in (consts[:-1], consts[1:]))
     for a in arrays:
         a.setflags(write=False)
     return arrays
 
 
-def _absorb(pool: np.ndarray, seen: int, words: np.ndarray) -> np.ndarray:
-    """The (4, ...) pool after entropy ``words`` of shape (count, ...), hashed
-    side by side; ``seen`` words, at least four, came before. Each pool word
-    mixes in its own hash of each word, all hashed at once."""
-    before, after = _hash_constants(_POOL_SIZE * seen, _POOL_SIZE * len(words))
-    hashed = words[:, None] ^ before
-    hashed *= after
-    hashed ^= hashed >> 16
-    hashed *= _MIX_MULT_R
+def _hashed(path: _PathWords, seen: int) -> np.ndarray:
+    """Each pool word's hash of each of ``path``'s words, after ``seen`` words,
+    at least four: a read-only (words, 4, len) uint32 array. It depends on the
+    words and ``seen`` alone, so the path entry keeps it, for up to
+    ``_KEPT_POSITIONS`` values of ``seen``."""
+    hashed = path.hashed.get(seen)
+    if hashed is None:
+        before, after = _hash_constants(_POOL_SIZE * seen, _POOL_SIZE * len(path.block))
+        hashed = path.block[:, None] ^ before
+        hashed *= after
+        hashed ^= hashed >> _SHIFT
+        hashed *= _MIX_MULT_R
+        hashed.setflags(write=False)
+        if len(path.hashed) >= _KEPT_POSITIONS:
+            path.hashed.clear()
+        path.hashed[seen] = hashed
+    return hashed
+
+
+def _absorb(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """The (4, ...) pool after mixing in ``hashed`` words (see :func:`_hashed`),
+    of shape (count, 4, ...), side by side."""
     for h in hashed:
         pool = pool * _MIX_MULT_L - h
-        pool ^= pool >> 16
+        pool ^= pool >> _SHIFT
     return pool
+
+
+#: The output hash of ``generate_state``, pool word j to output word j: the
+#: constants before and after its hashmixes, as two read-only (4,) arrays.
+_OUTPUT_HASH = tuple(
+    c.reshape(_POOL_SIZE) for c in _hash_constants(0, _POOL_SIZE, _INIT_B, _MULT_B))
 
 
 class RandomStreams:
@@ -442,23 +483,26 @@ class RandomStreams:
         (4, rows, leaves) one. Any other grid keys each stream on its own.
         """
         entropy = (self.seed & _MASK64,) + self.path
-        seen = sum(len(_words(key)) for key in entropy)
-        (row_words, row_part), (leaf_words, leaf_part) = _path_words(rows), _path_words(leaves)
+        words = [word for key in entropy for word in _words(key)]
+        seen = len(words)
+        row_path, leaf_path = _path_words(rows), _path_words(leaves)
         # Side by side needs a full pool and one word count along each axis.
-        if seen < _POOL_SIZE or row_part is None or leaf_part is None:
+        if seen < _POOL_SIZE or row_path.block is None or leaf_path.block is None:
             keys = [np.random.SeedSequence(entropy + r + i).generate_state(2, np.uint64)
-                    for r in row_words for i in leaf_words]
+                    for r in row_path.words for i in leaf_path.words]
             return np.array(keys, dtype=np.uint64).reshape(len(rows), len(leaves), 2)
-        pool = np.random.SeedSequence(entropy).pool[:, None, None]
-        row_pool = _absorb(pool, seen, row_part[:, :, None])
-        words = _absorb(row_pool, seen + len(row_part), leaf_part[:, None, :])
+        # The path's words as one uint32 array, which SeedSequence takes as
+        # they are, where it would split each int of a tuple on its own.
+        pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool[:, None, None]
+        pool = _absorb(pool, _hashed(row_path, seen)[..., None])
+        pool = _absorb(pool, _hashed(leaf_path, seen + len(row_path.block))[:, :, None, :])
         # generate_state(2, np.uint64): output word j hashes pool word j, so
         # output word j of key (r, i) sits at [r, i, j]; little-endian pairs
         # of them read as the two uint64 key words.
-        before, after = (c.ravel() for c in _hash_constants(0, _POOL_SIZE, _INIT_B, _MULT_B))
-        key = np.bitwise_xor(words.transpose(1, 2, 0), before, order="C")
+        before, after = _OUTPUT_HASH
+        key = np.bitwise_xor(pool.transpose(1, 2, 0), before, order="C")
         key *= after
-        key ^= key >> 16
+        key ^= key >> _SHIFT
         return key.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 

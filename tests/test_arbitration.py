@@ -35,7 +35,7 @@ from quantarb.errors import (
     NonFinite,
     NonMonotoneQuantiles,
 )
-from quantarb.metrics import crps_batch
+from quantarb.metrics import PinballLoss, crps_batch
 from quantarb.quantiles import InverseCdf, RandomStreams
 from quantarb.synthetic import build_benchmark_suite
 
@@ -87,7 +87,7 @@ def test_default_window_capacity_tracks_short_horizons():
 
 def _scored(capacity, records):
     """Window scores after pushing ``(observation, forecasts)`` records one by one."""
-    ring = WindowScores(capacity, DEFAULT_LEVELS.levels, len(records[0][1]))
+    ring = WindowScores(capacity, PinballLoss(DEFAULT_LEVELS.levels), len(records[0][1]))
     for obs, fcs in records:
         ring.push([fc.values for fc in fcs], obs)
     return ring
@@ -119,7 +119,7 @@ def test_average_scores_symmetric_for_identical_models():
 
 def test_average_scores_reject_empty_window():
     with pytest.raises(EmptyWindow):
-        WindowScores(2, DEFAULT_LEVELS.levels, 2).averages()
+        WindowScores(2, PinballLoss(DEFAULT_LEVELS.levels), 2).averages()
 
 
 def test_inverse_error_weights_hand_values():
@@ -775,7 +775,7 @@ def test_run_equals_a_plain_reference_step_loop(data, levels, n, horizon, capaci
 
 
 def test_window_scores_evict_the_oldest_row_at_capacity():
-    ring = WindowScores(2, DEFAULT_LEVELS.levels, 2)
+    ring = WindowScores(2, PinballLoss(DEFAULT_LEVELS.levels), 2)
     records = deque(maxlen=2)
     for obs in (3.0, 3.5, 2.8, 4.1):
         values = np.array([_gauss(3.0, 0.5).values, _gauss(4.0, 2.0).values])
@@ -784,4 +784,31 @@ def test_window_scores_evict_the_oldest_row_at_capacity():
         assert len(ring) == len(records)
         assert ring.averages() == _rescored(records)
     with pytest.raises(EmptyWindow):
-        WindowScores(3, DEFAULT_LEVELS.levels, 2).averages()
+        WindowScores(3, PinballLoss(DEFAULT_LEVELS.levels), 2).averages()
+
+
+def test_step_plan_is_kept_per_shape_read_only_and_bounded():
+    # A run's offsets, uniform row, probe levels and window loss depend on
+    # its shape alone; runs of one shape share one read-only plan.
+    panel = _drifting_panel(t_steps=4)
+    n, horizon, grid = panel.n_models, panel.horizon, panel.levels.levels
+    plan = arbitration._step_plan(grid, grid, n, horizon, 60)
+    assert plan is arbitration._step_plan(grid, grid, n, horizon, 60)
+    assert arbitration._step_plan.cache_info().maxsize == 64
+    rows = np.arange(horizon)[:, None] + np.arange(n) * horizon
+    icdf = InverseCdf(grid, panel.values)
+    assert plan.offsets.tolist() == icdf.offsets(rows).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        plan.offsets[0, 0] = 0
+    assert plan.uniform_row[1] == allocate_samples((0.5, 0.5), 60)
+    assert plan.probe == DEFAULT_LEVELS.levels and plan.median_at == 4
+    assert plan.on_grid == slice(None)
+    # An output grid without 0.5 requantizes on it with 0.5 added.
+    out = QuantileLevels((0.1, 0.9))
+    off_grid = arbitration._step_plan(grid, out.levels, n, horizon, 60)
+    assert off_grid.probe == (0.1, 0.5, 0.9) and off_grid.median_at == 1
+    assert off_grid.on_grid.tolist() == [0, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        off_grid.on_grid[0] = 1
+    trace = run_arbitration(panel, config=ArbitratorConfig(n_total=60, levels=out))
+    assert trace.levels == out and trace.quantiles.shape == (horizon, 2)

@@ -4,11 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quantarb.core import (
     DEFAULT_LEVELS,
     MAX_ABS_VALUE,
+    MONOTONE_REL_TOL,
+    WEIGHT_SUM_TOL,
     ArbitrationStep,
     ArbitrationTrace,
     ForecastPanel,
@@ -149,6 +151,26 @@ def test_build_panel_rejects_a_null_value_as_not_a_number():
     rows[1][3] = None
     with pytest.raises(TypeError, match="model 'a' at timestep 1: value at level index 3 is null"):
         build_panel("s1", [1, 2], None, 1, DEFAULT_LEVELS, [("a", rows)])
+
+
+@pytest.mark.parametrize("field", ["context", "actuals", "levels", "models"])
+@pytest.mark.parametrize("value, kind", [("2.0", "a string"), (True, "a boolean"),
+                                         (np.False_, "a boolean"), (None, "null")])
+def test_build_panel_takes_numbers_only(field, value, kind):
+    # The Python API holds every field to the loader's rule.
+    args = dict(context=[1.0, 2.0, 3.0], actuals=[4.0, 5.0],
+                levels=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], models=_steps([4.0, 5.0]))
+    if field == "models":
+        args[field][1][3] = value
+        where = "model 'a' at timestep 1: value at level index 3"
+    else:
+        args[field][1] = value
+        where = {"levels": "levels", "context": "panel 's1': context",
+                 "actuals": "panel 's1': actuals"}[field] + " value at index 1"
+    with pytest.raises(TypeError) as caught:
+        build_panel("s1", args["context"], args["actuals"], 1,
+                    QuantileLevels(tuple(args["levels"])), [("a", args["models"])])
+    assert str(caught.value) == f"{where} is {kind}, not a number"
 
 
 def test_panel_values_are_a_read_only_copy():
@@ -447,6 +469,103 @@ def test_trace_check_names_the_first_bad_step(bad, error, what):
     with pytest.raises(error) as caught:
         _five_steps(**bad)
     assert str(caught.value) == f"trace 's' at step 2: {what}"
+
+
+def _masked_trace_check(series_id, n_total, quantiles, weights, counts, scores, rules,
+                        simulated):
+    """Error class and message of the first failing trace condition, or None:
+    every condition's mask built in full, the dip tolerance applied to every
+    pair of neighbouring quantiles."""
+    horizon = len(rules)
+    unscored = np.array([rule != "inverse_error" for rule in rules])
+    lo, hi = quantiles[:, :-1], quantiles[:, 1:]
+    with np.errstate(all="ignore"):
+        dips = lo - hi > MONOTONE_REL_TOL * np.maximum(np.abs(lo), np.abs(hi))
+        checks = (
+            ((counts < 0, counts.sum(axis=1) != n_total), DimensionMismatch,
+             f"sample counts are not a split of {n_total}"),
+            ((~np.isfinite(quantiles), ~np.isfinite(simulated), ~np.isfinite(weights)),
+             NonFinite, "values are not finite"),
+            ((dips,), NonMonotoneQuantiles, "quantiles decrease"),
+            ((weights < 0, np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL), ValueError,
+             "weights are not a distribution"),
+            ((np.isnan(scores) != unscored[:, None],), ValueError,
+             "window scores do not fit the weight rule"),
+        )
+    for marks, error, what in checks:
+        steps = np.flatnonzero(np.logical_or.reduce(
+            [mark.reshape(horizon, -1).any(axis=1) for mark in marks]))
+        if steps.size:
+            return error, f"trace {series_id!r} at step {steps[0]}: {what}"
+    return None
+
+
+_TRACE_FAULTS = ("none", "negative count", "count sum", "nan", "inf", "dip", "dip within",
+                 "negative weight", "weight sum", "score for rule")
+
+
+@st.composite
+def _faulty_traces(draw):
+    """A trace as a run writes it (2..4 models, 1..5 steps, 2..5 levels,
+    quantiles of magnitude 1 to 100), then one fault at one step."""
+    n, horizon, k = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    n_total = draw(st.integers(1, 40))
+    positive = st.floats(0.01, 10.0)
+    weights = np.array([normalize_weights(draw(st.lists(positive, min_size=n, max_size=n)))
+                        for _ in range(horizon)])
+    counts = np.array([[n_total // n + (i < n_total % n) for i in range(n)]] * horizon)
+    quantiles = np.sort(np.array(draw(st.lists(
+        st.lists(st.floats(1.0, 100.0), min_size=k, max_size=k), min_size=horizon,
+        max_size=horizon))), axis=1)
+    rules = draw(st.lists(st.sampled_from(("uniform", "inverse_error", "static")),
+                          min_size=horizon, max_size=horizon))
+    scores = np.array([[draw(positive) if rule == "inverse_error" else np.nan] * n
+                       for rule in rules])
+    simulated = np.array(draw(st.lists(st.floats(1.0, 100.0), min_size=horizon,
+                                       max_size=horizon)))
+    fault, t = draw(st.sampled_from(_TRACE_FAULTS)), draw(st.integers(0, horizon - 1))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(1, k - 1))
+    if fault == "negative count":
+        counts[t, i] = -1
+    elif fault == "count sum":
+        counts[t, i] += 1
+    elif fault in ("nan", "inf"):
+        array = draw(st.sampled_from((quantiles, simulated, weights)))
+        array[(t, i % array.shape[1]) if array.ndim == 2 else t] = float(fault)
+    elif fault == "dip":
+        quantiles[t, j] = quantiles[t, j - 1] * (1 - 1e-9)
+    elif fault == "dip within":  # one ulp, far inside the tolerance at these magnitudes
+        quantiles[t, j] = np.nextafter(quantiles[t, j - 1], -np.inf)
+    elif fault == "negative weight":  # the sum stays 1, to within rounding
+        weights[t, (i + 1) % n] += weights[t, i] + 0.25
+        weights[t, i] = -0.25
+    elif fault == "weight sum":
+        weights[t, i] += 1e-6
+    elif fault == "score for rule":
+        scores[t, i] = np.nan if rules[t] == "inverse_error" else 0.5
+    levels = QuantileLevels(tuple(np.arange(1, k + 1) / (k + 1)))
+    return fault, dict(series_id="s", model_names=tuple(f"m{i}" for i in range(n)),
+                       n_total=n_total, levels=levels, quantiles=quantiles, weights=weights,
+                       counts=counts, scores=scores, rules=rules, simulated=simulated)
+
+
+@given(_faulty_traces())
+@settings(max_examples=300, deadline=None)
+def test_trace_check_agrees_with_its_masks(case):
+    # The check, which applies the dip tolerance only where some quantile
+    # decreases, passes exactly the traces whose full masks find no bad step,
+    # and a failing trace gets the masks' class and message.
+    fault, fields = case
+    want = _masked_trace_check(**{name: fields[name] for name in (
+        "series_id", "n_total", "quantiles", "weights", "counts", "scores", "rules",
+        "simulated")})
+    try:
+        ArbitrationTrace(**fields)
+        got = None
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        got = type(exc), str(exc)
+    assert got == want
+    assert (got is None) == (fault in ("none", "dip within"))
 
 
 def test_trace_arrays_are_read_only_and_survive_pickling():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quantarb.errors import NonFinite, NonMonotoneQuantiles, ParseError, SchemaVersionMismatch
@@ -194,6 +195,49 @@ class TestFailureModes:
             load_panels(path)
         assert "null" in str(excinfo.value)
         assert (excinfo.value.path, excinfo.value.line) == (str(path), 1)
+
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [
+            ("models", {"m": [[1.0, "2.0", 3.0], [1.0, 2.0, 3.0]]},
+             "model 'm' at timestep 0: value at level index 1 is a string"),
+            ("models", {"m": [[1.0, 2.0, 3.0], [True, 2.0, 3.0]]},
+             "model 'm' at timestep 1: value at level index 0 is a boolean"),
+            ("context", [1.0, "2.0", 3.0], "panel 'unit': context value at index 1 is a string"),
+            ("context", [1.0, 2.0, True], "panel 'unit': context value at index 2 is a boolean"),
+            ("context", [1.0, None, 3.0], "panel 'unit': context value at index 1 is null"),
+            ("actuals", [False, 1.0], "panel 'unit': actuals value at index 0 is a boolean"),
+            ("actuals", [2.0, "1.0"], "panel 'unit': actuals value at index 1 is a string"),
+            ("actuals", [2.0, None], "panel 'unit': actuals value at index 1 is null"),
+            ("levels", [0.25, "0.5", 0.75], "levels value at index 1 is a string"),
+            ("levels", [0.25, None, 0.75], "levels value at index 1 is null"),
+        ],
+        ids=["forecast-string", "forecast-true", "context-string", "context-true",
+             "context-null", "actuals-false", "actuals-string", "actuals-null",
+             "levels-string", "levels-null"],
+    )
+    def test_strings_booleans_and_nulls_are_not_numbers(self, tmp_path, field, value, where):
+        # float() reads "2.0" as 2.0, true as 1.0 and false as 0.0, and
+        # rejects None without naming the field.
+        record = _valid_record(actuals=[2.0, 3.0],
+                               models={"m": [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]})
+        record[field] = value
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(record)])
+        with pytest.raises(ParseError) as excinfo:
+            load_panels(path)
+        assert str(excinfo.value).startswith(f"{path}:1: ")
+        assert f"{where}, not a number" in str(excinfo.value)
+
+    def test_integers_zeros_and_ones_are_numbers(self, tmp_path):
+        # A boolean would read as 0 or 1; JSON integers and floats equal to
+        # those are numbers.
+        record = _valid_record(actuals=[0, 1], context=[0, 1, 2],
+                               models={"m": [[0, 1, 2], [0.0, 1.0, 2.5]]})
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(record)])
+        panel = load_panels(path)[0].panel
+        assert panel.values.dtype == np.float64
+        assert panel.values.tolist() == [[[0.0, 1.0, 2.0], [0.0, 1.0, 2.5]]]
+        assert panel.context == (0.0, 1.0, 2.0) and panel.actuals == (0.0, 1.0)
 
     def test_repeated_model_key_rejected(self, tmp_path):
         # json.loads alone keeps the last "m" and drops the first silently.

@@ -1,4 +1,7 @@
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +14,10 @@ from quantarb.quantiles import (
     InverseCdf,
     KeyedPhilox,
     RandomStreams,
+    _KEPT_POSITIONS,
     _grid,
+    _kept_path_words,
+    _path_words,
     _pchip_constants,
     _pchip_derivatives,
     _type7_positions,
@@ -342,6 +348,90 @@ def test_grid_keys_match_seed_sequence(seed, prefix, rows, leaves):
             assert keys[r, i].tolist() == expected.tolist()
 
 
+def _assert_grid_keys_match(node, rows, leaves):
+    keys = node.grid_keys(rows, leaves)
+    assert keys.shape == (len(rows), len(leaves), 2) and keys.dtype == np.uint64
+    for r, row in enumerate(rows):
+        for i, leaf in enumerate(leaves):
+            assert keys[r, i].tolist() == _seed_sequence_key(node.child(row).child(leaf)).tolist()
+
+
+@pytest.mark.parametrize(
+    "rows, leaves",
+    [
+        # Kept: a range of steps and a tuple of names, as every run keys them.
+        (range(5), ("expert_00", "expert_01", "b")),
+        (range(3, 40, 7), ("a",)),
+        # Not kept: lists, numpy integers, a tuple holding an int.
+        ([0, 1, 2], ["expert_00", "b"]),
+        (np.arange(4), ("a", "b")),
+        ([np.int64(2), np.uint32(9)], [np.int16(-1), 5]),
+        (range(4), ("a", 3, "b")),
+        # Mixed word counts: two-word steps, one-word leaves among names.
+        ([0, 2**32 + 1, 5], ("a", "b")),
+        (range(3), ["a", 7, 2**40, "expert_01"]),
+    ],
+)
+def test_grid_keys_match_seed_sequence_for_kept_and_unkept_paths(rows, leaves):
+    node = RandomStreams(5).child("series", "s1", "t")
+    for _ in range(2):  # the second call reads what the first kept
+        _assert_grid_keys_match(node, rows, leaves)
+
+
+def test_hashed_names_kept_for_one_path_length_do_not_serve_another():
+    # The same names tuple under paths of different word counts hashes at
+    # different pool positions; each position keeps its own block.
+    names = ("expert_00", "expert_01", "expert_02")
+    prefixes = (["series", "s1", "t"], ["series", "s1", "t", "x"], ["series", 1, "t"],
+                [2**40, 2**40, 2**40])
+    nodes = [RandomStreams(0).child(*prefix) for prefix in prefixes]
+    for node in nodes + nodes[::-1]:
+        _assert_grid_keys_match(node, range(4), names)
+    hashed = _kept_path_words(names).hashed
+    assert len(hashed) >= 2
+    assert all(block.flags.writeable is False for block in hashed.values())
+
+
+def test_kept_key_words_are_bounded():
+    # Per kept path at most _KEPT_POSITIONS hashed blocks, and at most 256
+    # kept paths.
+    names = ("bounded_a", "bounded_b")
+    for depth in range(3 * _KEPT_POSITIONS):
+        node = RandomStreams(9).child(*range(2**32, 2**32 + depth + 3))
+        _assert_grid_keys_match(node, range(2), names)
+        assert 1 <= len(_kept_path_words(names).hashed) <= _KEPT_POSITIONS
+    assert _kept_path_words.cache_info().maxsize == 256
+    # Paths that are not kept are built afresh on every call.
+    path = _path_words(["bounded_a", "bounded_b"])
+    assert path is not _path_words(["bounded_a", "bounded_b"])
+
+
+def test_threads_keying_one_names_tuple_at_many_positions_get_their_own_keys():
+    # Six threads key one names tuple under six path lengths, more than an
+    # entry keeps, so entries are dropped and rebuilt while others read them;
+    # the interpreter switches threads every 10 us. Every key is still the
+    # SeedSequence key of its own path.
+    names = ("threaded_a", "threaded_b", "threaded_c")
+    nodes = [RandomStreams(3).child(*range(2**32, 2**32 + depth)) for depth in range(2, 8)]
+    expected = [[[_seed_sequence_key(node.child(t).child(name)).tolist() for name in names]
+                 for t in range(3)] for node in nodes]
+    start = threading.Barrier(len(nodes))
+
+    def keys(node):
+        start.wait(timeout=60)
+        return [node.grid_keys(range(3), names).tolist() for _ in range(40)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(nodes)) as pool:
+            futures = [pool.submit(keys, node) for node in nodes]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[want] * 40 for want in expected]
+
+
 @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 1500])
 def test_reused_generator_draws_match_fresh_generators(count):
     # Counts 3 to 5 straddle Philox's four-word output buffer.
@@ -502,6 +592,55 @@ def test_batched_kernel_mixes_rows_in_one_call():
     for j in range(len(p)):
         assert got[j] == _scipy_inverse_cdf(levels, rows[which[j]], p[j : j + 1])[0]
     assert icdf(np.array([0.0, 1.0]), np.array([2, 2])).tolist() == [3.0, 3.0]
+
+
+@st.composite
+def _knot_rows(draw):
+    """A 1..9-level grid and 1..5 rows of sorted knots, some changed into
+    dips of one to four ulps (within MONOTONE_REL_TOL), ties or a pair of
+    signed zeros."""
+    k = draw(st.integers(1, 9))
+    levels = np.arange(1, k + 1) / (k + 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = sorted(draw(st.lists(st.floats(-1e6, 1e6) | st.sampled_from((0.0, -0.0)),
+                                   min_size=k, max_size=k)))
+        for j in range(1, k):
+            move = draw(st.sampled_from(("keep", "keep", "keep", "dip", "tie", "zero")))
+            if move == "dip":
+                row[j] = np.nextafter(row[j - 1], -np.inf)
+                for _ in range(draw(st.integers(0, 3))):
+                    row[j] = np.nextafter(row[j], -np.inf)
+            elif move == "tie":
+                row[j] = row[j - 1]
+            elif move == "zero":
+                row[j - 1], row[j] = draw(st.sampled_from(((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0))))
+        rows.append(row)
+    return levels, np.array(rows)
+
+
+def _row_coef(icdf, r, k):
+    return b"".join(c[r * (k + 1):(r + 1) * (k + 1)].tobytes() for c in icdf._coef)
+
+
+@given(_knot_rows())
+@example((np.array([0.25, 0.5, 0.75]), np.array([[1.0, 2.0, 3.0], [1.0, 0.9999999999999999, 3.0]])))
+@example((np.array([0.25, 0.5, 0.75]), np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 0.0]])))
+@settings(max_examples=300, deadline=None)
+def test_fit_equals_a_fit_of_the_running_max_bit_for_bit(case):
+    # The fit takes the running max only where a slope is not positive;
+    # elsewhere the knots are their own running max. Each row fitted alone
+    # (the clean ones skip the running max) and the whole block (which takes
+    # it when any row dips or ties) equal a fit of the running max.
+    levels, rows = case
+    k = len(levels)
+    reference = InverseCdf(levels, np.maximum.accumulate(rows, axis=-1))
+    batch = InverseCdf(levels, rows)
+    for got, want in zip(batch._coef, reference._coef):
+        assert got.tobytes() == want.tobytes()
+    for r, row in enumerate(rows):
+        alone = InverseCdf(levels, row)
+        assert _row_coef(alone, 0, k) == _row_coef(reference, r, k), row
 
 
 def test_kernel_rejects_values_off_the_grid():
