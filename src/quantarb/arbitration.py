@@ -34,6 +34,7 @@ from .core import (
 from .errors import AlignmentMismatch, EmptyWindow
 from .metrics import PinballLoss
 from .quantiles import InverseCdf, KeyedPhilox, RandomStreams, empirical_quantiles
+from .quantiles import _component_key
 
 #: Cap applied to the horizon-derived default window capacity.
 DEFAULT_WINDOW_CAP = 16
@@ -42,6 +43,11 @@ DEFAULT_WINDOW_CAP = 16
 #: stand-in observations exactly scores 0 and is weighted as if it scored
 #: this, so weights stay finite and continuous in the scores.
 NEAR_ZERO_EPSILON = 1e-9
+
+#: Steps a static-uniform run draws and evaluates at once: the fastest of 1
+#: to 32 over the desk panels; from 8 up the blocks spill the cache (README).
+_STATIC_BLOCK = 4
+_SERIES, _T = _component_key("series"), _component_key("t")  # constant path keys, hashed once
 
 
 @dataclass(frozen=True)
@@ -92,12 +98,13 @@ class WindowScores:
         shape (N, L, K) against ``observations`` of shape (L,), or one record
         as (N, K) against a single observation."""
         scores = self._loss(values, observations)
-        if scores.ndim == 1:  # one record: one score per column
-            for column, score in zip(self._columns, scores.tolist()):
-                column.append(score)
-            return
         for column, row in zip(self._columns, scores.reshape(len(self._columns), -1).tolist()):
             column.extend(row)
+
+    def append(self, record: np.ndarray, observation: float) -> None:
+        """Score one (N, K) record against a Python float: one score per column."""
+        for column, score in zip(self._columns, self._loss(record, observation).tolist()):
+            column.append(score)
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -133,8 +140,8 @@ def allocate_samples(weights: Sequence[float], n_total: int) -> tuple[int, ...]:
     counts = [math.floor(x) for x in scaled]
     remainder = n_total - sum(counts)
     if remainder:
-        by_fraction = sorted(zip([c - x for c, x in zip(counts, scaled)], range(len(counts))))
-        for _, i in by_fraction[:remainder]:
+        fractions = [c - x for c, x in zip(counts, scaled)]
+        for i in sorted(range(len(counts)), key=fractions.__getitem__)[:remainder]:
             counts[i] += 1
     return tuple(counts)
 
@@ -194,69 +201,73 @@ def run_arbitration(
     into the window as a stand-in observation before the next step is scored.
     Inverse CDFs of all N x T forecasts are fitted once, before the loop, and
     each window record is scored once, when it enters; each step only
-    appends its rows of the trace. An ``initial_window`` must hold the
-    panel's model names, in the panel's order, on its levels; the run keeps
-    the newest ``config`` window-capacity records of it. Pass ``streams``
-    shared across panels to keep per-model draws identical regardless of
-    which other series are processed; the default is the tree of seed 0.
+    appends its rows of the trace. A static-uniform run, whose counts never
+    change, draws and evaluates ``_STATIC_BLOCK`` steps at once, but still
+    runs ``empirical_quantiles`` once per step. An ``initial_window`` must
+    hold the panel's model names, in the panel's order, on its levels; the
+    run keeps the newest ``config`` window-capacity records of it. Pass
+    ``streams`` shared across panels to keep per-model draws identical
+    regardless of which other series are processed; the default is the tree
+    of seed 0.
     """
     n = panel.n_models
     if config.n_total < n:
         raise ValueError(
             f"n_total {config.n_total} cannot cover {n} models with one sample each"
         )
-    names = panel.model_names
-    levels = panel.levels
-    if initial_window is not None and initial_window.model_names != names:
-        raise AlignmentMismatch(
-            f"initial window models {list(initial_window.model_names)} differ from "
-            f"panel {panel.series_id!r} models {list(names)}"
-        )
-    if initial_window is not None and initial_window.levels != levels:
-        raise AlignmentMismatch(
-            f"initial window levels {list(initial_window.levels)} differ from "
-            f"panel {panel.series_id!r} levels {list(levels)}"
-        )
-    dynamic = config.mode == "dynamic"
-    horizon = panel.horizon
+    names, levels = panel.model_names, panel.levels
+    if initial_window is not None:
+        for what, got, want in (("models", initial_window.model_names, names),
+                                ("levels", initial_window.levels, levels)):
+            if got != want:
+                raise AlignmentMismatch(f"initial window {what} {list(got)} differ from "
+                                        f"panel {panel.series_id!r} {what} {list(want)}")
+    horizon, n_total = panel.horizon, config.n_total
     out_levels = levels if config.levels is None else config.levels
     offsets, uniform_row, probe, median_at, on_grid, loss = _step_plan(
-        levels.levels, out_levels.levels, n, horizon, config.n_total
+        levels.levels, out_levels.levels, n, horizon, n_total
     )
-    window = WindowScores(config.resolve_capacity(horizon), loss, n)
-    if dynamic and initial_window is not None:
-        window.push(initial_window.values, initial_window.observations)
     # Model i's stream at step t is child("series", id, "t", t).child(name):
-    # all N x T keys in one pass, drawn through one generator into one buffer.
-    series_streams = streams.child("series", panel.series_id, "t")
-    keys = series_streams.grid_keys(range(horizon), names).tolist()
+    # all N x T keys in one pass, row t * N + i, drawn through one generator.
+    keys = streams.child(_SERIES, panel.series_id, _T).grid_keys(range(horizon), names)
+    keys = keys.reshape(-1, 2).tolist()
     philox = KeyedPhilox.for_thread()
-    uniforms = np.empty(config.n_total)
     icdf = InverseCdf(levels.levels, panel.values)
-    # Step t's window record, models by levels, as one C-ordered block.
-    records = panel.values.transpose(1, 0, 2).copy()
-    rules = [RULE_UNIFORM if dynamic else RULE_STATIC] * horizon
-    # Each step's weights, counts and scores extend one flat list apiece,
-    # which converts to an array faster than a tuple of rows.
     weights, counts, scores, probed = [], [], [], []
-    for t in range(horizon):
-        if not dynamic or not len(window):
+    if config.mode != "dynamic":
+        w, c, s = uniform_row
+        uniforms = np.empty(n_total * _STATIC_BLOCK)
+        for start in range(0, horizon, _STATIC_BLOCK):
+            m = min(_STATIC_BLOCK, horizon - start)
+            u = philox.fill(keys[start * n:(start + m) * n], c * m, uniforms)[:m * n_total]
+            pooled = icdf.evaluate(u, offsets[start:start + m].reshape(-1).repeat(c * m))
+            for j in range(0, m * n_total, n_total):
+                probed.append(empirical_quantiles(pooled[j:j + n_total], probe))
+        rules = [RULE_STATIC] * horizon
+        weights, counts, scores = w * horizon, c * horizon, s * horizon
+    else:
+        rules = [RULE_UNIFORM] * horizon
+        window = WindowScores(config.resolve_capacity(horizon), loss, n)
+        if initial_window is not None:
+            window.push(initial_window.values, initial_window.observations)
+        uniforms = np.empty(n_total)
+        records = panel.values.transpose(1, 0, 2).copy()  # C-ordered (N, K) record per step
+        for t in range(horizon):
             w, c, s = uniform_row
-        else:
-            s = window.averages()
-            w = weights_with_rule(s)
-            rules[t] = RULE_INVERSE_ERROR
-            c = allocate_samples(w, config.n_total)
-        weights += w
-        counts += c
-        scores += s
-        # Model i draws c[i] uniforms from its own Philox stream into its
-        # slice of the buffer; the pooled draws are evaluated in one pass.
-        pooled = icdf.evaluate(philox.fill(keys[t], c, uniforms), offsets[t].repeat(c))
-        probed.append(empirical_quantiles(pooled, probe))
-        # The last step's record would never be read.
-        if dynamic and t + 1 < horizon:
-            window.push(records[t], probed[t].item(median_at))
+            if len(window):
+                s = window.averages()
+                w = weights_with_rule(s)
+                rules[t] = RULE_INVERSE_ERROR
+                c = allocate_samples(w, n_total)
+            weights += w
+            counts += c
+            scores += s
+            # Model i draws c[i] uniforms from its own stream; one pass evaluates all.
+            u = philox.fill(keys[t * n:(t + 1) * n], c, uniforms)
+            probed.append(empirical_quantiles(icdf.evaluate(u, offsets[t].repeat(c)), probe))
+            # The last step's record would never be read.
+            if t + 1 < horizon:
+                window.append(records[t], probed[t].item(median_at))
     probed = np.array(probed)
     return ArbitrationTrace(
         series_id=panel.series_id,

@@ -14,7 +14,8 @@ import sys
 from typing import Callable, Sequence
 
 from .arbitration import ArbitratorConfig
-from .errors import ArbitrationError
+from .errors import ArbitrationError, NonFinite, ZeroDenominator
+from .metrics import mase_scale
 from .oracle import oracle_select, switching_stats
 from .panelio import load_panels, save_panels
 from .reporting import (
@@ -142,6 +143,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"{p.series_id}: {p.n_models} models, horizon {p.horizon}, "
             f"context {len(p.context)}, domain {tagged.metadata.domain}"
         )
+        if p.actuals is not None:
+            try:  # scoring needs this scale; arbitration never reads it
+                mase_scale(p.context, p.seasonality)
+            except (NonFinite, ZeroDenominator) as exc:
+                print(f"warning: panel {p.series_id!r}: {exc}; scoring will reject it",
+                      file=sys.stderr)
     print(f"{len(panels)} panel(s) valid")
     return EXIT_OK
 

@@ -49,8 +49,9 @@ class PinballLoss:
         # d < 0, else d(1 - alpha); the two-branch form's bits, in any layout.
         rho = np.subtract(q, y, order="C")
         rho *= np.where(rho < 0.0, self._below, self._above)
-        rho *= 2.0
-        rho /= scale
+        # 2 * rho / scale in one pass: doubling a bounded rho and halving a
+        # floored scale are exact, so both forms round one quotient once.
+        rho /= scale * 0.5
         return row_means(rho)
 
 

@@ -139,7 +139,8 @@ class InverseCdf:
         """The polynomial of each probability's ``piece`` at ``p``."""
         # take, not fancy indexing: numpy gathers far faster so.
         index = offsets + piece
-        c0, c1, c2, c3 = (c.take(index) for c in self._coef)
+        c0, c1, c2, c3 = self._coef
+        c1, c2, c3 = c1.take(index), c2.take(index), c3.take(index)
         s = p - self._base.take(piece)
         s2 = s * s
         # scipy's evaluate_poly1 order, c0 + c1*s + c2*s2 + c3*(s2*s): powers
@@ -148,7 +149,7 @@ class InverseCdf:
         # the same. On the tails the zero cubic terms add signed zeros,
         # leaving y + slope * s unchanged.
         out = np.multiply(c1, s, out=c1)
-        out += c0
+        out += c0.take(index)
         out += np.multiply(c2, s2, out=c2)
         out += np.multiply(c3, np.multiply(s2, s, out=s), out=c3)
         return out

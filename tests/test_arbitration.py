@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import sys
 import threading
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quantarb.arbitration as arbitration
+import quantarb.quantiles as quantiles
 from quantarb.arbitration import (
     ArbitratorConfig,
     WindowScores,
@@ -36,7 +39,7 @@ from quantarb.errors import (
     NonMonotoneQuantiles,
 )
 from quantarb.metrics import PinballLoss, crps_batch
-from quantarb.quantiles import InverseCdf, RandomStreams
+from quantarb.quantiles import InverseCdf, KeyedPhilox, RandomStreams, empirical_quantiles
 from quantarb.synthetic import build_benchmark_suite
 
 CFG = ArbitratorConfig()
@@ -187,6 +190,7 @@ def test_allocation_hand_values():
     assert allocate_samples((1.0, 0.0), 1500) == (1500, 0)
     thirds = (1 / 3, 1 / 3, 1 / 3)
     assert allocate_samples(thirds, 1000) == (334, 333, 333)
+    assert allocate_samples((0.25, 0.25, 0.25, 0.25), 7) == (2, 2, 2, 1)
 
 
 @given(
@@ -201,6 +205,28 @@ def test_allocation_sums_exactly_and_stays_within_one_of_exact(raw, n_total):
     assert all(c >= 0 for c in counts)
     for c, wi in zip(counts, w):
         assert abs(c - wi * n_total) < 1.0
+
+
+def _allocate_by_sorted_pairs(weights, n_total):
+    """Largest remainder as it was written: remainder units go down the
+    sorted (fraction, index) pairs, so ties go to the lowest index."""
+    scaled = [w * n_total for w in weights]
+    counts = [math.floor(x) for x in scaled]
+    by_fraction = sorted(zip([c - x for c, x in zip(counts, scaled)], range(len(counts))))
+    for _, i in by_fraction[:n_total - sum(counts)]:
+        counts[i] += 1
+    return tuple(counts)
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=9),
+    st.integers(min_value=1, max_value=5000),
+)
+@settings(max_examples=300)
+def test_allocation_breaks_ties_as_the_sorted_pairs_did(raw, n_total):
+    # Small integer weights repeat, so many fractions tie exactly.
+    weights = normalize_weights(raw)
+    assert allocate_samples(weights, n_total) == _allocate_by_sorted_pairs(weights, n_total)
 
 
 def _one_step_panel(rows, context=(9.0, 9.5, 10.0)):
@@ -812,3 +838,88 @@ def test_step_plan_is_kept_per_shape_read_only_and_bounded():
         off_grid.on_grid[0] = 1
     trace = run_arbitration(panel, config=ArbitratorConfig(n_total=60, levels=out))
     assert trace.levels == out and trace.quantiles.shape == (horizon, 2)
+
+
+def _static_reference(panel, n_total, streams):
+    """A static-uniform run step by step, from public pieces: each step's keys
+    from ``grid_keys``, its uniforms from a fresh ``KeyedPhilox.fill``, one
+    ``InverseCdf.evaluate`` and one ``empirical_quantiles`` per step."""
+    n, horizon, levels = panel.n_models, panel.horizon, panel.levels.levels
+    keys = streams.child("series", panel.series_id, "t").grid_keys(range(horizon),
+                                                                   panel.model_names)
+    counts = allocate_samples((1.0 / n,) * n, n_total)
+    icdf = InverseCdf(levels, panel.values)
+    probe = tuple(sorted(set(levels) | {0.5}))
+    steps = []
+    for t in range(horizon):
+        uniforms = KeyedPhilox().fill(keys[t].tolist(), counts, np.empty(n_total))
+        rows = icdf.offsets(np.arange(n) * horizon + t).repeat(counts)
+        steps.append(empirical_quantiles(icdf.evaluate(uniforms, rows), probe))
+    return counts, probe, steps
+
+
+@given(
+    st.integers(1, 9),
+    st.integers(1, 5),
+    st.sampled_from(["n", 7, 60]),
+    _LEVEL_GRIDS,
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_static_runs_drawn_in_blocks_equal_a_step_by_step_reference(
+    horizon, n, budget, levels, seed
+):
+    # Horizons 1-9 cover one block, whole blocks and a short last block.
+    rng = np.random.default_rng(seed)
+    n_total = n if budget == "n" else budget
+    values = np.sort(rng.normal(20.0, 3.0, size=(n, horizon, len(levels))), axis=-1)
+    panel = build_panel(f"s{seed % 97}", [19.0, 20.0, 21.0], None, 1, levels,
+                        [(f"m{i}", values[i].tolist()) for i in range(n)])
+    streams = RandomStreams(seed)
+    trace = run_arbitration(panel, config=ArbitratorConfig(n_total=n_total,
+                                                           mode="static-uniform"),
+                            streams=streams)
+    counts, probe, steps = _static_reference(panel, n_total, streams)
+    on_grid = [probe.index(a) for a in levels.levels]
+    assert trace.rules.tolist() == ["static"] * horizon
+    assert trace.counts.tolist() == [list(counts)] * horizon
+    assert trace.weights.tolist() == [[1.0 / n] * n] * horizon
+    assert np.isnan(trace.scores).all()
+    for t, q in enumerate(steps):
+        assert trace.quantiles[t].tobytes() == q[on_grid].tobytes()
+        assert trace.simulated[t] == q[probe.index(0.5)]
+
+
+def test_run_keys_equal_the_series_path_without_rehashing_its_constants(monkeypatch):
+    # The constant path components "series" and "t" are hashed once, at
+    # import; a run keys its streams exactly as the spelled-out path does.
+    panel = _drifting_panel(t_steps=5)
+    names, horizon = panel.model_names, panel.horizon
+    real_grid_keys, real_blake2b = RandomStreams.grid_keys, hashlib.blake2b
+    derived, hashed = [], []
+
+    def grid_keys(self, rows, leaves):
+        keys = real_grid_keys(self, rows, leaves)
+        derived.append((self, keys))
+        return keys
+
+    def blake2b(data, **kwargs):
+        hashed.append(data)
+        return real_blake2b(data, **kwargs)
+
+    run_arbitration(panel)  # keeps the model names' hashes
+    monkeypatch.setattr(RandomStreams, "grid_keys", grid_keys)
+    monkeypatch.setattr(quantiles.hashlib, "blake2b", blake2b)
+    for sid in ("a", "series", "t", "panel-07"):
+        streams = RandomStreams(5)
+        for mode in ("dynamic", "static-uniform"):
+            derived.clear()
+            hashed.clear()
+            run_arbitration(dataclasses.replace(panel, series_id=sid),
+                            config=ArbitratorConfig(n_total=60, mode=mode), streams=streams)
+            # Only the series id is hashed.
+            assert hashed == [sid.encode()]
+            (node, keys), = derived
+            want = streams.child("series", sid, "t")
+            assert (node.seed, node.path) == (want.seed, want.path)
+            assert keys.tobytes() == real_grid_keys(want, range(horizon), names).tobytes()

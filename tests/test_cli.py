@@ -79,6 +79,23 @@ class TestValidate:
         assert main(["validate", "--lenient", str(loose)]) == EXIT_OK
         assert "1 panel(s) valid" in capsys.readouterr().out
 
+    def test_warns_about_each_panel_scoring_will_reject(self, tmp_path, capsys):
+        # fx-aa's context [1, 2, 1, 2] is 2-periodic: its seasonal-naive MAE,
+        # which every score divides by, is zero. A panel without actuals is
+        # never scored, so a periodic context there draws no warning.
+        records = [json.loads(line) for line in FIXTURE.read_text().splitlines()]
+        quiet = dict(records[0], series_id="no-actuals", actuals=None)
+        path = tmp_path / "panels.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records + [quiet]),
+                        encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "4 panel(s) valid" in captured.out
+        assert captured.err == (
+            "warning: panel 'fx-aa': context is 2-periodic; seasonal-naive MAE is zero; "
+            "scoring will reject it\n"
+        )
+
     def test_missing_path_is_validation_failure(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.jsonl")]) == EXIT_VALIDATION
         assert "does not exist" in capsys.readouterr().err
@@ -135,8 +152,8 @@ class TestEval:
         assert err == "error: panel 'periodic': context is 2-periodic; seasonal-naive MAE is zero\n"
 
     def test_periodic_fixture_validates_but_scoring_names_the_panel(self, capsys):
-        # validate does not compute the MASE scale, which only scoring reads;
-        # fx-aa's context [1, 2, 1, 2] is 2-periodic.
+        # validate only warns about a zero MASE scale, which only scoring
+        # reads; fx-aa's context [1, 2, 1, 2] is 2-periodic.
         assert main(["validate", str(FIXTURE)]) == EXIT_OK
         assert "3 panel(s) valid" in capsys.readouterr().out
         for methods in ("median", "synapse"):

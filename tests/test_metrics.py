@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quantarb.core import DEFAULT_LEVELS, QuantileLevels, build_panel
+from quantarb.core import DEFAULT_LEVELS, MAX_ABS_VALUE, QuantileLevels, build_panel
 from quantarb.errors import NonFinite, SeriesTooShort, ZeroDenominator
 from quantarb.metrics import ABS_OBS_FLOOR, crps_batch, mase_scale
 from quantarb.panelio import TaggedPanel
@@ -143,10 +143,12 @@ def _crps_with_both_branches(levels, values, observations):
     return np.add.reduce(2.0 * rho / np.maximum(np.abs(y), ABS_OBS_FLOOR), axis=-1) / q.shape[-1]
 
 
-# Signed zeros, subnormals, the smallest normal, values near the floor on |y|
-# and large magnitudes, next to ordinary finite values.
+# Signed zeros, subnormals, the smallest normal, values at, near and across
+# the floor on |y|, the panel bound and large magnitudes, next to ordinary
+# finite values.
 _awkward = st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-8, -3e-9, 1e300, -1e300]
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-8, -3e-9, 1e300, -1e300,
+     -ABS_OBS_FLOOR, 0.999e-8, 1.001e-8, MAX_ABS_VALUE, -MAX_ABS_VALUE]
 )
 
 
