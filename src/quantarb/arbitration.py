@@ -189,11 +189,35 @@ def _step_plan(
     return _StepPlan(offsets, uniform_row, probe, median_at, on_grid, PinballLoss(levels))
 
 
+class PanelSetup:
+    """The inverse-CDF fit of one panel's N x T forecasts and the Philox keys
+    of its (step, model) streams under one stream tree, model i at step t in
+    row ``t * N + i``: built by the first run given it, reused by the rest."""
+
+    __slots__ = ("panel", "streams", "_built")
+
+    def __init__(self, panel: ForecastPanel, streams: RandomStreams) -> None:
+        self.panel, self.streams, self._built = panel, streams, None
+
+    def built(self, panel: ForecastPanel, streams: RandomStreams) -> tuple[InverseCdf, list]:
+        """The fit and the keys; ``ValueError`` for another panel object or tree."""
+        own = self.streams
+        if panel is not self.panel or (streams.seed, streams.path) != (own.seed, own.path):
+            raise ValueError(f"the set-up of panel {self.panel.series_id!r} is for another run")
+        if self._built is None:  # model i at step t: child("series", id, "t", t).child(name)
+            keys = streams.child(_SERIES, panel.series_id, _T).grid_keys(
+                range(panel.horizon), panel.model_names).reshape(-1, 2).tolist()
+            self._built = InverseCdf(panel.levels.levels, panel.values), keys
+        return self._built
+
+
 def run_arbitration(
     panel: ForecastPanel,
     initial_window: PerformanceWindow | None = None,
     config: ArbitratorConfig = ArbitratorConfig(),
     streams: RandomStreams = RandomStreams(0),
+    *,
+    setup: PanelSetup | None = None,
 ) -> ArbitrationTrace:
     """Arbitrate one panel over its full horizon.
 
@@ -201,14 +225,17 @@ def run_arbitration(
     into the window as a stand-in observation before the next step is scored.
     Inverse CDFs of all N x T forecasts are fitted once, before the loop, and
     each window record is scored once, when it enters; each step only
-    appends its rows of the trace. A static-uniform run, whose counts never
-    change, draws and evaluates ``_STATIC_BLOCK`` steps at once, but still
-    runs ``empirical_quantiles`` once per step. An ``initial_window`` must
-    hold the panel's model names, in the panel's order, on its levels; the
-    run keeps the newest ``config`` window-capacity records of it. Pass
-    ``streams`` shared across panels to keep per-model draws identical
-    regardless of which other series are processed; the default is the tree
-    of seed 0.
+    appends its rows of the trace. The fit and the keys come from ``setup``
+    (a run without one builds its own), which lives as long as its holder:
+    ``eval`` and ``winloss`` keep one per panel while scoring it, so its two
+    synapse runs share one fit and one key grid. A static-uniform run, whose
+    counts never change, draws and evaluates ``_STATIC_BLOCK`` steps at once,
+    but still runs ``empirical_quantiles`` once per step. An
+    ``initial_window`` must hold the panel's model names, in the panel's
+    order, on its levels; the run keeps the newest ``config``
+    window-capacity records of it. Pass ``streams`` shared across panels to
+    keep per-model draws identical regardless of which other series are
+    processed; the default is the tree of seed 0.
     """
     n = panel.n_models
     if config.n_total < n:
@@ -227,12 +254,8 @@ def run_arbitration(
     offsets, uniform_row, probe, median_at, on_grid, loss = _step_plan(
         levels.levels, out_levels.levels, n, horizon, n_total
     )
-    # Model i's stream at step t is child("series", id, "t", t).child(name):
-    # all N x T keys in one pass, row t * N + i, drawn through one generator.
-    keys = streams.child(_SERIES, panel.series_id, _T).grid_keys(range(horizon), names)
-    keys = keys.reshape(-1, 2).tolist()
+    icdf, keys = (setup or PanelSetup(panel, streams)).built(panel, streams)
     philox = KeyedPhilox.for_thread()
-    icdf = InverseCdf(levels.levels, panel.values)
     weights, counts, scores, probed = [], [], [], []
     if config.mode != "dynamic":
         w, c, s = uniform_row

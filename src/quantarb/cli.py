@@ -198,6 +198,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     panels = load_panels(args.path)
+    if not panels:  # before the header line is printed
+        raise ValueError("at least one panel is required")
     traces = [oracle_select(t.panel) for t in panels]
     tagged_traces = [
         (t.metadata.domain, t.metadata.horizon_class, trace) for t, trace in zip(panels, traces)

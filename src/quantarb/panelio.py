@@ -83,13 +83,16 @@ def _record_to_panel(record: dict, where: str, line: int, strict: bool) -> Tagge
         raise ParseError(
             f"'seasonality' must be a JSON integer, got {seasonality!r}", path=where, line=line
         )
+    for tag in ("series_id", "domain", "horizon_class", "frequency"):
+        if not isinstance(record.get(tag, ""), str):  # not str()'d: null is not "None"
+            raise ParseError(f"{tag!r} must be a JSON string, got {record[tag]!r}", where, line)
     models = record["models"]
     if not isinstance(models, dict) or not models:
         raise ParseError("'models' must be a non-empty object", path=where, line=line)
     try:
         levels = QuantileLevels(tuple(record["levels"]))
         panel = build_panel(
-            series_id=str(record["series_id"]),
+            series_id=record["series_id"],
             context=record["context"],
             actuals=record.get("actuals"),
             seasonality=seasonality,
@@ -102,9 +105,9 @@ def _record_to_panel(record: dict, where: str, line: int, strict: bool) -> Tagge
         exc.args = (f"{where}:{line}: {exc}",)
         raise
     meta = PanelMetadata(
-        domain=str(record.get("domain", "unknown")),
-        horizon_class=str(record.get("horizon_class", "unknown")),
-        frequency=str(record.get("frequency", "unknown")),
+        domain=record.get("domain", "unknown"),
+        horizon_class=record.get("horizon_class", "unknown"),
+        frequency=record.get("frequency", "unknown"),
     )
     return TaggedPanel(panel=panel, metadata=meta)
 

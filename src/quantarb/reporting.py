@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arbitration import ArbitratorConfig, run_arbitration
+from .arbitration import ArbitratorConfig, PanelSetup, run_arbitration
 from .baselines import mean_ensemble, median_ensemble
 from .core import ForecastPanel, QuantileLevels, quantile_at
 from .errors import DimensionMismatch, InsufficientModels, ZeroDenominator
@@ -126,15 +126,16 @@ def _subset_panel(panel: ForecastPanel, names: Sequence[str]) -> ForecastPanel:
 
 
 class _PanelScoring:
-    """What every score of one panel shares, each computed once: its actuals
-    and its MASE scale, and, the first time a static method asks, its static
+    """What every score of one panel shares, each computed once: its actuals,
+    its MASE scale, the :class:`PanelSetup` of its arbitrated runs under the
+    run's ``streams`` and, the first time a static method asks, its static
     block: the pool's N members, the median and the mean ensemble stacked
     into one C-ordered (N + 2, T, K) array. One CRPS pass and one pass over
     its level-0.5 points score the whole block; every member, ensemble and
     oracle score is read from them."""
 
-    def __init__(self, panel: ForecastPanel) -> None:
-        self.panel = panel
+    def __init__(self, panel: ForecastPanel, streams: RandomStreams) -> None:
+        self.panel, self.setup = panel, PanelSetup(panel, streams)
         self.actuals = np.asarray(panel.require_actuals(), dtype=float)
         try:
             self.scale = mase_scale(panel.context, panel.seasonality)
@@ -185,7 +186,7 @@ class _PanelScoring:
         return self.scores([trace.crps], picked)[0]
 
     def arbitrated(self, config: ArbitratorConfig, streams: RandomStreams) -> PanelScore:
-        trace = run_arbitration(self.panel, config=config, streams=streams)
+        trace = run_arbitration(self.panel, config=config, streams=streams, setup=self.setup)
         return self.path(trace.levels, trace.quantiles)
 
 
@@ -234,7 +235,7 @@ def score_panel(
     method is a registry name or ``model:<name>``."""
     scorers = [_scorer(m) for m in dict.fromkeys(methods)]
     out: dict[str, PanelScore] = {}
-    scoring = _PanelScoring(tagged.panel)
+    scoring = _PanelScoring(tagged.panel, streams)
     for scorer in scorers:
         out.update(scorer(scoring, config, streams))
     return out
@@ -371,7 +372,7 @@ def run_pool_scaling(
             )
     streams = RandomStreams(seed)
 
-    scorings = [_PanelScoring(tagged.panel) for tagged in tagged_panels]
+    scorings = [_PanelScoring(tagged.panel, streams) for tagged in tagged_panels]
     member_crps = {name: [s.member(name).crps for s in scorings] for name in model_order}
     member_mase = {name: [s.member(name).mase for s in scorings] for name in model_order}
     rows = []

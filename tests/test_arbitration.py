@@ -582,6 +582,41 @@ def _trace_bits(trace):
     return tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in trace._args())
 
 
+@pytest.mark.parametrize("grid", [DEFAULT_LEVELS.levels, (0.1, 0.3, 0.8), (0.4,)])
+@pytest.mark.parametrize("first", ["dynamic", "static-uniform"])
+def test_runs_sharing_a_set_up_equal_lone_runs_bit_for_bit(grid, first):
+    # A panel's dynamic and static runs under one stream tree share one fit
+    # and one key grid, whichever runs first; on a grid without 0.5, and on
+    # a one-level grid, a run requantizes on the grid with 0.5 added.
+    rng = np.random.default_rng(len(grid))
+    values = np.sort(rng.normal(20.0, 3.0, size=(3, 6, len(grid))), axis=-1)
+    panel = build_panel("shared", [19.0, 20.0, 21.0], None, 1, QuantileLevels(grid),
+                        [(f"m{i}", values[i].tolist()) for i in range(3)])
+    modes = [first] + [mode for mode in ("dynamic", "static-uniform") if mode != first]
+    configs = [ArbitratorConfig(n_total=90, window_capacity=3, mode=mode) for mode in modes]
+    setup = arbitration.PanelSetup(panel, RandomStreams(7))
+    shared = [_trace_bits(run_arbitration(panel, config=config, streams=RandomStreams(7),
+                                          setup=setup)) for config in configs]
+    lone = [_trace_bits(run_arbitration(panel, config=config, streams=RandomStreams(7)))
+            for config in configs]
+    assert shared == lone
+
+
+def test_a_set_up_serves_only_its_own_panel_and_stream_tree():
+    # An equal tree is the same tree; an equal panel is not the same panel.
+    panel = _three_model_panel()
+    setup = arbitration.PanelSetup(panel, RandomStreams(3))
+    expected = run_arbitration(panel, streams=RandomStreams(3))
+    assert run_arbitration(panel, streams=RandomStreams(3), setup=setup) == expected
+    for other, streams in ((dataclasses.replace(panel), RandomStreams(3)),
+                           (_drifting_panel(), RandomStreams(3)),
+                           (panel, RandomStreams(4)),
+                           (panel, RandomStreams(3).child("series"))):
+        for fresh in (setup, arbitration.PanelSetup(panel, RandomStreams(3))):
+            with pytest.raises(ValueError, match="set-up of panel 'ring' is for another run"):
+                run_arbitration(other, streams=streams, setup=fresh)
+
+
 def test_runs_on_one_thread_share_one_philox_generator(monkeypatch):
     # A thread builds its generator on its first run and every later run on
     # it draws from the same one; a new thread builds its own, once.

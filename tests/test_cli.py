@@ -476,6 +476,12 @@ class TestOracle:
         assert err.startswith(f"error: {path}:1: panel 'big', model 'a' at timestep 0: ")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_an_empty_panel_file_fails_before_printing(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("", encoding="utf-8")
+        assert main(["oracle", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: at least one panel is required\n")
+
     def test_each_pool_is_scored_once(self, suite_path, monkeypatch, capsys):
         shapes = []
         real = quantarb.oracle.crps_batch

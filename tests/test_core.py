@@ -426,6 +426,21 @@ def test_trace_rejects_rows_that_no_run_could_write():
         _trace((4, 6), quantiles=[range(8)])
 
 
+@pytest.mark.parametrize("quantiles, step", [
+    ([[2.0, 2.0, 1.0]], 0),
+    ([[3.0, 3.0, 3.0], [2.0, 2.0, 1.0], [5.0, 4.0, 4.0]], 1),
+])
+def test_trace_check_finds_a_decrease_where_no_quantile_increases(quantiles, step):
+    # The dip tolerance runs only when some quantile decreases; here none
+    # increases either, so a guard that looked for increases would skip it.
+    horizon = len(quantiles)
+    with pytest.raises(NonMonotoneQuantiles, match=f"at step {step}: quantiles decrease"):
+        ArbitrationTrace("s", ("a",), 1, QuantileLevels((0.25, 0.5, 0.75)),
+                         quantiles=quantiles, weights=[[1.0]] * horizon,
+                         counts=[[1]] * horizon, scores=[[float("nan")]] * horizon,
+                         rules=["uniform"] * horizon, simulated=[2.0] * horizon)
+
+
 def _five_steps(**bad):
     """A valid five-step trace of two models; ``bad`` maps an array name to
     the rows, by step, that replace its own."""

@@ -287,6 +287,22 @@ class TestFailureModes:
             load_panels(path)
         assert excinfo.value.line == 1
 
+    @pytest.mark.parametrize("field", ["series_id", "domain", "horizon_class", "frequency"])
+    @pytest.mark.parametrize("bad", [None, True, 5, [1], {"a": "b"}])
+    def test_ids_and_tags_must_be_json_strings(self, tmp_path, field, bad):
+        # str() would read null as "None" and 5 as "5".
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(_valid_record(**{field: bad}))])
+        with pytest.raises(ParseError) as excinfo:
+            load_panels(path)
+        assert str(excinfo.value) == (f"{path}:1: {field!r} must be a JSON string, "
+                                      f"got {bad!r}")
+
+    def test_a_numeric_series_id_is_not_a_duplicate_of_its_string(self, tmp_path):
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(_valid_record(series_id="5")),
+                                                   json.dumps(_valid_record(series_id=5))])
+        with pytest.raises(ParseError, match="'series_id' must be a JSON string, got 5"):
+            load_panels(path)
+
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(ParseError, match="does not exist"):
             load_panels(tmp_path / "nope.jsonl")

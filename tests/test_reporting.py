@@ -31,6 +31,7 @@ from quantarb.core import (
 from quantarb.errors import DimensionMismatch, InsufficientModels, NonFinite, ZeroDenominator
 from quantarb.oracle import oracle_select
 from quantarb.panelio import TaggedPanel
+from quantarb.quantiles import RandomStreams
 from quantarb.reporting import (
     METHODS,
     PoolScalingRow,
@@ -386,6 +387,29 @@ class TestScorePanel:
         assert calls == {"weights": sum(rule == "inverse_error" for rule in rules),
                          "requantize": len(rules)}
         assert calls["weights"] > 0
+
+    def test_a_panel_is_fitted_and_keyed_once_for_all_its_methods(self, small_suite,
+                                                                   monkeypatch):
+        # A panel's synapse and synapse-static runs share one set-up: one fit
+        # of its N x T forecasts and one key grid, built by its first run.
+        calls = {"fits": 0, "keys": 0}
+        real_fit, real_keys = quantarb.arbitration.InverseCdf, RandomStreams.grid_keys
+
+        def fit(*args):
+            calls["fits"] += 1
+            return real_fit(*args)
+
+        def keys(*args):
+            calls["keys"] += 1
+            return real_keys(*args)
+
+        monkeypatch.setattr(quantarb.arbitration, "InverseCdf", fit)
+        monkeypatch.setattr(RandomStreams, "grid_keys", keys)
+        for tagged in small_suite[:3]:
+            score_panel(tagged, METHODS)
+        assert calls == {"fits": 3, "keys": 3}
+        run_win_loss(small_suite[:2], "synapse-static", "synapse")
+        assert calls == {"fits": 5, "keys": 5}
 
 
 class TestRunEvaluation:
