@@ -135,8 +135,16 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
+def _load(args: argparse.Namespace, strict: bool = True) -> list:
+    """The panels at ``args.path``; an empty set fails before any output."""
+    panels = load_panels(args.path, strict=strict)
+    if not panels:
+        raise ValueError("at least one panel is required")
+    return panels
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
-    panels = load_panels(args.path, strict=not args.lenient)
+    panels = _load(args, strict=not args.lenient)
     for tagged in panels:
         p = tagged.panel
         print(
@@ -156,7 +164,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     methods = _parse_methods(args.methods)
     rows = run_evaluation(
-        load_panels(args.path),
+        _load(args),
         methods=methods,
         config=_config_from(args),
         seed=args.seed,
@@ -168,7 +176,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    panels = load_panels(args.path)
+    panels = _load(args)
     order = tuple(m.strip() for m in args.order.split(",") if m.strip())
     rows = run_pool_scaling(panels, order, config=_config_from(args), seed=args.seed)
     _emit(emit_scaling(rows, args.format, args.out), args)
@@ -176,7 +184,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_winloss(args: argparse.Namespace) -> int:
-    panels = load_panels(args.path)
+    panels = _load(args)
     result = run_win_loss(
         panels, args.a, args.b, config=_config_from(args), seed=args.seed
     )
@@ -197,9 +205,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    panels = load_panels(args.path)
-    if not panels:  # before the header line is printed
-        raise ValueError("at least one panel is required")
+    panels = _load(args)
     traces = [oracle_select(t.panel) for t in panels]
     tagged_traces = [
         (t.metadata.domain, t.metadata.horizon_class, trace) for t, trace in zip(panels, traces)

@@ -126,7 +126,7 @@ def save_panels(path: str | Path, tagged_panels: Iterable[TaggedPanel]) -> int:
 
 def _iter_panel_files(path: Path) -> Sequence[Path]:
     if path.is_dir():
-        return sorted(path.glob("*.jsonl"))
+        return sorted(p for p in path.glob("*.jsonl") if p.is_file())
     return [path]
 
 
@@ -145,7 +145,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def load_panels(path: str | Path, strict: bool = True) -> list[TaggedPanel]:
-    """Load panels from a record file, or every ``*.jsonl`` in a directory.
+    """Load panels from a record file, or every ``*.jsonl`` file in a directory.
 
     Malformed JSON or records, repeated object keys and repeated series ids
     surface as :class:`ParseError` carrying the file and line; panel-content

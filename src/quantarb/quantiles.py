@@ -332,54 +332,9 @@ def _component_key(component: str | int) -> int:
     return int.from_bytes(digest, "little")
 
 
-@functools.lru_cache(maxsize=4096)
-def _name_words(name: str) -> tuple[int, ...]:
-    """Key words of a model name, which keys the streams of every panel."""
-    return _words(_component_key(name))
-
-
 def _words(key: int) -> tuple[int, ...]:
     """uint32 words of a 64-bit key, as SeedSequence splits an integer."""
     return (key,) if key <= _MASK32 else (key & _MASK32, key >> 32)
-
-
-class _PathWords(NamedTuple):
-    """A path's key words: see :func:`_path_words`."""
-
-    words: tuple
-    block: np.ndarray | None
-    hashed: dict
-
-
-def _path_words(components: Sequence[str | int]) -> _PathWords:
-    """Each component's key words; all of them as a read-only (words, len)
-    uint32 ``block`` when every component has one word count, else None; and
-    the block's hashed words by how many words came before (see
-    :func:`_hashed`). Kept, hashed blocks included, for a range of step
-    indices or a tuple of names, what every run keys; not for other tuples,
-    since ``1``, ``1.0`` and ``True`` are equal cache keys but different
-    components."""
-    if isinstance(components, range) or (
-            type(components) is tuple and all(type(c) is str for c in components)):
-        return _kept_path_words(components)
-    return _key_path_words(components)
-
-
-def _key_path_words(components: Sequence[str | int]) -> _PathWords:
-    words = tuple(_name_words(c) if isinstance(c, str) else _words(_component_key(c))
-                  for c in components)
-    if len({len(w) for w in words}) != 1:
-        return _PathWords(words, None, {})
-    block = np.array(words, dtype=np.uint32).T
-    block.setflags(write=False)
-    return _PathWords(words, block, {})
-
-
-_kept_path_words = functools.lru_cache(maxsize=256)(_key_path_words)
-
-#: How many word positions a path entry keeps hashed blocks for; a run's
-#: position is fixed by its seed and stream path, so few ever occur.
-_KEPT_POSITIONS = 4
 
 
 # numpy's SeedSequence entropy hash (pool of 4 uint32 words), continued past
@@ -395,43 +350,49 @@ _MIX_MULT_L, _MIX_MULT_R, _SHIFT = (
     np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
 
 
-@functools.lru_cache(maxsize=64)
 def _hash_constants(first: int, count: int, init: int = _INIT_A, mult: int = _MULT_A):
     """Constants before and after hashmixes ``first`` to ``first + count - 1``,
-    read-only uint32 arrays of shape (count // 4, 4, 1). Each hashmix
-    multiplies the constant by ``mult``, so they depend only on how many
-    came before: once the pool is full, word ``p`` takes ``4p`` to ``4p + 3``."""
+    uint32 arrays of shape (count // 4, 4, 1). Each hashmix multiplies the
+    constant by ``mult``, so they depend only on how many came before: once
+    the pool is full, word ``p`` takes ``4p`` to ``4p + 3``."""
     consts = [init * pow(mult, first, 1 << 32) & _MASK32]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    arrays = tuple(np.array(c, dtype=np.uint32).reshape(-1, _POOL_SIZE, 1)
-                   for c in (consts[:-1], consts[1:]))
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+    return tuple(np.array(c, dtype=np.uint32).reshape(-1, _POOL_SIZE, 1)
+                 for c in (consts[:-1], consts[1:]))
 
 
-def _hashed(path: _PathWords, seen: int) -> np.ndarray:
-    """Each pool word's hash of each of ``path``'s words, after ``seen`` words,
-    at least four: a read-only (words, 4, len) uint32 array. It depends on the
-    words and ``seen`` alone, so the path entry keeps it, for up to
-    ``_KEPT_POSITIONS`` values of ``seen``."""
-    hashed = path.hashed.get(seen)
-    if hashed is None:
-        before, after = _hash_constants(_POOL_SIZE * seen, _POOL_SIZE * len(path.block))
-        hashed = path.block[:, None] ^ before
-        hashed *= after
-        hashed ^= hashed >> _SHIFT
-        hashed *= _MIX_MULT_R
-        hashed.setflags(write=False)
-        if len(path.hashed) >= _KEPT_POSITIONS:
-            path.hashed.clear()
-        path.hashed[seen] = hashed
+@functools.lru_cache(maxsize=256)
+def _hashed_words(components: Sequence[str | int], position: int) -> np.ndarray | None:
+    """Each pool word's hash of each of ``components``' key words, after
+    ``position`` words, at least four: a read-only (words, 4, len) uint32
+    array, or None when the components' word counts differ. It depends on the
+    components and ``position`` alone, so it is kept for a range of steps or
+    a tuple of names, what every run keys (see :func:`_hashed`)."""
+    words = [_words(_component_key(c)) for c in components]
+    if len({len(w) for w in words}) != 1:
+        return None
+    block = np.array(words, dtype=np.uint32).T
+    before, after = _hash_constants(_POOL_SIZE * position, _POOL_SIZE * len(block))
+    hashed = block[:, None] ^ before
+    hashed *= after
+    hashed ^= hashed >> _SHIFT
+    hashed *= _MIX_MULT_R
+    hashed.setflags(write=False)
     return hashed
 
 
+def _hashed(components: Sequence[str | int], position: int) -> np.ndarray | None:
+    """:func:`_hashed_words`, kept only for a range or a tuple of str: any
+    other sequence is hashed afresh, since ``1``, ``1.0`` and ``True`` are
+    equal cache keys but different components."""
+    kept = isinstance(components, range) or (
+        type(components) is tuple and all(type(c) is str for c in components))
+    return (_hashed_words if kept else _hashed_words.__wrapped__)(components, position)
+
+
 def _absorb(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
-    """The (4, ...) pool after mixing in ``hashed`` words (see :func:`_hashed`),
+    """The (4, ...) pool after mixing in ``hashed`` words (see :func:`_hashed_words`),
     of shape (count, 4, ...), side by side."""
     for h in hashed:
         pool = pool * _MIX_MULT_L - h
@@ -477,26 +438,31 @@ class RandomStreams:
         Returns shape (len(rows), len(leaves), 2) uint64; entry ``[r, i]`` is
         the key ``child(rows[r]).child(leaves[i]).generator()`` seeds Philox
         with. Philox is counter-based, so the key fixes the whole stream
-        (Salmon et al. 2011). When every row key has one word count and every
-        leaf key has one word count (a step index is one word, a model name
-        almost always two), numpy hashes the shared path once; the row words
-        then mix into a (4, rows, 1) pool array and the leaf words into a
-        (4, rows, leaves) one. Any other grid keys each stream on its own.
+        (Salmon et al. 2011). When the path has at least four words, every
+        row key has one word count and every leaf key has one word count (a
+        step index is one word, a model name almost always two), numpy hashes
+        the shared path once; the row words then mix into a (4, rows, 1) pool
+        array and the leaf words into a (4, rows, leaves) one. The hashed row
+        and leaf words depend only on the words and on how many words came
+        before, so one cache keeps them for a range of steps or a tuple of
+        names (256 entries). Any other grid keys each stream on its own.
         """
         entropy = (self.seed & _MASK64,) + self.path
         words = [word for key in entropy for word in _words(key)]
         seen = len(words)
-        row_path, leaf_path = _path_words(rows), _path_words(leaves)
         # Side by side needs a full pool and one word count along each axis.
-        if seen < _POOL_SIZE or row_path.block is None or leaf_path.block is None:
-            keys = [np.random.SeedSequence(entropy + r + i).generate_state(2, np.uint64)
-                    for r in row_path.words for i in leaf_path.words]
+        rows_hashed = _hashed(rows, seen) if seen >= _POOL_SIZE else None
+        leaves_hashed = None if rows_hashed is None else _hashed(leaves, seen + len(rows_hashed))
+        if leaves_hashed is None:
+            leaf_keys = [_component_key(i) for i in leaves]
+            keys = [np.random.SeedSequence(entropy + (r, i)).generate_state(2, np.uint64)
+                    for r in map(_component_key, rows) for i in leaf_keys]
             return np.array(keys, dtype=np.uint64).reshape(len(rows), len(leaves), 2)
         # The path's words as one uint32 array, which SeedSequence takes as
         # they are, where it would split each int of a tuple on its own.
         pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool[:, None, None]
-        pool = _absorb(pool, _hashed(row_path, seen)[..., None])
-        pool = _absorb(pool, _hashed(leaf_path, seen + len(row_path.block))[:, :, None, :])
+        pool = _absorb(pool, rows_hashed[..., None])
+        pool = _absorb(pool, leaves_hashed[:, :, None, :])
         # generate_state(2, np.uint64): output word j hashes pool word j, so
         # output word j of key (r, i) sits at [r, i, j]; little-endian pairs
         # of them read as the two uint64 key words.

@@ -185,29 +185,30 @@ class _PanelScoring:
         picked = points[list(trace.selections), np.arange(panel.horizon)]
         return self.scores([trace.crps], picked)[0]
 
-    def arbitrated(self, config: ArbitratorConfig, streams: RandomStreams) -> PanelScore:
-        trace = run_arbitration(self.panel, config=config, streams=streams, setup=self.setup)
+    def arbitrated(self, config: ArbitratorConfig) -> PanelScore:
+        trace = run_arbitration(self.panel, config=config, streams=self.setup.streams,
+                                setup=self.setup)
         return self.path(trace.levels, trace.quantiles)
 
 
-#: Scores one panel under one method, given the panel's shared scoring
-#: inputs and the run's config and stream tree, keyed by report row name.
-Scorer = Callable[[_PanelScoring, ArbitratorConfig, RandomStreams], dict[str, PanelScore]]
+#: Scores one panel under one method, given its shared scoring inputs (the
+#: stream tree among them) and the run's config, keyed by report row name.
+Scorer = Callable[[_PanelScoring, ArbitratorConfig], dict[str, PanelScore]]
 
 #: Every method, in registry order: the order of report rows. Each scorer
 #: yields the method's own row, except ``per-model``, which yields one
 #: ``model:<name>`` row per pool member.
 _SCORERS: dict[str, Scorer] = {
-    "synapse": lambda p, c, s: {"synapse": p.arbitrated(replace(c, mode="dynamic"), s)},
-    "synapse-static": lambda p, c, s: {
-        "synapse-static": p.arbitrated(replace(c, mode="static-uniform"), s)
+    "synapse": lambda p, c: {"synapse": p.arbitrated(replace(c, mode="dynamic"))},
+    "synapse-static": lambda p, c: {
+        "synapse-static": p.arbitrated(replace(c, mode="static-uniform"))
     },
-    "median": lambda p, c, s: {"median": p.statics[-2]},
-    "mean": lambda p, c, s: {"mean": p.statics[-1]},
-    "per-model": lambda p, c, s: {
+    "median": lambda p, c: {"median": p.statics[-2]},
+    "mean": lambda p, c: {"mean": p.statics[-1]},
+    "per-model": lambda p, c: {
         _MODEL_PREFIX + name: score for name, score in zip(p.panel.model_names, p.statics)
     },
-    "oracle": lambda p, c, s: {"oracle": p.oracle()},
+    "oracle": lambda p, c: {"oracle": p.oracle()},
 }
 
 #: Method names accepted by evaluation, in registry order.
@@ -219,7 +220,7 @@ def _scorer(method: str) -> Scorer:
     that one pool member's row."""
     if method.startswith(_MODEL_PREFIX):
         name = method[len(_MODEL_PREFIX):]
-        return lambda p, c, s: {method: p.member(name)}
+        return lambda p, c: {method: p.member(name)}
     if method not in _SCORERS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     return _SCORERS[method]
@@ -237,7 +238,7 @@ def score_panel(
     out: dict[str, PanelScore] = {}
     scoring = _PanelScoring(tagged.panel, streams)
     for scorer in scorers:
-        out.update(scorer(scoring, config, streams))
+        out.update(scorer(scoring, config))
     return out
 
 

@@ -101,6 +101,35 @@ class TestValidate:
         assert "does not exist" in capsys.readouterr().err
 
 
+_EMPTY_SET_COMMANDS = (
+    ["validate"],
+    ["eval"],
+    ["scale", "--order", "a,b"],
+    ["winloss", "--a", "median", "--b", "mean"],
+    ["oracle"],
+)
+
+
+@pytest.mark.parametrize("command", _EMPTY_SET_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("layout", ["empty file", "no panel files", "a directory named .jsonl"])
+def test_every_command_rejects_an_empty_panel_set_before_printing(
+    tmp_path, capsys, command, layout
+):
+    # Directory entries are skipped, so a sub.jsonl/ directory is no panel
+    # file and reading it is no runtime failure.
+    path = tmp_path / "panels"
+    if layout == "empty file":
+        path = tmp_path / "empty.jsonl"
+        path.write_text("", encoding="utf-8")
+    else:
+        path.mkdir()
+        (path / "notes.txt").write_text("not a panel\n", encoding="utf-8")
+        if layout == "a directory named .jsonl":
+            (path / "sub.jsonl").mkdir()
+    assert main([command[0], str(path), *command[1:]]) == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error: at least one panel is required\n")
+
+
 class TestSynth:
     def test_writes_requested_panel_count(self, suite_path, capsys):
         tagged = load_panels(suite_path)

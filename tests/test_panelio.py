@@ -325,6 +325,11 @@ class TestDirectoryLoading:
     def test_empty_directory_gives_empty_list(self, tmp_path):
         assert load_panels(tmp_path) == []
 
+    def test_directory_entries_named_like_panel_files_are_skipped(self, tmp_path):
+        (tmp_path / "a_sub.jsonl").mkdir()
+        _write_lines(tmp_path / "b.jsonl", [json.dumps(_valid_record(series_id="one"))])
+        assert [t.panel.series_id for t in load_panels(tmp_path)] == ["one"]
+
     def test_blank_lines_skipped(self, tmp_path):
         path = _write_lines(
             tmp_path / "p.jsonl",

@@ -14,10 +14,9 @@ from quantarb.quantiles import (
     InverseCdf,
     KeyedPhilox,
     RandomStreams,
-    _KEPT_POSITIONS,
     _grid,
-    _kept_path_words,
-    _path_words,
+    _hashed,
+    _hashed_words,
     _pchip_constants,
     _pchip_derivatives,
     _type7_positions,
@@ -380,30 +379,36 @@ def test_grid_keys_match_seed_sequence_for_kept_and_unkept_paths(rows, leaves):
 
 def test_hashed_names_kept_for_one_path_length_do_not_serve_another():
     # The same names tuple under paths of different word counts hashes at
-    # different pool positions; each position keeps its own block.
+    # different pool positions; each position has its own read-only entry.
     names = ("expert_00", "expert_01", "expert_02")
     prefixes = (["series", "s1", "t"], ["series", "s1", "t", "x"], ["series", 1, "t"],
                 [2**40, 2**40, 2**40])
     nodes = [RandomStreams(0).child(*prefix) for prefix in prefixes]
     for node in nodes + nodes[::-1]:
         _assert_grid_keys_match(node, range(4), names)
-    hashed = _kept_path_words(names).hashed
-    assert len(hashed) >= 2
-    assert all(block.flags.writeable is False for block in hashed.values())
+    # Seed 0 is one word, 1 one and the other components two each, so the
+    # names come after 8, 10, 7 and 8 words: those keys left three entries.
+    hits = _hashed_words.cache_info().hits
+    blocks = [_hashed(names, position) for position in (7, 8, 10)]
+    assert _hashed_words.cache_info().hits == hits + 3
+    assert all(block.flags.writeable is False for block in blocks)
+    assert len({block.tobytes() for block in blocks}) == 3
 
 
 def test_kept_key_words_are_bounded():
-    # Per kept path at most _KEPT_POSITIONS hashed blocks, and at most 256
-    # kept paths.
-    names = ("bounded_a", "bounded_b")
-    for depth in range(3 * _KEPT_POSITIONS):
-        node = RandomStreams(9).child(*range(2**32, 2**32 + depth + 3))
-        _assert_grid_keys_match(node, range(2), names)
-        assert 1 <= len(_kept_path_words(names).hashed) <= _KEPT_POSITIONS
-    assert _kept_path_words.cache_info().maxsize == 256
-    # Paths that are not kept are built afresh on every call.
-    path = _path_words(["bounded_a", "bounded_b"])
-    assert path is not _path_words(["bounded_a", "bounded_b"])
+    # One cache of at most 256 entries, keyed by components and position;
+    # it keeps a range of steps or a tuple of names, and nothing else.
+    assert _hashed_words.cache_info().maxsize == 256
+    kept = _hashed_words.cache_info().currsize
+    node = RandomStreams(9).child(*range(2**32, 2**32 + 3))
+    for rows, leaves in (([0, 1], ["bounded_a", "bounded_b"]), ((0, 1), ("bounded_a", 2**40))):
+        _assert_grid_keys_match(node, rows, leaves)
+        assert _hashed(rows, 6) is not _hashed(rows, 6)
+        assert _hashed(leaves, 7) is not _hashed(leaves, 7)
+    assert _hashed_words.cache_info().currsize == kept
+    _assert_grid_keys_match(node, range(2), ("bounded_a", "bounded_b"))
+    assert _hashed(range(2), 7) is _hashed(range(2), 7)
+    assert _hashed(("bounded_a", "bounded_b"), 8) is _hashed(("bounded_a", "bounded_b"), 8)
 
 
 def test_threads_keying_one_names_tuple_at_many_positions_get_their_own_keys():
