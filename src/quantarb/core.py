@@ -9,9 +9,9 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+import struct
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ def _require_within(
     position ``at``; the default bound passes every finite value."""
     for i, v in enumerate(values):
         if not abs(v) <= bound:  # NaN fails it too
-            if math.isfinite(v):
+            if isinstance(v, int) or math.isfinite(v):  # an int may be beyond float64
                 raise NonFinite(
                     f"{what} contains out-of-range value {v!r} (|value| > {bound:g}) at {at} {i}"
                 )
@@ -71,13 +71,17 @@ def _non_number(values: Sequence) -> tuple[int, str] | None:
 
 
 def _floats(values: Iterable, what: str) -> tuple[float, ...]:
-    """``values`` as a tuple of floats; a null, string or boolean among them
-    raises ``TypeError`` naming ``what`` and its index."""
+    """``values`` as a tuple of floats; a null, string or boolean raises ``TypeError`` and
+    an integer beyond float64 :class:`NonFinite`, each naming ``what`` and its index."""
     values = tuple(values)
     bad = _non_number(values)
     if bad:
         raise TypeError(f"{what} value at index {bad[0]} is {bad[1]}, not a number")
-    return tuple(map(float, values))
+    try:
+        return tuple(map(float, values))
+    except OverflowError:  # an integer beyond float64 is out of range
+        _require_within(values, what, MAX_ABS_VALUE)
+        raise
 
 
 def require_integer(value: object, what: str, low: int) -> None:
@@ -213,27 +217,41 @@ def stack_forecasts(
     """Stack per-model matrices of forecast rows into one (N, S, K) array.
 
     ``models`` pairs each name with S rows, S equal across models. A row
-    whose length is not ``n_levels`` raises :class:`DimensionMismatch`, and a
+    whose length is not ``n_levels`` raises :class:`DimensionMismatch`, a
     null, string or boolean value (see ``_NOT_A_NUMBER``) raises
-    ``TypeError``; both name the model and the ``step`` ("timestep",
-    "backtest step"). Every panel pays the same: one pass over the row
-    lengths, one over the value types and one conversion.
+    ``TypeError`` and an integer beyond float64 raises :class:`NonFinite`;
+    each names the model and the ``step`` ("timestep", "backtest step"). The
+    rows are flattened and packed as doubles in one call; only a block that
+    fails packing or holds a 0.0 or 1.0 (as a boolean packs) is type-scanned.
     """
-    rows = list(chain.from_iterable(matrix for _, matrix in models))
+    def located():  # each row, after the model and step that name it
+        return ((f"model {name!r} at {step} {s}", row)
+                for name, matrix in models for s, row in enumerate(matrix))
+    rows = [row for _, matrix in models for row in matrix]
     if set(map(len, rows)) - {n_levels}:
-        name, s, row = next((name, s, row) for name, matrix in models
-                            for s, row in enumerate(matrix) if len(row) != n_levels)
-        raise DimensionMismatch(
-            f"model {name!r} at {step} {s}: forecast has {len(row)} values for {n_levels} levels"
-        )
-    if not set(map(type, chain.from_iterable(rows))).isdisjoint(_NOT_A_NUMBER):
-        for name, matrix in models:
-            for s, row in enumerate(matrix):
+        where, row = next((where, row) for where, row in located() if len(row) != n_levels)
+        raise DimensionMismatch(f"{where}: forecast has {len(row)} values for {n_levels} levels")
+    flat: list = []
+    for row in rows:
+        flat += row
+    try:  # a null, a string and an integer beyond float64 fail packing
+        values = np.frombuffer(struct.pack(f"{len(flat)}d", *flat))
+    except struct.error:
+        values = None
+    if values is None or ((values == 0.0) | (values == 1.0)).any():
+        if not set(map(type, flat)).isdisjoint(_NOT_A_NUMBER):
+            for where, row in located():
                 bad = _non_number(row)
                 if bad:
-                    raise TypeError(f"model {name!r} at {step} {s}: value at level index "
-                                    f"{bad[0]} is {bad[1]}, not a number")
-    values = np.fromiter(chain.from_iterable(rows), float, len(rows) * n_levels)
+                    raise TypeError(f"{where}: value at level index {bad[0]} is {bad[1]}, "
+                                    "not a number")
+    if values is None:  # read each value as float() does, or raise its error
+        try:
+            values = np.fromiter(flat, float, len(flat))
+        except OverflowError:  # an integer beyond float64 is out of range
+            for where, row in located():
+                _require_within(row, f"{where}: forecast values", MAX_ABS_VALUE)
+            raise
     # Matrices without rows stack to (N, 0, K) too.
     return values.reshape(len(models), len(models[0][1]), n_levels)
 
@@ -259,9 +277,12 @@ def _validate_forecasts(
         # Random substreams are keyed by model name; repeats would share one.
         repeated = sorted({name for name in names if names.count(name) > 1})
         raise DimensionMismatch(f"{owner} repeats model names {repeated}")
-    within = np.abs(values) <= MAX_ABS_VALUE
+    # All good in two reductions (NaN and +-inf fail the bound); else search.
+    if (np.abs(values).max(initial=0.0) <= MAX_ABS_VALUE
+            and (values[..., 1:] >= values[..., :-1]).all()):
+        return
     dips = _dips(values)
-    bad = ~within.all(axis=-1) | dips.any(axis=-1)
+    bad = ~(np.abs(values) <= MAX_ABS_VALUE).all(axis=-1) | dips.any(axis=-1)
     if not bad.any():
         return
     i, s = (int(v) for v in np.argwhere(bad)[0])

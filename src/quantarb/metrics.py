@@ -7,6 +7,7 @@ on the context window.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -55,9 +56,13 @@ class PinballLoss:
         return row_means(rho)
 
 
+_loss = functools.lru_cache(maxsize=64)(PinballLoss)
+
+
 def crps_batch(levels: Sequence[float], values, observations) -> np.ndarray:
-    """CRPS approximation of each forecast in ``values`` on ``levels``: :class:`PinballLoss`."""
-    return PinballLoss(levels)(values, observations)
+    """CRPS approximation of each forecast in ``values`` on ``levels``: the one
+    stateless :class:`PinballLoss` kept per level grid."""
+    return _loss(tuple(levels))(values, observations)
 
 
 def mase_scale(context: Sequence[float], seasonality: int) -> float:

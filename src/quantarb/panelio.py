@@ -163,13 +163,13 @@ def load_panels(path: str | Path, strict: bool = True) -> list[TaggedPanel]:
                     continue
                 try:
                     record = json.loads(raw, object_pairs_hook=_unique_keys)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(
-                        f"invalid JSON: {exc.msg}", path=str(file), line=lineno
-                    ) from None
                 except _RepeatedKey as exc:
                     raise ParseError(
                         f"repeated object keys {exc.args[0]}", path=str(file), line=lineno
+                    ) from None
+                except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+                    raise ParseError(
+                        f"invalid JSON: {getattr(exc, 'msg', exc)}", path=str(file), line=lineno
                     ) from None
                 tagged = _record_to_panel(record, str(file), lineno, strict)
                 sid = tagged.panel.series_id

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,8 +51,7 @@ _SCALING_COLUMNS = (
 _CLASS_ORDER = {"short": 0, "medium": 1, "long": 2}
 
 
-@dataclass(frozen=True)
-class PanelScore:
+class PanelScore(NamedTuple):
     """One method's scores on one panel."""
 
     crps: float

@@ -1,6 +1,7 @@
 import math
 import pickle
 import re
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -17,9 +18,14 @@ from quantarb.core import (
     PerformanceWindow,
     QuantileForecast,
     QuantileLevels,
+    _NOT_A_NUMBER,
+    _non_number,
+    _require_within,
+    _validate_forecasts,
     build_panel,
     normalize_weights,
     quantile_at,
+    stack_forecasts,
 )
 from quantarb.errors import (
     DimensionMismatch,
@@ -610,3 +616,126 @@ def test_trace_arrays_are_read_only_and_survive_pickling():
                         (0.25, 0.75), (3, 7), 5.0, (0.3, 0.1), "inverse_error"),
     )
     assert trace.forecasts == tuple(step.forecast for step in trace.steps)
+
+
+# Reference copies of the loader's row conversion and block check as they
+# were before the packed conversion and the two-reduction all-good test: a
+# type scan of every value and np.fromiter, and a mask of every bound and dip.
+def _reference_stack_forecasts(models, n_levels, step):
+    rows = list(chain.from_iterable(matrix for _, matrix in models))
+    if set(map(len, rows)) - {n_levels}:
+        name, s, row = next((name, s, row) for name, matrix in models
+                            for s, row in enumerate(matrix) if len(row) != n_levels)
+        raise DimensionMismatch(
+            f"model {name!r} at {step} {s}: forecast has {len(row)} values for {n_levels} levels"
+        )
+    if not set(map(type, chain.from_iterable(rows))).isdisjoint(_NOT_A_NUMBER):
+        for name, matrix in models:
+            for s, row in enumerate(matrix):
+                bad = _non_number(row)
+                if bad:
+                    raise TypeError(f"model {name!r} at {step} {s}: value at level index "
+                                    f"{bad[0]} is {bad[1]}, not a number")
+    values = np.fromiter(chain.from_iterable(rows), float, len(rows) * n_levels)
+    return values.reshape(len(models), len(models[0][1]), n_levels)
+
+
+def _reference_validate_forecasts(owner, names, levels, values, step):
+    if not names:
+        raise DimensionMismatch(f"{owner} has no models")
+    if values.ndim != 3 or values.shape[0] != len(names) or values.shape[2] != len(levels):
+        raise DimensionMismatch(
+            f"{owner} values of shape {values.shape} do not hold "
+            f"{len(names)} models x {step}s x {len(levels)} levels"
+        )
+    if len(set(names)) != len(names):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise DimensionMismatch(f"{owner} repeats model names {repeated}")
+    within = np.abs(values) <= MAX_ABS_VALUE
+    lo, hi = values[..., :-1], values[..., 1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        dips = lo - hi > MONOTONE_REL_TOL * np.maximum(np.abs(lo), np.abs(hi))
+    bad = ~within.all(axis=-1) | dips.any(axis=-1)
+    if not bad.any():
+        return
+    i, s = (int(v) for v in np.argwhere(bad)[0])
+    where = f"{owner}, model {names[i]!r} at {step} {s}"
+    _require_within(values[i, s].tolist(), f"{where}: forecast values", MAX_ABS_VALUE)
+    indices = np.flatnonzero(dips[i, s]).tolist()
+    raise NonMonotoneQuantiles(
+        f"{where}: quantile values decrease at level indices {indices}",
+        model=names[i], timestep=s, indices=tuple(indices),
+    )
+
+
+_ROW_DEFECTS = ("none", "length", "string", "true", "false", "null", "nan", "inf", "-inf",
+                "beyond bound", "dip", "dip within")
+
+
+@st.composite
+def _defective_blocks(draw):
+    """Rows as a panel file gives them (1..4 models, 0..5 steps, 1..5
+    levels; sorted floats, or floats and integers, ties included, at
+    magnitudes from 1e-3 to 1e6), then one defect at one place."""
+    n, steps, k = draw(st.integers(1, 4)), draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    magnitude = draw(st.sampled_from((1e-3, 1.0, 1e6)))
+    number = st.floats(-magnitude, magnitude, allow_subnormal=False)
+    if draw(st.booleans()):
+        number = st.one_of(st.integers(-5, 5), number)
+    matrices = [[sorted(draw(st.lists(number, min_size=k, max_size=k))) for _ in range(steps)]
+                for _ in range(n)]
+    defect = draw(st.sampled_from(_ROW_DEFECTS)) if steps else "none"
+    if defect != "none":
+        row = matrices[draw(st.integers(0, n - 1))][draw(st.integers(0, steps - 1))]
+        j = draw(st.integers(0, k - 1))
+        if defect == "length":
+            row.append(row[-1]) if draw(st.booleans()) else row.pop()
+        elif defect in ("dip", "dip within"):
+            if k == 1:
+                row.append(row[0])  # a length defect instead
+            else:
+                j = max(j, 1)
+                below = float(row[j - 1])
+                if defect == "dip":
+                    row[j] = below - max(abs(below), 1.0) * 1e-9
+                else:  # one ulp, far inside the tolerance
+                    row[j] = float(np.nextafter(below, -np.inf)) if below else below
+        else:
+            row[j] = {"string": str(row[j]), "true": True, "false": False, "null": None,
+                      "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                      "beyond bound": draw(st.sampled_from((-1.0, 1.0))) * 1e290}[defect]
+    names = tuple(f"m{i}" for i in range(n))
+    return list(zip(names, matrices)), k
+
+
+def _outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except Exception as exc:  # noqa: BLE001 - the class and text are what is compared
+        extra = ()
+        if isinstance(exc, NonMonotoneQuantiles):
+            extra = (exc.model, exc.timestep, exc.indices)
+        return "raised", (type(exc), str(exc), extra)
+
+
+@given(_defective_blocks())
+@settings(max_examples=400, deadline=None)
+def test_stack_and_check_agree_with_their_reference_copies(case):
+    # The packed conversion and the two-reduction all-good test take no
+    # different decision than the code they replaced: the same array, bit
+    # for bit, or the same error with the same text and attributes.
+    models, k = case
+    got = _outcome(stack_forecasts, models, k, "timestep")
+    want = _outcome(_reference_stack_forecasts, models, k, "timestep")
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got[1] == want[1]
+        return
+    values, reference = got[1], want[1]
+    assert values.dtype == reference.dtype and values.shape == reference.shape
+    assert values.tobytes() == reference.tobytes()
+    levels = QuantileLevels(tuple(np.arange(1, k + 1) / (k + 1)))
+    names = tuple(name for name, _ in models)
+    assert (_outcome(_validate_forecasts, "panel 'p'", names, levels, values, "timestep")
+            == _outcome(_reference_validate_forecasts, "panel 'p'", names, levels, values,
+                        "timestep"))

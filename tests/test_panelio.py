@@ -228,6 +228,43 @@ class TestFailureModes:
         assert str(excinfo.value).startswith(f"{path}:1: ")
         assert f"{where}, not a number" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [
+            ("models", {"m": [[1.0, 2.0, 3.0], [1.0, 2.0, 10**400]]},
+             "model 'm' at timestep 1: forecast values contains out-of-range value"),
+            ("context", [1.0, -(10**400), 3.0],
+             "panel 'unit': context contains out-of-range value"),
+            ("levels", [0.25, 10**400, 0.75], "levels contains out-of-range value"),
+            ("actuals", [2.0, 10**400], "panel 'unit': actuals contains out-of-range value"),
+        ],
+        ids=["forecast", "context", "levels", "actuals"],
+    )
+    def test_integers_too_large_for_float64_are_out_of_range(self, tmp_path, field, value,
+                                                              where):
+        # float() and numpy raise OverflowError on these, which no loader
+        # error named; they are out of range as a value beyond 1e270 is.
+        record = _valid_record(actuals=[2.0, 3.0],
+                               models={"m": [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]})
+        record[field] = value
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(record)])
+        with pytest.raises(NonFinite) as excinfo:
+            load_panels(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}:1: {where} ")
+        index = 2 if field == "models" else 1
+        assert message.endswith(f"(|value| > 1e+270) at index {index}")
+
+    def test_integers_past_the_digit_limit_are_parse_errors(self, tmp_path):
+        # The JSON scanner raises a bare ValueError past the interpreter's
+        # limit on integer digits (4300 by default).
+        line = json.dumps(_valid_record()).replace("[2.0]", "[" + "7" * 5000 + "]")
+        path = _write_lines(tmp_path / "p.jsonl", [json.dumps(_valid_record(series_id="a")), line])
+        with pytest.raises(ParseError) as excinfo:
+            load_panels(path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 2)
+        assert str(excinfo.value).startswith(f"{path}:2: invalid JSON: Exceeds the limit")
+
     def test_integers_zeros_and_ones_are_numbers(self, tmp_path):
         # A boolean would read as 0 or 1; JSON integers and floats equal to
         # those are numbers.

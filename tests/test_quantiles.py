@@ -412,10 +412,10 @@ def test_kept_key_words_are_bounded():
 
 
 def test_threads_keying_one_names_tuple_at_many_positions_get_their_own_keys():
-    # Six threads key one names tuple under six path lengths, more than an
-    # entry keeps, so entries are dropped and rebuilt while others read them;
-    # the interpreter switches threads every 10 us. Every key is still the
-    # SeedSequence key of its own path.
+    # Six threads key one names tuple under six path lengths, each a cache
+    # entry of its own (names, position) pair, shared while the interpreter
+    # switches threads every 10 us. Every key is still the SeedSequence key
+    # of its own path, not that of another thread's position.
     names = ("threaded_a", "threaded_b", "threaded_c")
     nodes = [RandomStreams(3).child(*range(2**32, 2**32 + depth)) for depth in range(2, 8)]
     expected = [[[_seed_sequence_key(node.child(t).child(name)).tolist() for name in names]
