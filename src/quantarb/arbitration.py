@@ -29,7 +29,6 @@ from .core import (
     QuantileLevels,
     normalize_weights,
     require_integer,
-    stack_forecasts,
 )
 from .errors import AlignmentMismatch, EmptyWindow
 from .metrics import PinballLoss
@@ -338,11 +337,10 @@ def seed_window_from_context(
         raise AlignmentMismatch(
             f"{span} backtest steps cannot align with {len(panel.context)} context values"
         )
-    models = [(name, backtest_forecasts[name]) for name in names]
     return PerformanceWindow(
         model_names=names,
         levels=panel.levels,
-        values=stack_forecasts(models, len(panel.levels), "backtest step"),
+        values=[backtest_forecasts[name] for name in names],
         # Not context[-span:], which is the whole context when span is 0.
         observations=panel.context[len(panel.context) - span:],
     )

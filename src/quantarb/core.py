@@ -1,7 +1,10 @@
 """Shared domain types: quantile grids, forecasts, panels, performance windows.
 
 All types are immutable and validated at construction; they can be shared
-freely across threads.
+freely across threads. A real value is anything that packs into a double
+except a boolean (``_floats``), and forecast values may also be one float or
+integer array; a seed, seasonality or count is an ``int`` or numpy integer,
+not a boolean (:func:`require_integer`).
 """
 
 from __future__ import annotations
@@ -49,47 +52,60 @@ def _require_within(
     position ``at``; the default bound passes every finite value."""
     for i, v in enumerate(values):
         if not abs(v) <= bound:  # NaN fails it too
-            if isinstance(v, int) or math.isfinite(v):  # an int may be beyond float64
+            if v == v and abs(v) != math.inf:  # an int may be beyond float64
                 raise NonFinite(
                     f"{what} contains out-of-range value {v!r} (|value| > {bound:g}) at {at} {i}"
                 )
             raise NonFinite(f"{what} contains non-finite value {v!r} at {at} {i}")
 
 
-#: What float conversion would read but a panel value is not: a JSON null
-#: (read as NaN in an array), a string ("1.0") or a boolean (0.0 or 1.0).
-_NOT_A_NUMBER = {type(None): "null", str: "a string", bool: "a boolean", np.bool_: "a boolean"}
+#: Types that are numbers whatever their value: a panel file's, and an array's floats.
+_PLAIN = {float, int, np.float64}
 
 
-def _non_number(values: Sequence) -> tuple[int, str] | None:
-    """Index and kind of the first null, string or boolean in ``values``, or
-    None; one C-level pass over the value types when there is none."""
-    if set(map(type, values)).isdisjoint(_NOT_A_NUMBER):
-        return None
-    return next((i, _NOT_A_NUMBER[type(v)]) for i, v in enumerate(values)
-                if type(v) in _NOT_A_NUMBER)
+def _require_numbers(values: Iterable, what: str, at: str = "index") -> None:
+    """Reject the first value that is not a number with a ``TypeError`` naming
+    ``what``, its position ``at`` and its kind. A number is what packing into
+    a double accepts, an integer beyond float64 too, and is not a boolean."""
+    for i, v in enumerate(values):
+        try:
+            if not isinstance(v, (bool, np.bool_)) and (isinstance(v, int) or struct.pack("d", v)):
+                continue
+            kind = "a boolean"
+        except struct.error:
+            kind = ("null" if v is None else "a string" if isinstance(v, (str, bytes))
+                    else f"of type {type(v).__name__}")
+        raise TypeError(f"{what} value at {at} {i} is {kind}, not a number")
 
 
-def _floats(values: Iterable, what: str) -> tuple[float, ...]:
-    """``values`` as a tuple of floats; a null, string or boolean raises ``TypeError`` and
-    an integer beyond float64 :class:`NonFinite`, each naming ``what`` and its index."""
+def _floats(values: Iterable, what: str, bound: float | None = None,
+            at: str = "index") -> tuple[float, ...]:
+    """``values`` as a tuple of floats, each within ``bound`` in magnitude when
+    one is given. A value that is not a number raises ``TypeError``; a value
+    beyond ``bound``, NaN, +-inf and an integer beyond float64 raise
+    :class:`NonFinite`; each names ``what`` and the position ``at``. Only
+    values that are not all plain floats and ints have their types scanned."""
     values = tuple(values)
-    bad = _non_number(values)
-    if bad:
-        raise TypeError(f"{what} value at index {bad[0]} is {bad[1]}, not a number")
+    if not set(map(type, values)) <= _PLAIN:
+        _require_numbers(values, what, at)
     try:
-        return tuple(map(float, values))
+        out = tuple(map(float, values))
     except OverflowError:  # an integer beyond float64 is out of range
-        _require_within(values, what, MAX_ABS_VALUE)
+        _require_within(values, what, MAX_ABS_VALUE, at)
         raise
+    if bound is not None:
+        _require_within(out, what, bound, at)
+    return out
 
 
-def require_integer(value: object, what: str, low: int) -> None:
-    """Reject a bool, a non-integer (numpy integers pass) or a ``value`` below
-    ``low`` with a ``ValueError`` naming ``what``."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
-    if not integer or value < low:
-        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+def require_integer(value: object, what: str, low: int | None = None) -> int:
+    """``value`` as an ``int``: a bool, a non-integer (numpy integers pass) or
+    a ``value`` below ``low`` raises a ``ValueError`` naming ``what``."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, (bool, np.bool_))
+            or low is not None and value < low):
+        at_least = "" if low is None else f" >= {low}"
+        raise ValueError(f"{what} must be an integer{at_least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -168,12 +184,11 @@ class QuantileForecast:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", _floats(self.values, "forecast", sys.float_info.max))
         if len(self.values) != len(self.levels):
             raise DimensionMismatch(
                 f"forecast has {len(self.values)} values for {len(self.levels)} levels"
             )
-        _require_within(self.values, "forecast values")
         bad = np.flatnonzero(_dips(np.asarray(self.values))).tolist()
         if bad:
             raise NonMonotoneQuantiles(
@@ -211,49 +226,65 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
+def _set_forecasts(record: _Record, owner: str, step: str) -> None:
+    """Set ``record``'s model names as strings and its values as a validated
+    read-only, C-ordered (N, S, K) float64 copy. A float or integer array is
+    copied as it is; anything else, a boolean array included, is read as one
+    matrix of rows per model, through :func:`stack_forecasts`."""
+    names, values, levels = tuple(map(str, record.model_names)), record.values, record.levels
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        values = values.tolist() if isinstance(values, np.ndarray) else values
+        if len(values) != len(names):
+            raise DimensionMismatch(
+                f"{owner} values hold {len(values)} models for {len(names)} model names")
+        values = stack_forecasts(list(zip(names, values)), len(levels), step)
+    values = _frozen(values)
+    _validate_forecasts(owner, names, levels, values, step)
+    object.__setattr__(record, "model_names", names)
+    object.__setattr__(record, "values", values)
+
+
 def stack_forecasts(
     models: Sequence[tuple[str, Sequence[Sequence[float]]]], n_levels: int, step: str
 ) -> np.ndarray:
     """Stack per-model matrices of forecast rows into one (N, S, K) array.
 
-    ``models`` pairs each name with S rows, S equal across models. A row
-    whose length is not ``n_levels`` raises :class:`DimensionMismatch`, a
-    null, string or boolean value (see ``_NOT_A_NUMBER``) raises
-    ``TypeError`` and an integer beyond float64 raises :class:`NonFinite`;
-    each names the model and the ``step`` ("timestep", "backtest step"). The
-    rows are flattened and packed as doubles in one call; only a block that
-    fails packing or holds a 0.0 or 1.0 (as a boolean packs) is type-scanned.
+    ``models`` pairs each name with S rows. A matrix whose row count differs
+    from the first's, or a row whose length is not ``n_levels``, raises
+    :class:`DimensionMismatch`, a value that is not a number (see
+    ``_require_numbers``) raises ``TypeError`` and an integer beyond float64
+    raises :class:`NonFinite`; each names the model and the ``step``
+    ("timestep", "backtest step"). The rows are flattened and packed as
+    doubles in one call; only a block that fails packing or holds a 0.0 or
+    1.0 (as a boolean packs) has its value types scanned.
     """
+    steps = len(models[0][1]) if models else 0
+    for name, matrix in models:
+        if len(matrix) != steps:
+            raise DimensionMismatch(f"model {name!r} provides {len(matrix)} steps while model "
+                                    f"{models[0][0]!r} provides {steps}")
     def located():  # each row, after the model and step that name it
-        return ((f"model {name!r} at {step} {s}", row)
+        return ((f"model {name!r} at {step} {s}:", row)
                 for name, matrix in models for s, row in enumerate(matrix))
     rows = [row for _, matrix in models for row in matrix]
     if set(map(len, rows)) - {n_levels}:
         where, row = next((where, row) for where, row in located() if len(row) != n_levels)
-        raise DimensionMismatch(f"{where}: forecast has {len(row)} values for {n_levels} levels")
+        raise DimensionMismatch(f"{where} forecast has {len(row)} values for {n_levels} levels")
     flat: list = []
     for row in rows:
         flat += row
-    try:  # a null, a string and an integer beyond float64 fail packing
+    try:  # what is not a number, and an integer beyond float64, fail packing
         values = np.frombuffer(struct.pack(f"{len(flat)}d", *flat))
     except struct.error:
         values = None
     if values is None or ((values == 0.0) | (values == 1.0)).any():
-        if not set(map(type, flat)).isdisjoint(_NOT_A_NUMBER):
+        if not set(map(type, flat)) <= _PLAIN:
             for where, row in located():
-                bad = _non_number(row)
-                if bad:
-                    raise TypeError(f"{where}: value at level index {bad[0]} is {bad[1]}, "
-                                    "not a number")
-    if values is None:  # read each value as float() does, or raise its error
-        try:
-            values = np.fromiter(flat, float, len(flat))
-        except OverflowError:  # an integer beyond float64 is out of range
+                _require_numbers(row, where, "level index")
+        if values is None:  # only an integer beyond float64 is left to fail packing
             for where, row in located():
-                _require_within(row, f"{where}: forecast values", MAX_ABS_VALUE)
-            raise
-    # Matrices without rows stack to (N, 0, K) too.
-    return values.reshape(len(models), len(models[0][1]), n_levels)
+                _require_within(row, f"{where} forecast values", MAX_ABS_VALUE)
+    return values.reshape(len(models), steps, n_levels)
 
 
 def _validate_forecasts(
@@ -318,12 +349,26 @@ class ForecastPanel(_Record):
 
     def __post_init__(self) -> None:
         owner = f"panel {self.series_id!r}"
-        object.__setattr__(self, "context", _floats(self.context, f"{owner}: context"))
-        if self.actuals is not None:
-            object.__setattr__(self, "actuals", _floats(self.actuals, f"{owner}: actuals"))
-        object.__setattr__(self, "model_names", tuple(str(n) for n in self.model_names))
-        object.__setattr__(self, "values", _frozen(self.values))
-        _validate_panel(self)
+        _set_forecasts(self, owner, "timestep")
+        seasonality = require_integer(self.seasonality, "seasonality")
+        context = _floats(self.context, f"{owner}: context", MAX_ABS_VALUE)
+        actuals = (None if self.actuals is None
+                   else _floats(self.actuals, f"{owner}: actuals", MAX_ABS_VALUE))
+        for name, value in (("seasonality", seasonality), ("context", context),
+                            ("actuals", actuals)):
+            object.__setattr__(self, name, value)
+        if self.horizon < 1:
+            raise DimensionMismatch(f"horizon must be positive, got {self.horizon}")
+        if seasonality < 1:
+            raise DimensionMismatch(f"seasonality must be positive, got {seasonality}")
+        if len(context) < seasonality + 1:
+            raise DimensionMismatch(
+                f"context length {len(context)} shorter than seasonality {seasonality} + 1"
+            )
+        if actuals is not None and len(actuals) != self.horizon:
+            raise DimensionMismatch(
+                f"actuals length {len(actuals)} does not match horizon {self.horizon}"
+            )
 
     @property
     def n_models(self) -> int:
@@ -343,27 +388,6 @@ class ForecastPanel(_Record):
         return self.actuals
 
 
-def _validate_panel(panel: ForecastPanel) -> None:
-    owner = f"panel {panel.series_id!r}"
-    _validate_forecasts(owner, panel.model_names, panel.levels, panel.values, "timestep")
-    if panel.horizon < 1:
-        raise DimensionMismatch(f"horizon must be positive, got {panel.horizon}")
-    if panel.seasonality < 1:
-        raise DimensionMismatch(f"seasonality must be positive, got {panel.seasonality}")
-    _require_within(panel.context, f"{owner}: context", MAX_ABS_VALUE)
-    if len(panel.context) < panel.seasonality + 1:
-        raise DimensionMismatch(
-            f"context length {len(panel.context)} shorter than seasonality "
-            f"{panel.seasonality} + 1"
-        )
-    if panel.actuals is not None:
-        _require_within(panel.actuals, f"{owner}: actuals", MAX_ABS_VALUE)
-        if len(panel.actuals) != panel.horizon:
-            raise DimensionMismatch(
-                f"actuals length {len(panel.actuals)} does not match horizon {panel.horizon}"
-            )
-
-
 def build_panel(
     series_id: str,
     context: Sequence[float],
@@ -375,18 +399,10 @@ def build_panel(
     """Assemble and validate a panel from raw per-model value matrices.
 
     ``models`` maps each name to a T x K matrix of quantile values, stacked
-    into the panel's (N, T, K) array. Errors are annotated with model name
-    and timestep, which is what file loaders want.
+    into the panel's (N, T, K) array as the panel stacks nested values.
+    Errors are annotated with model name and timestep, which is what file
+    loaders want.
     """
-    if not models:
-        raise DimensionMismatch(f"panel {series_id!r} has no models")
-    horizon = len(models[0][1])
-    for name, matrix in models:
-        if len(matrix) != horizon:
-            raise DimensionMismatch(
-                f"model {name!r} provides {len(matrix)} steps while model "
-                f"{models[0][0]!r} provides {horizon}"
-            )
     return ForecastPanel(
         series_id=series_id,
         context=context,
@@ -394,7 +410,7 @@ def build_panel(
         seasonality=seasonality,
         model_names=tuple(name for name, _ in models),
         levels=levels,
-        values=stack_forecasts(models, len(levels), "timestep"),
+        values=[matrix for _, matrix in models],
     )
 
 
@@ -423,18 +439,14 @@ class PerformanceWindow(_Record):
     observations: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "model_names", tuple(str(n) for n in self.model_names))
-        object.__setattr__(self, "values", _frozen(self.values))
-        object.__setattr__(self, "observations", _frozen(self.observations))
-        _validate_forecasts(
-            "window", self.model_names, self.levels, self.values, "backtest step"
-        )
-        obs = self.observations
+        _set_forecasts(self, "window", "backtest step")
+        obs = _frozen(_floats(self.observations, "window observations", MAX_ABS_VALUE,
+                              "backtest step"))
+        object.__setattr__(self, "observations", obs)
         if obs.shape != self.values.shape[1:2]:
             raise DimensionMismatch(
                 f"window observations of shape {obs.shape} do not match {len(self)} records"
             )
-        _require_within(obs.tolist(), "window observations", MAX_ABS_VALUE, "backtest step")
 
     def __len__(self) -> int:
         return self.values.shape[1]

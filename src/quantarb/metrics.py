@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import require_integer
 from .errors import NonFinite, SeriesTooShort, ZeroDenominator
 
 # Floor on |y| in the weighted quantile loss, keeping scores finite at y == 0.
@@ -29,13 +30,14 @@ class PinballLoss:
     """CRPS approximation on one level grid: mean wQL over the last axis of
     ``values``, against ``observations`` that broadcast against
     ``values.shape[:-1]``, or one Python float that every row is scored
-    against. The grid's -alpha and 1 - alpha are built once."""
+    against. The grid's -alpha and 1 - alpha are built once, times 2**64, so
+    that no product of a subnormal miss rounds to 0."""
 
     __slots__ = ("_below", "_above")
 
     def __init__(self, levels: Sequence[float]) -> None:
         alphas = np.asarray(levels, dtype=float)
-        self._below, self._above = -alphas, 1.0 - alphas
+        self._below, self._above = -alphas * 2.0**64, (1.0 - alphas) * 2.0**64
 
     def __call__(self, values, observations) -> np.ndarray:
         q = np.asarray(values, dtype=float)
@@ -46,13 +48,13 @@ class PinballLoss:
         else:
             y = np.asarray(observations, dtype=float)[..., None]
             scale = np.maximum(np.abs(y), ABS_OBS_FLOOR)
-        # Pinball loss from one C-ordered d = q - y, scaled in place: d(-alpha) where
-        # d < 0, else d(1 - alpha); the two-branch form's bits, in any layout.
+        # Pinball loss times 2**64 from one C-ordered d = q - y, scaled in place: d(-alpha)
+        # where d < 0, else d(1 - alpha); the two-branch form's bits, in any layout.
         rho = np.subtract(q, y, order="C")
         rho *= np.where(rho < 0.0, self._below, self._above)
-        # 2 * rho / scale in one pass: doubling a bounded rho and halving a
-        # floored scale are exact, so both forms round one quotient once.
-        rho /= scale * 0.5
+        # 2 * pinball / scale in one pass: powers of two scale exactly, so a bounded d
+        # keeps the bits of 2 * d * coef / scale wherever d * coef is a normal number.
+        rho /= scale * 2.0**63
         return row_means(rho)
 
 
@@ -70,14 +72,14 @@ def mase_scale(context: Sequence[float], seasonality: int) -> float:
 
     The mean of ``|context[j] - context[j - m]|`` over the context, with
     ``m = seasonality``. It depends only on the series, so one value serves
-    every forecast of it. ``m < 1`` raises ``ValueError``, a context no longer
-    than ``m`` raises :class:`SeriesTooShort`, an exactly m-periodic
-    context, whose scale is zero, raises :class:`ZeroDenominator`, and a
-    scale that is not finite (finite values near +-1e308 whose differences
-    overflow float64) raises :class:`NonFinite`, where every MASE would
-    otherwise read 0.
+    every forecast of it. An ``m`` below 1 or not an integer raises
+    ``ValueError``, a context no longer than ``m`` raises
+    :class:`SeriesTooShort`, an exactly m-periodic context, whose scale is
+    zero, raises :class:`ZeroDenominator`, and a scale that is not finite
+    (finite values near +-1e308 whose differences overflow float64) raises
+    :class:`NonFinite`, where every MASE would otherwise read 0.
     """
-    m = int(seasonality)
+    m = require_integer(seasonality, "seasonality")
     if m < 1:
         raise ValueError(f"seasonality must be >= 1, got {m}")
     ctx = np.asarray(context, dtype=float)

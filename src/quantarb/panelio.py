@@ -78,11 +78,6 @@ def _record_to_panel(record: dict, where: str, line: int, strict: bool) -> Tagge
         unknown = sorted(set(record) - _KNOWN_FIELDS)
         if unknown:
             raise ParseError(f"unknown fields {unknown}", path=where, line=line)
-    seasonality = record["seasonality"]
-    if not isinstance(seasonality, int) or isinstance(seasonality, bool):
-        raise ParseError(
-            f"'seasonality' must be a JSON integer, got {seasonality!r}", path=where, line=line
-        )
     for tag in ("series_id", "domain", "horizon_class", "frequency"):
         if not isinstance(record.get(tag, ""), str):  # not str()'d: null is not "None"
             raise ParseError(f"{tag!r} must be a JSON string, got {record[tag]!r}", where, line)
@@ -90,14 +85,13 @@ def _record_to_panel(record: dict, where: str, line: int, strict: bool) -> Tagge
     if not isinstance(models, dict) or not models:
         raise ParseError("'models' must be a non-empty object", path=where, line=line)
     try:
-        levels = QuantileLevels(tuple(record["levels"]))
         panel = build_panel(
             series_id=record["series_id"],
             context=record["context"],
             actuals=record.get("actuals"),
-            seasonality=seasonality,
-            levels=levels,
-            models=[(name, matrix) for name, matrix in models.items()],
+            seasonality=record["seasonality"],
+            levels=QuantileLevels(record["levels"]),
+            models=list(models.items()),
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed panel record: {exc}", path=where, line=line) from None

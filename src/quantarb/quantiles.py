@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .core import require_integer
 from .errors import DimensionMismatch, EmptySampleSet, NonFinite
 
 
@@ -323,11 +324,8 @@ def _component_key(component: str | int) -> int:
     """
     if isinstance(component, (bool, np.bool_)):  # bool is an int subclass; keep it out
         raise TypeError("stream path components must be str or int")
-    if not isinstance(component, str):
-        try:
-            return operator.index(component) & _MASK64
-        except TypeError:
-            pass
+    if isinstance(component, (int, np.integer)):
+        return operator.index(component) & _MASK64
     digest = hashlib.blake2b(str(component).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
@@ -420,7 +418,7 @@ class RandomStreams:
     __slots__ = ("seed", "path")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()) -> None:
-        self.seed = int(seed)
+        self.seed = require_integer(seed, "seed")
         self.path = tuple(path)
 
     def child(self, *components: str | int) -> "RandomStreams":

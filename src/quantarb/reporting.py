@@ -22,7 +22,7 @@ import numpy as np
 
 from .arbitration import ArbitratorConfig, PanelSetup, run_arbitration
 from .baselines import mean_ensemble, median_ensemble
-from .core import ForecastPanel, QuantileLevels, quantile_at
+from .core import ForecastPanel, QuantileLevels, quantile_at, require_integer
 from .errors import DimensionMismatch, InsufficientModels, ZeroDenominator
 from .metrics import crps_batch, mase_scale, row_means
 from .oracle import OracleTrace, median_distances, pick_ranks, topk_agreement
@@ -291,7 +291,7 @@ def run_evaluation(
         raise ValueError("at least one method is required")
     if not tagged_panels:
         raise ValueError("at least one panel is required")
-    if workers is not None and workers < 1:
+    if workers is not None and require_integer(workers, "workers") < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     streams = RandomStreams(seed)
 

@@ -289,9 +289,9 @@ def build_benchmark_suite(
     Expert names are stable across panels, so pools can be subset by name for
     scaling sweeps.
     """
-    if n_panels < 0:
+    if require_integer(n_panels, "n_panels") < 0:
         raise ValueError(f"n_panels must be >= 0, got {n_panels}")
-    if n_experts is not None and n_experts < 1:
+    if n_experts is not None and require_integer(n_experts, "n_experts") < 1:
         raise ValueError(f"n_experts must be >= 1, got {n_experts}")
     root = RandomStreams(seed).child("bench")
     out = []

@@ -18,9 +18,6 @@ from quantarb.core import (
     PerformanceWindow,
     QuantileForecast,
     QuantileLevels,
-    _NOT_A_NUMBER,
-    _non_number,
-    _require_within,
     _validate_forecasts,
     build_panel,
     normalize_weights,
@@ -621,6 +618,28 @@ def test_trace_arrays_are_read_only_and_survive_pickling():
 # Reference copies of the loader's row conversion and block check as they
 # were before the packed conversion and the two-reduction all-good test: a
 # type scan of every value and np.fromiter, and a mask of every bound and dip.
+# The helpers they call are frozen copies too, so that the references keep
+# their own behaviour whatever the library's helpers become.
+_NOT_A_NUMBER = {type(None): "null", str: "a string", bool: "a boolean", np.bool_: "a boolean"}
+
+
+def _non_number(values):
+    if set(map(type, values)).isdisjoint(_NOT_A_NUMBER):
+        return None
+    return next((i, _NOT_A_NUMBER[type(v)]) for i, v in enumerate(values)
+                if type(v) in _NOT_A_NUMBER)
+
+
+def _require_within(values, what, bound, at="index"):
+    for i, v in enumerate(values):
+        if not abs(v) <= bound:
+            if isinstance(v, int) or math.isfinite(v):
+                raise NonFinite(
+                    f"{what} contains out-of-range value {v!r} (|value| > {bound:g}) at {at} {i}"
+                )
+            raise NonFinite(f"{what} contains non-finite value {v!r} at {at} {i}")
+
+
 def _reference_stack_forecasts(models, n_levels, step):
     rows = list(chain.from_iterable(matrix for _, matrix in models))
     if set(map(len, rows)) - {n_levels}:

@@ -28,6 +28,7 @@ def test_pinball_hand_values():
 
 
 @given(st.floats(min_value=0.01, max_value=0.99), finite, finite)
+@example(0.5, 5e-324, 0.0)  # a subnormal miss whose product with 1 - alpha underflowed
 def test_pinball_nonnegative_and_zero_only_at_truth(alpha, q, y):
     loss = _wql(alpha, q, y)
     assert loss >= 0.0
@@ -101,12 +102,14 @@ def test_crps_batch_matches_per_forecast_scores_bit_for_bit(block):
 
 
 def _crps_with_np_mean(levels, values, observations):
-    """``crps_batch`` as it was written with ``np.mean``, kept as an oracle."""
+    """``crps_batch`` as it was written with ``np.mean``, kept as an oracle,
+    with the loss scaled by 2**64 and the floored |y| by 2**63, so that a
+    subnormal miss does not round to 0."""
     alphas = np.asarray(levels, dtype=float)
     q = np.asarray(values, dtype=float)
     y = np.asarray(observations, dtype=float)[..., None]
-    rho = np.where(y > q, alphas * (y - q), (1.0 - alphas) * (q - y))
-    return np.mean(2.0 * rho / np.maximum(np.abs(y), ABS_OBS_FLOOR), axis=-1)
+    rho = np.where(y > q, alphas * 2.0**64 * (y - q), (1.0 - alphas) * 2.0**64 * (q - y))
+    return np.mean(rho / (np.maximum(np.abs(y), ABS_OBS_FLOOR) * 2.0**63), axis=-1)
 
 
 @given(_blocks(), st.sampled_from(("K", "NK", "NLK")), st.data())
@@ -135,12 +138,14 @@ def test_crps_batch_equals_the_np_mean_formulation_bit_for_bit(block, shape, dat
 
 def _crps_with_both_branches(levels, values, observations):
     """``crps_batch`` as it was written with the pinball loss's two branches
-    spelled out, on a C-ordered copy of ``values``, kept as an oracle."""
+    spelled out, on a C-ordered copy of ``values``, kept as an oracle, with
+    the loss scaled by 2**64 and the floored |y| by 2**63."""
     alphas = np.asarray(levels, dtype=float)
     q = np.ascontiguousarray(values, dtype=float)
     y = np.asarray(observations, dtype=float)[..., None]
-    rho = np.where(y > q, alphas * (y - q), (1.0 - alphas) * (q - y))
-    return np.add.reduce(2.0 * rho / np.maximum(np.abs(y), ABS_OBS_FLOOR), axis=-1) / q.shape[-1]
+    rho = np.where(y > q, alphas * 2.0**64 * (y - q), (1.0 - alphas) * 2.0**64 * (q - y))
+    scale = np.maximum(np.abs(y), ABS_OBS_FLOOR) * 2.0**63
+    return np.add.reduce(rho / scale, axis=-1) / q.shape[-1]
 
 
 # Signed zeros, subnormals, the smallest normal, values at, near and across

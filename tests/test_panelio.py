@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from quantarb.errors import NonFinite, NonMonotoneQuantiles, ParseError, SchemaVersionMismatch
+from quantarb.core import ForecastPanel, QuantileLevels, build_panel
+from quantarb.errors import (
+    ArbitrationError,
+    NonFinite,
+    NonMonotoneQuantiles,
+    ParseError,
+    SchemaVersionMismatch,
+)
 from quantarb.panelio import (
     SCHEMA_VERSION,
     PanelMetadata,
@@ -88,6 +97,60 @@ class TestRoundTrip:
         save_panels(first, load_panels(FIXTURE))
         save_panels(second, load_panels(first))
         assert first.read_bytes() == second.read_bytes()
+
+
+@st.composite
+def _api_panels(draw):
+    """Panels as the Python API takes them: numbers given as floats, ints,
+    numpy floats or numpy ints, forecast values as nested lists or as a float
+    or integer array, and a seasonality that need not be an integer; as the
+    constructor and its arguments."""
+    def number(value):
+        kind = draw(st.sampled_from((float, int, np.float64, np.int64)))
+        return kind(round(value)) if kind in (int, np.int64) else kind(value)
+
+    def numbers(size):
+        return [number(v) for v in draw(st.lists(
+            st.floats(-1e6, 1e6, allow_subnormal=False), min_size=size, max_size=size))]
+
+    n, horizon = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    percents = sorted(draw(st.lists(st.integers(1, 99), min_size=1, max_size=5, unique=True)))
+    levels = QuantileLevels(tuple(draw(st.sampled_from((float, np.float64)))(p / 100)
+                                  for p in percents))
+    rows = [[sorted(numbers(len(percents)), key=float) for _ in range(horizon)]
+            for _ in range(n)]
+    seasonality = draw(st.one_of(st.integers(1, 3), st.integers(1, 3).map(np.int64),
+                                 st.sampled_from((2.5, 2.0, True, np.True_, "2"))))
+    context = numbers(draw(st.integers(4, 8)))
+    actuals = numbers(horizon) if draw(st.booleans()) else None
+    names = tuple(f"m{i}" for i in range(n))
+    layout = draw(st.sampled_from(("build_panel", "float array", "integer array")))
+    if layout == "build_panel":
+        return build_panel, ("p", context, actuals, seasonality, levels, list(zip(names, rows)))
+    dtype = float if layout == "float array" else np.int64
+    values = np.array([[[float(v) for v in row] for row in matrix] for matrix in rows])
+    values = np.sort(values.astype(dtype), axis=-1)
+    return ForecastPanel, ("p", context, actuals, seasonality, names, levels, values)
+
+
+@given(_api_panels())
+@settings(max_examples=150, deadline=None)
+def test_a_panel_the_api_accepts_saves_and_reloads(case):
+    # A panel is either rejected where it is built or written as a file that
+    # loads back to the same panel; saving the loaded panel writes the same bytes.
+    build, args = case
+    try:
+        panel = build(*args)
+    except (TypeError, ValueError, ArbitrationError):
+        reject()
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
+        save_panels(first, [TaggedPanel(panel)])
+        back = load_panels(first)[0].panel
+        save_panels(second, [TaggedPanel(back)])
+        assert first.read_bytes() == second.read_bytes()
+    assert back == panel
+    assert back.values.tobytes() == panel.values.tobytes()
 
 
 class TestStrictness:
