@@ -29,6 +29,7 @@ from .core import (
     QuantileLevels,
     normalize_weights,
     require_integer,
+    require_type,
 )
 from .errors import AlignmentMismatch, EmptyWindow
 from .metrics import PinballLoss
@@ -67,6 +68,8 @@ class ArbitratorConfig:
         require_integer(self.n_total, "n_total", 1)
         if self.window_capacity is not None:
             require_integer(self.window_capacity, "window_capacity", 1)
+        if self.levels is not None:
+            require_type(self.levels, QuantileLevels, "levels")
         if self.mode not in ("dynamic", "static-uniform"):
             raise ValueError(f"unknown weighting mode {self.mode!r}")
 

@@ -1,10 +1,13 @@
 """Shared domain types: quantile grids, forecasts, panels, performance windows.
 
 All types are immutable and validated at construction; they can be shared
-freely across threads. A real value is anything that packs into a double
-except a boolean (``_floats``), and forecast values may also be one float or
-integer array; a seed, seasonality or count is an ``int`` or numpy integer,
-not a boolean (:func:`require_integer`).
+freely across threads. The record or spec that holds a field checks it, by
+one rule for each kind of field: a name (a series id, model name or tag) is a
+``str``, numpy's included, stored as a plain one, and a level grid is a
+:class:`QuantileLevels` (:func:`require_type`); a real value is anything that
+packs into a double except a boolean (``_floats``), and an array of them may
+also be one float or integer array (``_frozen``); a seed, seasonality or
+count is an ``int`` or numpy integer, not a boolean (:func:`require_integer`).
 """
 
 from __future__ import annotations
@@ -86,10 +89,11 @@ def _floats(values: Iterable, what: str, bound: float | None = None,
     :class:`NonFinite`; each names ``what`` and the position ``at``. Only
     values that are not all plain floats and ints have their types scanned."""
     values = tuple(values)
-    if not set(map(type, values)) <= _PLAIN:
+    types = set(map(type, values))
+    if not types <= _PLAIN:
         _require_numbers(values, what, at)
-    try:
-        out = tuple(map(float, values))
+    try:  # a float reads as itself
+        out = values if types <= {float} else tuple(map(float, values))
     except OverflowError:  # an integer beyond float64 is out of range
         _require_within(values, what, MAX_ABS_VALUE, at)
         raise
@@ -106,6 +110,26 @@ def require_integer(value: object, what: str, low: int | None = None) -> int:
         at_least = "" if low is None else f" >= {low}"
         raise ValueError(f"{what} must be an integer{at_least}, got {value!r}")
     return int(value)
+
+
+def require_type(value, kind: type, what: str):
+    """``value``, which must be a ``kind`` (or a subclass of it): anything else
+    raises a ``TypeError`` naming ``what``. A ``str`` is returned as a plain
+    one, so a name given as numpy's ``str_`` is stored as any other."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return str(value) if kind is str else value
+
+
+def _real_fields(record: object, *fields: str) -> None:
+    """Set each of ``record``'s ``fields`` as a float, read by the number rule:
+    a value that is not a number raises ``TypeError`` naming the field, and
+    one that is not finite ``ValueError``."""
+    for field in fields:
+        value, = _floats((getattr(record, field),), field)
+        if not math.isfinite(value):
+            raise ValueError(f"{field} must be finite, got {value!r}")
+        object.__setattr__(record, field, value)
 
 
 @dataclass(frozen=True)
@@ -184,6 +208,7 @@ class QuantileForecast:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        require_type(self.levels, QuantileLevels, "levels")
         object.__setattr__(self, "values", _floats(self.values, "forecast", sys.float_info.max))
         if len(self.values) != len(self.levels):
             raise DimensionMismatch(
@@ -218,27 +243,40 @@ class _Record:
         return type(self), self._args()
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only, C-ordered float64 copy of ``values``: scores reduce along
-    the last axis, and their sums follow its memory order."""
-    out = np.array(values, dtype=float, order="C")
+def _frozen(values, what: str, integer: bool = False) -> np.ndarray:
+    """A read-only, C-ordered float64 (for ``integer`` counts, int64) copy of
+    ``values``: scores reduce along the last axis, and their sums follow its
+    memory order. A float or integer array (for counts, an integer one) is
+    copied as it is; anything else is read value by value, by the number rule
+    or :func:`require_integer`, naming ``what`` and the flat index; ragged
+    rows raise :class:`DimensionMismatch`."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in ("iu" if integer else "fiu")):
+        block = np.array(values, dtype=object)  # each value kept as it was given
+        flat = block.ravel().tolist()
+        if any(np.iterable(v) and not isinstance(v, (str, bytes)) for v in flat):
+            raise DimensionMismatch(f"{what} rows are ragged")
+        values = np.reshape([require_integer(v, f"{what} value at index {i}")
+                             for i, v in enumerate(flat)] if integer else _floats(flat, what),
+                            block.shape)
+    out = np.array(values, dtype=np.int64 if integer else float, order="C")
     out.setflags(write=False)
     return out
 
 
 def _set_forecasts(record: _Record, owner: str, step: str) -> None:
-    """Set ``record``'s model names as strings and its values as a validated
-    read-only, C-ordered (N, S, K) float64 copy. A float or integer array is
-    copied as it is; anything else, a boolean array included, is read as one
-    matrix of rows per model, through :func:`stack_forecasts`."""
-    names, values, levels = tuple(map(str, record.model_names)), record.values, record.levels
+    """Set ``record``'s model names as plain strings and its values as a
+    validated read-only, C-ordered (N, S, K) float64 copy. A float or integer
+    array is copied as it is; anything else, a boolean array included, is
+    read as one matrix of rows per model, through :func:`stack_forecasts`."""
+    names = tuple(require_type(name, str, owner + ": model name") for name in record.model_names)
+    values, levels = record.values, require_type(record.levels, QuantileLevels, "levels")
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
         values = values.tolist() if isinstance(values, np.ndarray) else values
         if len(values) != len(names):
             raise DimensionMismatch(
                 f"{owner} values hold {len(values)} models for {len(names)} model names")
         values = stack_forecasts(list(zip(names, values)), len(levels), step)
-    values = _frozen(values)
+    values = _frozen(values, f"{owner} values")
     _validate_forecasts(owner, names, levels, values, step)
     object.__setattr__(record, "model_names", names)
     object.__setattr__(record, "values", values)
@@ -348,6 +386,7 @@ class ForecastPanel(_Record):
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "series_id", require_type(self.series_id, str, "series_id"))
         owner = f"panel {self.series_id!r}"
         _set_forecasts(self, owner, "timestep")
         seasonality = require_integer(self.seasonality, "seasonality")
@@ -440,8 +479,8 @@ class PerformanceWindow(_Record):
 
     def __post_init__(self) -> None:
         _set_forecasts(self, "window", "backtest step")
-        obs = _frozen(_floats(self.observations, "window observations", MAX_ABS_VALUE,
-                              "backtest step"))
+        obs = _frozen(np.array(_floats(self.observations, "window observations", MAX_ABS_VALUE,
+                                       "backtest step")), "window observations")
         object.__setattr__(self, "observations", obs)
         if obs.shape != self.values.shape[1:2]:
             raise DimensionMismatch(
@@ -496,13 +535,18 @@ class ArbitrationTrace(_Record):
     simulated: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "model_names", tuple(map(str, self.model_names)))
-        for name in ("quantiles", "weights", "scores", "simulated"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        for name, dtype in (("counts", np.int64), ("rules", str)):
-            array = np.array(getattr(self, name), dtype=dtype)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        sid = require_type(self.series_id, str, "series_id")
+        owner = f"trace {sid!r}"
+        rules = np.array(self.rules, dtype=str)  # the rule check rejects any other label
+        rules.setflags(write=False)
+        names = tuple(require_type(name, str, owner + ": model name") for name in self.model_names)
+        fields = dict(series_id=sid, model_names=names, rules=rules,
+                      n_total=require_integer(self.n_total, "n_total"),
+                      levels=require_type(self.levels, QuantileLevels, "levels"))
+        for name in ("quantiles", "weights", "counts", "scores", "simulated"):
+            fields[name] = _frozen(getattr(self, name), f"{owner}: {name}", name == "counts")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         _validate_trace(self)
 
     def __len__(self) -> int:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import require_integer
+from .core import _floats, require_integer
 from .errors import NonFinite, SeriesTooShort, ZeroDenominator
 
 # Floor on |y| in the weighted quantile loss, keeping scores finite at y == 0.
@@ -72,27 +72,24 @@ def mase_scale(context: Sequence[float], seasonality: int) -> float:
 
     The mean of ``|context[j] - context[j - m]|`` over the context, with
     ``m = seasonality``. It depends only on the series, so one value serves
-    every forecast of it. An ``m`` below 1 or not an integer raises
-    ``ValueError``, a context no longer than ``m`` raises
-    :class:`SeriesTooShort`, an exactly m-periodic context, whose scale is
-    zero, raises :class:`ZeroDenominator`, and a scale that is not finite
-    (finite values near +-1e308 whose differences overflow float64) raises
-    :class:`NonFinite`, where every MASE would otherwise read 0.
+    every forecast of it. A context value that is not a number raises
+    ``TypeError``. An ``m`` below 1 or not an integer raises ``ValueError``, a
+    context no longer than ``m`` raises :class:`SeriesTooShort`, an exactly
+    m-periodic context, whose scale is zero, raises :class:`ZeroDenominator`,
+    and a scale that is not finite (finite values near +-1e308 whose
+    differences overflow float64) raises :class:`NonFinite`, where every MASE
+    would otherwise read 0.
     """
     m = require_integer(seasonality, "seasonality")
     if m < 1:
         raise ValueError(f"seasonality must be >= 1, got {m}")
-    ctx = np.asarray(context, dtype=float)
+    ctx = np.array(_floats(context, "context"))
     if len(ctx) <= m:
-        raise SeriesTooShort(
-            f"context length {len(ctx)} must exceed seasonality {m}"
-        )
+        raise SeriesTooShort(f"context length {len(ctx)} must exceed seasonality {m}")
     scale = float(row_means(np.abs(ctx[m:] - ctx[:-m])))
     if not math.isfinite(scale):
         raise NonFinite(f"seasonal-naive MAE of the context is {scale}, not finite")
     if scale == 0.0:
-        raise ZeroDenominator(
-            f"context is {m}-periodic; seasonal-naive MAE is zero"
-        )
+        raise ZeroDenominator(f"context is {m}-periodic; seasonal-naive MAE is zero")
     return scale
 

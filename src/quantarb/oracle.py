@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import median_ensemble
-from .core import ForecastPanel, _Record, quantile_at
+from .core import ForecastPanel, _frozen, _Record, quantile_at, require_type
 from .errors import DimensionMismatch, EmptyGroup, NonFinite
 from .metrics import crps_batch
 
@@ -36,19 +36,19 @@ class OracleTrace(_Record):
     selections: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        n = len(self.model_names)
-        try:
-            matrix = np.array(self.crps_matrix, dtype=float)
-        except ValueError:  # ragged rows
-            matrix = None
-        if matrix is None or matrix.ndim != 2 or matrix.shape[1] != n or n == 0:
+        sid, names = require_type(self.series_id, str, "series_id"), tuple(self.model_names)
+        if not set(map(type, names)) <= {str}:  # a panel's plain names skip the per-name check
+            names = tuple(require_type(name, str, f"oracle trace {sid!r}: model name")
+                          for name in names)
+        matrix, n = _frozen(self.crps_matrix, "CRPS matrix"), len(names)
+        if matrix.ndim != 2 or matrix.shape[1] != n or n == 0:
             raise DimensionMismatch(f"CRPS matrix is not one row of {n} model scores per timestep")
-        matrix.setflags(write=False)
         nan = np.isnan(matrix).any(axis=1)
         if nan.any():
             raise NonFinite(f"CRPS matrix has a NaN score at timestep {int(np.argmax(nan))}")
-        object.__setattr__(self, "crps_matrix", matrix)
-        object.__setattr__(self, "selections", tuple(matrix.argmin(axis=1).tolist()))
+        for name, value in (("series_id", sid), ("model_names", names), ("crps_matrix", matrix),
+                            ("selections", tuple(matrix.argmin(axis=1).tolist()))):
+            object.__setattr__(self, name, value)
 
     @property
     def switch_count(self) -> int:

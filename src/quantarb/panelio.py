@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import ForecastPanel, QuantileLevels, build_panel
+from .core import ForecastPanel, QuantileLevels, build_panel, require_type
 from .errors import ArbitrationError, ParseError, SchemaVersionMismatch
 
 SCHEMA_VERSION = 1
@@ -26,7 +26,8 @@ _REQUIRED_FIELDS = (
     "context",
     "models",
 )
-_OPTIONAL_FIELDS = ("actuals", "domain", "horizon_class", "frequency")
+_TAGS = ("domain", "horizon_class", "frequency")
+_OPTIONAL_FIELDS = ("actuals", *_TAGS)
 _KNOWN_FIELDS = frozenset(_REQUIRED_FIELDS) | frozenset(_OPTIONAL_FIELDS)
 
 
@@ -37,6 +38,10 @@ class PanelMetadata:
     domain: str = "unknown"
     horizon_class: str = "unknown"
     frequency: str = "unknown"
+
+    def __post_init__(self) -> None:
+        for tag in _TAGS:
+            object.__setattr__(self, tag, require_type(getattr(self, tag), str, tag))
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,7 @@ def _panel_to_record(tagged: TaggedPanel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "series_id": panel.series_id,
-        "domain": tagged.metadata.domain,
-        "horizon_class": tagged.metadata.horizon_class,
-        "frequency": tagged.metadata.frequency,
+        **vars(tagged.metadata),  # the tags, in field order
         "seasonality": panel.seasonality,
         "levels": list(panel.levels.levels),
         "context": list(panel.context),
@@ -78,13 +81,11 @@ def _record_to_panel(record: dict, where: str, line: int, strict: bool) -> Tagge
         unknown = sorted(set(record) - _KNOWN_FIELDS)
         if unknown:
             raise ParseError(f"unknown fields {unknown}", path=where, line=line)
-    for tag in ("series_id", "domain", "horizon_class", "frequency"):
-        if not isinstance(record.get(tag, ""), str):  # not str()'d: null is not "None"
-            raise ParseError(f"{tag!r} must be a JSON string, got {record[tag]!r}", where, line)
     models = record["models"]
     if not isinstance(models, dict) or not models:
         raise ParseError("'models' must be a non-empty object", path=where, line=line)
-    try:
+    try:  # the tags first: a bad tag is reported before any panel fault
+        meta = PanelMetadata(**{tag: record[tag] for tag in _TAGS if tag in record})
         panel = build_panel(
             series_id=record["series_id"],
             context=record["context"],
@@ -98,11 +99,6 @@ def _record_to_panel(record: dict, where: str, line: int, strict: bool) -> Tagge
     except ArbitrationError as exc:  # keeps its class and attributes
         exc.args = (f"{where}:{line}: {exc}",)
         raise
-    meta = PanelMetadata(
-        domain=record.get("domain", "unknown"),
-        horizon_class=record.get("horizon_class", "unknown"),
-        frequency=record.get("frequency", "unknown"),
-    )
     return TaggedPanel(panel=panel, metadata=meta)
 
 

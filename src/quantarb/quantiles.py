@@ -501,17 +501,11 @@ class KeyedPhilox:
             philox = _THREAD.philox = KeyedPhilox()
             return philox
 
-    def stream(self, key: Sequence[int] | np.ndarray) -> np.random.Generator:
-        """The generator, reset to the first draw of the stream with ``key``."""
-        self._counter["key"] = key
-        self.generator.bit_generator.state = self._state
-        return self.generator
-
     def fill(self, keys: Sequence, counts: Sequence[int], out: np.ndarray) -> np.ndarray:
         """``out`` filled from its start with the first ``counts[i]`` uniforms of
         the stream with ``keys[i]``, for each i in turn; zero counts are skipped.
-        Each stream resets the generator as :meth:`stream` does, with the
-        lookups made once per call."""
+        Each stream resets the generator to its first draw through the one
+        state dict, with the lookups made once per call."""
         counter, state, end = self._counter, self._state, 0
         bit_generator, random = self.generator.bit_generator, self.generator.random
         for key, k in zip(keys, counts):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .arbitration import ArbitratorConfig, PanelSetup, run_arbitration
 from .baselines import mean_ensemble, median_ensemble
-from .core import ForecastPanel, QuantileLevels, quantile_at, require_integer
+from .core import ForecastPanel, QuantileLevels, _real_fields, quantile_at, require_integer
 from .errors import DimensionMismatch, InsufficientModels, ZeroDenominator
 from .metrics import crps_batch, mase_scale, row_means
 from .oracle import OracleTrace, median_distances, pick_ranks, topk_agreement
@@ -78,12 +78,9 @@ class ReportRow:
     def __post_init__(self) -> None:
         if not (self.method in METHODS or self.method.startswith(_MODEL_PREFIX)):
             raise ValueError(f"unregistered method name {self.method!r}")
-        for label, value in (("crps", self.crps), ("mase", self.mase)):
-            if not math.isfinite(value):
-                raise ValueError(f"{label} is not finite: {value!r}")
+        _real_fields(self, "crps", "mase")
         for label in ("n_panels", "wins", "losses", "ties"):
-            if getattr(self, label) < 0:
-                raise ValueError(f"{label} must be >= 0, got {getattr(self, label)}")
+            object.__setattr__(self, label, require_integer(getattr(self, label), label, 0))
 
 
 @dataclass(frozen=True)
@@ -113,15 +110,8 @@ def _model_index(panel: ForecastPanel, name: str) -> int:
 
 
 def _subset_panel(panel: ForecastPanel, names: Sequence[str]) -> ForecastPanel:
-    return ForecastPanel(
-        series_id=panel.series_id,
-        context=panel.context,
-        actuals=panel.actuals,
-        seasonality=panel.seasonality,
-        model_names=tuple(names),
-        levels=panel.levels,
-        values=panel.values[[_model_index(panel, n) for n in names]],
-    )
+    return replace(panel, model_names=tuple(names),
+                   values=panel.values[[_model_index(panel, n) for n in names]])
 
 
 class _PanelScoring:
@@ -378,21 +368,18 @@ def run_pool_scaling(
     rows = []
     for size in range(2, len(model_order) + 1):
         prefix = model_order[:size]
-        crps_vals = []
-        mase_vals = []
+        scores = []
         for scoring in scorings:
-            subset = _subset_panel(scoring.panel, prefix)
-            trace = run_arbitration(subset, config=config, streams=streams)
-            score = scoring.path(trace.levels, trace.quantiles)
-            crps_vals.append(score.crps)
-            mase_vals.append(score.mase)
+            trace = run_arbitration(_subset_panel(scoring.panel, prefix), config=config,
+                                    streams=streams)
+            scores.append(scoring.path(trace.levels, trace.quantiles))
         best = min(prefix, key=lambda n: (_mean(member_crps[n]), n))
         rows.append(
             PoolScalingRow(
                 pool_size=size,
                 model_names=prefix,
-                crps=_mean(crps_vals),
-                mase=_mean(mase_vals),
+                crps=_mean([score.crps for score in scores]),
+                mase=_mean([score.mase for score in scores]),
                 best_individual=best,
                 best_individual_crps=_mean(member_crps[best]),
                 best_individual_mase=min(_mean(member_mase[n]) for n in prefix),

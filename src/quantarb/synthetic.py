@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_LEVELS, ForecastPanel, QuantileLevels, require_integer
-from .errors import LengthMismatch, NonFinite
+from .core import (DEFAULT_LEVELS, ForecastPanel, QuantileLevels, _floats, _real_fields,
+                   require_integer, require_type)
+from .errors import LengthMismatch
 from .panelio import PanelMetadata, TaggedPanel
-from .quantiles import KeyedPhilox, RandomStreams
+from .quantiles import RandomStreams
 
 DOMAINS = ("level_shift", "trend_break", "season_swap", "vol_burst")
 
@@ -28,13 +30,6 @@ DOMAINS = ("level_shift", "trend_break", "season_swap", "vol_burst")
 HORIZON_CLASSES = (("short", 8), ("medium", 16), ("long", 32))
 
 _FREQUENCY_BY_CLASS = {"short": "H", "medium": "D", "long": "W"}
-
-
-def _require_finite_fields(owner: object, *fields: str) -> None:
-    for field in fields:
-        value = getattr(owner, field)
-        if not math.isfinite(value):
-            raise ValueError(f"{field} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,7 @@ class Segment:
     noise_scale: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite_fields(self, "level", "trend", "season_amplitude", "noise_scale")
+        _real_fields(self, "level", "trend", "season_amplitude", "noise_scale")
         require_integer(self.length, "segment length", 1)
         require_integer(self.season_period, "season period", 1)
         if self.noise_scale < 0.0:
@@ -111,16 +106,15 @@ class SyntheticExpert:
     dispersion_inflation: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "name", require_type(self.name, str, "expert name"))
         object.__setattr__(self, "favored_regimes", tuple(self.favored_regimes))
         for regime in self.favored_regimes:
             require_integer(regime, "a favored regime id", 0)
-        _require_finite_fields(self, "sharpness", "bias", "dispersion_inflation")
+        _real_fields(self, "sharpness", "bias", "dispersion_inflation")
         if self.sharpness < 0.0:
             raise ValueError(f"sharpness must be >= 0, got {self.sharpness}")
         if not self.dispersion_inflation > 0.0:
-            raise ValueError(
-                f"dispersion inflation must be > 0, got {self.dispersion_inflation}"
-            )
+            raise ValueError(f"dispersion inflation must be > 0, got {self.dispersion_inflation}")
 
 
 def generate_series(spec: RegimeSpec, seed: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -161,21 +155,19 @@ def _normal_quantiles(levels: tuple[float, ...]) -> np.ndarray:
 def _expert_values(experts: Sequence[SyntheticExpert], spec: RegimeSpec,
                    actuals: Sequence[float], seed: int, levels: QuantileLevels) -> np.ndarray:
     """:func:`expert_forecast` of each of ``experts`` as one (N, T, K) float64
-    array. The N jitter streams are keyed in one ``grid_keys`` pass and drawn
-    through the thread's :class:`KeyedPhilox`."""
+    array. Each expert's jitter comes from its own stream,
+    ``RandomStreams(seed).child("expert").child(name)``. The actuals are read
+    by the number rule, and each must be finite."""
     if len(actuals) != spec.horizon:
         raise LengthMismatch(f"{len(actuals)} actuals for a horizon of {spec.horizon}")
-    y = np.asarray(actuals, dtype=float)
-    if not np.isfinite(y).all():
-        raise NonFinite(f"actual at horizon step {np.argmin(np.isfinite(y))} is not finite")
-    keys = RandomStreams(seed).grid_keys(("expert",), tuple(e.name for e in experts))[0].tolist()
-    philox = KeyedPhilox.for_thread()
+    y = np.array(_floats(actuals, "actuals", sys.float_info.max, "horizon step"))
+    node = RandomStreams(seed).child("expert")
     ends = np.cumsum([seg.length for seg in spec.segments])
     regime = np.searchsorted(ends, np.arange(spec.context_length, spec.total_length), "right")
     z = _normal_quantiles(levels.levels)
     values = np.empty((len(experts), len(y), len(z)))
-    for expert, key, out in zip(experts, keys, values):
-        jitter = philox.stream(key).standard_normal(len(y))
+    for expert, out in zip(experts, values):
+        jitter = node.child(expert.name).generator().standard_normal(len(y))
         favored = np.array([i in expert.favored_regimes for i in range(len(ends))])[regime]
         sigma = np.where(favored, expert.sharpness,
                          expert.sharpness * expert.dispersion_inflation)
@@ -265,15 +257,9 @@ def _panel_experts(
         sharpness = noise_ref * float(rng.uniform(0.2, 0.4))
         inflation = float(rng.uniform(10.0, 14.0))
         bias = drag * float(rng.uniform(0.05, 0.15)) * sharpness * inflation
-        experts.append(
-            SyntheticExpert(
-                name=f"expert_{i:02d}",
-                favored_regimes=(i % 2,),
-                sharpness=sharpness,
-                bias=bias,
-                dispersion_inflation=inflation,
-            )
-        )
+        experts.append(SyntheticExpert(name=f"expert_{i:02d}", favored_regimes=(i % 2,),
+                                       sharpness=sharpness, bias=bias,
+                                       dispersion_inflation=inflation))
     return experts
 
 
@@ -314,14 +300,7 @@ def build_benchmark_suite(
             levels=levels,
             values=_expert_values(experts, spec, actuals, panel_seed, levels),
         )
-        out.append(
-            TaggedPanel(
-                panel=panel,
-                metadata=PanelMetadata(
-                    domain=domain,
-                    horizon_class=horizon_class,
-                    frequency=_FREQUENCY_BY_CLASS[horizon_class],
-                ),
-            )
-        )
+        metadata = PanelMetadata(domain=domain, horizon_class=horizon_class,
+                                 frequency=_FREQUENCY_BY_CLASS[horizon_class])
+        out.append(TaggedPanel(panel=panel, metadata=metadata))
     return out

@@ -103,8 +103,15 @@ class TestRoundTrip:
 def _api_panels(draw):
     """Panels as the Python API takes them: numbers given as floats, ints,
     numpy floats or numpy ints, forecast values as nested lists or as a float
-    or integer array, and a seasonality that need not be an integer; as the
-    constructor and its arguments."""
+    or integer array, a seasonality that need not be an integer, and a series
+    id, model names and tags given as plain strings, numpy strings or not as
+    strings at all; as the constructor, its arguments and the metadata."""
+    odd = draw(st.one_of(st.none(), st.sampled_from(("p", "m0", "domain", "horizon_class",
+                                                     "frequency"))))
+
+    def name(text):  # at most one name is not a string
+        return draw(st.sampled_from((None, 5, True) if text == odd else (text, np.str_(text))))
+
     def number(value):
         kind = draw(st.sampled_from((float, int, np.float64, np.int64)))
         return kind(round(value)) if kind in (int, np.int64) else kind(value)
@@ -123,14 +130,17 @@ def _api_panels(draw):
                                  st.sampled_from((2.5, 2.0, True, np.True_, "2"))))
     context = numbers(draw(st.integers(4, 8)))
     actuals = numbers(horizon) if draw(st.booleans()) else None
-    names = tuple(f"m{i}" for i in range(n))
+    names = tuple(name(f"m{i}") for i in range(n))
+    series_id, tags = name("p"), {tag: name(tag) for tag in ("domain", "horizon_class",
+                                                              "frequency")}
     layout = draw(st.sampled_from(("build_panel", "float array", "integer array")))
     if layout == "build_panel":
-        return build_panel, ("p", context, actuals, seasonality, levels, list(zip(names, rows)))
+        args = (series_id, context, actuals, seasonality, levels, list(zip(names, rows)))
+        return build_panel, args, tags
     dtype = float if layout == "float array" else np.int64
     values = np.array([[[float(v) for v in row] for row in matrix] for matrix in rows])
     values = np.sort(values.astype(dtype), axis=-1)
-    return ForecastPanel, ("p", context, actuals, seasonality, names, levels, values)
+    return ForecastPanel, (series_id, context, actuals, seasonality, names, levels, values), tags
 
 
 @given(_api_panels())
@@ -138,19 +148,19 @@ def _api_panels(draw):
 def test_a_panel_the_api_accepts_saves_and_reloads(case):
     # A panel is either rejected where it is built or written as a file that
     # loads back to the same panel; saving the loaded panel writes the same bytes.
-    build, args = case
+    build, args, tags = case
     try:
-        panel = build(*args)
+        panel, metadata = build(*args), PanelMetadata(**tags)
     except (TypeError, ValueError, ArbitrationError):
         reject()
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
-        save_panels(first, [TaggedPanel(panel)])
-        back = load_panels(first)[0].panel
-        save_panels(second, [TaggedPanel(back)])
+        save_panels(first, [TaggedPanel(panel, metadata)])
+        back = load_panels(first)[0]
+        save_panels(second, [back])
         assert first.read_bytes() == second.read_bytes()
-    assert back == panel
-    assert back.values.tobytes() == panel.values.tobytes()
+    assert back == TaggedPanel(panel, metadata)
+    assert back.panel.values.tobytes() == panel.values.tobytes()
 
 
 class TestStrictness:
@@ -394,13 +404,13 @@ class TestFailureModes:
         path = _write_lines(tmp_path / "p.jsonl", [json.dumps(_valid_record(**{field: bad}))])
         with pytest.raises(ParseError) as excinfo:
             load_panels(path)
-        assert str(excinfo.value) == (f"{path}:1: {field!r} must be a JSON string, "
-                                      f"got {bad!r}")
+        assert str(excinfo.value) == (f"{path}:1: malformed panel record: {field} must be a "
+                                      f"str, got {bad!r}")
 
     def test_a_numeric_series_id_is_not_a_duplicate_of_its_string(self, tmp_path):
         path = _write_lines(tmp_path / "p.jsonl", [json.dumps(_valid_record(series_id="5")),
                                                    json.dumps(_valid_record(series_id=5))])
-        with pytest.raises(ParseError, match="'series_id' must be a JSON string, got 5"):
+        with pytest.raises(ParseError, match="series_id must be a str, got 5"):
             load_panels(path)
 
     def test_missing_path_raises(self, tmp_path):

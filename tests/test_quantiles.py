@@ -437,35 +437,17 @@ def test_threads_keying_one_names_tuple_at_many_positions_get_their_own_keys():
     assert got == [[want] * 40 for want in expected]
 
 
-@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 1500])
-def test_reused_generator_draws_match_fresh_generators(count):
-    # Counts 3 to 5 straddle Philox's four-word output buffer.
-    node = RandomStreams(11).child("series", "s1", "t")
-    rows, leaves = [0, 2**33], ["a", 2**40, 2]
-    keys = node.grid_keys(rows, leaves)
-    philox = KeyedPhilox()
-    philox.generator.random(3)  # a reused generator is left mid-buffer
-    buffer = np.full(count + 2, -1.0)
-    for r, row in enumerate(rows):
-        for i, leaf in enumerate(leaves):
-            expected = node.child(row).child(leaf).generator().random(count)
-            normals = node.child(row).child(leaf).generator().standard_normal(count)
-            for key in (keys[r, i], keys[r, i].tolist()):
-                drawn = philox.stream(key).random(out=buffer[1:count + 1])
-                assert drawn.tobytes() == expected.tobytes()
-                assert buffer[0] == buffer[-1] == -1.0  # only its slice is written
-                assert philox.stream(key).standard_normal(count).tobytes() == normals.tobytes()
-
-
-@pytest.mark.parametrize("counts", [(0, 3, 5), (4, 0, 0), (1500, 0, 1), (0, 0, 0)])
-def test_fill_draws_each_streams_slice_as_fresh_generators_do(counts):
+@pytest.mark.parametrize("counts", [(0, 3, 5), (4, 0, 0), (1500, 0, 1), (0, 0, 0), (3, 4, 5)])
+@pytest.mark.parametrize("step", [7, 2**33])
+def test_fill_draws_each_streams_slice_as_fresh_generators_do(counts, step):
     # One call fills the buffer slice by slice, one keyed stream per count,
-    # in order; a zero count takes no slice.
+    # in order; a zero count takes no slice. Counts 3 to 5 straddle Philox's
+    # four-word output buffer, and a step of 2**33 keys as two words.
     node = RandomStreams(11).child("series", "s1", "t")
     leaves = ["a", 2**40, 2]
-    keys = node.grid_keys([7], leaves)[0]
+    keys = node.grid_keys([step], leaves)[0]
     expected = np.concatenate(
-        [node.child(7).child(leaf).generator().random(c) for leaf, c in zip(leaves, counts)]
+        [node.child(step).child(leaf).generator().random(c) for leaf, c in zip(leaves, counts)]
     )
     philox = KeyedPhilox()
     philox.generator.random(3)  # a reused generator is left mid-buffer

@@ -216,12 +216,16 @@ def test_expert_forecast_rejects_misaligned_actuals():
         expert_forecast(expert, spec, [1.0, 2.0], seed=0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, None])
-def test_expert_forecast_rejects_non_finite_actuals(bad):
-    # An array of actuals reads None as NaN.
+@pytest.mark.parametrize("bad, error, message", [
+    (math.nan, NonFinite, "actuals contains non-finite value nan at horizon step 1"),
+    (math.inf, NonFinite, "actuals contains non-finite value inf at horizon step 1"),
+    (None, TypeError, "actuals value at horizon step 1 is null, not a number"),
+], ids=["nan", "inf", "None"])
+def test_expert_forecast_rejects_non_finite_actuals(bad, error, message):
+    # Actuals are read by the number rule: a null is not a number, not NaN.
     spec = _two_regime_spec(pre=1, post=1)
     expert = SyntheticExpert("e", (0,), sharpness=1.0)
-    with pytest.raises(NonFinite, match="actual at horizon step 1 is not finite"):
+    with pytest.raises(error, match=f"^{message}$"):
         expert_forecast(expert, spec, [20.0, bad], seed=0)
 
 
