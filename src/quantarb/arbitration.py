@@ -100,13 +100,9 @@ class WindowScores:
         shape (N, L, K) against ``observations`` of shape (L,), or one record
         as (N, K) against a single observation."""
         scores = self._loss(values, observations)
-        for column, row in zip(self._columns, scores.reshape(len(self._columns), -1).tolist()):
-            column.extend(row)
-
-    def append(self, record: np.ndarray, observation: float) -> None:
-        """Score one (N, K) record against a Python float: one score per column."""
-        for column, score in zip(self._columns, self._loss(record, observation).tolist()):
-            column.append(score)
+        add = deque.append if scores.ndim == 1 else deque.extend  # a score or a row per column
+        for column, row in zip(self._columns, scores.tolist()):
+            add(column, row)
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -223,21 +219,21 @@ def run_arbitration(
 ) -> ArbitrationTrace:
     """Arbitrate one panel over its full horizon.
 
-    The feedback loop is sequential: each step's pooled median is pushed
-    into the window as a stand-in observation before the next step is scored.
-    Inverse CDFs of all N x T forecasts are fitted once, before the loop, and
-    each window record is scored once, when it enters; each step only
-    appends its rows of the trace. The fit and the keys come from ``setup``
-    (a run without one builds its own), which lives as long as its holder:
-    ``eval`` and ``winloss`` keep one per panel while scoring it, so its two
-    synapse runs share one fit and one key grid. A static-uniform run, whose
-    counts never change, draws and evaluates ``_STATIC_BLOCK`` steps at once,
-    but still runs ``empirical_quantiles`` once per step. An
-    ``initial_window`` must hold the panel's model names, in the panel's
-    order, on its levels; the run keeps the newest ``config``
-    window-capacity records of it. Pass ``streams`` shared across panels to
-    keep per-model draws identical regardless of which other series are
-    processed; the default is the tree of seed 0.
+    One loop runs over blocks of steps: each block takes the uniform row or,
+    once the window holds records, inverse-error weights and their counts,
+    draws and evaluates its steps in one pass, and requantizes each step.
+    A dynamic run's block is one step, since each step's pooled median
+    enters the window as a stand-in observation before the next is scored; a
+    static-uniform run never fills its window, so its block is
+    ``_STATIC_BLOCK`` steps. The N x T inverse CDFs are fitted once and each
+    window record is scored once, when it enters. The fit and the keys come
+    from ``setup`` (a run without one builds its own), which lives as long
+    as its holder: ``eval`` and ``winloss`` keep one per panel, so its two
+    synapse runs share one fit and one key grid. An ``initial_window`` must
+    hold the panel's model names, in order, on its levels; a dynamic run
+    keeps its newest ``config`` window-capacity records. Pass ``streams``
+    shared across panels to keep per-model draws identical whatever other
+    series are processed; the default is the tree of seed 0.
     """
     n = panel.n_models
     if config.n_total < n:
@@ -258,41 +254,34 @@ def run_arbitration(
     )
     icdf, keys = (setup or PanelSetup(panel, streams)).built(panel, streams)
     philox = KeyedPhilox.for_thread()
+    dynamic = config.mode == "dynamic"
+    block = 1 if dynamic else _STATIC_BLOCK
+    window = WindowScores(config.resolve_capacity(horizon), loss, n)
+    if dynamic and initial_window is not None:
+        window.push(initial_window.values, initial_window.observations)
+    records = panel.values.transpose(1, 0, 2).copy() if dynamic else None  # C-ordered (N, K)
+    rules = [RULE_UNIFORM if dynamic else RULE_STATIC] * horizon
     weights, counts, scores, probed = [], [], [], []
-    if config.mode != "dynamic":
+    uniforms = np.empty(n_total * block)
+    for start in range(0, horizon, block):
+        m = min(block, horizon - start)
         w, c, s = uniform_row
-        uniforms = np.empty(n_total * _STATIC_BLOCK)
-        for start in range(0, horizon, _STATIC_BLOCK):
-            m = min(_STATIC_BLOCK, horizon - start)
-            u = philox.fill(keys[start * n:(start + m) * n], c * m, uniforms)[:m * n_total]
-            pooled = icdf.evaluate(u, offsets[start:start + m].reshape(-1).repeat(c * m))
-            for j in range(0, m * n_total, n_total):
-                probed.append(empirical_quantiles(pooled[j:j + n_total], probe))
-        rules = [RULE_STATIC] * horizon
-        weights, counts, scores = w * horizon, c * horizon, s * horizon
-    else:
-        rules = [RULE_UNIFORM] * horizon
-        window = WindowScores(config.resolve_capacity(horizon), loss, n)
-        if initial_window is not None:
-            window.push(initial_window.values, initial_window.observations)
-        uniforms = np.empty(n_total)
-        records = panel.values.transpose(1, 0, 2).copy()  # C-ordered (N, K) record per step
-        for t in range(horizon):
-            w, c, s = uniform_row
-            if len(window):
-                s = window.averages()
-                w = weights_with_rule(s)
-                rules[t] = RULE_INVERSE_ERROR
-                c = allocate_samples(w, n_total)
-            weights += w
-            counts += c
-            scores += s
-            # Model i draws c[i] uniforms from its own stream; one pass evaluates all.
-            u = philox.fill(keys[t * n:(t + 1) * n], c, uniforms)
-            probed.append(empirical_quantiles(icdf.evaluate(u, offsets[t].repeat(c)), probe))
-            # The last step's record would never be read.
-            if t + 1 < horizon:
-                window.append(records[t], probed[t].item(median_at))
+        if len(window):
+            s = window.averages()
+            w = weights_with_rule(s)
+            rules[start] = RULE_INVERSE_ERROR
+            c = allocate_samples(w, n_total)
+        weights += w * m
+        counts += c * m
+        scores += s * m
+        # Model i draws c[i] uniforms a step from its own stream; one pass evaluates the block.
+        u = philox.fill(keys[start * n:(start + m) * n], c * m, uniforms)[:m * n_total]
+        pooled = icdf.evaluate(u, offsets[start:start + m].repeat(c * m))
+        for j in range(0, m * n_total, n_total):
+            probed.append(empirical_quantiles(pooled[j:j + n_total], probe))
+        # The last step's record would never be read.
+        if dynamic and start + 1 < horizon:
+            window.push(records[start], probed[start].item(median_at))
     probed = np.array(probed)
     return ArbitrationTrace(
         series_id=panel.series_id,

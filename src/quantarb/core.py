@@ -255,9 +255,11 @@ def _frozen(values, what: str, integer: bool = False) -> np.ndarray:
         flat = block.ravel().tolist()
         if any(np.iterable(v) and not isinstance(v, (str, bytes)) for v in flat):
             raise DimensionMismatch(f"{what} rows are ragged")
-        values = np.reshape([require_integer(v, f"{what} value at index {i}")
-                             for i, v in enumerate(flat)] if integer else _floats(flat, what),
-                            block.shape)
+        if integer:  # each an integer, and within int64
+            flat = [require_integer(v, f"{what} value at index {i}") for i, v in enumerate(flat)]
+            for i in (i for i, v in enumerate(flat) if not -2**63 <= v < 2**63):
+                raise ValueError(f"{what} value at index {i} must fit int64, got {flat[i]!r}")
+        values = np.reshape(flat if integer else _floats(flat, what), block.shape)
     out = np.array(values, dtype=np.int64 if integer else float, order="C")
     out.setflags(write=False)
     return out

@@ -51,6 +51,10 @@ class TaggedPanel:
     panel: ForecastPanel
     metadata: PanelMetadata = PanelMetadata()
 
+    def __post_init__(self) -> None:
+        require_type(self.panel, ForecastPanel, "panel")
+        require_type(self.metadata, PanelMetadata, "metadata")
+
 
 def _panel_to_record(tagged: TaggedPanel) -> dict:
     panel = tagged.panel

@@ -22,7 +22,8 @@ import numpy as np
 
 from .arbitration import ArbitratorConfig, PanelSetup, run_arbitration
 from .baselines import mean_ensemble, median_ensemble
-from .core import ForecastPanel, QuantileLevels, _real_fields, quantile_at, require_integer
+from .core import (ForecastPanel, QuantileLevels, _real_fields, quantile_at, require_integer,
+                   require_type)
 from .errors import DimensionMismatch, InsufficientModels, ZeroDenominator
 from .metrics import crps_batch, mase_scale, row_means
 from .oracle import OracleTrace, median_distances, pick_ranks, topk_agreement
@@ -76,6 +77,8 @@ class ReportRow:
     ties: int
 
     def __post_init__(self) -> None:
+        for label in ("method", "scope"):
+            object.__setattr__(self, label, require_type(getattr(self, label), str, label))
         if not (self.method in METHODS or self.method.startswith(_MODEL_PREFIX)):
             raise ValueError(f"unregistered method name {self.method!r}")
         _real_fields(self, "crps", "mase")
@@ -101,6 +104,14 @@ class PoolScalingRow:
     best_individual: str
     best_individual_crps: float
     best_individual_mase: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pool_size", require_integer(self.pool_size, "pool_size", 1))
+        object.__setattr__(self, "model_names", tuple(
+            require_type(name, str, "pool scaling row: model name") for name in self.model_names))
+        object.__setattr__(self, "best_individual",
+                           require_type(self.best_individual, str, "best_individual"))
+        _real_fields(self, "crps", "mase", "best_individual_crps", "best_individual_mase")
 
 
 def _model_index(panel: ForecastPanel, name: str) -> int:

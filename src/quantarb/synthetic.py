@@ -59,7 +59,8 @@ class RegimeSpec:
     context_length: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
+        object.__setattr__(self, "segments", tuple(require_type(s, Segment, f"segment at index {i}")
+                                                   for i, s in enumerate(self.segments)))
         if not self.segments:
             raise ValueError("at least one segment is required")
         require_integer(self.context_length, "context length", 1)

@@ -3,9 +3,10 @@
 A real value is anything that packs into a double and is not a boolean; a
 seed, a seasonality or a count is an ``int`` or numpy integer that is not a
 boolean; a name is a ``str``, numpy's included, stored as a plain one; a
-level grid is a ``QuantileLevels``. Each entry point rejects the same kind of
-value with the same class, naming the field and the position, and reads an
-accepted value as ``float`` reads it.
+level grid is a ``QuantileLevels``; a part that a spec or a wrapper holds is
+of its own kind. Each entry point rejects the same kind of value with the
+same class, naming the field and the position, and reads an accepted value
+as ``float`` reads it.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from quantarb.core import (
 from quantarb.errors import NonFinite
 from quantarb.metrics import mase_scale
 from quantarb.oracle import OracleTrace
-from quantarb.panelio import PanelMetadata
+from quantarb.panelio import PanelMetadata, TaggedPanel
 from quantarb.quantiles import RandomStreams
-from quantarb.reporting import ReportRow, run_evaluation
+from quantarb.reporting import PoolScalingRow, ReportRow, run_evaluation
 from quantarb.synthetic import (
     RegimeSpec,
     Segment,
@@ -86,6 +87,13 @@ def _report_row(**fields):
     or count."""
     return ReportRow(**{**dict(method="median", scope="overall", n_panels=1, crps=0.1,
                                mase=0.2, wins=0, losses=0, ties=0), **fields})
+
+
+def _pool_row(**fields):
+    """A two-model pool-scaling row; keyword ``fields`` replace any of its fields."""
+    return PoolScalingRow(**{**dict(pool_size=2, model_names=("a", "b"), crps=0.1, mase=0.2,
+                                    best_individual="a", best_individual_crps=0.3,
+                                    best_individual_mase=0.4), **fields})
 
 
 #: An expert with no spread, which forecasts the actual itself at every level.
@@ -195,6 +203,8 @@ _ENTRY_POINTS = {
         non_finite=(NonFinite, ("context",))),
     **{f"ReportRow {field}": _spec_field(lambda v, field=field: _report_row(**{field: v}), field)
        for field in ("crps", "mase")},
+    **{f"PoolScalingRow {field}": _spec_field(lambda v, field=field: _pool_row(**{field: v}), field)
+       for field in ("crps", "mase", "best_individual_crps", "best_individual_mase")},
 }
 
 _NOT_NUMBERS = {
@@ -256,6 +266,8 @@ def test_every_entry_point_reads_a_number_as_float_does(entry, value):
         pytest.skip("no integer is a level")
     got = made.stored(made.build(value))
     assert struct.pack("d", got) == struct.pack("d", float(value))
+    # Stored as the entry stores a float: a plain float in a field, numpy's in an array.
+    assert type(got) is type(made.stored(made.build(made.valid(2.5))))
 
 
 _SUITE = build_benchmark_suite(2, seed=0, n_experts=2)
@@ -276,6 +288,8 @@ _INTEGERS = {
     **{f"ReportRow {count}": (lambda n, count=count: _report_row(**{count: n}),
                               f"{count} must be an integer >= 0")
        for count in ("n_panels", "wins", "losses", "ties")},
+    "PoolScalingRow pool_size": (lambda n: _pool_row(pool_size=n),
+                                 "pool_size must be an integer >= 1"),
 }
 
 
@@ -285,6 +299,13 @@ def test_every_integer_rejects_what_is_not_an_integer(what, bad):
     build, text = _INTEGERS[what]
     with pytest.raises(ValueError, match=f"^{re.escape(f'{text}, got {bad!r}')}$"):
         build(bad)
+
+
+@pytest.mark.parametrize("count", [2**70, -(2**70)], ids=["2**70", "-2**70"])
+def test_a_count_beyond_int64_names_its_field_and_index(count):
+    text = f"trace 's': counts value at index 0 must fit int64, got {count!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        _trace(counts=[[count, 0]])
 
 
 def test_numpy_integers_are_integers():
@@ -304,6 +325,8 @@ def test_numpy_integers_are_integers():
     row = _report_row(**{count: np.int64(1) for count in ("n_panels", "wins", "losses", "ties")})
     assert row == _report_row(n_panels=1, wins=1, losses=1, ties=1)
     assert {type(getattr(row, count)) for count in ("n_panels", "wins", "losses", "ties")} == {int}
+    pool_row = _pool_row(pool_size=np.int64(2))
+    assert pool_row == _pool_row() and type(pool_row.pool_size) is int
 
 
 # Each name: how to pass it, what its error calls it, and where it ends up.
@@ -340,6 +363,15 @@ _NAMES = {
     "SyntheticExpert name": (
         lambda name: SyntheticExpert(name, (0,), sharpness=1.0), "expert name",
         lambda made: made.name),
+    **{f"ReportRow {field}": (lambda name, field=field: _report_row(**{field: name}), field,
+                              lambda made, field=field: getattr(made, field))
+       for field in ("method", "scope")},
+    "PoolScalingRow model name": (
+        lambda name: _pool_row(model_names=("a", name)), "pool scaling row: model name",
+        lambda made: made.model_names[1]),
+    "PoolScalingRow best_individual": (
+        lambda name: _pool_row(best_individual=name), "best_individual",
+        lambda made: made.best_individual),
 }
 
 
@@ -353,9 +385,10 @@ def test_every_name_rejects_what_is_not_a_string(field, bad):
 
 @pytest.mark.parametrize("field", list(_NAMES))
 def test_a_numpy_string_is_a_name_stored_as_a_plain_string(field):
+    # "median" is a name in every field, a report row's method included.
     build, _, stored = _NAMES[field]
-    got = stored(build(np.str_("x")))
-    assert type(got) is str and got == "x"
+    got = stored(build(np.str_("median")))
+    assert type(got) is str and got == "median"
 
 
 # Each record or config that holds a level grid, built on ``grid``.
@@ -376,3 +409,26 @@ def test_every_grid_is_a_quantile_levels(record):
     with pytest.raises(TypeError, match=f"^levels must be a QuantileLevels, got {plain}$"):
         _GRIDS[record](_GRID.levels)
     _GRIDS[record](_GRID)
+
+
+_PANEL = ForecastPanel("p", _CONTEXT, None, 1, ("a",), _GRID, [[_ROW]])
+
+# Each part a spec or a wrapper holds: how to pass it, what its error calls
+# it, and its kind.
+_PARTS = {
+    "RegimeSpec segment": (lambda part: RegimeSpec((Segment(3, 1.0), part), context_length=1),
+                           "segment at index 1", Segment),
+    "TaggedPanel panel": (lambda part: TaggedPanel(part), "panel", ForecastPanel),
+    "TaggedPanel metadata": (lambda part: TaggedPanel(_PANEL, part), "metadata", PanelMetadata),
+}
+
+
+@pytest.mark.parametrize("bad", [None, 1, "x"], ids=["None", "1", "'x'"])
+@pytest.mark.parametrize("part", list(_PARTS))
+def test_every_part_is_of_its_kind(part, bad):
+    build, what, kind = _PARTS[part]
+    text = f"{what} must be a {kind.__name__}, got {bad!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(text)}$"):
+        build(bad)
+    good = {Segment: Segment(2, 1.0), ForecastPanel: _PANEL, PanelMetadata: PanelMetadata()}
+    build(good[kind])
